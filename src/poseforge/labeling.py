@@ -21,7 +21,6 @@ from poseforge.pose import (
     Pose3D,
     box_around,
     d3d,
-    denormalize_from_box,
     iou,
     normalize_to_box,
 )
@@ -37,7 +36,7 @@ class LabeledBox:
 
     box: BoundingBox
     class_label: int
-    target: np.ndarray | None = None  # (5*J,) present iff class_label >= 1
+    target: np.ndarray | None = None  # finite (5*J,), present iff class_label >= 1
 
     def __post_init__(self):
         if self.class_label < 0:
@@ -48,6 +47,8 @@ class LabeledBox:
             t = np.asarray(self.target, dtype=np.float64)
             if t.ndim != 1 or len(t) % 5 != 0:
                 raise ValueError("target must be a flat 5*J vector")
+            if not np.isfinite(t).all():
+                raise ValueError("target must be finite")
             object.__setattr__(self, "target", t)
 
 
@@ -138,6 +139,22 @@ def assign_label(
     return LabeledBox(box, anchor.id + 1, target)
 
 
+def regress_anchors(layouts: np.ndarray, anchors3d: np.ndarray, box: BoundingBox,
+                    residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poses of K anchors refined by their 5*J residuals and placed in box.
+
+    Stacked form of apply_regression: layouts (K, J, 2) in unit-box
+    coordinates, anchors3d (K, J, 3) and residuals (K, 5*J) give the 2D
+    pixel coordinates (K, J, 2) and the 3D coordinates (K, J, 3).
+    """
+    k, j = layouts.shape[:2]
+    res2d = residuals[:, :2 * j].reshape(k, j, 2)
+    res3d = residuals[:, 2 * j:].reshape(k, j, 3)
+    scale = np.array([box.width, box.height])
+    offset = np.array([box.x_min, box.y_min])
+    return (layouts + res2d) * scale + offset, anchors3d + res3d
+
+
 def apply_regression(anchor: AnchorPose, box: BoundingBox,
                      residual: np.ndarray) -> tuple[Pose2D, Pose3D]:
     """Reconstruct a 2D-3D pose from an anchor, a box, and a 5*J residual.
@@ -149,11 +166,9 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
     j = anchor.pose2d.joint_count
     if residual.shape != (5 * j,):
         raise ValueError(f"residual must have length {5 * j}, got {residual.shape}")
-    res2d = residual[:2 * j].reshape(j, 2)
-    res3d = residual[2 * j:].reshape(j, 3)
-    pose2d = denormalize_from_box(Pose2D(anchor.pose2d.coords + res2d), box)
-    pose3d = Pose3D(anchor.pose3d.coords + res3d)
-    return pose2d, pose3d
+    coords2d, coords3d = regress_anchors(anchor.pose2d.coords[None], anchor.pose3d.coords[None],
+                                         box, residual[None])
+    return Pose2D(coords2d[0]), Pose3D(coords3d[0])
 
 
 def classification_loss(u: ClassScores, class_label: int) -> tuple[float, np.ndarray]:

@@ -17,11 +17,12 @@ from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
     LabeledBox,
-    apply_regression,
+    regress_anchors,
     smooth_l1,
     smooth_l1_grad,
 )
-from poseforge.pose import BoundingBox
+from poseforge.pose import BoundingBox, Pose2D, Pose3D
+from poseforge.ppi import PoseProposal
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,14 @@ class _Head:
             b_reg=np.zeros(slot_width * n_classes),
         )
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def class_probs(self, x: np.ndarray) -> np.ndarray:
         logits = x @ self.w_cls + self.b_cls
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        return probs, x @ self.w_reg + self.b_reg
+        return e / e.sum(axis=1, keepdims=True)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.class_probs(x), x @ self.w_reg + self.b_reg
 
 
 @dataclass(eq=False)
@@ -79,16 +82,25 @@ class ToyModel:
 
 
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
-    """Gradient descent on mean (classification + regression) loss."""
+    """Gradient descent on mean (classification + regression) loss.
+
+    The (n, 5*J*C) regression output v and its gradient g_v are allocated
+    once and refilled in place every iteration; only the positives' class
+    slots of g_v are ever non-zero.
+    """
     n, _ = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
     pos = labels != BACKGROUND
     rows = np.arange(n)
     switch = int(config.decay_fraction * config.iterations)
+    v = np.empty((n, head.b_reg.shape[0]))
+    g_v = np.zeros_like(v)
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
-        probs, v = head.forward(x)
+        probs = head.class_probs(x)
+        np.matmul(x, head.w_reg, out=v)
+        v += head.b_reg
 
         cls_loss = float(
             -np.log(np.maximum(probs[rows, labels], 1e-12)).mean()
@@ -97,7 +109,6 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
         g_logits[rows, labels] -= 1.0
         g_logits /= n
 
-        g_v = np.zeros_like(v)
         reg_loss = 0.0
         for i in np.where(pos)[0]:
             sl = slice(labels[i] * w, (labels[i] + 1) * w)
@@ -178,28 +189,32 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
-            anchors: AnchorSet) -> list:
+            anchors: AnchorSet) -> list[PoseProposal]:
     """One scored PoseProposal per non-background class.
 
     Proposal k carries score u(k+1) and the pose reconstructed from
     anchor k's slice of the regression output; scores plus the
-    background probability sum to 1.
+    background probability sum to 1. All anchors' poses are built in
+    one regress_anchors call.
     """
-    from poseforge.ppi import PoseProposal  # local import to avoid a cycle
-
+    k, j = len(anchors), model.joint_count
+    if k + 1 > model.n_classes or anchors.spec.joint_count != j:
+        raise ValueError(
+            f"{k} anchors of {anchors.spec.joint_count} joints do not fit a model "
+            f"with {model.n_classes - 1} anchor classes of {j} joints"
+        )
     probs, v = model_outputs(model, feature)
     w = model.slot_width
-    proposals = []
-    for a in anchors.anchors:
-        c = a.id + 1
-        pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
-        proposals.append(
-            PoseProposal(
-                anchor_id=a.id,
-                box=box,
-                pose2d=pose2d,
-                pose3d=pose3d,
-                score=float(probs[c]),
-            )
+    coords2d, coords3d = regress_anchors(
+        np.stack([a.pose2d.coords for a in anchors.anchors]), anchors.coords3d,
+        box, v[w:(k + 1) * w].reshape(k, w))
+    return [
+        PoseProposal(
+            anchor_id=a.id,
+            box=box,
+            pose2d=Pose2D(coords2d[a.id]),
+            pose3d=Pose3D(coords3d[a.id]),
+            score=float(probs[a.id + 1]),
         )
-    return proposals
+        for a in anchors.anchors
+    ]

@@ -4,16 +4,24 @@ baseline that keeps only the top proposal per overlap group.
 
 All functions are pure; per-image calls are independent. Ties on equal
 rescored score are broken by lower proposal position for determinism.
+
+Every step runs on stacked arrays: boxes (N, 4), 2D poses (N, J, 2), 3D
+poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
+proposals once; the public per-list functions stack their input and call
+the same private helpers, so each piece of math has one implementation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, iou
+# d3d and iou are no longer called here: _modes and _group repeat their
+# arithmetic, in the same operation order, on stacks. The names stay in
+# this module because perfbench/tracing.py counts the calls made through
+# poseforge.ppi.d3d and poseforge.ppi.iou and patches both attributes.
+from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, iou  # noqa: F401
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -77,11 +85,119 @@ class Detection:
     unweighted: bool = False  # True when all member scores were zero
 
 
-def _boundary_distance(point: np.ndarray, box: BoundingBox) -> float:
-    """Euclidean distance to the box boundary; 0 inside or on it."""
-    dx = max(box.x_min - point[0], 0.0, point[0] - box.x_max)
-    dy = max(box.y_min - point[1], 0.0, point[1] - box.y_max)
-    return math.hypot(dx, dy)
+def _stack2d(proposals) -> np.ndarray:
+    """(N, J, 2) stack of the proposals' 2D poses, required finite."""
+    c2d = np.array([p.pose2d.coords for p in proposals])
+    if not np.isfinite(c2d).all():
+        raise ValueError(
+            "proposal 2D poses must be finite at every joint, occluded ones included"
+        )
+    return c2d
+
+
+def _stack3d(proposals) -> np.ndarray:
+    """(N, J, 3) stack of the proposals' 3D poses."""
+    return np.array([p.pose3d.coords for p in proposals])
+
+
+def _rescore(boxes: np.ndarray, c2d: np.ndarray, scores: np.ndarray,
+             sigma_b: float) -> np.ndarray:
+    """Rescored scores from boxes (N, 4), 2D poses (N, J, 2), scores (N,).
+
+    D is each joint's distance to its box, 0 inside or on it, where
+    exp(-D^2 / sigma_b^2) is exactly 1. Scaling s by the mean of these
+    factors, which is at most 1, gives s' <= s, and s' = s exactly when
+    every joint is inside.
+    """
+    gap = np.maximum(np.maximum(boxes[:, None, :2] - c2d, 0.0), c2d - boxes[:, None, 2:])
+    d = np.hypot(gap[..., 0], gap[..., 1])
+    return scores * np.exp(-(d * d) / (sigma_b * sigma_b)).mean(axis=1)
+
+
+def _overlap_boxes(c2d: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
+    """(N, 4) tight joint boxes (x_min, y_min, x_max, y_max); see overlap_box."""
+    pts = c2d if joints is None else c2d[:, list(joints)]
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    flat = hi <= lo
+    return np.concatenate([np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)],
+                          axis=1)
+
+
+def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
+    """Greedy clustering shared by overlap grouping and mode extraction.
+
+    Seeds come by descending score, then lower index. Each seed takes
+    itself and every still-free proposal that near(seed, candidates)
+    marks, so the clusters partition the input. Returns (seed, members
+    in input order) per cluster.
+    """
+    n = len(rescored)
+    free = np.ones(n, dtype=bool)
+    clusters = []
+    for seed in np.lexsort((np.arange(n), -rescored)):
+        if free[seed]:
+            cand = np.flatnonzero(free)
+            members = cand[near(seed, cand) | (cand == seed)]
+            free[members] = False
+            clusters.append((seed, members))
+    return clusters
+
+
+def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> list[np.ndarray]:
+    """Overlap groups of boxes (N, 4), as index arrays in input order.
+
+    A seed's IoU row repeats pose.iou's operations in their order.
+    """
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+    def overlapping(seed, cand):
+        b, s = boxes[cand], boxes[seed]
+        iw = np.minimum(b[:, 2], s[2]) - np.maximum(b[:, 0], s[0])
+        ih = np.minimum(b[:, 3], s[3]) - np.maximum(b[:, 1], s[1])
+        hit = (iw > 0.0) & (ih > 0.0)
+        inter = iw[hit] * ih[hit]
+        row = np.zeros(len(cand))
+        row[hit] = inter / (area[cand[hit]] + area[seed] - inter)
+        return row >= iou_threshold
+
+    return [members for _, members in _greedy(rescored, overlapping)]
+
+
+def _modes(c3d: np.ndarray, rescored: np.ndarray, t3d: float) -> list[np.ndarray]:
+    """3D modes of one group's poses (N, J, 3), as index arrays, seed first.
+
+    A seed's row of distances repeats pose.d3d's operations.
+    """
+    def close(seed, cand):
+        return np.linalg.norm(c3d[seed] - c3d[cand], axis=2).mean(axis=1) < t3d
+
+    return [np.concatenate(([seed], members[members != seed]))
+            for seed, members in _greedy(rescored, close)]
+
+
+def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray) -> Detection:
+    """Score-weighted mean of a mode's stacked poses; see average_mode."""
+    total = float(weights.sum())
+    if total > 0.0:
+        w = weights / total
+        mean2d = np.einsum("i,ijk->jk", w, c2d)
+        mean3d = np.einsum("i,ijk->jk", w, c3d)
+    else:
+        mean2d = c2d.mean(axis=0)
+        mean3d = c3d.mean(axis=0)
+    return Detection(
+        pose2d=Pose2D(mean2d),
+        pose3d=Pose3D(mean3d),
+        score=total,
+        member_count=len(weights),
+        unweighted=not total > 0.0,
+    )
+
+
+def _require_rescored(proposals) -> np.ndarray:
+    if any(p.rescored is None for p in proposals):
+        raise ValueError("proposals must be rescored first")
+    return np.array([p.rescored for p in proposals], dtype=np.float64)
 
 
 def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PoseProposal:
@@ -90,15 +206,12 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
     s' = s * mean_j f(p_j, B) with f = 1 inside the box and
     exp(-D^2 / sigma_b^2) outside, D being the distance of the joint to
     the box boundary. All J regressed joints participate, visible or
-    not; if every joint lies inside or on the box, s' = s exactly.
+    not, and must be finite; if every joint lies inside or on the box,
+    s' = s exactly.
     """
-    coords = proposal.pose2d.coords
-    total = 0.0
-    for j in range(len(coords)):
-        d = _boundary_distance(coords[j], proposal.box)
-        total += 1.0 if d == 0.0 else math.exp(-(d * d) / (sigma_b * sigma_b))
-    s_prime = proposal.score * total / len(coords)
-    return replace(proposal, rescored=s_prime)
+    (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _stack2d([proposal]),
+                          np.array([proposal.score]), sigma_b)
+    return replace(proposal, rescored=float(s_prime))
 
 
 def overlap_box(pose2d: Pose2D, joints: tuple[int, ...] | None = None) -> BoundingBox:
@@ -108,23 +221,7 @@ def overlap_box(pose2d: Pose2D, joints: tuple[int, ...] | None = None) -> Boundi
     fully regressed poses); a zero extent is padded by 1e-6 px so the
     box stays valid and such a proposal simply groups alone.
     """
-    coords = pose2d.coords if joints is None else pose2d.coords[list(joints)]
-    x_min, y_min = coords.min(axis=0)
-    x_max, y_max = coords.max(axis=0)
-    if x_max <= x_min:
-        x_min, x_max = x_min - 1e-6, x_max + 1e-6
-    if y_max <= y_min:
-        y_min, y_max = y_min - 1e-6, y_max + 1e-6
-    return BoundingBox(x_min, y_min, x_max, y_max)
-
-
-def _require_rescored(proposals) -> list[float]:
-    scores = []
-    for p in proposals:
-        if p.rescored is None:
-            raise ValueError("proposals must be rescored first")
-        scores.append(p.rescored)
-    return scores
+    return BoundingBox(*_overlap_boxes(pose2d.coords[None], joints)[0])
 
 
 def group_by_overlap(
@@ -139,22 +236,11 @@ def group_by_overlap(
     with the seed is >= iou_threshold. Groups partition the input;
     members keep their input order.
     """
-    scores = _require_rescored(proposals)
-    boxes = [overlap_box(p.pose2d, overlap_joints) for p in proposals]
-    order = sorted(range(len(proposals)), key=lambda i: (-scores[i], i))
-    unassigned = [True] * len(proposals)
-    groups = []
-    for seed in order:
-        if not unassigned[seed]:
-            continue
-        member_ids = [
-            i for i in range(len(proposals))
-            if unassigned[i] and iou(boxes[i], boxes[seed]) >= iou_threshold
-        ]
-        for i in member_ids:
-            unassigned[i] = False
-        groups.append([proposals[i] for i in member_ids])
-    return groups
+    rescored = _require_rescored(proposals)
+    if not proposals:
+        return []
+    boxes = _overlap_boxes(_stack2d(proposals), overlap_joints)
+    return [[proposals[i] for i in g] for g in _group(boxes, rescored, iou_threshold)]
 
 
 def extract_modes(
@@ -168,22 +254,8 @@ def extract_modes(
     """
     if not group:
         raise ValueError("empty group")
-    scores = _require_rescored(group)
-    covered = [False] * len(group)
-    modes = []
-    while not all(covered):
-        seed = min(
-            (i for i in range(len(group)) if not covered[i]),
-            key=lambda i: (-scores[i], i),
-        )
-        mode = [group[seed]]
-        covered[seed] = True
-        for i in range(len(group)):
-            if not covered[i] and d3d(group[seed].pose3d, group[i].pose3d) < t3d:
-                mode.append(group[i])
-                covered[i] = True
-        modes.append(mode)
-    return modes
+    rescored = _require_rescored(group)
+    return [[group[i] for i in m] for m in _modes(_stack3d(group), rescored, t3d)]
 
 
 def average_mode(mode: list[PoseProposal]) -> Detection:
@@ -195,26 +267,7 @@ def average_mode(mode: list[PoseProposal]) -> Detection:
     """
     if not mode:
         raise ValueError("empty mode")
-    weights = np.array(_require_rescored(mode))
-    total = float(weights.sum())
-    coords2d = np.stack([p.pose2d.coords for p in mode])
-    coords3d = np.stack([p.pose3d.coords for p in mode])
-    if total > 0.0:
-        w = weights / total
-        mean2d = np.einsum("i,ijk->jk", w, coords2d)
-        mean3d = np.einsum("i,ijk->jk", w, coords3d)
-        unweighted = False
-    else:
-        mean2d = coords2d.mean(axis=0)
-        mean3d = coords3d.mean(axis=0)
-        unweighted = True
-    return Detection(
-        pose2d=Pose2D(mean2d),
-        pose3d=Pose3D(mean3d),
-        score=total,
-        member_count=len(mode),
-        unweighted=unweighted,
-    )
+    return _average(_stack2d(mode), _stack3d(mode), _require_rescored(mode))
 
 
 def _finalize(detections: list[Detection], min_score: float | None) -> list[Detection]:
@@ -224,32 +277,50 @@ def _finalize(detections: list[Detection], min_score: float | None) -> list[Dete
     return [detections[i] for i in order]
 
 
+def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
+    """Stack one image's proposals, rescore them and group them by overlap."""
+    c2d = _stack2d(proposals)
+    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    boxes = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
+    rescored = _rescore(boxes, c2d, scores, params.sigma_b)
+    if (rescored > scores + 1e-12).any():
+        raise ValueError("rescored score cannot exceed the raw score")
+    groups = _group(_overlap_boxes(c2d, params.overlap_joints), rescored,
+                    params.iou_threshold)
+    return c2d, rescored, groups
+
+
 def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
     """Full integration: rescore, group, extract modes, average, filter.
 
     Returns detections sorted by descending score; every input proposal
     contributes to exactly one mode.
     """
-    rescored = [rescore(p, params.sigma_b) for p in proposals]
+    if not proposals:
+        return []
+    c2d, rescored, groups = _rescored_groups(proposals, params)
+    c3d = _stack3d(proposals)
     detections = []
-    for group in group_by_overlap(rescored, params.iou_threshold, params.overlap_joints):
-        for mode in extract_modes(group, params.t3d):
-            detections.append(average_mode(mode))
+    for g in groups:
+        for m in _modes(c3d[g], rescored[g], params.t3d):
+            idx = g[m]
+            detections.append(_average(c2d[idx], c3d[idx], rescored[idx]))
     return _finalize(detections, params.min_score)
 
 
 def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
     """Baseline: keep only the top-rescored proposal of each overlap group."""
-    rescored = [rescore(p, params.sigma_b) for p in proposals]
+    if not proposals:
+        return []
+    _, rescored, groups = _rescored_groups(proposals, params)
     detections = []
-    for group in group_by_overlap(rescored, params.iou_threshold, params.overlap_joints):
-        scores = [p.rescored for p in group]
-        top = group[min(range(len(group)), key=lambda i: (-scores[i], i))]
+    for g in groups:
+        top = g[np.argmax(rescored[g])]  # first maximum: lower index wins ties
         detections.append(
             Detection(
-                pose2d=top.pose2d,
-                pose3d=top.pose3d,
-                score=top.rescored,
+                pose2d=proposals[top].pose2d,
+                pose3d=proposals[top].pose3d,
+                score=float(rescored[top]),
                 member_count=1,
             )
         )

@@ -260,6 +260,12 @@ class TestLabeledBox:
         with pytest.raises(ValueError, match=r"flat 5\*J vector"):
             LabeledBox(BoundingBox(0, 0, 1, 1), 1, np.zeros(64))
 
+    def test_non_finite_target_rejected(self):
+        target = np.zeros(65)
+        target[7] = np.nan
+        with pytest.raises(ValueError, match="target must be finite"):
+            LabeledBox(BoundingBox(0, 0, 1, 1), 1, target)
+
 
 class TestTotalLoss:
     def test_zeros(self):

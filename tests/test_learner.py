@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poseforge.anchors import AnchorSet
-from poseforge.labeling import LabeledBox, regression_target
+from poseforge.labeling import LabeledBox, apply_regression, regression_target
 from poseforge.learner import TrainConfig, ToyModel, _Head, model_outputs, predict, train
 from poseforge.pose import (
     H13,
@@ -11,6 +11,7 @@ from poseforge.pose import (
     Pose2D,
     box_around,
     center_3d,
+    denormalize_from_box,
 )
 
 
@@ -155,3 +156,38 @@ class TestPredict:
         proposals = predict(model, f, box, anchors)
         assert np.abs(proposals[0].pose2d.coords - gt2d.coords).max() < 2.0  # pixels
         assert np.abs(proposals[0].pose3d.coords - gt3d.coords).max() < 0.05  # meters
+
+    def test_matches_per_anchor_apply_regression(self):
+        rng = np.random.default_rng(10)
+        anchors = small_anchor_set(rng, n=5)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=6)
+        model = train(examples, anchors, TrainConfig(iterations=30, seed=11))
+        w = model.slot_width
+        for _ in range(5):
+            feature = rng.normal(0, 2.0, 8)
+            box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
+            probs, v = model_outputs(model, feature)
+            proposals = predict(model, feature, box, anchors)
+            for a, p in zip(anchors.anchors, proposals):
+                c = a.id + 1
+                residual = v[c * w:(c + 1) * w]
+                pose2d, pose3d = apply_regression(a, box, residual)
+                # the per-anchor reference, written out: layout + residual in
+                # unit-box coordinates, then placed into the box
+                placed = denormalize_from_box(
+                    Pose2D(a.pose2d.coords + residual[:26].reshape(13, 2)), box)
+                assert p.anchor_id == a.id and p.box == box
+                assert p.score == probs[c]
+                assert np.array_equal(p.pose2d.coords, pose2d.coords)
+                assert np.array_equal(p.pose2d.coords, placed.coords)
+                assert np.array_equal(p.pose3d.coords, pose3d.coords)
+                assert np.array_equal(p.pose3d.coords,
+                                      a.pose3d.coords + residual[26:].reshape(13, 3))
+
+    def test_anchor_set_larger_than_model_rejected(self):
+        rng = np.random.default_rng(11)
+        anchors = small_anchor_set(rng, n=2)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=12))
+        with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit"):
+            predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), small_anchor_set(rng, n=3))

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D, center_3d, d3d, iou
 from poseforge.ppi import (
@@ -36,10 +40,50 @@ def inside_box_proposal(score=0.8):
                         center_3d(H13, np.zeros((13, 3))), score)
 
 
+def rescore_oracle(proposal, sigma_b=25.0):
+    """Scalar reference of rescore: one joint at a time, s * total / J."""
+    box = proposal.box
+    total = 0.0
+    for x, y in proposal.pose2d.coords:
+        dx = max(box.x_min - x, 0.0, x - box.x_max)
+        dy = max(box.y_min - y, 0.0, y - box.y_max)
+        d = math.hypot(dx, dy)
+        total += 1.0 if d == 0.0 else math.exp(-(d * d) / (sigma_b * sigma_b))
+    return proposal.score * total / len(proposal.pose2d.coords)
+
+
 class TestRescore:
     def test_all_joints_inside_keeps_score(self):
         p = rescore(inside_box_proposal(0.8))
         assert p.rescored == 0.8
+
+    def test_inside_keeps_score_where_s_times_j_over_j_rounds_up(self):
+        # 0.9 * 13 / 13 rounds to 0.9000000000000001, one ulp above 0.9
+        assert rescore(inside_box_proposal(0.9)).rescored == 0.9
+
+    def test_non_finite_joint_rejected(self):
+        coords = np.linspace([10, 10], [90, 90], 13)
+        coords[3] = np.nan
+        visibility = np.ones(13, dtype=bool)
+        visibility[3] = False  # Pose2D accepts NaN at an invisible joint
+        p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords, visibility),
+                         center_3d(H13, np.zeros((13, 3))), 0.5)
+        with pytest.raises(ValueError, match="proposal 2D poses must be finite"):
+            rescore(p)
+        with pytest.raises(ValueError, match="proposal 2D poses must be finite"):
+            ppi([inside_box_proposal(), p])
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            p = make_proposal(rng)
+            b = p.box
+            m = float(rng.uniform(-0.4, 0.1)) * min(b.width, b.height)  # shrink or grow
+            box = BoundingBox(b.x_min - m, b.y_min - m, b.x_max + m, b.y_max + m)
+            p = replace(p, box=box)
+            sigma = float(rng.uniform(5, 60))
+            assert rescore(p, sigma).rescored == pytest.approx(
+                rescore_oracle(p, sigma), rel=1e-14, abs=0.0)
 
     def test_joint_on_boundary_contributes_one(self):
         coords = np.linspace([10, 10], [90, 90], 13)
@@ -74,9 +118,9 @@ class TestRescore:
             assert (r.rescored == r.score) == inside
 
 
-def greedy_group_oracle(proposals, threshold):
+def greedy_group_oracle(proposals, threshold, joints=None):
     """Independent re-implementation of the greedy grouping rule."""
-    boxes = [overlap_box(p.pose2d) for p in proposals]
+    boxes = [overlap_box(p.pose2d, joints) for p in proposals]
     remaining = list(range(len(proposals)))
     groups = []
     while remaining:
@@ -148,6 +192,22 @@ class TestGrouping:
         flat = [i for g in groups for i in ids(proposals, g)]
         assert sorted(flat) == list(range(30))
 
+    def test_seed_groups_with_itself_when_box_area_underflows(self):
+        coords = np.zeros((13, 2))
+        coords[0, 0] = 5e-324  # joint-box area 5e-324 * 2e-6 underflows to 0
+        p = rescore(PoseProposal(0, BoundingBox(0, 0, 1, 1), Pose2D(coords),
+                                 center_3d(H13, np.zeros((13, 3))), 0.5))
+        assert group_by_overlap([p], 0.5) == [[p]]
+        assert [d.member_count for d in ppi([p])] == [1]
+
+    def test_threshold_is_inclusive(self):
+        rng = np.random.default_rng(24)
+        a = rescore(make_proposal(rng, center=(100, 100), spread=10))
+        b = rescore(make_proposal(rng, center=(900, 900), spread=10))
+        twin = rescore(replace(a, score=a.score / 2, rescored=None))  # same joint box
+        assert len(group_by_overlap([a, twin], 1.0)) == 1  # IoU 1 >= 1
+        assert len(group_by_overlap([a, b], 0.0)) == 1  # IoU 0 >= 0
+
     def test_requires_rescored(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
@@ -176,6 +236,16 @@ class TestModes:
         assert len(modes) == 2
         assert sorted(len(m) for m in modes) == [4, 4]
         assert [ids(group, m) for m in modes] == modes_oracle(group, 0.125)
+
+    def test_distance_equal_to_t3d_splits(self):
+        rng = np.random.default_rng(25)
+        p = rescore(make_proposal(rng, pose3d=Pose3D(np.zeros((13, 3)))))
+        shifted = np.zeros((13, 3))
+        shifted[:, 0] = 0.125  # d3d is exactly 0.125
+        q = rescore(make_proposal(rng, pose3d=Pose3D(shifted)))
+        assert d3d(p.pose3d, q.pose3d) == 0.125
+        assert len(extract_modes([p, q], 0.125)) == 2
+        assert len(extract_modes([p, q], 0.1250001)) == 1
 
     def test_singleton(self):
         rng = np.random.default_rng(8)
@@ -344,3 +414,126 @@ class TestNms:
         originals = {tuple(p.pose2d.coords.ravel()) for p in proposals}
         for d in dets:
             assert tuple(d.pose2d.coords.ravel()) in originals
+
+
+def average_oracle(mode):
+    """(score, 2D mean, 3D mean, count) of a mode, one member at a time."""
+    weights = np.array([p.rescored for p in mode])
+    total = float(weights.sum())
+    coords2d = np.stack([p.pose2d.coords for p in mode])
+    coords3d = np.stack([p.pose3d.coords for p in mode])
+    if total > 0.0:
+        w = weights / total
+        return (total, np.einsum("i,ijk->jk", w, coords2d),
+                np.einsum("i,ijk->jk", w, coords3d), len(mode))
+    return total, coords2d.mean(axis=0), coords3d.mean(axis=0), len(mode)
+
+
+def crowd_proposals(rng, people, per_person):
+    """Jittered proposals around a few people, each with three 3D modes.
+
+    Half of the proposals score 0.5 in a box wide enough to hold every
+    joint, so their rescored scores tie exactly and the tie-breaks on
+    the lower index are exercised.
+    """
+    proposals = []
+    for _ in range(people):
+        base2d = rng.normal(rng.uniform(50, 450, 2), 30, (13, 2))
+        tight = overlap_box(Pose2D(base2d))
+        wide = BoundingBox(tight.x_min - 100, tight.y_min - 100,
+                           tight.x_max + 100, tight.y_max + 100)
+        bases3d = rng.normal(0, 0.3, (3, 13, 3))
+        for _ in range(per_person):
+            c3d = bases3d[rng.integers(3)] + rng.normal(0, 0.03, (13, 3))
+            tie = rng.random() < 0.5
+            proposals.append(PoseProposal(
+                int(rng.integers(0, 5)), wide if tie else tight,
+                Pose2D(base2d + rng.normal(0, 8.0, (13, 2))), center_3d(H13, c3d),
+                0.5 if tie else float(rng.uniform(0.05, 0.95))))
+    return proposals
+
+
+class TestArrayCoreEquivalence:
+    """ppi() and nms() against the oracles above, composed as the pipeline."""
+
+    CASES = [
+        PpiParams(),
+        PpiParams(iou_threshold=0.3, t3d=0.2, sigma_b=10.0),
+        PpiParams(iou_threshold=0.05, overlap_joints=H13.head_torso_joints),
+    ]
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_ppi_matches_composed_oracles(self, params):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            proposals = crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
+            rescored = [rescore(p, params.sigma_b) for p in proposals]
+            for p, r in zip(proposals, rescored):
+                assert r.rescored == pytest.approx(rescore_oracle(p, params.sigma_b),
+                                                   rel=1e-14, abs=0.0)
+            expected = []
+            for g in greedy_group_oracle(rescored, params.iou_threshold,
+                                         params.overlap_joints):
+                group = [rescored[i] for i in g]
+                expected += [average_oracle([group[i] for i in m])
+                             for m in modes_oracle(group, params.t3d)]
+            order = sorted(range(len(expected)), key=lambda i: (-expected[i][0], i))
+            dets = ppi(proposals, params)
+            assert len(dets) == len(expected)
+            for det, i in zip(dets, order):
+                score, mean2d, mean3d, count = expected[i]
+                assert det.score == score and det.member_count == count
+                assert np.array_equal(det.pose2d.coords, mean2d)
+                assert np.array_equal(det.pose3d.coords, mean3d)
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_nms_matches_composed_oracles(self, params):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            proposals = crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
+            rescored = [rescore(p, params.sigma_b) for p in proposals]
+            tops = [max((rescored[i] for i in g), key=lambda p: p.rescored)
+                    for g in greedy_group_oracle(rescored, params.iou_threshold,
+                                                 params.overlap_joints)]
+            order = sorted(range(len(tops)), key=lambda i: (-tops[i].rescored, i))
+            dets = nms(proposals, params)
+            assert [d.score for d in dets] == [tops[i].rescored for i in order]
+            for det, i in zip(dets, order):
+                assert det.member_count == 1
+                assert np.array_equal(det.pose2d.coords, tops[i].pose2d.coords)
+                assert np.array_equal(det.pose3d.coords, tops[i].pose3d.coords)
+
+
+@st.composite
+def proposal_lists(draw):
+    """Up to 12 proposals with arbitrary joints, boxes grown or shrunk by up
+    to 40% of their smaller side, and scores anywhere in [0, 1]."""
+    n = draw(st.integers(1, 12))
+    c2d = draw(arrays(np.float64, (n, 13, 2), elements=st.floats(0.0, 300.0)))
+    c3d = draw(arrays(np.float64, (n, 13, 3), elements=st.floats(-1.0, 1.0)))
+    grow = draw(arrays(np.float64, (n,), elements=st.floats(-0.4, 0.4)))
+    scores = draw(arrays(np.float64, (n,), elements=st.floats(0.0, 1.0)))
+    proposals = []
+    for i in range(n):
+        pose2d = Pose2D(c2d[i])
+        b = overlap_box(pose2d)
+        m = float(grow[i]) * min(b.width, b.height)
+        box = BoundingBox(b.x_min - m, b.y_min - m, b.x_max + m, b.y_max + m)
+        proposals.append(PoseProposal(0, box, pose2d, Pose3D(c3d[i]), float(scores[i])))
+    return proposals
+
+
+class TestPpiProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(proposal_lists(), st.floats(0.0, 1.0), st.floats(0.01, 2.0))
+    def test_partition_and_score_conservation(self, proposals, threshold, t3d):
+        dets = ppi(proposals, PpiParams(iou_threshold=threshold, t3d=t3d))
+        assert sum(d.member_count for d in dets) == len(proposals)
+        total = math.fsum(rescore(p).rescored for p in proposals)
+        assert math.fsum(d.score for d in dets) == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(proposal_lists(), st.floats(1.0, 100.0))
+    def test_rescored_never_exceeds_score(self, proposals, sigma_b):
+        for p in proposals:
+            assert rescore(p, sigma_b).rescored <= p.score
