@@ -3,14 +3,19 @@
 Clustering assigns points to centroids under the mean-per-joint distance
 (d3d) and updates centroids with the coordinate-wise mean, seeded
 k-means++ style, so results are deterministic given (poses, K, seed).
-Each anchor's canonical 2D layout is the mean of its members' 2D poses
-after normalization into their own margin boxes; it lives in unit-box
-coordinates and is placed into candidate boxes at use time.
+d3d is a metric, so the Lloyd iterations skip the points that the
+triangle inequality proves cannot change centroid (Hamerly's bounds);
+the assignments, centroids and distortions are those of plain Lloyd
+iterations. Each anchor's canonical 2D layout is the per-joint mean of
+its members' finite 2D coordinates after normalization into their own
+margin boxes; it lives in unit-box coordinates and is placed into
+candidate boxes at use time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,13 +25,17 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     PoseSpec,
-    box_around,
+    d3d_kernel,
     d3d_matrix,
-    normalize_to_box,
+    margin_boxes,
 )
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOL = 1e-6  # meters of centroid shift
+# Relative slack on the pruning test, far above the rounding of d3d and
+# of the bound updates, so a pruned point is one whose assigned centroid
+# is strictly the nearest.
+PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +56,12 @@ class AnchorSet:
     def __len__(self) -> int:
         return len(self.anchors)
 
-    @property
+    @cached_property
     def coords3d(self) -> np.ndarray:
-        """Stacked (n, J, 3) anchor 3D coordinates."""
-        return np.stack([a.pose3d.coords for a in self.anchors])
+        """Stacked (n, J, 3) anchor 3D coordinates (read-only, built once)."""
+        stack = np.stack([a.pose3d.coords for a in self.anchors])
+        stack.setflags(write=False)
+        return stack
 
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,6 +82,25 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return coords[chosen].copy()
 
 
+def _nearest(coords: np.ndarray, centroids: np.ndarray):
+    """Full assignment rows: nearest centroid (ties to the lowest index),
+    its distance, and the distance to the second nearest (inf if k = 1)."""
+    dist = d3d_matrix(coords, centroids)
+    rows = np.arange(len(dist))
+    assign = dist.argmin(axis=1)
+    near = dist[rows, assign]
+    dist[rows, assign] = np.inf
+    return assign, near, dist.min(axis=1)
+
+
+def _unit_layouts(poses, margin_fraction: float) -> np.ndarray:
+    """(N, J, 2) member 2D poses normalized into their own margin boxes."""
+    coords = np.stack([p2.coords for p2, _ in poses])
+    boxes = margin_boxes(coords, np.stack([p2.visibility for p2, _ in poses]),
+                         margin_fraction)[:, None, :]
+    return (coords - boxes[..., :2]) / (boxes[..., 2:] - boxes[..., :2])
+
+
 def kmeans_anchors(
     poses: list[tuple[Pose2D, Pose3D]],
     k: int,
@@ -84,6 +114,7 @@ def kmeans_anchors(
 
     Args:
         poses: (pose2d, pose3d) pairs; 3D poses must be torso-centered.
+            Invisible 2D joints may be NaN.
         k: number of clusters; requires len(poses) >= k >= 1.
         spec: joint layout of the poses.
         seed: RNG seed for the k-means++ initialization.
@@ -95,6 +126,11 @@ def kmeans_anchors(
     Returns:
         AnchorSet of k full-body anchors; distortion_history records the
         sum of squared d3d to assigned centroids after each assignment.
+
+    Raises:
+        ValueError: besides bad k or joint counts, when a member's visible
+            joints cannot anchor a box (see pose.box_around), or when a
+            joint coordinate is non-finite in every member of an anchor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -103,16 +139,16 @@ def kmeans_anchors(
     coords3d = np.stack([p3.coords for _, p3 in poses])
     if coords3d.shape[1] != spec.joint_count:
         raise ValueError("poses do not match the spec joint count")
+    unit_layouts = _unit_layouts(poses, margin_fraction)
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(coords3d, k, rng)
-    history = []
-    n = len(poses)
+    planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))  # (3, N, J)
+    # Per point: its centroid, the exact distance u to it, and a lower
+    # bound on the distance to every other centroid.
+    assign, u, low = _nearest(coords3d, centroids)
+    history = [float((u ** 2).sum())]
     for _ in range(max_iters):
-        dist = d3d_matrix(coords3d, centroids)
-        assign = dist.argmin(axis=1)  # ties resolve to the lowest index
-        history.append(float((dist[np.arange(n), assign] ** 2).sum()))
-
         new_centroids = centroids.copy()
         for c in range(k):
             members = assign == c
@@ -121,34 +157,43 @@ def kmeans_anchors(
         # reseed empty clusters from the point farthest from its centroid
         empty = [c for c in range(k) if not (assign == c).any()]
         if empty:
-            point_dist = d3d_matrix(coords3d, new_centroids)[np.arange(n), assign]
+            point_dist = d3d_kernel(planes, new_centroids.transpose(2, 0, 1)[:, assign])
             for c in empty:
                 far = int(point_dist.argmax())
                 new_centroids[c] = coords3d[far]
                 point_dist[far] = -1.0
 
-        shift = np.linalg.norm(new_centroids - centroids, axis=2).mean(axis=1).max()
+        shift = d3d_kernel(new_centroids.transpose(2, 0, 1),
+                           centroids.transpose(2, 0, 1)).max()
         centroids = new_centroids
+
+        # assignment step: u is exact again, low drops by the largest
+        # shift; only points whose bound does not clear u get a full row
+        u = d3d_kernel(planes, centroids.transpose(2, 0, 1)[:, assign])
+        if k > 1:  # with one centroid low stays inf, and inf - inf would be NaN
+            low -= shift
+            stale = np.flatnonzero(~(u < low - PRUNE_SLACK * (np.abs(low) + u + 1.0)))
+            if len(stale):
+                assign[stale], u[stale], low[stale] = _nearest(coords3d[stale], centroids)
+        history.append(float((u ** 2).sum()))
         if shift < tol:
             break
 
-    # final assignment consistent with the returned centroids
-    dist = d3d_matrix(coords3d, centroids)
-    assign = dist.argmin(axis=1)
-    history.append(float((dist[np.arange(n), assign] ** 2).sum()))
-
-    # canonical 2D layout: mean of member layouts normalized to their boxes
-    unit_layouts = np.stack(
-        [normalize_to_box(p2, box_around(p2, margin_fraction)).coords for p2, _ in poses]
-    )
     anchors = []
     for c in range(k):
-        members = assign == c
-        layout = unit_layouts[members].mean(axis=0)
+        layouts = unit_layouts[assign == c]
+        finite = np.isfinite(layouts)
+        count = finite.sum(axis=0)
+        if not count.all():
+            joint = int(np.argmin(count.all(axis=1)))
+            raise ValueError(
+                f"anchor {c}: joint {joint} has no finite 2D coordinate "
+                f"in its {len(layouts)} members"
+            )
         anchors.append(
             AnchorPose(
                 id=c,
-                pose2d=Pose2D(layout),
+                pose2d=Pose2D(np.where(finite, layouts, 0.0).sum(axis=0) / count),
                 pose3d=Pose3D(centroids[c]),
                 body_extent="full_body",
             )

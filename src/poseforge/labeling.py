@@ -13,15 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from poseforge.anchors import AnchorSet
-from poseforge.pose import (
+# iou is no longer called here: assign_label repeats its arithmetic, in
+# the same operation order, on a stack of ground-truth boxes. The name
+# stays in this module because perfbench/tracing.py counts the calls made
+# through poseforge.labeling.iou and patches that attribute.
+from poseforge.pose import (  # noqa: F401
     DEFAULT_BOX_MARGIN,
     AnchorPose,
     BoundingBox,
     Pose2D,
     Pose3D,
-    box_around,
-    d3d,
+    d3d_kernel,
     iou,
+    margin_boxes,
     normalize_to_box,
 )
 
@@ -127,13 +131,22 @@ def assign_label(
     if not gts:
         return LabeledBox(box, BACKGROUND)
 
-    overlaps = [iou(box, box_around(p2, margin_fraction)) for p2, _ in gts]
+    gt_boxes = margin_boxes(np.array([p2.coords for p2, _ in gts]),
+                            np.array([p2.visibility for p2, _ in gts]), margin_fraction)
+    # one IoU row in pose.iou's operation order, box first
+    iw = np.minimum(box.x_max, gt_boxes[:, 2]) - np.maximum(box.x_min, gt_boxes[:, 0])
+    ih = np.minimum(box.y_max, gt_boxes[:, 3]) - np.maximum(box.y_min, gt_boxes[:, 1])
+    hit = (iw > 0.0) & (ih > 0.0)
+    inter = iw[hit] * ih[hit]
+    gt_area = (gt_boxes[hit, 2] - gt_boxes[hit, 0]) * (gt_boxes[hit, 3] - gt_boxes[hit, 1])
+    overlaps = np.zeros(len(gts))
+    overlaps[hit] = inter / (box.area + gt_area - inter)
     best = int(np.argmax(overlaps))
     if overlaps[best] < iou_threshold:
         return LabeledBox(box, BACKGROUND)
 
     gt2d, gt3d = gts[best]
-    dists = [d3d(a.pose3d, gt3d) for a in anchors.anchors]
+    dists = d3d_kernel(anchors.coords3d.transpose(2, 0, 1), gt3d.coords.T[:, None])
     anchor = anchors.anchors[int(np.argmin(dists))]
     target = regression_target(gt2d, gt3d, anchor, box)
     return LabeledBox(box, anchor.id + 1, target)

@@ -86,16 +86,19 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
 
     The (n, 5*J*C) regression output v and its gradient g_v are allocated
     once and refilled in place every iteration; only the positives' class
-    slots of g_v are ever non-zero.
+    slots of g_v are ever non-zero. Both are read and written through
+    (n, C, 5*J) views, gathering each positive's slot by its label.
     """
     n, _ = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
-    pos = labels != BACKGROUND
+    pos = np.flatnonzero(labels != BACKGROUND)
+    slots = labels[pos]
     rows = np.arange(n)
     switch = int(config.decay_fraction * config.iterations)
     v = np.empty((n, head.b_reg.shape[0]))
     g_v = np.zeros_like(v)
+    v_slots, g_slots = v.reshape(n, c, w), g_v.reshape(n, c, w)
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
         probs = head.class_probs(x)
@@ -109,14 +112,12 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
         g_logits[rows, labels] -= 1.0
         g_logits /= n
 
+        err = targets[pos] - v_slots[pos, slots]
+        g_slots[pos, slots] = -smooth_l1_grad(err) / n
         reg_loss = 0.0
-        for i in np.where(pos)[0]:
-            sl = slice(labels[i] * w, (labels[i] + 1) * w)
-            err = targets[i] - v[i, sl]
-            reg_loss += float(smooth_l1(err).sum())
-            g_v[i, sl] = -smooth_l1_grad(err)
+        for row_loss in smooth_l1(err).sum(axis=1).tolist():  # in row order
+            reg_loss += row_loss
         reg_loss /= n
-        g_v /= n
 
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
 

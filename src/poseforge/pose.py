@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +175,7 @@ class Pose3D:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned pixel box with strictly positive extent."""
+    """Axis-aligned pixel box with finite bounds and strictly positive extent."""
 
     x_min: float
     y_min: float
@@ -182,6 +183,8 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"box bounds must be finite, got {self.as_tuple()}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError(
                 f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
@@ -230,25 +233,51 @@ def center_3d(spec: PoseSpec, coords) -> Pose3D:
     return Pose3D(arr - center)
 
 
+def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d3d between transposed coordinate stacks a and b.
+
+    a and b are (3, ..., J) stacks (x, y and z planes first, joints last)
+    that broadcast against each other; the result has their broadcast
+    shape without the first and last axes. The squared x, y and z
+    differences are added in that order before the square root, as
+    np.linalg.norm adds them over a length-3 axis, so the result equals
+    np.linalg.norm(p - q, axis=-1).mean(axis=-1) on the untransposed
+    (..., J, 3) stacks p and q bit for bit.
+    """
+    acc = np.subtract(a[0], b[0])
+    acc *= acc
+    sq = np.subtract(a[1], b[1])
+    sq *= sq
+    acc += sq
+    np.subtract(a[2], b[2], out=sq)
+    sq *= sq
+    acc += sq
+    np.sqrt(acc, out=acc)
+    return acc.mean(axis=-1)
+
+
 def d3d(p: Pose3D, q: Pose3D) -> float:
     """Mean per-joint Euclidean distance between torso-centered 3D poses."""
     if p.coords.shape != q.coords.shape:
         raise ValueError(f"pose spec mismatch: {p.coords.shape} vs {q.coords.shape}")
-    return float(np.linalg.norm(p.coords - q.coords, axis=1).mean())
+    return float(d3d_kernel(p.coords.T, q.coords.T))
 
 
 def d3d_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Pairwise d3d between coordinate stacks a (N, J, 3) and b (M, J, 3)."""
+    """Pairwise d3d between coordinate stacks a (N, J, 3) and b (M, J, 3).
+
+    Works on blocks of chunk rows of a, which keeps the (chunk, M, J)
+    temporaries small enough to stay in cache.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"pose spec mismatch: {a.shape} vs {b.shape}")
+    at = np.ascontiguousarray(a.transpose(2, 0, 1))[:, :, None, :]
+    bt = np.ascontiguousarray(b.transpose(2, 0, 1))[:, None, :, :]
     out = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, a.shape[0], chunk):
-        blk = a[start:start + chunk]
-        out[start:start + chunk] = np.linalg.norm(
-            blk[:, None, :, :] - b[None, :, :, :], axis=3
-        ).mean(axis=2)
+        out[start:start + chunk] = d3d_kernel(at[:, start:start + chunk], bt)
     return out
 
 
@@ -276,6 +305,29 @@ def d2d(p: Pose2D, q: Pose2D, mask: np.ndarray | None = None) -> float:
     return float(np.linalg.norm(p.coords[mask] - q.coords[mask], axis=1).mean())
 
 
+def margin_boxes(coords: np.ndarray, visibility: np.ndarray,
+                 margin_fraction: float = DEFAULT_BOX_MARGIN) -> np.ndarray:
+    """Stacked box_around: (N, 4) boxes (x_min, y_min, x_max, y_max).
+
+    coords (N, J, 2) and visibility (N, J) stack N poses; invisible
+    joints may hold any value, NaN included. The arithmetic and the
+    ValueErrors are box_around's.
+    """
+    vis = visibility[..., None]
+    lo = np.where(vis, coords, np.inf).min(axis=1)
+    hi = np.where(vis, coords, -np.inf).max(axis=1)
+    if not visibility.any(axis=1).all():
+        raise ValueError("pose has no visible joints")
+    if (hi <= lo).any():
+        raise ValueError("visible joints span a degenerate (zero-extent) box")
+    d = 0.5 * margin_fraction * (hi - lo)
+    boxes = np.concatenate([lo - d, hi + d], axis=1)
+    if not (np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all()):
+        for box in boxes:
+            BoundingBox(*box)  # raises BoundingBox's own error at the first bad box
+    return boxes
+
+
 def box_around(pose: Pose2D, margin_fraction: float = DEFAULT_BOX_MARGIN) -> BoundingBox:
     """Tight box over the visible joints, expanded by a symmetric margin.
 
@@ -284,17 +336,8 @@ def box_around(pose: Pose2D, margin_fraction: float = DEFAULT_BOX_MARGIN) -> Bou
     visible joint / zero extent, which cannot anchor a proposal box)
     raise ValueError.
     """
-    vis = pose.visibility
-    if not vis.any():
-        raise ValueError("pose has no visible joints")
-    pts = pose.coords[vis]
-    x_min, y_min = pts.min(axis=0)
-    x_max, y_max = pts.max(axis=0)
-    if x_max <= x_min or y_max <= y_min:
-        raise ValueError("visible joints span a degenerate (zero-extent) box")
-    dx = 0.5 * margin_fraction * (x_max - x_min)
-    dy = 0.5 * margin_fraction * (y_max - y_min)
-    return BoundingBox(x_min - dx, y_min - dy, x_max + dx, y_max + dy)
+    return BoundingBox(*margin_boxes(pose.coords[None], pose.visibility[None],
+                                     margin_fraction)[0])
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

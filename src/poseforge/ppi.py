@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# d3d and iou are no longer called here: _modes and _group repeat their
-# arithmetic, in the same operation order, on stacks. The names stay in
-# this module because perfbench/tracing.py counts the calls made through
-# poseforge.ppi.d3d and poseforge.ppi.iou and patches both attributes.
-from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, iou  # noqa: F401
+# d3d and iou are no longer called here: _modes calls pose.d3d_kernel and
+# _group repeats iou's arithmetic, in the same operation order, on stacks.
+# The names stay in this module because perfbench/tracing.py counts the
+# calls made through poseforge.ppi.d3d and poseforge.ppi.iou and patches
+# both attributes.
+from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -146,7 +147,9 @@ def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
 def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> list[np.ndarray]:
     """Overlap groups of boxes (N, 4), as index arrays in input order.
 
-    A seed's IoU row repeats pose.iou's operations in their order.
+    A seed's IoU row repeats pose.iou's operations in their order. Where
+    both joint-box areas underflow to 0 the union is 0 too, and the IoU
+    counts as 0 rather than 0/0; the seed still joins its own group.
     """
     area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
@@ -155,9 +158,9 @@ def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> lis
         iw = np.minimum(b[:, 2], s[2]) - np.maximum(b[:, 0], s[0])
         ih = np.minimum(b[:, 3], s[3]) - np.maximum(b[:, 1], s[1])
         hit = (iw > 0.0) & (ih > 0.0)
-        inter = iw[hit] * ih[hit]
-        row = np.zeros(len(cand))
-        row[hit] = inter / (area[cand[hit]] + area[seed] - inter)
+        inter = np.multiply(iw, ih, out=np.zeros(len(cand)), where=hit)
+        union = area[cand] + area[seed] - inter
+        row = np.divide(inter, union, out=np.zeros(len(cand)), where=hit & (union > 0.0))
         return row >= iou_threshold
 
     return [members for _, members in _greedy(rescored, overlapping)]
@@ -166,10 +169,12 @@ def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> lis
 def _modes(c3d: np.ndarray, rescored: np.ndarray, t3d: float) -> list[np.ndarray]:
     """3D modes of one group's poses (N, J, 3), as index arrays, seed first.
 
-    A seed's row of distances repeats pose.d3d's operations.
+    A seed's row of distances is one pose.d3d_kernel call.
     """
+    planes = c3d.transpose(2, 0, 1)
+
     def close(seed, cand):
-        return np.linalg.norm(c3d[seed] - c3d[cand], axis=2).mean(axis=1) < t3d
+        return d3d_kernel(planes[:, seed, None], planes[:, cand]) < t3d
 
     return [np.concatenate(([seed], members[members != seed]))
             for seed, members in _greedy(rescored, close)]

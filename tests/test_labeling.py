@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
@@ -25,6 +27,7 @@ from poseforge.pose import (
     Pose3D,
     box_around,
     center_3d,
+    iou,
 )
 
 
@@ -87,6 +90,72 @@ class TestAssignLabel:
         empty = AnchorSet((), K=0, spec=H13, seed=0)
         with pytest.raises(ValueError):
             assign_label(BoundingBox(0, 0, 1, 1), [random_gt(rng)], empty)
+
+
+def assign_label_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
+    """assign_label one ground truth and one anchor at a time: (label, target)."""
+    if not gts:
+        return BACKGROUND, None
+    overlaps = [iou(box, box_around(p2, margin_fraction)) for p2, _ in gts]
+    best = int(np.argmax(overlaps))
+    if overlaps[best] < iou_threshold:
+        return BACKGROUND, None
+    gt2d, gt3d = gts[best]
+    dists = [float(np.linalg.norm(a.pose3d.coords - gt3d.coords, axis=1).mean())
+             for a in anchors.anchors]
+    anchor = anchors.anchors[int(np.argmin(dists))]
+    return anchor.id + 1, regression_target(gt2d, gt3d, anchor, box)
+
+
+class TestAssignLabelMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(n_gts=st.integers(0, 6), n_anchors=st.integers(1, 8),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]), margin=st.sampled_from([0.0, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_labels_and_targets_exact(self, n_gts, n_anchors, threshold, margin, seed):
+        rng = np.random.default_rng(seed)
+        anchors = anchor_set(rng, n_anchors)
+        if n_anchors > 2:  # a 3D tie: anchor 2 repeats anchor 1, lower id wins
+            dup = AnchorPose(2, Pose2D(rng.uniform(0.1, 0.9, (13, 2))),
+                             anchors.anchors[1].pose3d)
+            anchors = AnchorSet(anchors.anchors[:2] + (dup,) + anchors.anchors[3:],
+                                K=n_anchors, spec=H13, seed=0)
+        gts = []
+        for g in range(n_gts):
+            gt2d, gt3d = random_gt(rng, offset=rng.uniform(-150, 150, 2))
+            vis = rng.random(13) < 0.8
+            vis[:2] = True
+            coords = np.where(vis[:, None], gt2d.coords, 2000.0)  # occluded: outside the box
+            gts.append((Pose2D(coords, vis), gt3d))
+        if n_gts:  # an IoU tie: the first ground truth's 3D pose and target win
+            gts.append((gts[0][0], random_gt(rng)[1]))
+        for _ in range(5):
+            lo = rng.uniform(50, 350, 2)
+            box = BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2)))
+            label, target = assign_label_oracle(box, gts, anchors, threshold, margin)
+            lab = assign_label(box, gts, anchors, threshold, margin)
+            assert lab.class_label == label
+            assert (lab.target is None) == (target is None)
+            if target is not None:
+                assert np.array_equal(lab.target, target)
+
+    def test_ties_go_to_first_ground_truth_and_lowest_anchor(self):
+        rng = np.random.default_rng(16)
+        gt2d, gt3d = random_gt(rng)
+        # anchors 1 and 2 both carry gt3d; both ground truths carry gt2d
+        twins = tuple(AnchorPose(i, Pose2D(rng.uniform(0.1, 0.9, (13, 2))), gt3d) for i in (1, 2))
+        anchors = AnchorSet((random_anchor(rng, 0),) + twins, K=3, spec=H13, seed=0)
+        box = box_around(gt2d, 0.10)
+        lab = assign_label(box, [(gt2d, gt3d), (gt2d, random_gt(rng)[1])], anchors)
+        assert lab.class_label == 2
+        assert np.array_equal(lab.target, regression_target(gt2d, gt3d, twins[0], box))
+
+    def test_ground_truth_without_visible_joints_rejected(self):
+        rng = np.random.default_rng(15)
+        gt2d, gt3d = random_gt(rng)
+        hidden = (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)
+        with pytest.raises(ValueError, match="pose has no visible joints"):
+            assign_label(BoundingBox(0, 0, 100, 100), [random_gt(rng), hidden], anchor_set(rng))
 
 
 class TestApplyRegression:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+import poseforge.learner as learner_module
 from poseforge.anchors import AnchorSet
-from poseforge.labeling import LabeledBox, apply_regression, regression_target
+from poseforge.labeling import (
+    BACKGROUND,
+    LabeledBox,
+    apply_regression,
+    regression_target,
+    smooth_l1,
+    smooth_l1_grad,
+)
 from poseforge.learner import TrainConfig, ToyModel, _Head, model_outputs, predict, train
 from poseforge.pose import (
     H13,
@@ -43,6 +51,80 @@ def separable_dataset(rng, anchors, n_per_class=20, noise=0.05, dim=8):
             examples.append((f, lab))
             labels.append(c)
     return examples, np.array(labels), means
+
+
+def train_head_oracle(head, x, labels, targets, config, loss_history, it_offset):
+    """_train_head with the regression loss taken one positive at a time."""
+    n, _ = x.shape
+    c = head.b_cls.shape[0]
+    w = head.b_reg.shape[0] // c
+    rows = np.arange(n)
+    switch = int(config.decay_fraction * config.iterations)
+    for it in range(config.iterations):
+        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
+        probs, v = head.forward(x)
+        cls_loss = float(-np.log(np.maximum(probs[rows, labels], 1e-12)).mean())
+        g_logits = probs.copy()
+        g_logits[rows, labels] -= 1.0
+        g_logits /= n
+        reg_loss = 0.0
+        g_v = np.zeros_like(v)
+        for i in np.where(labels != BACKGROUND)[0]:
+            sl = slice(labels[i] * w, (labels[i] + 1) * w)
+            err = targets[i] - v[i, sl]
+            reg_loss += float(smooth_l1(err).sum())
+            g_v[i, sl] = -smooth_l1_grad(err)
+        reg_loss /= n
+        g_v /= n
+        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
+        head.w_cls -= lr * (x.T @ g_logits)
+        head.b_cls -= lr * g_logits.sum(axis=0)
+        head.w_reg -= lr * (x.T @ g_v)
+        head.b_reg -= lr * g_v.sum(axis=0)
+    return loss_history
+
+
+HEAD_ARRAYS = ("w_cls", "b_cls", "w_reg", "b_reg")
+
+
+class TestTrainMatchesPerPositiveOracle:
+    @pytest.mark.parametrize("two_pass", [False, True])
+    @pytest.mark.parametrize("n_per_class,target_scale", [(6, 1.0), (15, 4.0)])
+    def test_loss_history_and_weights_exact(self, monkeypatch, two_pass, n_per_class,
+                                            target_scale):
+        rng = np.random.default_rng(20)
+        anchors = small_anchor_set(rng, n=4)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=n_per_class)
+        # scaled targets reach the linear branch of smooth-L1 (|err| >= 1)
+        examples = [(f, lab if lab.target is None else
+                     LabeledBox(lab.box, lab.class_label, lab.target * target_scale))
+                    for f, lab in examples]
+        rng.shuffle(examples)
+        config = TrainConfig(iterations=25, learning_rate=0.7, seed=3, two_pass=two_pass)
+        model = train(examples, anchors, config)
+        monkeypatch.setattr(learner_module, "_train_head", train_head_oracle)
+        oracle = train(examples, anchors, config)
+        assert model.loss_history == oracle.loss_history
+        heads = [(model.head, oracle.head)]
+        if two_pass:
+            heads.append((model.refine_head, oracle.refine_head))
+        for got, want in heads:
+            for name in HEAD_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_background_only(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        anchors = small_anchor_set(rng)
+        examples = [(rng.normal(0, 1, 8), LabeledBox(BoundingBox(0, 0, 10, 10), 0))
+                    for _ in range(12)]
+        config = TrainConfig(iterations=10, seed=1)
+        model = train(examples, anchors, config)
+        monkeypatch.setattr(learner_module, "_train_head", train_head_oracle)
+        oracle = train(examples, anchors, config)
+        assert model.loss_history == oracle.loss_history
+        assert all(reg == 0.0 for _, _, reg, _ in model.loss_history)
+        for name in HEAD_ARRAYS:
+            assert np.array_equal(getattr(model.head, name), getattr(oracle.head, name))
 
 
 class TestTrain:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poseforge.pose import (
     H13,
@@ -12,11 +14,13 @@ from poseforge.pose import (
     center_3d,
     d2d,
     d3d,
+    d3d_kernel,
     d3d_matrix,
     denormalize_from_box,
     extrapolate_head_top,
     fit_scale_offset,
     iou,
+    margin_boxes,
     normalize_to_box,
 )
 
@@ -80,6 +84,12 @@ class TestPoseTypes:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 0, 10)
 
+    @pytest.mark.parametrize("bounds", [(0, 0, np.inf, 10), (-np.inf, 0, 1, 10),
+                                        (0, -np.inf, 1, np.inf), (0, np.nan, 1, 10)])
+    def test_non_finite_box_rejected(self, bounds):
+        with pytest.raises(ValueError, match=r"box bounds must be finite, got \("):
+            BoundingBox(*bounds)
+
 
 class TestD3d:
     def test_identity_is_zero(self):
@@ -124,6 +134,38 @@ class TestD3d:
                 assert mat[i, k] == pytest.approx(d3d(Pose3D(a[i]), Pose3D(b[k])), abs=1e-12)
 
 
+def norm_d3d_matrix(a, b):
+    """d3d_matrix as np.linalg.norm computes it, the formula it replaced."""
+    return np.linalg.norm(a[:, None] - b[None], axis=3).mean(axis=2)
+
+
+class TestD3dKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), m=st.integers(1, 12), j=st.integers(1, 24),
+           exponent=st.integers(-8, 8), chunk=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matrix_equals_norm_formula_and_d3d_exactly(self, n, m, j, exponent, chunk, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 10.0 ** exponent, size=(n, j, 3))
+        b = rng.normal(0.0, 10.0 ** exponent, size=(m, j, 3))
+        mat = d3d_matrix(a, b, chunk=chunk)
+        assert np.array_equal(mat, norm_d3d_matrix(a, b))
+        i, k = int(rng.integers(n)), int(rng.integers(m))
+        assert mat[i, k] == d3d(Pose3D(a[i]), Pose3D(b[k]))
+        assert d3d(Pose3D(a[i]), Pose3D(b[k])) == float(
+            np.linalg.norm(a[i] - b[k], axis=1).mean())
+
+    def test_paired_rows_equal_matrix_diagonal(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(0, 0.4, (50, 13, 3)), rng.normal(0, 0.4, (50, 13, 3))
+        rows = d3d_kernel(a.transpose(2, 0, 1), b.transpose(2, 0, 1))
+        assert np.array_equal(rows, np.diag(d3d_matrix(a, b)))
+
+    def test_spec_mismatch(self):
+        with pytest.raises(ValueError, match="pose spec mismatch"):
+            d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
+
+
 class TestD2d:
     def test_identical(self):
         p = random_pose2d(np.random.default_rng(8))
@@ -161,6 +203,20 @@ class TestD2d:
             d2d(p, q, mask)
 
 
+def box_around_oracle(pose, margin_fraction):
+    """box_around written out for one pose, the form margin_boxes stacks."""
+    pts = pose.coords[pose.visibility]
+    if not len(pts):
+        raise ValueError("pose has no visible joints")
+    x_min, y_min = pts.min(axis=0)
+    x_max, y_max = pts.max(axis=0)
+    if x_max <= x_min or y_max <= y_min:
+        raise ValueError("visible joints span a degenerate (zero-extent) box")
+    dx = 0.5 * margin_fraction * (x_max - x_min)
+    dy = 0.5 * margin_fraction * (y_max - y_min)
+    return BoundingBox(x_min - dx, y_min - dy, x_max + dx, y_max + dy)
+
+
 class TestBoxes:
     def test_box_around_no_margin(self):
         pose = Pose2D([[0, 0], [100, 100]] + [[50, 50]] * 11)
@@ -187,6 +243,33 @@ class TestBoxes:
     def test_no_visible_joint_rejected(self):
         with pytest.raises(ValueError):
             box_around(Pose2D(np.zeros((13, 2)), np.zeros(13, dtype=bool)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), margin=st.sampled_from([0.0, 0.1, 0.37]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_margin_boxes_match_scalar_oracle(self, n, margin, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(-50.0, 400.0, size=(n, 13, 2))
+        vis = rng.random((n, 13)) < 0.7
+        vis[:, :2] = True
+        coords[~vis] = np.nan  # invisible joints may be NaN
+        boxes = margin_boxes(coords, vis, margin)
+        for i in range(n):
+            expected = box_around_oracle(Pose2D(coords[i], vis[i]), margin)
+            assert tuple(boxes[i]) == expected.as_tuple()
+            assert box_around(Pose2D(coords[i], vis[i]), margin) == expected
+
+    def test_margin_boxes_reject_like_box_around(self):
+        coords = np.tile(np.arange(26.0).reshape(13, 2), (3, 1, 1))
+        vis = np.ones((3, 13), dtype=bool)
+        vis[1] = False
+        with pytest.raises(ValueError, match="pose has no visible joints"):
+            margin_boxes(coords, vis)
+        vis[1, 4] = True
+        with pytest.raises(ValueError, match=r"degenerate \(zero-extent\) box"):
+            margin_boxes(coords, vis)
+        with pytest.raises(ValueError, match=r"degenerate box \("):
+            margin_boxes(coords[:1], vis[:1], margin_fraction=-2.0)
 
     def test_iou_identical(self):
         b = BoundingBox(0, 0, 2, 2)

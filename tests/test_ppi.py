@@ -192,6 +192,7 @@ class TestGrouping:
         flat = [i for g in groups for i in ids(proposals, g)]
         assert sorted(flat) == list(range(30))
 
+    @pytest.mark.filterwarnings("error")
     def test_seed_groups_with_itself_when_box_area_underflows(self):
         coords = np.zeros((13, 2))
         coords[0, 0] = 5e-324  # joint-box area 5e-324 * 2e-6 underflows to 0
