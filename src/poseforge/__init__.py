@@ -3,7 +3,6 @@
 from poseforge.pose import (
     H13,
     H17,
-    SPEC_REGISTRY,
     AnchorPose,
     BoundingBox,
     Pose2D,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "H13",
     "H17",
-    "SPEC_REGISTRY",
     "AnchorPose",
     "BoundingBox",
     "Pose2D",

@@ -57,6 +57,13 @@ class AnchorSet:
         return len(self.anchors)
 
     @cached_property
+    def coords2d(self) -> np.ndarray:
+        """Stacked (n, J, 2) anchor unit-box layouts (read-only, built once)."""
+        stack = np.stack([a.pose2d.coords for a in self.anchors])
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
     def coords3d(self) -> np.ndarray:
         """Stacked (n, J, 3) anchor 3D coordinates (read-only, built once)."""
         stack = np.stack([a.pose3d.coords for a in self.anchors])

@@ -104,9 +104,16 @@ def softmax(logits: np.ndarray) -> ClassScores:
 
 def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
                       box: BoundingBox) -> np.ndarray:
-    """5*J target: (normalized 2D pose - anchor layout, 3D pose - anchor 3D)."""
+    """5*J target: (normalized 2D pose - anchor layout, 3D pose - anchor 3D).
+
+    An invisible joint whose 2D coordinate is not finite (an occlusion
+    coded as NaN) gets a zero 2D residual, so the anchor's layout stands
+    in for it, as LCR-Net++ hallucinates occluded joints. Pose2D keeps
+    visible joints finite.
+    """
     norm2d = normalize_to_box(gt2d, box)
     res2d = norm2d.coords - anchor.pose2d.coords
+    res2d[~np.isfinite(gt2d.coords).all(axis=1)] = 0.0
     res3d = gt3d.coords - anchor.pose3d.coords
     return np.concatenate([res2d.ravel(), res3d.ravel()])
 

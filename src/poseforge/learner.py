@@ -21,7 +21,7 @@ from poseforge.labeling import (
     smooth_l1,
     smooth_l1_grad,
 )
-from poseforge.pose import BoundingBox, Pose2D, Pose3D
+from poseforge.pose import BoundingBox, poses2d, poses3d
 from poseforge.ppi import PoseProposal
 
 
@@ -81,6 +81,13 @@ class ToyModel:
         return 5 * self.joint_count
 
 
+def _check_features(x: np.ndarray) -> None:
+    """Reject feature rows holding a NaN or an infinity, naming the first."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
+
+
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
     """Gradient descent on mean (classification + regression) loss.
 
@@ -136,13 +143,14 @@ def train(
     """Fit the toy model on (feature, labeled box) pairs.
 
     Deterministic given config.seed. Raises on inconsistent feature or
-    target dimensions.
+    target dimensions and on a feature row that is not finite.
     """
     if not examples:
         raise ValueError("no training examples")
     x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])
     if x.ndim != 2:
         raise ValueError("features must be fixed-dimension vectors")
+    _check_features(x)
     j = anchors.spec.joint_count
     n_classes = len(anchors) + 1
     slot = 5 * j
@@ -178,10 +186,11 @@ def train(
 
 
 def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities and regression vector for one feature vector."""
+    """Class probabilities and regression vector for one finite feature vector."""
     x = np.asarray(feature, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != model.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} != {model.feature_dim}")
+    _check_features(x)
     probs, v = model.head.forward(x)
     if model.refine_head is not None:
         x2 = np.concatenate([x, probs, v], axis=1)
@@ -196,7 +205,7 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     Proposal k carries score u(k+1) and the pose reconstructed from
     anchor k's slice of the regression output; scores plus the
     background probability sum to 1. All anchors' poses are built in
-    one regress_anchors call.
+    one regress_anchors call and validated as one stack.
     """
     k, j = len(anchors), model.joint_count
     if k + 1 > model.n_classes or anchors.spec.joint_count != j:
@@ -206,16 +215,10 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
         )
     probs, v = model_outputs(model, feature)
     w = model.slot_width
-    coords2d, coords3d = regress_anchors(
-        np.stack([a.pose2d.coords for a in anchors.anchors]), anchors.coords3d,
-        box, v[w:(k + 1) * w].reshape(k, w))
+    coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
+                                         v[w:(k + 1) * w].reshape(k, w))
     return [
-        PoseProposal(
-            anchor_id=a.id,
-            box=box,
-            pose2d=Pose2D(coords2d[a.id]),
-            pose3d=Pose3D(coords3d[a.id]),
-            score=float(probs[a.id + 1]),
-        )
-        for a in anchors.anchors
+        PoseProposal(anchor_id=a.id, box=box, pose2d=p2, pose3d=p3, score=s)
+        for a, p2, p3, s in zip(anchors.anchors, poses2d(coords2d), poses3d(coords3d),
+                                probs[1:k + 1].tolist())
     ]

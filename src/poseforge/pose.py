@@ -27,7 +27,7 @@ class PoseSpec:
     """Joint layout shared by all poses of one skeleton convention.
 
     Attributes:
-        name: short identifier ("h13", "h17") used in serialized files.
+        name: short identifier ("h13", "h17").
         joint_names: one label per joint.
         torso_anchor_joints: indices whose coordinate mean defines the
             torso center (the origin of torso-centered 3D poses).
@@ -119,13 +119,14 @@ H17 = PoseSpec(
     lower_body_joints=(7, 8, 9, 10, 11, 12),
 )
 
-SPEC_REGISTRY = {H13.name: H13, H17.name: H17}
-
-
-def _coords_array(coords, width) -> np.ndarray:
+def _coords_array(coords, width, stacked=False) -> np.ndarray:
+    """Read-only float64 copy of (J, width) coordinates, or of an (N, J,
+    width) stack of them; a bad row shape gets the single pose's message."""
     arr = np.array(coords, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"expected (J, {width}) coordinates, got shape {arr.shape}")
+    ndim = 3 if stacked else 2
+    if arr.ndim != ndim or arr.shape[-1] != width:
+        shape = arr.shape[1:] if stacked else arr.shape
+        raise ValueError(f"expected (J, {width}) coordinates, got shape {shape}")
     arr.setflags(write=False)
     return arr
 
@@ -171,6 +172,41 @@ class Pose3D:
     @property
     def joint_count(self) -> int:
         return len(self.coords)
+
+
+def _checked(cls, **fields):
+    """A pose of cls holding fields that the caller has already checked.
+
+    The fields are set one by one in declaration order, as __init__ sets
+    them; filling __dict__ at once would cost each pose its own dict.
+    """
+    pose = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(pose, name, value)
+    return pose
+
+
+def poses2d(stack) -> list[Pose2D]:
+    """One all-visible Pose2D per row of an (N, J, 2) coordinate stack.
+
+    The stack is copied once, the copy made read-only and checked once,
+    with Pose2D's own messages. Each pose holds a read-only row view of
+    the copy, and all of them share one read-only visibility array.
+    """
+    coords = _coords_array(stack, 2, stacked=True)
+    if not np.isfinite(coords).all():
+        raise ValueError("visible joints must have finite coordinates")
+    vis = np.ones(coords.shape[1], dtype=bool)
+    vis.setflags(write=False)
+    return [_checked(Pose2D, coords=row, visibility=vis) for row in coords]
+
+
+def poses3d(stack) -> list[Pose3D]:
+    """One Pose3D per row of an (N, J, 3) coordinate stack; see poses2d."""
+    coords = _coords_array(stack, 3, stacked=True)
+    if not np.isfinite(coords).all():
+        raise ValueError("3D coordinates must be finite")
+    return [_checked(Pose3D, coords=row) for row in coords]
 
 
 @dataclass(frozen=True)

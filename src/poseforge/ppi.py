@@ -23,6 +23,7 @@ import numpy as np
 # calls made through poseforge.ppi.d3d and poseforge.ppi.iou and patches
 # both attributes.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
+from poseforge.pose import poses2d, poses3d
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -125,7 +126,7 @@ def _overlap_boxes(c2d: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarra
 
 
 def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
-    """Greedy clustering shared by overlap grouping and mode extraction.
+    """Greedy clustering for overlap grouping.
 
     Seeds come by descending score, then lower index. Each seed takes
     itself and every still-free proposal that near(seed, candidates)
@@ -166,37 +167,73 @@ def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> lis
     return [members for _, members in _greedy(rescored, overlapping)]
 
 
-def _modes(c3d: np.ndarray, rescored: np.ndarray, t3d: float) -> list[np.ndarray]:
-    """3D modes of one group's poses (N, J, 3), as index arrays, seed first.
+def _modes(c3d: np.ndarray, rescored: np.ndarray, gid: np.ndarray,
+           t3d: float) -> tuple[np.ndarray, np.ndarray]:
+    """3D modes of every overlap group of poses (N, J, 3) at once.
 
-    A seed's row of distances is one pose.d3d_kernel call.
+    gid (N,) numbers each pose's group. The groups advance in lock-step
+    rounds: in each, every group that still has free poses seeds a mode
+    with the next of them by descending score, then lower index, and one
+    pose.d3d_kernel call covers every (seed, free pose of its group)
+    pair. Returns the modes' member indices concatenated in (group,
+    round) order, each mode listing its seed first and then its members
+    in input order, and each mode's size.
     """
-    planes = c3d.transpose(2, 0, 1)
+    n = len(gid)
+    index = np.arange(n)
+    # contiguous joint rows, so the kernel's joint mean adds as pose.d3d's does
+    planes = np.ascontiguousarray(c3d.transpose(2, 0, 1))
+    order = np.lexsort((index, -rescored, gid))  # free poses, by group, then seed rule
+    rounds = np.empty(n, dtype=np.intp)
+    is_seed = np.zeros(n, dtype=bool)
+    r = 0
+    while len(order):
+        g = gid[order]
+        first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        seeds = order[first]
+        pair = np.repeat(seeds, np.diff(np.append(first, len(order))))
+        hit = (d3d_kernel(planes[:, pair], planes[:, order]) < t3d) | (pair == order)
+        rounds[order[hit]] = r
+        is_seed[seeds] = True
+        order = order[~hit]
+        r += 1
+    members = np.lexsort((index, ~is_seed, rounds, gid))
+    return members, np.diff(np.append(np.flatnonzero(is_seed[members]), n))
 
-    def close(seed, cand):
-        return d3d_kernel(planes[:, seed, None], planes[:, cand]) < t3d
 
-    return [np.concatenate(([seed], members[members != seed]))
-            for seed, members in _greedy(rescored, close)]
+def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray,
+             members: np.ndarray, sizes: np.ndarray) -> list[Detection]:
+    """One Detection per mode (members, sizes as _modes gives them); see
+    average_mode.
 
-
-def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray) -> Detection:
-    """Score-weighted mean of a mode's stacked poses; see average_mode."""
-    total = float(weights.sum())
-    if total > 0.0:
-        w = weights / total
-        mean2d = np.einsum("i,ijk->jk", w, c2d)
-        mean3d = np.einsum("i,ijk->jk", w, c3d)
-    else:
-        mean2d = c2d.mean(axis=0)
-        mean3d = c3d.mean(axis=0)
-    return Detection(
-        pose2d=Pose2D(mean2d),
-        pose3d=Pose3D(mean3d),
-        score=total,
-        member_count=len(weights),
-        unweighted=not total > 0.0,
-    )
+    Modes of equal size are averaged together: per bucket, the row sums
+    and einsum "mi,mijk->mjk" add in the order of a single mode's
+    weights.sum() and einsum "i,ijk->jk", so every result is the same.
+    """
+    starts = np.cumsum(sizes) - sizes
+    totals = np.empty(len(sizes))
+    mean2d = np.empty((len(sizes),) + c2d.shape[1:])
+    mean3d = np.empty((len(sizes),) + c3d.shape[1:])
+    for size in np.unique(sizes):
+        ids = np.flatnonzero(sizes == size)
+        idx = members[starts[ids, None] + np.arange(size)]
+        w = weights[idx]
+        total = w.sum(axis=1)
+        totals[ids] = total
+        pos = total > 0.0
+        if not pos.all():  # all-zero modes take the unweighted mean
+            zero = idx[~pos]
+            mean2d[ids[~pos]] = c2d[zero].mean(axis=1)
+            mean3d[ids[~pos]] = c3d[zero].mean(axis=1)
+            ids, idx, w, total = ids[pos], idx[pos], w[pos], total[pos]
+        w /= total[:, None]
+        mean2d[ids] = np.einsum("mi,mijk->mjk", w, c2d[idx])
+        mean3d[ids] = np.einsum("mi,mijk->mjk", w, c3d[idx])
+    return [
+        Detection(pose2d=p2, pose3d=p3, score=s, member_count=m, unweighted=not s > 0.0)
+        for p2, p3, s, m in zip(poses2d(mean2d), poses3d(mean3d), totals.tolist(),
+                                sizes.tolist())
+    ]
 
 
 def _require_rescored(proposals) -> np.ndarray:
@@ -260,7 +297,9 @@ def extract_modes(
     if not group:
         raise ValueError("empty group")
     rescored = _require_rescored(group)
-    return [[group[i] for i in m] for m in _modes(_stack3d(group), rescored, t3d)]
+    members, sizes = _modes(_stack3d(group), rescored, np.zeros(len(group), dtype=np.intp),
+                            t3d)
+    return [[group[i] for i in m] for m in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def average_mode(mode: list[PoseProposal]) -> Detection:
@@ -272,7 +311,9 @@ def average_mode(mode: list[PoseProposal]) -> Detection:
     """
     if not mode:
         raise ValueError("empty mode")
-    return _average(_stack2d(mode), _stack3d(mode), _require_rescored(mode))
+    (detection,) = _average(_stack2d(mode), _stack3d(mode), _require_rescored(mode),
+                            np.arange(len(mode)), np.array([len(mode)]))
+    return detection
 
 
 def _finalize(detections: list[Detection], min_score: float | None) -> list[Detection]:
@@ -305,12 +346,10 @@ def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
         return []
     c2d, rescored, groups = _rescored_groups(proposals, params)
     c3d = _stack3d(proposals)
-    detections = []
-    for g in groups:
-        for m in _modes(c3d[g], rescored[g], params.t3d):
-            idx = g[m]
-            detections.append(_average(c2d[idx], c3d[idx], rescored[idx]))
-    return _finalize(detections, params.min_score)
+    gid = np.empty(len(proposals), dtype=np.intp)
+    gid[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    members, sizes = _modes(c3d, rescored, gid, params.t3d)
+    return _finalize(_average(c2d, c3d, rescored, members, sizes), params.min_score)
 
 
 def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:

@@ -111,8 +111,9 @@ class TestAssignLabelMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(n_gts=st.integers(0, 6), n_anchors=st.integers(1, 8),
            threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]), margin=st.sampled_from([0.0, 0.1]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_labels_and_targets_exact(self, n_gts, n_anchors, threshold, margin, seed):
+           occluded=st.sampled_from([2000.0, np.nan]), seed=st.integers(0, 2**32 - 1))
+    def test_labels_and_targets_exact(self, n_gts, n_anchors, threshold, margin, occluded,
+                                      seed):
         rng = np.random.default_rng(seed)
         anchors = anchor_set(rng, n_anchors)
         if n_anchors > 2:  # a 3D tie: anchor 2 repeats anchor 1, lower id wins
@@ -125,7 +126,7 @@ class TestAssignLabelMatchesOracle:
             gt2d, gt3d = random_gt(rng, offset=rng.uniform(-150, 150, 2))
             vis = rng.random(13) < 0.8
             vis[:2] = True
-            coords = np.where(vis[:, None], gt2d.coords, 2000.0)  # occluded: outside the box
+            coords = np.where(vis[:, None], gt2d.coords, occluded)  # off-box or NaN-coded
             gts.append((Pose2D(coords, vis), gt3d))
         if n_gts:  # an IoU tie: the first ground truth's 3D pose and target win
             gts.append((gts[0][0], random_gt(rng)[1]))
@@ -156,6 +157,35 @@ class TestAssignLabelMatchesOracle:
         hidden = (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)
         with pytest.raises(ValueError, match="pose has no visible joints"):
             assign_label(BoundingBox(0, 0, 100, 100), [random_gt(rng), hidden], anchor_set(rng))
+
+
+class TestOccludedRegressionTarget:
+    @pytest.mark.parametrize("code", [np.nan, np.inf])
+    def test_non_finite_occluded_joint_gets_zero_2d_residual(self, code):
+        rng = np.random.default_rng(17)
+        gt2d, gt3d = random_gt(rng)
+        vis = np.ones(13, dtype=bool)
+        vis[[4, 9]] = False
+        coded = gt2d.coords.copy()
+        coded[4] = code
+        coded[9, 1] = code  # one non-finite coordinate hides the whole joint
+        finite, hidden = Pose2D(gt2d.coords, vis), Pose2D(coded, vis)
+        anchors = anchor_set(rng)
+        box = box_around(finite, 0.10)
+        expected = regression_target(finite, gt3d, anchors.anchors[1], box)
+        target = regression_target(hidden, gt3d, anchors.anchors[1], box)
+        assert np.isfinite(target).all()
+        zeroed = [8, 9, 18, 19]  # x and y of joints 4 and 9
+        assert (target[zeroed] == 0.0).all()
+        keep = np.ones(65, dtype=bool)
+        keep[zeroed] = False
+        assert np.array_equal(target[keep], expected[keep])
+
+        lab = assign_label(box, [(hidden, gt3d)], anchors)
+        ref = assign_label(box, [(finite, gt3d)], anchors)
+        assert lab.class_label == ref.class_label
+        assert np.array_equal(lab.target[keep], ref.target[keep])
+        assert (lab.target[zeroed] == 0.0).all()
 
 
 class TestApplyRegression:

@@ -180,6 +180,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="target length 60 != 65"):
             train(bad, anchors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        rng = np.random.default_rng(13)
+        anchors = small_anchor_set(rng)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=2)
+        feature = examples[3][0].copy()
+        feature[5] = bad
+        examples[3] = (feature, examples[3][1])
+        with pytest.raises(ValueError, match="feature row 3 is not finite"):
+            train(examples, anchors, TrainConfig(iterations=5))
+
     def test_two_pass_refinement(self):
         rng = np.random.default_rng(5)
         anchors = small_anchor_set(rng)
@@ -265,6 +276,32 @@ class TestPredict:
                 assert np.array_equal(p.pose3d.coords, pose3d.coords)
                 assert np.array_equal(p.pose3d.coords,
                                       a.pose3d.coords + residual[26:].reshape(13, 3))
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_non_finite_feature_rejected(self, two_pass):
+        rng = np.random.default_rng(14)
+        anchors = small_anchor_set(rng)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, two_pass=two_pass))
+        feature = np.zeros(8)
+        feature[2] = np.nan
+        with pytest.raises(ValueError, match="feature row 0 is not finite"):
+            model_outputs(model, feature)
+        with pytest.raises(ValueError, match="feature row 0 is not finite"):
+            predict(model, feature, BoundingBox(0, 0, 10, 10), anchors)
+
+    def test_proposal_poses_are_read_only(self):
+        rng = np.random.default_rng(15)
+        anchors = small_anchor_set(rng)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5))
+        layouts = anchors.coords2d
+        assert anchors.coords2d is layouts and not layouts.flags.writeable
+        assert np.array_equal(layouts, np.stack([a.pose2d.coords for a in anchors.anchors]))
+        proposals = predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
+        for p in proposals:
+            assert not p.pose2d.coords.flags.writeable and p.pose2d.visibility.all()
+            assert not p.pose3d.coords.flags.writeable
 
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)

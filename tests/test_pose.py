@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from poseforge.pose import (
     iou,
     margin_boxes,
     normalize_to_box,
+    poses2d,
+    poses3d,
 )
 
 RNG = np.random.default_rng(12345)
@@ -89,6 +93,55 @@ class TestPoseTypes:
     def test_non_finite_box_rejected(self, bounds):
         with pytest.raises(ValueError, match=r"box bounds must be finite, got \("):
             BoundingBox(*bounds)
+
+
+class TestPoseStacks:
+    @pytest.mark.parametrize("make, cls, width", [(poses2d, Pose2D, 2), (poses3d, Pose3D, 3)])
+    def test_rows_are_read_only_copies(self, make, cls, width):
+        stack = np.random.default_rng(3).normal(0.0, 1.0, (4, 13, width))
+        poses = make(stack)
+        assert [type(p) for p in poses] == [cls] * 4
+        for p, row in zip(poses, stack):
+            assert np.array_equal(p.coords, row)
+            with pytest.raises(ValueError, match="read-only"):
+                p.coords[0, 0] = 1.0
+        stack[:] = 7.0  # the poses hold a copy
+        assert all((p.coords != 7.0).all() for p in poses)
+        assert make(np.empty((0, 13, width))) == []
+
+    def test_pose2d_rows_share_one_all_visible_mask(self):
+        poses = poses2d(np.zeros((3, 13, 2)))
+        vis = poses[0].visibility
+        assert all(p.visibility is vis for p in poses)
+        assert vis.shape == (13,) and vis.all()
+        with pytest.raises(ValueError, match="read-only"):
+            vis[0] = False
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make, cls, width, message", [
+        (poses2d, Pose2D, 2, "visible joints must have finite coordinates"),
+        (poses3d, Pose3D, 3, "3D coordinates must be finite"),
+    ])
+    def test_non_finite_rejected_like_constructor(self, bad, make, cls, width, message):
+        stack = np.zeros((3, 13, width))
+        stack[2, 5, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            cls(stack[2])
+        with pytest.raises(ValueError, match=message):
+            make(stack)
+
+    @pytest.mark.parametrize("make, cls, width, shape", [
+        (poses2d, Pose2D, 2, (2, 13, 3)),
+        (poses2d, Pose2D, 2, (13, 2)),
+        (poses3d, Pose3D, 3, (2, 13, 2)),
+        (poses3d, Pose3D, 3, (2, 2, 13, 3)),
+    ])
+    def test_bad_shape_rejected_like_constructor(self, make, cls, width, shape):
+        message = rf"expected \(J, {width}\) coordinates, got shape {re.escape(str(shape[1:]))}"
+        with pytest.raises(ValueError, match=message):
+            cls(np.zeros(shape[1:]))
+        with pytest.raises(ValueError, match=message):
+            make(np.zeros(shape))
 
 
 class TestD3d:

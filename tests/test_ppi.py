@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from poseforge.ppi import (
     Detection,
     PoseProposal,
     PpiParams,
+    _average,
+    _modes,
     average_mode,
     extract_modes,
     group_by_overlap,
@@ -538,3 +541,103 @@ class TestPpiProperties:
     def test_rescored_never_exceeds_score(self, proposals, sigma_b):
         for p in proposals:
             assert rescore(p, sigma_b).rescored <= p.score
+
+
+@st.composite
+def multi_group_images(draw):
+    """Poses of several overlap groups, interleaved in input order.
+
+    One group may hold up to 40 poses beside many small ones, singletons
+    included. 3D poses are copies of a few bases shifted along x by
+    multiples of 1/16 m, so d3d falls exactly on t3d = 0.125 for some
+    pairs; scores come from a set of five, so equal scores are common.
+    """
+    sizes = [draw(st.integers(1, 40))] + draw(st.lists(st.integers(1, 4), max_size=12))
+    gid = np.repeat(np.arange(len(sizes)), sizes)
+    gid = gid[draw(st.permutations(range(len(gid))))]
+    n = len(gid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = np.round(rng.normal(0.0, 0.3, (3, 13, 3)) * 64) / 64  # shifts add exactly
+    c3d = bases[rng.integers(3, size=n)]
+    c3d[:, :, 0] += rng.integers(-3, 4, size=(n, 1)) / 16
+    jitter = rng.random(n) < 0.3
+    c3d[jitter] += rng.normal(0.0, 0.05, (int(jitter.sum()), 13, 3))
+    scores = rng.choice([0.0, 0.2, 0.5, 0.5, 0.9], size=n)
+    return gid, c3d, scores
+
+
+def stacked_proposals(c3d, scores, c2d=None):
+    """Stand-ins for rescored proposals, as the oracles read them."""
+    return [SimpleNamespace(rescored=float(s), pose3d=Pose3D(c),
+                            pose2d=None if c2d is None else Pose2D(c2d[i]))
+            for i, (c, s) in enumerate(zip(c3d, scores))]
+
+
+def split_modes(members, sizes):
+    return [m.tolist() for m in np.split(members, np.cumsum(sizes)[:-1])]
+
+
+class TestLockStepModes:
+    """_modes over all groups at once against modes_oracle per group."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(multi_group_images(), st.sampled_from([0.125, 0.2, 10.0]))
+    def test_matches_oracle_group_by_group(self, image, t3d):
+        gid, c3d, scores = image
+        props = stacked_proposals(c3d, scores)
+        expected = []
+        for g in range(gid.max() + 1):
+            index = np.flatnonzero(gid == g)
+            expected += [[int(index[i]) for i in mode]
+                         for mode in modes_oracle([props[i] for i in index], t3d)]
+        members, sizes = _modes(c3d, scores, gid, t3d)
+        assert split_modes(members, sizes) == expected
+
+    def test_rounds_follow_group_then_round_order(self):
+        # group 1 (input positions 0, 2) has two modes, group 0 one
+        c3d = np.zeros((4, 13, 3))
+        c3d[2, :, 0] = 0.125
+        gid = np.array([1, 0, 1, 0])
+        members, sizes = _modes(c3d, np.array([0.5, 0.5, 0.9, 0.9]), gid, 0.125)
+        assert split_modes(members, sizes) == [[3, 1], [2], [0]]
+
+
+class TestBucketedAverage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+    def test_matches_average_oracle_exactly(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        c2d = rng.uniform(0.0, 500.0, (n, 13, 2))
+        c3d = rng.normal(0.0, 0.3, (n, 13, 3))
+        members = rng.permutation(n)
+        weights = rng.uniform(0.0, 1.0, n)
+        starts = np.cumsum(sizes) - sizes
+        for start, size in zip(starts, sizes):
+            if rng.random() < 0.3:  # zero-score modes beside positive ones of each size
+                weights[members[start:start + size]] = 0.0
+        props = stacked_proposals(c3d, weights, c2d)
+        dets = _average(c2d, c3d, weights, members, np.array(sizes))
+        assert len(dets) == len(sizes)
+        for det, start, size in zip(dets, starts, sizes):
+            mode = [props[i] for i in members[start:start + size]]
+            score, mean2d, mean3d, count = average_oracle(mode)
+            assert det.score == score and det.member_count == count == size
+            assert det.unweighted == (score == 0.0)
+            assert np.array_equal(det.pose2d.coords, mean2d)
+            assert np.array_equal(det.pose3d.coords, mean3d)
+
+    def test_zero_and_positive_modes_of_one_size_in_one_image(self):
+        rng = np.random.default_rng(26)
+        c2d = rng.uniform(0.0, 500.0, (6, 13, 2))
+        c3d = rng.normal(0.0, 0.3, (6, 13, 3))
+        weights = np.array([0.0, 0.3, 0.0, 0.7, 0.2, 0.0])
+        members = np.array([0, 2, 1, 3, 5, 4])
+        props = stacked_proposals(c3d, weights, c2d)
+        dets = _average(c2d, c3d, weights, members, np.array([2, 2, 2]))
+        assert [d.unweighted for d in dets] == [True, False, False]
+        for det, mode in zip(dets, ([0, 2], [1, 3], [5, 4])):
+            score, mean2d, mean3d, _ = average_oracle([props[i] for i in mode])
+            assert det.score == score
+            assert np.array_equal(det.pose2d.coords, mean2d)
+            assert np.array_equal(det.pose3d.coords, mean3d)
