@@ -1,4 +1,7 @@
-"""poseforge: anchor-pose proposal pipeline and pose evaluation toolkit."""
+"""poseforge: LCR-Net++-style multi-person 2D-3D pose detection: anchor
+poses (anchors), box labels and the joint loss (labeling), a linear
+classification-regression head (learner), and pose proposal integration (ppi).
+"""
 
 from poseforge.pose import (
     H13,
@@ -10,7 +13,6 @@ from poseforge.pose import (
     PoseSpec,
     box_around,
     center_3d,
-    d2d,
     d3d,
     denormalize_from_box,
     iou,
@@ -29,7 +31,6 @@ __all__ = [
     "PoseSpec",
     "box_around",
     "center_3d",
-    "d2d",
     "d3d",
     "denormalize_from_box",
     "iou",

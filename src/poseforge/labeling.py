@@ -1,4 +1,6 @@
-"""Training-side math: class/target assignment, joint losses, gradients.
+"""Training-side math: class/target assignment (assign_label) and the
+head's joint loss with its gradients (head_losses: log loss over the
+classes plus smooth-L1 on the labeled class's regression output).
 
 Class labels run 0..n_anchors with 0 = background; label c maps to
 anchor id c - 1. Regression targets stack the 2D residual in unit-box
@@ -54,52 +56,6 @@ class LabeledBox:
             if not np.isfinite(t).all():
                 raise ValueError("target must be finite")
             object.__setattr__(self, "target", t)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassScores:
-    """Probability distribution over n_anchors + 1 classes."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        if u.ndim != 1 or len(u) < 2:
-            raise ValueError("u must be a 1D distribution over >= 2 classes")
-        if (u < 0).any() or abs(u.sum() - 1.0) > 1e-9:
-            raise ValueError("u must be non-negative and sum to 1")
-        object.__setattr__(self, "u", u)
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionOutput:
-    """Per-class regression vector of length 5 * J * (n_anchors + 1)."""
-
-    v: np.ndarray
-    joint_count: int
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.ndim != 1 or not np.isfinite(v).all():
-            raise ValueError("v must be a finite 1D vector")
-        if len(v) % (5 * self.joint_count) != 0:
-            raise ValueError("v length must be a multiple of 5*J")
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.v) // (5 * self.joint_count)
-
-    def class_slice(self, c: int) -> np.ndarray:
-        w = 5 * self.joint_count
-        return self.v[c * w:(c + 1) * w]
-
-
-def softmax(logits: np.ndarray) -> ClassScores:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return ClassScores(e / e.sum())
 
 
 def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
@@ -191,18 +147,11 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
     return Pose2D(coords2d[0]), Pose3D(coords3d[0])
 
 
-def classification_loss(u: ClassScores, class_label: int) -> tuple[float, np.ndarray]:
-    """Log loss of the true class and its gradient w.r.t. the logits.
-
-    Returns (-log u(c), u - onehot(c)); u(c) is clamped at 1e-12 so a
-    collapsed probability yields a large finite loss.
-    """
-    if not 0 <= class_label < len(u.u):
-        raise ValueError(f"class_label {class_label} out of range")
-    loss = -float(np.log(max(u.u[class_label], LOG_EPS)))
-    grad = u.u.copy()
-    grad[class_label] -= 1.0
-    return loss, grad
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of logits (n, C): class probabilities (n, C)."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def smooth_l1(x):
@@ -219,31 +168,27 @@ def smooth_l1_grad(x):
     return float(out) if out.ndim == 0 else out
 
 
-def regression_loss(v: RegressionOutput, label: LabeledBox) -> tuple[float, np.ndarray]:
-    """Smooth-L1 loss over the labeled class slice of v, with gradient.
+def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
+                targets: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Mean log loss and smooth-L1 loss of n boxes, and their gradients.
 
-    Background boxes contribute zero loss and a zero gradient; otherwise
-    the loss sums smooth_l1 per coordinate of (target - v_c) over the
-    5*J slots of class c only, and the gradient vanishes outside them.
+    probs (n, C) are class probabilities, pred (n, 5*J) each box's
+    regression output for its own label and targets (n, 5*J) the
+    targets. Returns (cls_loss, reg_loss, g_logits, g_pred), the
+    gradients being those of the means w.r.t. the logits and pred. u(c)
+    is clamped at LOG_EPS; the smooth-L1 row sums add in row order. A
+    background row has zero regression loss and a zero g_pred row.
     """
-    grad = np.zeros_like(v.v)
-    if label.class_label == BACKGROUND:
-        return 0.0, grad
-    if label.class_label >= v.n_classes:
-        raise ValueError(
-            f"class_label {label.class_label} outside {v.n_classes} classes"
-        )
-    w = 5 * v.joint_count
-    if len(label.target) != w:
-        raise ValueError(f"target length {len(label.target)} != 5*J = {w}")
-    sl = slice(label.class_label * w, (label.class_label + 1) * w)
-    err = label.target - v.v[sl]
-    loss = float(smooth_l1(err).sum())
-    grad[sl] = -smooth_l1_grad(err)
-    return loss, grad
+    n = len(labels)
+    rows = np.arange(n)
+    cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
+    g_logits = probs.copy()
+    g_logits[rows, labels] -= 1.0
+    g_logits /= n
 
-
-def total_loss(classification: float, regression: float,
-               localization: float = 0.0) -> float:
-    """Sum of the loss terms; the localization term is supplied externally."""
-    return float(localization + classification + regression)
+    err = targets - pred
+    err[labels == BACKGROUND] = 0.0
+    reg_loss = 0.0
+    for row_loss in smooth_l1(err).sum(axis=1).tolist():
+        reg_loss += row_loss
+    return cls_loss, reg_loss / n, g_logits, -smooth_l1_grad(err) / n

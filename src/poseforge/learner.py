@@ -1,6 +1,6 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
 per-anchor linear regressors over externally supplied feature vectors,
-trained by plain gradient descent on the labeling losses.
+trained by plain gradient descent on labeling.head_losses.
 
 An optional two-pass mode feeds the first pass's outputs back in,
 concatenated with the features, to a second linear head that produces
@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from poseforge.anchors import AnchorSet
-from poseforge.labeling import (
-    BACKGROUND,
-    LabeledBox,
-    regress_anchors,
-    smooth_l1,
-    smooth_l1_grad,
-)
+from poseforge.labeling import BACKGROUND, LabeledBox, head_losses, regress_anchors, softmax
 from poseforge.pose import BoundingBox, poses2d, poses3d
 from poseforge.ppi import PoseProposal
 
@@ -34,6 +28,18 @@ class TrainConfig:
     seed: int = 0
     init_scale: float = 0.01
     two_pass: bool = False
+
+    def __post_init__(self):
+        if not self.iterations >= 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("learning_rate", "decay_factor"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and above 0, got {value}")
+        if not 0.0 <= self.decay_fraction <= 1.0:
+            raise ValueError(f"decay_fraction must be in [0, 1], got {self.decay_fraction}")
+        if not 0.0 <= self.init_scale < np.inf:
+            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
 
 @dataclass(eq=False)
@@ -55,10 +61,7 @@ class _Head:
         )
 
     def class_probs(self, x: np.ndarray) -> np.ndarray:
-        logits = x @ self.w_cls + self.b_cls
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(x @ self.w_cls + self.b_cls)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.class_probs(x), x @ self.w_reg + self.b_reg
@@ -89,18 +92,16 @@ def _check_features(x: np.ndarray) -> None:
 
 
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
-    """Gradient descent on mean (classification + regression) loss.
+    """Gradient descent on the mean head_losses.
 
     The (n, 5*J*C) regression output v and its gradient g_v are allocated
-    once and refilled in place every iteration; only the positives' class
-    slots of g_v are ever non-zero. Both are read and written through
-    (n, C, 5*J) views, gathering each positive's slot by its label.
+    once and refilled in place every iteration. Both are read and written
+    through (n, C, 5*J) views: each box's own-label slot is gathered for
+    head_losses and its gradient scattered back (zeros for background).
     """
     n, _ = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
-    pos = np.flatnonzero(labels != BACKGROUND)
-    slots = labels[pos]
     rows = np.arange(n)
     switch = int(config.decay_fraction * config.iterations)
     v = np.empty((n, head.b_reg.shape[0]))
@@ -111,20 +112,9 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
         probs = head.class_probs(x)
         np.matmul(x, head.w_reg, out=v)
         v += head.b_reg
-
-        cls_loss = float(
-            -np.log(np.maximum(probs[rows, labels], 1e-12)).mean()
-        )
-        g_logits = probs.copy()
-        g_logits[rows, labels] -= 1.0
-        g_logits /= n
-
-        err = targets[pos] - v_slots[pos, slots]
-        g_slots[pos, slots] = -smooth_l1_grad(err) / n
-        reg_loss = 0.0
-        for row_loss in smooth_l1(err).sum(axis=1).tolist():  # in row order
-            reg_loss += row_loss
-        reg_loss /= n
+        cls_loss, reg_loss, g_logits, g_pred = head_losses(probs, labels, v_slots[rows, labels],
+                                                           targets)
+        g_slots[rows, labels] = g_pred
 
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
 

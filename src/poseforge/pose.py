@@ -246,8 +246,9 @@ class BoundingBox:
 class AnchorPose:
     """Canonical paired 2D-3D pose used as a classification target.
 
-    The 2D layout lives in unit-box coordinates (placed into a candidate
-    box via denormalize_from_box); the 3D pose is torso-centered.
+    The 2D layout lives in unit-box coordinates (labeling.regress_anchors
+    places it, refined by a residual, into a candidate box); the 3D pose
+    is torso-centered.
     """
 
     id: int
@@ -315,30 +316,6 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
     for start in range(0, a.shape[0], chunk):
         out[start:start + chunk] = d3d_kernel(at[:, start:start + chunk], bt)
     return out
-
-
-def d2d(p: Pose2D, q: Pose2D, mask: np.ndarray | None = None) -> float:
-    """Mean Euclidean pixel distance over a subset of joints.
-
-    Args:
-        p, q: poses with the same joint count.
-        mask: boolean joint subset; must select only jointly visible
-            joints. Defaults to the full set of jointly visible joints.
-    """
-    if p.coords.shape != q.coords.shape:
-        raise ValueError(f"pose spec mismatch: {p.coords.shape} vs {q.coords.shape}")
-    both = p.visibility & q.visibility
-    if mask is None:
-        mask = both
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != both.shape:
-            raise ValueError("mask length must equal joint count")
-        if (mask & ~both).any():
-            raise ValueError("mask selects joints not visible in both poses")
-    if not mask.any():
-        raise ValueError("empty joint mask")
-    return float(np.linalg.norm(p.coords[mask] - q.coords[mask], axis=1).mean())
 
 
 def margin_boxes(coords: np.ndarray, visibility: np.ndarray,

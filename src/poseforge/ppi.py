@@ -68,12 +68,29 @@ class PpiParams:
     overlap_joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be in [0, 1]")
-        if self.t3d <= 0.0:
-            raise ValueError("t3d must be positive")
-        if self.sigma_b <= 0.0:
-            raise ValueError("sigma_b must be positive")
+        _check_iou_threshold(self.iou_threshold)
+        _check_positive("t3d", self.t3d)
+        _check_positive("sigma_b", self.sigma_b)
+        if self.min_score is not None and not self.min_score >= 0.0:
+            raise ValueError(f"min_score must be None or >= 0, got {self.min_score}")
+        if self.overlap_joints is not None:
+            _check_overlap_joints(self.overlap_joints)
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) -> None:
+    if not joints or not 0 <= min(joints) <= max(joints) < joint_count:
+        raise ValueError(f"overlap_joints {joints} must be non-empty joint indices "
+                         f"in [0, {joint_count})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +135,8 @@ def _rescore(boxes: np.ndarray, c2d: np.ndarray, scores: np.ndarray,
 
 def _overlap_boxes(c2d: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
     """(N, 4) tight joint boxes (x_min, y_min, x_max, y_max); see overlap_box."""
+    if joints is not None:
+        _check_overlap_joints(joints, c2d.shape[1])
     pts = c2d if joints is None else c2d[:, list(joints)]
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     flat = hi <= lo
@@ -251,6 +270,7 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
     not, and must be finite; if every joint lies inside or on the box,
     s' = s exactly.
     """
+    _check_positive("sigma_b", sigma_b)
     (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _stack2d([proposal]),
                           np.array([proposal.score]), sigma_b)
     return replace(proposal, rescored=float(s_prime))
@@ -278,6 +298,7 @@ def group_by_overlap(
     with the seed is >= iou_threshold. Groups partition the input;
     members keep their input order.
     """
+    _check_iou_threshold(iou_threshold)
     rescored = _require_rescored(proposals)
     if not proposals:
         return []
@@ -296,6 +317,7 @@ def extract_modes(
     """
     if not group:
         raise ValueError("empty group")
+    _check_positive("t3d", t3d)
     rescored = _require_rescored(group)
     members, sizes = _modes(_stack3d(group), rescored, np.zeros(len(group), dtype=np.intp),
                             t3d)

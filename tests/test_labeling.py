@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
-    ClassScores,
     LabeledBox,
-    RegressionOutput,
     apply_regression,
     assign_label,
-    classification_loss,
-    regression_loss,
+    head_losses,
     regression_target,
     smooth_l1,
     smooth_l1_grad,
     softmax,
-    total_loss,
 )
 from poseforge.pose import (
     H13,
@@ -227,39 +223,53 @@ class TestApplyRegression:
             apply_regression(random_anchor(rng), BoundingBox(0, 0, 1, 1), np.zeros(64))
 
 
+class TestSoftmax:
+    def test_each_row_shifted_by_its_own_max(self):
+        # a shift by the global max would underflow the last two rows to 0/0
+        logits = np.array([[1000.0, 1001.0, 1002.0], [0.0, 1.0, 2.0], [-1000.0, -999.0, -998.0]])
+        e = np.exp([-2.0, -1.0, 0.0])
+        assert np.allclose(softmax(logits), e / e.sum(), rtol=1e-15, atol=0.0)
+
+
+def cls_loss(probs, labels):
+    """head_losses' classification loss, with no regression part."""
+    n = len(labels)
+    return head_losses(probs, np.asarray(labels), np.zeros((n, 65)), np.zeros((n, 65)))[0]
+
+
 class TestClassificationLoss:
     def test_confident_correct_is_zero(self):
-        u = ClassScores(np.array([1.0 - 2e-13, 1e-13, 1e-13]))
-        loss, _ = classification_loss(u, 0)
+        loss = cls_loss(np.array([[1.0 - 2e-13, 1e-13, 1e-13]]), [0])
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_is_log_c(self):
         c = 7
-        u = ClassScores(np.full(c, 1.0 / c))
-        loss, _ = classification_loss(u, 3)
+        loss = cls_loss(np.full((1, c), 1.0 / c), [3])
         assert loss == pytest.approx(np.log(c), abs=1e-12)
 
     def test_zero_probability_clamped(self):
-        u = ClassScores(np.array([1.0, 0.0, 0.0]))
-        loss, _ = classification_loss(u, 2)
+        loss = cls_loss(np.array([[1.0, 0.0, 0.0]]), [2])
         assert np.isfinite(loss) and loss == pytest.approx(-np.log(1e-12))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        h = 1e-6
-        for _ in range(100):
-            c = int(rng.integers(2, 9))
-            logits = rng.normal(0, 2, size=c)
-            label = int(rng.integers(0, c))
-            _, grad = classification_loss(softmax(logits), label)
-            for i in range(c):
-                lp, lm = logits.copy(), logits.copy()
-                lp[i] += h
-                lm[i] -= h
-                fd = (classification_loss(softmax(lp), label)[0]
-                      - classification_loss(softmax(lm), label)[0]) / (2 * h)
-                denom = max(abs(fd), abs(grad[i]), 1e-8)
-                assert abs(grad[i] - fd) / denom < 1e-5
+        h = 1e-4  # rounding of the mean loss swamps a smaller step
+        for n in (1, 5):
+            for _ in range(40):
+                c = int(rng.integers(2, 9))
+                logits = rng.normal(0, 2, size=(n, c))
+                labels = rng.integers(0, c, size=n)
+                pred, targets = rng.normal(0, 1, (2, n, 65))
+                _, _, grad, _ = head_losses(softmax(logits), labels, pred, targets)
+                for r in range(n):
+                    for i in range(c):
+                        lp, lm = logits.copy(), logits.copy()
+                        lp[r, i] += h
+                        lm[r, i] -= h
+                        fd = (cls_loss(softmax(lp), labels)
+                              - cls_loss(softmax(lm), labels)) / (2 * h)
+                        denom = max(abs(fd), abs(grad[r, i]), 1e-8)
+                        assert abs(grad[r, i] - fd) / denom < 1e-5
 
 
 class TestSmoothL1:
@@ -282,76 +292,48 @@ class TestSmoothL1:
         assert np.allclose(vals[inside], 0.5 * xs[inside] ** 2)
 
 
-class TestRegressionLoss:
-    def make_case(self, rng, c_label=2, n_classes=4):
-        v = RegressionOutput(rng.normal(0, 0.5, size=65 * n_classes), 13)
-        target = rng.normal(0, 0.5, size=65)
-        box = BoundingBox(0, 0, 100, 100)
-        lab = LabeledBox(box, c_label, target)
-        return v, lab
+def reg_losses(labels, pred, targets):
+    """head_losses' regression loss and pred gradient, under uniform class scores."""
+    n = len(labels)
+    _, loss, _, grad = head_losses(np.full((n, 4), 0.25), np.asarray(labels), pred, targets)
+    return loss, grad
 
+
+class TestRegressionLoss:
     def test_background_zero(self):
         rng = np.random.default_rng(9)
-        v = RegressionOutput(rng.normal(0, 1, size=65 * 4), 13)
-        lab = LabeledBox(BoundingBox(0, 0, 1, 1), BACKGROUND)
-        loss, grad = regression_loss(v, lab)
+        loss, grad = reg_losses([BACKGROUND], rng.normal(0, 1, (1, 65)),
+                                rng.normal(0, 1, (1, 65)))
         assert loss == 0.0
         assert not grad.any()
 
     def test_exact_prediction_zero(self):
-        rng = np.random.default_rng(10)
-        v, lab = self.make_case(rng)
-        vv = v.v.copy()
-        vv[2 * 65:3 * 65] = lab.target
-        loss, _ = regression_loss(RegressionOutput(vv, 13), lab)
+        target = np.random.default_rng(10).normal(0, 0.5, (1, 65))
+        loss, grad = reg_losses([2], target.copy(), target)
         assert loss == 0.0
-
-    def test_gradient_zero_outside_slice(self):
-        rng = np.random.default_rng(11)
-        v, lab = self.make_case(rng, c_label=1)
-        _, grad = regression_loss(v, lab)
-        assert not grad[:65].any()
-        assert not grad[2 * 65:].any()
-        assert grad[65:2 * 65].any()
+        assert not grad.any()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        h = 1e-6
-        for _ in range(100):
-            n_classes = int(rng.integers(2, 5))
-            c_label = int(rng.integers(1, n_classes))
-            v, lab = self.make_case(rng, c_label=c_label, n_classes=n_classes)
-            _, grad = regression_loss(v, lab)
-            # probe a sample of coordinates, skipping the |x|=1 kink region
-            for i in rng.choice(len(v.v), size=20, replace=False):
-                err = None
-                w = 65
-                if c_label * w <= i < (c_label + 1) * w:
-                    err = lab.target[i - c_label * w] - v.v[i]
-                    if abs(abs(err) - 1.0) < 1e-4:
+        h = 1e-4  # exact away from the kink: smooth-L1 is piecewise quadratic
+        for n in (1, 5):
+            for _ in range(40):
+                labels = rng.integers(0, 4, size=n)
+                pred = rng.normal(0, 0.5, (n, 65))
+                targets = rng.normal(0, 0.5, (n, 65)) * rng.choice([1.0, 4.0], (n, 1))
+                _, grad = reg_losses(labels, pred, targets)
+                assert not grad[labels == BACKGROUND].any()
+                # probe a sample of coordinates, skipping the |err| = 1 kink
+                for r, i in zip(rng.integers(0, n, 20), rng.integers(0, 65, 20)):
+                    if abs(abs(targets[r, i] - pred[r, i]) - 1.0) < 10 * h:
                         continue
-                vp, vm = v.v.copy(), v.v.copy()
-                vp[i] += h
-                vm[i] -= h
-                fd = (regression_loss(RegressionOutput(vp, 13), lab)[0]
-                      - regression_loss(RegressionOutput(vm, 13), lab)[0]) / (2 * h)
-                denom = max(abs(fd), abs(grad[i]), 1e-8)
-                assert abs(grad[i] - fd) / denom < 1e-5
-
-    def test_dimension_mismatch_rejected(self):
-        rng = np.random.default_rng(13)
-        v = RegressionOutput(rng.normal(0, 1, size=65 * 2), 13)
-        # class 1 is within v's 2 classes; 60 = 5*12 is not H13's 5*13
-        lab = LabeledBox(BoundingBox(0, 0, 1, 1), 1, rng.normal(0, 1, size=60))
-        with pytest.raises(ValueError, match=r"target length 60 != 5\*J = 65"):
-            regression_loss(v, lab)
-
-    def test_class_out_of_range_rejected(self):
-        rng = np.random.default_rng(13)
-        v = RegressionOutput(rng.normal(0, 1, size=65 * 2), 13)
-        lab = LabeledBox(BoundingBox(0, 0, 1, 1), 3, rng.normal(0, 1, size=65))
-        with pytest.raises(ValueError, match="class_label 3 outside 2 classes"):
-            regression_loss(v, lab)
+                    pp, pm = pred.copy(), pred.copy()
+                    pp[r, i] += h
+                    pm[r, i] -= h
+                    fd = (reg_losses(labels, pp, targets)[0]
+                          - reg_losses(labels, pm, targets)[0]) / (2 * h)
+                    denom = max(abs(fd), abs(grad[r, i]), 1e-8)
+                    assert abs(grad[r, i] - fd) / denom < 1e-5
 
 
 class TestLabeledBox:
@@ -364,20 +346,3 @@ class TestLabeledBox:
         target[7] = np.nan
         with pytest.raises(ValueError, match="target must be finite"):
             LabeledBox(BoundingBox(0, 0, 1, 1), 1, target)
-
-
-class TestTotalLoss:
-    def test_zeros(self):
-        assert total_loss(0.0, 0.0, 0.0) == 0.0
-
-    def test_uniform_classifier_term(self):
-        c = 5
-        u = ClassScores(np.full(c, 1.0 / c))
-        cls, _ = classification_loss(u, 1)
-        assert total_loss(cls, 0.0, 0.0) == pytest.approx(np.log(c))
-
-    def test_equals_sum_of_parts(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            parts = rng.normal(0, 1, size=3)
-            assert total_loss(parts[0], parts[1], parts[2]) == pytest.approx(parts.sum())

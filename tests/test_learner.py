@@ -180,6 +180,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="target length 60 != 65"):
             train(bad, anchors)
 
+    def test_class_label_beyond_anchors_rejected(self):
+        rng = np.random.default_rng(16)
+        anchors = small_anchor_set(rng, n=2)
+        # class 3 is anchor id 2, which a 2-anchor set does not have
+        bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 3, np.zeros(65)))]
+        with pytest.raises(ValueError, match="class label exceeds anchor count"):
+            train(bad, anchors)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_rejected(self, bad):
         rng = np.random.default_rng(13)
@@ -201,6 +209,28 @@ class TestTrain:
         assert len(model.loss_history) == 200  # both passes logged
         probs, _ = model_outputs(model, examples[0][0])
         assert probs.shape == (4,)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("iterations", -1, "iterations must be >= 0"),
+        ("learning_rate", np.nan, "learning_rate must be finite and above 0"),
+        ("learning_rate", np.inf, "learning_rate must be finite and above 0"),
+        ("learning_rate", 0.0, "learning_rate must be finite and above 0"),
+        ("decay_factor", np.nan, "decay_factor must be finite and above 0"),
+        ("decay_factor", -0.1, "decay_factor must be finite and above 0"),
+        ("decay_fraction", 1.5, r"decay_fraction must be in \[0, 1\]"),
+        ("decay_fraction", np.nan, r"decay_fraction must be in \[0, 1\]"),
+        ("init_scale", -0.01, "init_scale must be finite and >= 0"),
+        ("init_scale", np.inf, "init_scale must be finite and >= 0"),
+    ])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_bounds_accepted(self):
+        TrainConfig(iterations=0, decay_fraction=0.0, init_scale=0.0)
+        TrainConfig(decay_fraction=1.0, decay_factor=2.0)
 
 
 class TestPredict:

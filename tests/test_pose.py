@@ -14,7 +14,6 @@ from poseforge.pose import (
     PoseSpec,
     box_around,
     center_3d,
-    d2d,
     d3d,
     d3d_kernel,
     d3d_matrix,
@@ -217,43 +216,6 @@ class TestD3dKernel:
     def test_spec_mismatch(self):
         with pytest.raises(ValueError, match="pose spec mismatch"):
             d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
-
-
-class TestD2d:
-    def test_identical(self):
-        p = random_pose2d(np.random.default_rng(8))
-        assert d2d(p, p) == 0.0
-
-    def test_uniform_shift(self):
-        p = random_pose2d(np.random.default_rng(9))
-        q = Pose2D(p.coords + np.array([5.0, 0.0]))
-        assert d2d(p, q) == pytest.approx(5.0, abs=1e-12)
-
-    def test_partial_mask_matches_loop(self):
-        rng = np.random.default_rng(10)
-        p, q = random_pose2d(rng), random_pose2d(rng)
-        mask = rng.random(13) < 0.5
-        mask[0] = True
-        naive = np.mean(
-            [np.sqrt(((p.coords[j] - q.coords[j]) ** 2).sum()) for j in np.where(mask)[0]]
-        )
-        assert d2d(p, q, mask) == pytest.approx(naive, abs=1e-12)
-
-    def test_empty_mask_rejected(self):
-        p = random_pose2d(np.random.default_rng(11))
-        with pytest.raises(ValueError):
-            d2d(p, p, np.zeros(13, dtype=bool))
-
-    def test_mask_must_be_jointly_visible(self):
-        rng = np.random.default_rng(12)
-        p = random_pose2d(rng)
-        vis = np.ones(13, dtype=bool)
-        vis[4] = False
-        q = Pose2D(p.coords, vis)
-        mask = np.zeros(13, dtype=bool)
-        mask[4] = True
-        with pytest.raises(ValueError):
-            d2d(p, q, mask)
 
 
 def box_around_oracle(pose, margin_fraction):

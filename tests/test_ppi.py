@@ -311,6 +311,49 @@ class TestAverageMode:
         assert np.allclose(det.pose2d.coords, exp)
 
 
+class TestParameterValidation:
+    @pytest.mark.parametrize("field,value,message", [
+        ("t3d", math.nan, "t3d must be positive"),
+        ("sigma_b", math.nan, "sigma_b must be positive"),
+        ("iou_threshold", math.nan, r"iou_threshold must be in \[0, 1\]"),
+        ("min_score", math.nan, "min_score must be None or >= 0"),
+        ("min_score", -0.1, "min_score must be None or >= 0"),
+        ("overlap_joints", (), r"overlap_joints \(\) must be non-empty joint indices"),
+        ("overlap_joints", (-1,), r"overlap_joints \(-1,\) must be non-empty joint "
+                                  r"indices in \[0, inf\)"),
+    ])
+    def test_params_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PpiParams(**{field: value})
+
+    def test_joint_beyond_pose_rejected(self):
+        rng = np.random.default_rng(40)
+        proposals = [rescore(make_proposal(rng)) for _ in range(3)]
+        joints = (0, 13)
+        message = r"overlap_joints \(0, 13\) must be non-empty joint indices in \[0, 13\)"
+        with pytest.raises(ValueError, match=message):
+            ppi(proposals, PpiParams(overlap_joints=joints))
+        with pytest.raises(ValueError, match=message):
+            nms(proposals, PpiParams(overlap_joints=joints))
+        with pytest.raises(ValueError, match=message):
+            group_by_overlap(proposals, overlap_joints=joints)
+        with pytest.raises(ValueError, match=message):
+            overlap_box(proposals[0].pose2d, joints)
+
+    @pytest.mark.parametrize("sigma_b", [0.0, -1.0, math.nan])
+    def test_rescore_sigma_b_rejected(self, sigma_b):
+        with pytest.raises(ValueError, match="sigma_b must be positive"):
+            rescore(inside_box_proposal(), sigma_b)
+
+    def test_per_list_thresholds_rejected(self):
+        rng = np.random.default_rng(41)
+        proposals = [rescore(make_proposal(rng)) for _ in range(3)]
+        with pytest.raises(ValueError, match="t3d must be positive"):
+            extract_modes(proposals, math.nan)
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\]"):
+            group_by_overlap(proposals, math.nan)
+
+
 class TestPpiEndToEnd:
     def test_empty_input(self):
         assert ppi([], PpiParams()) == []
