@@ -25,6 +25,7 @@ from poseforge.pose import (  # noqa: F401
     BoundingBox,
     Pose2D,
     Pose3D,
+    check_iou_threshold,
     d3d_kernel,
     iou,
     margin_boxes,
@@ -87,8 +88,10 @@ def assign_label(
     ground-truth box (built around the visible joints with the standard
     margin) falls below iou_threshold. Otherwise the ground truth with
     the highest IoU defines the label as 1 + the id of the 3D-closest
-    anchor (ties to the lowest id) and the regression target.
+    anchor (ties to the lowest id) and the regression target. Raises on
+    an iou_threshold outside [0, 1], NaN included.
     """
+    check_iou_threshold(iou_threshold)
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
     if not gts:

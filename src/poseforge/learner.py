@@ -2,6 +2,10 @@
 per-anchor linear regressors over externally supplied feature vectors,
 trained by plain gradient descent on labeling.head_losses.
 
+A box's regression loss reaches only its own class's regressor, so
+training computes and updates each class's (D, 5*J) slot of w_reg on that
+class's boxes alone; inference computes every slot for every box.
+
 An optional two-pass mode feeds the first pass's outputs back in,
 concatenated with the features, to a second linear head that produces
 the final estimate.
@@ -48,7 +52,7 @@ class _Head:
 
     w_cls: np.ndarray  # (D, C)
     b_cls: np.ndarray  # (C,)
-    w_reg: np.ndarray  # (D, 5*J*C)
+    w_reg: np.ndarray  # (D, 5*J*C): class c's slot is columns c*5*J to (c+1)*5*J
     b_reg: np.ndarray  # (5*J*C,)
 
     @classmethod
@@ -92,36 +96,43 @@ def _check_features(x: np.ndarray) -> None:
 
 
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
-    """Gradient descent on the mean head_losses.
+    """Gradient descent on the mean head_losses, one regression slot at a time.
 
-    The (n, 5*J*C) regression output v and its gradient g_v are allocated
-    once and refilled in place every iteration. Both are read and written
-    through (n, C, 5*J) views: each box's own-label slot is gathered for
-    head_losses and its gradient scattered back (zeros for background).
+    A box's regression loss reaches only the (D, 5*J) slot of w_reg that
+    belongs to its own label. So each non-background class that has rows
+    is predicted and updated on those rows alone, through (D, C, 5*J) and
+    (C, 5*J) views of w_reg and b_reg: over all classes a product costs
+    n*D*5*J, not the n*D*5*J*C of the full x @ w_reg, and no (n, 5*J*C)
+    buffer is made. The slot of class 0, and of a class with no rows,
+    keeps its initial value. pred keeps input row order, with zero
+    background rows, so head_losses sees all n rows.
     """
-    n, _ = x.shape
+    n, d = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
-    rows = np.arange(n)
     switch = int(config.decay_fraction * config.iterations)
-    v = np.empty((n, head.b_reg.shape[0]))
-    g_v = np.zeros_like(v)
-    v_slots, g_slots = v.reshape(n, c, w), g_v.reshape(n, c, w)
+    # views, as _Head.init makes both arrays contiguous
+    w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(c + 1))
+    slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
+             if k != BACKGROUND and len(rows)]
+    pred = np.zeros((n, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
         probs = head.class_probs(x)
-        np.matmul(x, head.w_reg, out=v)
-        v += head.b_reg
-        cls_loss, reg_loss, g_logits, g_pred = head_losses(probs, labels, v_slots[rows, labels],
-                                                           targets)
-        g_slots[rows, labels] = g_pred
+        for k, rows, x_k in slots:
+            pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
+        cls_loss, reg_loss, g_logits, g_pred = head_losses(probs, labels, pred, targets)
 
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
 
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
-        head.w_reg -= lr * (x.T @ g_v)
-        head.b_reg -= lr * g_v.sum(axis=0)
+        for k, rows, x_k in slots:
+            g_k = g_pred[rows]
+            w_slots[:, k] -= lr * (x_k.T @ g_k)
+            b_slots[k] -= lr * g_k.sum(axis=0)
     return loss_history
 
 

@@ -363,6 +363,12 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Reject an IoU threshold outside [0, 1], NaN included."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
 def normalize_to_box(pose: Pose2D, box: BoundingBox) -> Pose2D:
     """Map coordinates so the box corners land on (0,0) and (1,1)."""
     scale = np.array([box.width, box.height])

@@ -23,7 +23,7 @@ import numpy as np
 # calls made through poseforge.ppi.d3d and poseforge.ppi.iou and patches
 # both attributes.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
-from poseforge.pose import poses2d, poses3d
+from poseforge.pose import check_iou_threshold, poses2d, poses3d
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -68,18 +68,13 @@ class PpiParams:
     overlap_joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_iou_threshold(self.iou_threshold)
+        check_iou_threshold(self.iou_threshold)
         _check_positive("t3d", self.t3d)
         _check_positive("sigma_b", self.sigma_b)
         if self.min_score is not None and not self.min_score >= 0.0:
             raise ValueError(f"min_score must be None or >= 0, got {self.min_score}")
         if self.overlap_joints is not None:
             _check_overlap_joints(self.overlap_joints)
-
-
-def _check_iou_threshold(iou_threshold: float) -> None:
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -298,7 +293,7 @@ def group_by_overlap(
     with the seed is >= iou_threshold. Groups partition the input;
     members keep their input order.
     """
-    _check_iou_threshold(iou_threshold)
+    check_iou_threshold(iou_threshold)
     rescored = _require_rescored(proposals)
     if not proposals:
         return []

@@ -87,6 +87,16 @@ class TestAssignLabel:
         with pytest.raises(ValueError):
             assign_label(BoundingBox(0, 0, 1, 1), [random_gt(rng)], empty)
 
+    # nan would label the far box foreground, 1.5 the exact box background
+    @pytest.mark.parametrize("threshold,far", [(np.nan, True), (1.5, False), (-0.1, True)])
+    def test_threshold_outside_unit_interval_rejected(self, threshold, far):
+        rng = np.random.default_rng(4)
+        anchors = anchor_set(rng)
+        gt = random_gt(rng)
+        box = BoundingBox(5000, 5000, 5100, 5100) if far else box_around(gt[0], 0.10)
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\], got"):
+            assign_label(box, [gt], anchors, iou_threshold=threshold)
+
 
 def assign_label_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
     """assign_label one ground truth and one anchor at a time: (label, target)."""
