@@ -157,17 +157,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_l1 and smooth_l1_grad of a float64 array, from one |x| and
+    one branch mask |x| < 1."""
+    a = np.abs(x)
+    small = a < 1.0
+    a -= 0.5
+    loss = np.where(small, 0.5 * x * x, a)
+    del a  # freed before the gradient is built, so the peak stays that of one pass
+    return loss, np.where(small, x, np.sign(x))
+
+
 def smooth_l1(x):
     """Piecewise loss: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise (elementwise)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5)
+    out = _smooth_l1(np.asarray(x, dtype=np.float64))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def smooth_l1_grad(x):
     """Derivative of smooth_l1: x for |x| < 1, sign(x) otherwise."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x) < 1.0, x, np.sign(x))
+    out = _smooth_l1(np.asarray(x, dtype=np.float64))[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -191,7 +200,9 @@ def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
 
     err = targets - pred
     err[labels == BACKGROUND] = 0.0
+    loss, grad = _smooth_l1(err)
     reg_loss = 0.0
-    for row_loss in smooth_l1(err).sum(axis=1).tolist():
+    for row_loss in loss.sum(axis=1).tolist():
         reg_loss += row_loss
-    return cls_loss, reg_loss / n, g_logits, -smooth_l1_grad(err) / n
+    grad /= -n  # the same as -grad / n, bit for bit
+    return cls_loss, reg_loss / n, g_logits, grad

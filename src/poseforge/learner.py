@@ -19,7 +19,7 @@ import numpy as np
 
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import BACKGROUND, LabeledBox, head_losses, regress_anchors, softmax
-from poseforge.pose import BoundingBox, poses2d, poses3d
+from poseforge.pose import BoundingBox, Pose2D, Pose3D, _all_visible, _check_finite, _frozen
 from poseforge.ppi import PoseProposal
 
 
@@ -90,9 +90,9 @@ class ToyModel:
 
 def _check_features(x: np.ndarray) -> None:
     """Reject feature rows holding a NaN or an infinity, naming the first."""
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise ValueError(f"feature row {row} is not finite")
 
 
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
@@ -206,7 +206,12 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     Proposal k carries score u(k+1) and the pose reconstructed from
     anchor k's slice of the regression output; scores plus the
     background probability sum to 1. All anchors' poses are built in
-    one regress_anchors call and validated as one stack.
+    one regress_anchors call. The (K, J, 2) and (K, J, 3) stacks it
+    returns are checked once to be finite and the K scores to lie in
+    [0, 1], with the messages of Pose2D, Pose3D and PoseProposal, so a
+    model with a non-finite weight raises ValueError. The stacks are
+    then made read-only, and each proposal's poses are row views of
+    them, sharing no memory with the model or the anchors.
     """
     k, j = len(anchors), model.joint_count
     if k + 1 > model.n_classes or anchors.spec.joint_count != j:
@@ -218,8 +223,15 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     w = model.slot_width
     coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
                                          v[w:(k + 1) * w].reshape(k, w))
-    return [
-        PoseProposal(anchor_id=a.id, box=box, pose2d=p2, pose3d=p3, score=s)
-        for a, p2, p3, s in zip(anchors.anchors, poses2d(coords2d), poses3d(coords3d),
-                                probs[1:k + 1].tolist())
-    ]
+    _check_finite(coords2d)
+    _check_finite(coords3d)
+    scores = probs[1:k + 1].tolist()
+    for s in scores:
+        if not 0.0 <= s <= 1.0:  # NaN included
+            raise ValueError(f"score must be in [0, 1], got {s}")
+    coords2d.setflags(write=False)
+    coords3d.setflags(write=False)
+    vis = _all_visible(j)
+    proposal, pose2d, pose3d = _frozen(PoseProposal), _frozen(Pose2D), _frozen(Pose3D)
+    return [proposal(a.id, box, pose2d(c2, vis), pose3d(c3), s, None)
+            for a, c2, c3, s in zip(anchors.anchors, coords2d, coords3d, scores)]

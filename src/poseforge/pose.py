@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,8 +150,7 @@ class Pose2D:
             raise ValueError("visibility length must equal joint count")
         vis.setflags(write=False)
         object.__setattr__(self, "visibility", vis)
-        if not np.isfinite(coords[vis]).all():
-            raise ValueError("visible joints must have finite coordinates")
+        _check_finite(coords[vis])
 
     @property
     def joint_count(self) -> int:
@@ -165,8 +165,7 @@ class Pose3D:
 
     def __post_init__(self):
         coords = _coords_array(self.coords, 3)
-        if not np.isfinite(coords).all():
-            raise ValueError("3D coordinates must be finite")
+        _check_finite(coords)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -174,39 +173,67 @@ class Pose3D:
         return len(self.coords)
 
 
-def _checked(cls, **fields):
-    """A pose of cls holding fields that the caller has already checked.
+@functools.cache
+def _frozen(cls):
+    """The private constructor of the frozen dataclass cls: a function of
+    its field values, in declaration order, that returns an instance
+    holding them. The caller has already checked the values.
 
-    The fields are set one by one in declaration order, as __init__ sets
-    them; filling __dict__ at once would cost each pose its own dict.
+    __init__ and __post_init__ do not run, so nothing is copied,
+    converted or validated; arrays passed in should already be
+    read-only. Each field is set as a plain attribute, in declaration
+    order as __init__ sets it, so the instances share one key layout.
+    The function is generated once per class, as dataclasses generates
+    __init__: a loop over the field names would cost each instance about
+    half as much again.
     """
-    pose = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(pose, name, value)
-    return pose
+    names = cls.__match_args__
+    body = "".join(f"    _frozen_set(_frozen_obj, {name!r}, {name})\n" for name in names)
+    scope = {"_frozen_new": object.__new__, "_frozen_set": object.__setattr__,
+             "_frozen_cls": cls}
+    exec(f"def build({', '.join(names)}):\n    _frozen_obj = _frozen_new(_frozen_cls)\n"
+         f"{body}    return _frozen_obj\n", scope)
+    return scope["build"]
+
+
+@functools.lru_cache(maxsize=8)
+def _all_visible(joint_count: int) -> np.ndarray:
+    """A read-only all-True visibility mask, shared by the poses of that
+    joint count that the package builds from stacks."""
+    vis = np.ones(joint_count, dtype=bool)
+    vis.setflags(write=False)
+    return vis
+
+
+def _check_finite(coords: np.ndarray) -> None:
+    """Reject 2D or 3D coordinates, of one pose or a stack, holding a
+    NaN or an infinity, with Pose2D's or Pose3D's message."""
+    if not np.isfinite(coords).all():
+        raise ValueError("visible joints must have finite coordinates" if coords.shape[-1] == 2
+                         else "3D coordinates must be finite")
 
 
 def poses2d(stack) -> list[Pose2D]:
     """One all-visible Pose2D per row of an (N, J, 2) coordinate stack.
 
-    The stack is copied once, the copy made read-only and checked once,
-    with Pose2D's own messages. Each pose holds a read-only row view of
-    the copy, and all of them share one read-only visibility array.
+    The stack is copied once, since the caller keeps it; the copy is
+    made read-only and checked once, with Pose2D's own messages. Each
+    pose holds a read-only row view of the copy, and all of them share
+    one read-only visibility array.
     """
     coords = _coords_array(stack, 2, stacked=True)
-    if not np.isfinite(coords).all():
-        raise ValueError("visible joints must have finite coordinates")
-    vis = np.ones(coords.shape[1], dtype=bool)
-    vis.setflags(write=False)
-    return [_checked(Pose2D, coords=row, visibility=vis) for row in coords]
+    _check_finite(coords)
+    vis = _all_visible(coords.shape[1])
+    build = _frozen(Pose2D)
+    return [build(row, vis) for row in coords]
 
 
 def poses3d(stack) -> list[Pose3D]:
     """One Pose3D per row of an (N, J, 3) coordinate stack; see poses2d."""
     coords = _coords_array(stack, 3, stacked=True)
-    if not np.isfinite(coords).all():
-        raise ValueError("3D coordinates must be finite")
-    return [_checked(Pose3D, coords=row) for row in coords]
+    _check_finite(coords)
+    build = _frozen(Pose3D)
+    return [build(row) for row in coords]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,15 @@ Every step runs on stacked arrays: boxes (N, 4), 2D poses (N, J, 2), 3D
 poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
 proposals once; the public per-list functions stack their input and call
 the same private helpers, so each piece of math has one implementation.
+
+Grouping and mode extraction advance in lock-step rounds rather than one
+Python iteration per group or mode. Grouping first splits the joint
+boxes into blocks along x: sorted by x_min, a box opens a new block
+where its x_min reaches the largest x_max before it. Boxes of different
+blocks have IoU 0, so they never group while iou_threshold > 0, and each
+round seeds every block at once. At iou_threshold 0 every IoU passes, the
+first seed takes all, and the input is one block. Detections are checked
+once per stack and built without a per-object copy or check.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 # calls made through poseforge.ppi.d3d and poseforge.ppi.iou and patches
 # both attributes.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
-from poseforge.pose import check_iou_threshold, poses2d, poses3d
+from poseforge.pose import _all_visible, _check_finite, _frozen, check_iou_threshold
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -35,7 +44,9 @@ class PoseProposal:
     """A refined 2D-3D pose hypothesized in a candidate box.
 
     score is the classification probability; rescored is filled by
-    rescore() and never exceeds score.
+    rescore() and never exceeds score. learner.predict checks a whole
+    stack of proposals at once and builds them with pose._frozen, which
+    skips this class's own check.
     """
 
     anchor_id: int
@@ -90,7 +101,11 @@ def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) 
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """Aggregated 2D-3D pose with the accumulated score of its mode."""
+    """Aggregated 2D-3D pose with the accumulated score of its mode.
+
+    ppi() and nms() build detections with pose._frozen from poses they
+    have already checked.
+    """
 
     pose2d: Pose2D
     pose3d: Pose3D
@@ -114,71 +129,96 @@ def _stack3d(proposals) -> np.ndarray:
     return np.array([p.pose3d.coords for p in proposals])
 
 
-def _rescore(boxes: np.ndarray, c2d: np.ndarray, scores: np.ndarray,
+def _planes(c2d: np.ndarray) -> np.ndarray:
+    """Contiguous (2, J, N) x and y planes of 2D poses (N, J, 2), one row
+    per joint, so that reductions over the joints add whole rows."""
+    return np.ascontiguousarray(c2d.transpose(2, 1, 0))
+
+
+def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
              sigma_b: float) -> np.ndarray:
-    """Rescored scores from boxes (N, 4), 2D poses (N, J, 2), scores (N,).
+    """Rescored scores from boxes (N, 4), 2D pose planes (2, J, N) and
+    scores (N,).
 
     D is each joint's distance to its box, 0 inside or on it, where
     exp(-D^2 / sigma_b^2) is exactly 1. Scaling s by the mean of these
     factors, which is at most 1, gives s' <= s, and s' = s exactly when
-    every joint is inside.
+    every joint is inside. Each pose's mean adds its J factors along one
+    contiguous row, as numpy adds an (N, J) array's rows.
     """
-    gap = np.maximum(np.maximum(boxes[:, None, :2] - c2d, 0.0), c2d - boxes[:, None, 2:])
-    d = np.hypot(gap[..., 0], gap[..., 1])
-    return scores * np.exp(-(d * d) / (sigma_b * sigma_b)).mean(axis=1)
+    b = boxes.T[:, None]
+    gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
+    d = np.hypot(gap[0], gap[1])
+    factors = np.exp(-(d * d) / (sigma_b * sigma_b))
+    return scores * np.ascontiguousarray(factors.T).mean(axis=1)
 
 
-def _overlap_boxes(c2d: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
-    """(N, 4) tight joint boxes (x_min, y_min, x_max, y_max); see overlap_box."""
+def _overlap_boxes(planes: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
+    """(4, N) tight joint boxes, rows x_min, y_min, x_max and y_max, of 2D
+    pose planes (2, J, N); see overlap_box."""
     if joints is not None:
-        _check_overlap_joints(joints, c2d.shape[1])
-    pts = c2d if joints is None else c2d[:, list(joints)]
+        _check_overlap_joints(joints, planes.shape[1])
+    pts = planes if joints is None else planes[:, list(joints)]
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     flat = hi <= lo
-    return np.concatenate([np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)],
-                          axis=1)
+    return np.concatenate([np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)])
 
 
-def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
-    """Greedy clustering for overlap grouping.
+def _group(boxes: np.ndarray, rescored: np.ndarray,
+           iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy overlap groups of boxes (4, N), as _overlap_boxes gives
+    them, with rescored scores (N,).
 
-    Seeds come by descending score, then lower index. Each seed takes
-    itself and every still-free proposal that near(seed, candidates)
-    marks, so the clusters partition the input. Returns (seed, members
-    in input order) per cluster.
-    """
-    n = len(rescored)
-    free = np.ones(n, dtype=bool)
-    clusters = []
-    for seed in np.lexsort((np.arange(n), -rescored)):
-        if free[seed]:
-            cand = np.flatnonzero(free)
-            members = cand[near(seed, cand) | (cand == seed)]
-            free[members] = False
-            clusters.append((seed, members))
-    return clusters
+    Seeds come by descending score, then lower index; each takes itself
+    and every still-free box whose IoU with it is >= iou_threshold, so
+    the groups partition the input. Returns each box's group number (N,)
+    and each group's seed (G,), the groups numbered in seed order.
 
-
-def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> list[np.ndarray]:
-    """Overlap groups of boxes (N, 4), as index arrays in input order.
-
-    A seed's IoU row repeats pose.iou's operations in their order. Where
-    both joint-box areas underflow to 0 the union is 0 too, and the IoU
+    The boxes are split into blocks along x (see the module docstring);
+    at iou_threshold 0 they form one block. The blocks advance in
+    lock-step rounds: in each, every block that still has free boxes
+    seeds a group with the next of them by the seed rule, and one IoU
+    computation covers every (seed, free box of its block) pair. Once a
+    single block is left, its seed's bounds broadcast instead: chains of
+    overlapping x-extents can join most of an image into one block, and
+    a round then costs what one seed's IoU row cost before blocks. The
+    IoU repeats pose.iou's operations in their order. Where both
+    joint-box areas underflow to 0 the union is 0 too, and the IoU
     counts as 0 rather than 0/0; the seed still joins its own group.
     """
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-
-    def overlapping(seed, cand):
-        b, s = boxes[cand], boxes[seed]
-        iw = np.minimum(b[:, 2], s[2]) - np.maximum(b[:, 0], s[0])
-        ih = np.minimum(b[:, 3], s[3]) - np.maximum(b[:, 1], s[1])
+    n = len(rescored)
+    x0, y0, x1, y1 = boxes
+    block = np.zeros(n, dtype=np.intp)
+    if iou_threshold > 0.0:
+        xs = np.argsort(x0, kind="stable")
+        reach = np.maximum.accumulate(x1[xs])
+        block[xs[1:]] = np.cumsum(x0[xs[1:]] >= reach[:-1])
+    # one row per box, bounds and area, so that a round gathers each side once
+    rows = np.stack([x0, y0, x1, y1, (x1 - x0) * (y1 - y0)], axis=1)
+    ranked = np.lexsort((np.arange(n), -rescored))  # the seed rule over all boxes
+    order = ranked[np.argsort(block[ranked], kind="stable")]  # free boxes, by block
+    seed_of = np.empty(n, dtype=np.intp)
+    while len(order):
+        if block[order[0]] == block[order[-1]]:
+            pair = order[0]
+        else:
+            b = block[order]
+            first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+            pair = np.repeat(order[first], np.diff(np.append(first, len(order))))
+        box, seed = rows[order], rows[pair]
+        iw = np.minimum(box[:, 2], seed[..., 2]) - np.maximum(box[:, 0], seed[..., 0])
+        ih = np.minimum(box[:, 3], seed[..., 3]) - np.maximum(box[:, 1], seed[..., 1])
         hit = (iw > 0.0) & (ih > 0.0)
-        inter = np.multiply(iw, ih, out=np.zeros(len(cand)), where=hit)
-        union = area[cand] + area[seed] - inter
-        row = np.divide(inter, union, out=np.zeros(len(cand)), where=hit & (union > 0.0))
-        return row >= iou_threshold
-
-    return [members for _, members in _greedy(rescored, overlapping)]
+        inter = np.multiply(iw, ih, out=np.zeros(len(order)), where=hit)
+        union = box[:, 4] + seed[..., 4] - inter
+        overlap = np.divide(inter, union, out=np.zeros(len(order)), where=hit & (union > 0.0))
+        taken = (overlap >= iou_threshold) | (pair == order)
+        seed_of[order[taken]] = pair if np.ndim(pair) == 0 else pair[taken]
+        order = order[~taken]
+    seeds = ranked[seed_of[ranked] == ranked]
+    number = np.empty(n, dtype=np.intp)
+    number[seeds] = np.arange(len(seeds))
+    return number[seed_of], seeds
 
 
 def _modes(c3d: np.ndarray, rescored: np.ndarray, gid: np.ndarray,
@@ -243,11 +283,14 @@ def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray,
         w /= total[:, None]
         mean2d[ids] = np.einsum("mi,mijk->mjk", w, c2d[idx])
         mean3d[ids] = np.einsum("mi,mijk->mjk", w, c3d[idx])
-    return [
-        Detection(pose2d=p2, pose3d=p3, score=s, member_count=m, unweighted=not s > 0.0)
-        for p2, p3, s, m in zip(poses2d(mean2d), poses3d(mean3d), totals.tolist(),
-                                sizes.tolist())
-    ]
+    _check_finite(mean2d)
+    _check_finite(mean3d)
+    mean2d.setflags(write=False)
+    mean3d.setflags(write=False)
+    vis = _all_visible(mean2d.shape[1])
+    detection, pose2d, pose3d = _frozen(Detection), _frozen(Pose2D), _frozen(Pose3D)
+    return [detection(pose2d(p2, vis), pose3d(p3), s, m, not s > 0.0)
+            for p2, p3, s, m in zip(mean2d, mean3d, totals.tolist(), sizes.tolist())]
 
 
 def _require_rescored(proposals) -> np.ndarray:
@@ -266,7 +309,7 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
     s' = s exactly.
     """
     _check_positive("sigma_b", sigma_b)
-    (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _stack2d([proposal]),
+    (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _planes(_stack2d([proposal])),
                           np.array([proposal.score]), sigma_b)
     return replace(proposal, rescored=float(s_prime))
 
@@ -278,7 +321,7 @@ def overlap_box(pose2d: Pose2D, joints: tuple[int, ...] | None = None) -> Boundi
     fully regressed poses); a zero extent is padded by 1e-6 px so the
     box stays valid and such a proposal simply groups alone.
     """
-    return BoundingBox(*_overlap_boxes(pose2d.coords[None], joints)[0])
+    return BoundingBox(*_overlap_boxes(_planes(pose2d.coords[None]), joints)[:, 0])
 
 
 def group_by_overlap(
@@ -297,8 +340,11 @@ def group_by_overlap(
     rescored = _require_rescored(proposals)
     if not proposals:
         return []
-    boxes = _overlap_boxes(_stack2d(proposals), overlap_joints)
-    return [[proposals[i] for i in g] for g in _group(boxes, rescored, iou_threshold)]
+    gid, _ = _group(_overlap_boxes(_planes(_stack2d(proposals)), overlap_joints), rescored,
+                    iou_threshold)
+    ordered = [proposals[i] for i in np.argsort(gid, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(gid)).tolist()
+    return [ordered[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def extract_modes(
@@ -334,23 +380,29 @@ def average_mode(mode: list[PoseProposal]) -> Detection:
 
 
 def _finalize(detections: list[Detection], min_score: float | None) -> list[Detection]:
+    """Detections of score >= min_score, by descending score, then position."""
     if min_score is not None:
         detections = [d for d in detections if d.score >= min_score]
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    return [detections[i] for i in order]
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    return [detections[i] for i in np.lexsort((np.arange(len(scores)), -scores)).tolist()]
 
 
 def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
-    """Stack one image's proposals, rescore them and group them by overlap."""
+    """Stack one image's proposals, rescore them and group them by overlap.
+
+    Returns the 2D stack, the rescored scores, each proposal's group
+    number and each group's seed (see _group).
+    """
     c2d = _stack2d(proposals)
+    planes = _planes(c2d)
     scores = np.array([p.score for p in proposals], dtype=np.float64)
     boxes = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
-    rescored = _rescore(boxes, c2d, scores, params.sigma_b)
+    rescored = _rescore(boxes, planes, scores, params.sigma_b)
     if (rescored > scores + 1e-12).any():
         raise ValueError("rescored score cannot exceed the raw score")
-    groups = _group(_overlap_boxes(c2d, params.overlap_joints), rescored,
-                    params.iou_threshold)
-    return c2d, rescored, groups
+    gid, seeds = _group(_overlap_boxes(planes, params.overlap_joints), rescored,
+                        params.iou_threshold)
+    return c2d, rescored, gid, seeds
 
 
 def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
@@ -361,28 +413,22 @@ def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
     """
     if not proposals:
         return []
-    c2d, rescored, groups = _rescored_groups(proposals, params)
+    c2d, rescored, gid, _ = _rescored_groups(proposals, params)
     c3d = _stack3d(proposals)
-    gid = np.empty(len(proposals), dtype=np.intp)
-    gid[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     members, sizes = _modes(c3d, rescored, gid, params.t3d)
     return _finalize(_average(c2d, c3d, rescored, members, sizes), params.min_score)
 
 
 def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
-    """Baseline: keep only the top-rescored proposal of each overlap group."""
+    """Baseline: keep only the top-rescored proposal of each overlap group.
+
+    That is the group's seed: the seed rule picks it before every other
+    member, by descending rescored score, then lower position.
+    """
     if not proposals:
         return []
-    _, rescored, groups = _rescored_groups(proposals, params)
-    detections = []
-    for g in groups:
-        top = g[np.argmax(rescored[g])]  # first maximum: lower index wins ties
-        detections.append(
-            Detection(
-                pose2d=proposals[top].pose2d,
-                pose3d=proposals[top].pose3d,
-                score=float(rescored[top]),
-                member_count=1,
-            )
-        )
-    return _finalize(detections, params.min_score)
+    _, rescored, _, seeds = _rescored_groups(proposals, params)
+    detection = _frozen(Detection)
+    return _finalize([detection(proposals[i].pose2d, proposals[i].pose3d, s, 1, False)
+                      for i, s in zip(seeds.tolist(), rescored[seeds].tolist())],
+                     params.min_score)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from poseforge.labeling import (
     smooth_l1_grad,
 )
 from poseforge.learner import TrainConfig, ToyModel, _Head, model_outputs, predict, train
+from poseforge.ppi import PoseProposal
 from poseforge.pose import (
     H13,
     AnchorPose,
     BoundingBox,
     Pose2D,
+    Pose3D,
     box_around,
     center_3d,
     denormalize_from_box,
@@ -414,6 +417,46 @@ class TestPredict:
             assert not p.pose2d.coords.flags.writeable and p.pose2d.visibility.all()
             assert not p.pose3d.coords.flags.writeable
 
+    def test_proposals_equal_public_constructions(self):
+        rng = np.random.default_rng(16)
+        anchors = small_anchor_set(rng, n=4)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
+        feature, box = rng.normal(0, 1, 8), BoundingBox(5, 10, 60, 140)
+        probs, v = model_outputs(model, feature)
+        w = model.slot_width
+        proposals = predict(model, feature, box, anchors)
+        assert len(proposals) == 4
+        for a, p in zip(anchors.anchors, proposals):
+            c = a.id + 1
+            pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
+            assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
+                                        Pose3D(pose3d.coords), float(probs[c])))
+            with pytest.raises(FrozenInstanceError):
+                p.score = 0.0
+            with pytest.raises(FrozenInstanceError):
+                p.pose3d.coords = np.zeros((13, 3))
+            state = (model.head.w_cls, model.head.b_cls, model.head.w_reg, model.head.b_reg,
+                     anchors.coords2d, anchors.coords3d, a.pose2d.coords, a.pose3d.coords)
+            for arr in (p.pose2d.coords, p.pose2d.visibility, p.pose3d.coords):
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, other) for other in state)
+
+    @pytest.mark.parametrize("weight, column, message", [
+        ("w_cls", 1, r"score must be in \[0, 1\], got nan"),  # an inf logit: NaN probabilities
+        ("w_reg", 65, "visible joints must have finite coordinates"),  # anchor 0's 2D x0
+        ("w_reg", 65 + 26, "3D coordinates must be finite"),  # anchor 0's 3D x0
+    ])
+    def test_non_finite_weight_rejected(self, weight, column, message):
+        rng = np.random.default_rng(18)
+        anchors = small_anchor_set(rng)
+        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
+        getattr(model.head, weight)[0, column] = np.inf
+        # softmax's inf - inf warns before predict rejects the NaN it gives
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
+
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)
         anchors = small_anchor_set(rng, n=2)
@@ -421,3 +464,17 @@ class TestPredict:
         model = train(examples, anchors, TrainConfig(iterations=5, seed=12))
         with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit"):
             predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), small_anchor_set(rng, n=3))
+
+
+def assert_same(got, want):
+    """got equals want bit for bit: type, attribute layout, and every field,
+    arrays by dtype, shape and bytes."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    elif is_dataclass(want):
+        assert list(vars(got)) == list(vars(want))
+        for f in fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -500,6 +500,38 @@ def crowd_proposals(rng, people, per_person):
     return proposals
 
 
+def composed_ppi_oracle(rescored, groups, t3d):
+    """(score, 2D mean, 3D mean, count) of each detection, in ppi's order,
+    from groups (index lists) of rescored proposals."""
+    expected = []
+    for g in groups:
+        group = [rescored[i] for i in g]
+        expected += [average_oracle([group[i] for i in m]) for m in modes_oracle(group, t3d)]
+    return [expected[i] for i in sorted(range(len(expected)), key=lambda i: (-expected[i][0], i))]
+
+
+def composed_nms_oracle(rescored, groups):
+    """The first top-rescored proposal of each group, in nms's order."""
+    tops = [max((rescored[i] for i in g), key=lambda p: p.rescored) for g in groups]
+    return [tops[i] for i in sorted(range(len(tops)), key=lambda i: (-tops[i].rescored, i))]
+
+
+def assert_ppi_matches(dets, expected):
+    assert len(dets) == len(expected)
+    for det, (score, mean2d, mean3d, count) in zip(dets, expected):
+        assert det.score == score and det.member_count == count
+        assert np.array_equal(det.pose2d.coords, mean2d)
+        assert np.array_equal(det.pose3d.coords, mean3d)
+
+
+def assert_nms_matches(dets, tops):
+    assert [d.score for d in dets] == [p.rescored for p in tops]
+    for det, top in zip(dets, tops):
+        assert det.member_count == 1
+        assert np.array_equal(det.pose2d.coords, top.pose2d.coords)
+        assert np.array_equal(det.pose3d.coords, top.pose3d.coords)
+
+
 class TestArrayCoreEquivalence:
     """ppi() and nms() against the oracles above, composed as the pipeline."""
 
@@ -518,20 +550,9 @@ class TestArrayCoreEquivalence:
             for p, r in zip(proposals, rescored):
                 assert r.rescored == pytest.approx(rescore_oracle(p, params.sigma_b),
                                                    rel=1e-14, abs=0.0)
-            expected = []
-            for g in greedy_group_oracle(rescored, params.iou_threshold,
-                                         params.overlap_joints):
-                group = [rescored[i] for i in g]
-                expected += [average_oracle([group[i] for i in m])
-                             for m in modes_oracle(group, params.t3d)]
-            order = sorted(range(len(expected)), key=lambda i: (-expected[i][0], i))
-            dets = ppi(proposals, params)
-            assert len(dets) == len(expected)
-            for det, i in zip(dets, order):
-                score, mean2d, mean3d, count = expected[i]
-                assert det.score == score and det.member_count == count
-                assert np.array_equal(det.pose2d.coords, mean2d)
-                assert np.array_equal(det.pose3d.coords, mean3d)
+            groups = greedy_group_oracle(rescored, params.iou_threshold, params.overlap_joints)
+            assert_ppi_matches(ppi(proposals, params),
+                               composed_ppi_oracle(rescored, groups, params.t3d))
 
     @pytest.mark.parametrize("params", CASES)
     def test_nms_matches_composed_oracles(self, params):
@@ -539,16 +560,143 @@ class TestArrayCoreEquivalence:
         for _ in range(10):
             proposals = crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
             rescored = [rescore(p, params.sigma_b) for p in proposals]
-            tops = [max((rescored[i] for i in g), key=lambda p: p.rescored)
-                    for g in greedy_group_oracle(rescored, params.iou_threshold,
-                                                 params.overlap_joints)]
-            order = sorted(range(len(tops)), key=lambda i: (-tops[i].rescored, i))
-            dets = nms(proposals, params)
-            assert [d.score for d in dets] == [tops[i].rescored for i in order]
-            for det, i in zip(dets, order):
-                assert det.member_count == 1
-                assert np.array_equal(det.pose2d.coords, tops[i].pose2d.coords)
-                assert np.array_equal(det.pose3d.coords, tops[i].pose3d.coords)
+            groups = greedy_group_oracle(rescored, params.iou_threshold, params.overlap_joints)
+            assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
+
+
+# The grouping that the lock-step one over x-extent blocks replaced, kept
+# verbatim as the reference: one Python iteration per seed, and one IoU
+# row per group over every free proposal of the image.
+def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
+    """Greedy clustering for overlap grouping.
+
+    Seeds come by descending score, then lower index. Each seed takes
+    itself and every still-free proposal that near(seed, candidates)
+    marks, so the clusters partition the input. Returns (seed, members
+    in input order) per cluster.
+    """
+    n = len(rescored)
+    free = np.ones(n, dtype=bool)
+    clusters = []
+    for seed in np.lexsort((np.arange(n), -rescored)):
+        if free[seed]:
+            cand = np.flatnonzero(free)
+            members = cand[near(seed, cand) | (cand == seed)]
+            free[members] = False
+            clusters.append((seed, members))
+    return clusters
+
+
+def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> list[np.ndarray]:
+    """Overlap groups of boxes (N, 4), as index arrays in input order.
+
+    A seed's IoU row repeats pose.iou's operations in their order. Where
+    both joint-box areas underflow to 0 the union is 0 too, and the IoU
+    counts as 0 rather than 0/0; the seed still joins its own group.
+    """
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+    def overlapping(seed, cand):
+        b, s = boxes[cand], boxes[seed]
+        iw = np.minimum(b[:, 2], s[2]) - np.maximum(b[:, 0], s[0])
+        ih = np.minimum(b[:, 3], s[3]) - np.maximum(b[:, 1], s[1])
+        hit = (iw > 0.0) & (ih > 0.0)
+        inter = np.multiply(iw, ih, out=np.zeros(len(cand)), where=hit)
+        union = area[cand] + area[seed] - inter
+        row = np.divide(inter, union, out=np.zeros(len(cand)), where=hit & (union > 0.0))
+        return row >= iou_threshold
+
+    return [members for _, members in _greedy(rescored, overlapping)]
+
+
+def reference_groups(rescored, threshold, joints=None):
+    """Groups of rescored proposals, as index lists, by the reference _group."""
+    boxes = np.array([overlap_box(p.pose2d, joints).as_tuple() for p in rescored])
+    return [g.tolist() for g in _group(boxes, np.array([p.rescored for p in rescored]),
+                                       threshold)]
+
+
+def underflow_proposal(score, c3d):
+    """A proposal whose joint box (0, -1e-6, 5e-324, 1e-6) has area 0."""
+    coords = np.zeros((13, 2))
+    coords[0, 0] = 5e-324
+    return PoseProposal(0, BoundingBox(0, 0, 1, 1), Pose2D(coords), Pose3D(c3d), score)
+
+
+@st.composite
+def grouping_images(draw):
+    """Proposals in up to four clusters 1000 px apart, plus up to two whose
+    joint-box area underflows to 0.
+
+    Within a cluster the joint boxes lie on a 10 px grid, so edges often
+    touch (one box's x_max is another's x_min) and boxes often coincide.
+    Scores come from a set of four, and most candidate boxes hold every
+    joint, which keeps the score, so rescored scores often tie.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proposals = []
+    for c, size in enumerate(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))):
+        bases3d = rng.normal(0.0, 0.3, (2, 13, 3))
+        for _ in range(size):
+            x0, y0 = 1000.0 * (c + 1) + 10.0 * rng.integers(6), 10.0 * rng.integers(6)
+            x1, y1 = x0 + 10.0 * rng.integers(1, 4), y0 + 10.0 * rng.integers(1, 4)
+            c2d = rng.uniform((x0, y0), (x1, y1), (13, 2))
+            c2d[0], c2d[1] = (x0, y0), (x1, y1)  # the joint box is exactly (x0, y0, x1, y1)
+            shift = 0.0 if rng.random() < 0.7 else 5.0
+            proposals.append(PoseProposal(
+                int(rng.integers(5)), BoundingBox(x0 + shift, y0 + shift, x1 + shift, y1 + shift),
+                Pose2D(c2d), Pose3D(bases3d[rng.integers(2)] + rng.normal(0.0, 0.03, (13, 3))),
+                float(rng.choice([0.2, 0.5, 0.5, 0.9]))))
+    for _ in range(draw(st.integers(0, 2))):
+        proposals.append(underflow_proposal(float(rng.choice([0.2, 0.5])),
+                                            rng.normal(0.0, 0.3, (13, 3))))
+    return [proposals[i] for i in draw(st.permutations(range(len(proposals))))]
+
+
+GROUPING_CASES = dict(
+    proposals=grouping_images(),
+    threshold=st.sampled_from([0.0, 1e-9, 0.12, 1.0]),
+    joints=st.sampled_from([None, H13.head_torso_joints]),
+)
+
+
+class TestLockStepGrouping:
+    """group_by_overlap, ppi and nms against the reference _group above:
+    the same groups in the same order, and the same detections."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**GROUPING_CASES)
+    def test_group_by_overlap_matches_reference(self, proposals, threshold, joints):
+        rescored = [rescore(p) for p in proposals]
+        got = group_by_overlap(rescored, threshold, joints)
+        assert [ids(rescored, g) for g in got] == reference_groups(rescored, threshold, joints)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**GROUPING_CASES)
+    def test_ppi_matches_reference(self, proposals, threshold, joints):
+        params = PpiParams(iou_threshold=threshold, overlap_joints=joints)
+        rescored = [rescore(p, params.sigma_b) for p in proposals]
+        groups = reference_groups(rescored, threshold, joints)
+        assert_ppi_matches(ppi(proposals, params),
+                           composed_ppi_oracle(rescored, groups, params.t3d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**GROUPING_CASES)
+    def test_nms_matches_reference(self, proposals, threshold, joints):
+        params = PpiParams(iou_threshold=threshold, overlap_joints=joints)
+        rescored = [rescore(p, params.sigma_b) for p in proposals]
+        groups = reference_groups(rescored, threshold, joints)
+        assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
+
+    def test_touching_edges_split_above_threshold_zero(self):
+        c3d = np.zeros((13, 3))
+        a, b = (PoseProposal(0, BoundingBox(x, 0, x + 10, 10),
+                             Pose2D(np.linspace([x, 0], [x + 10, 10], 13)), Pose3D(c3d), 0.5)
+                for x in (0.0, 10.0))
+        a, b = rescore(a), rescore(b)
+        assert group_by_overlap([a, b], 1e-9) == [[a], [b]]
+        assert group_by_overlap([b, a], 1e-9) == [[b], [a]]  # ties: lower position first
+        assert group_by_overlap([a, b], 0.0) == [[a, b]]
 
 
 @st.composite
@@ -684,3 +832,55 @@ class TestBucketedAverage:
             assert det.score == score
             assert np.array_equal(det.pose2d.coords, mean2d)
             assert np.array_equal(det.pose3d.coords, mean3d)
+
+
+def assert_same(got, want):
+    """got equals want bit for bit: type, attribute layout, and every field,
+    arrays by dtype, shape and bytes."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    elif is_dataclass(want):
+        assert list(vars(got)) == list(vars(want))
+        for f in fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want
+
+
+class TestBuiltDetections:
+    """Detections are built without their constructors; they must not differ."""
+
+    @pytest.mark.parametrize("integrate", [ppi, nms])
+    def test_equal_public_constructions(self, integrate):
+        rng = np.random.default_rng(27)
+        proposals = crowd_proposals(rng, 3, 12)
+        dets = integrate(proposals, PpiParams())
+        assert dets
+        for d in dets:
+            assert_same(d, Detection(Pose2D(d.pose2d.coords), Pose3D(d.pose3d.coords),
+                                     d.score, d.member_count, d.unweighted))
+            with pytest.raises(FrozenInstanceError):
+                d.score = 0.0
+            with pytest.raises(FrozenInstanceError):
+                d.pose2d.coords = np.zeros((13, 2))
+            for arr in (d.pose2d.coords, d.pose2d.visibility, d.pose3d.coords):
+                assert not arr.flags.writeable
+
+    def test_ppi_means_share_no_memory_with_proposals(self):
+        rng = np.random.default_rng(28)
+        proposals = crowd_proposals(rng, 2, 8)
+        for d in ppi(proposals, PpiParams()):
+            for p in proposals:
+                assert not np.shares_memory(d.pose2d.coords, p.pose2d.coords)
+                assert not np.shares_memory(d.pose3d.coords, p.pose3d.coords)
+
+    def test_overflowing_mean_rejected(self):
+        # two zero-score copies: the unweighted mean adds 1.5e308 twice, which
+        # numpy reports as an overflow before ppi rejects the inf it gives
+        coords = np.linspace([1.5e308, 0.0], [1.5e308 + 1e300, 10.0], 13)
+        twins = [PoseProposal(0, BoundingBox(1.4e308, -1, 1.6e308, 11), Pose2D(coords),
+                              Pose3D(np.zeros((13, 3))), 0.0) for _ in range(2)]
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="visible joints must have finite coordinates"):
+            ppi(twins, PpiParams(iou_threshold=0.0))
