@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from poseforge.anchors import AnchorSet
-# iou is no longer called here: assign_label repeats its arithmetic, in
-# the same operation order, on a stack of ground-truth boxes. The name
-# stays in this module because perfbench/tracing.py counts the calls made
-# through poseforge.labeling.iou and patches that attribute.
+# iou is not called here (assign_label calls its kernel); perfbench/tracing.py
+# counts calls through poseforge.labeling.iou.
 from poseforge.pose import (  # noqa: F401
     DEFAULT_BOX_MARGIN,
     AnchorPose,
@@ -28,6 +26,7 @@ from poseforge.pose import (  # noqa: F401
     check_iou_threshold,
     d3d_kernel,
     iou,
+    iou_kernel,
     margin_boxes,
     normalize_to_box,
 )
@@ -99,14 +98,7 @@ def assign_label(
 
     gt_boxes = margin_boxes(np.array([p2.coords for p2, _ in gts]),
                             np.array([p2.visibility for p2, _ in gts]), margin_fraction)
-    # one IoU row in pose.iou's operation order, box first
-    iw = np.minimum(box.x_max, gt_boxes[:, 2]) - np.maximum(box.x_min, gt_boxes[:, 0])
-    ih = np.minimum(box.y_max, gt_boxes[:, 3]) - np.maximum(box.y_min, gt_boxes[:, 1])
-    hit = (iw > 0.0) & (ih > 0.0)
-    inter = iw[hit] * ih[hit]
-    gt_area = (gt_boxes[hit, 2] - gt_boxes[hit, 0]) * (gt_boxes[hit, 3] - gt_boxes[hit, 1])
-    overlaps = np.zeros(len(gts))
-    overlaps[hit] = inter / (box.area + gt_area - inter)
+    overlaps = iou_kernel(np.array(box.as_tuple()), gt_boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < iou_threshold:
         return LabeledBox(box, BACKGROUND)

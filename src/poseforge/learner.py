@@ -34,6 +34,8 @@ class TrainConfig:
     two_pass: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.iterations, (int, np.integer)) or isinstance(self.iterations, bool):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("learning_rate", "decay_factor"):
@@ -199,6 +201,9 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
     return probs[0], v[0]
 
 
+# a non-finite weight gives outputs that the checks reject, so numpy's warnings
+# would only repeat the ValueError (a decorator costs half what a with-block does)
+@np.errstate(over="ignore", invalid="ignore")
 def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             anchors: AnchorSet) -> list[PoseProposal]:
     """One scored PoseProposal per non-background class.

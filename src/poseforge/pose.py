@@ -120,14 +120,11 @@ H17 = PoseSpec(
     lower_body_joints=(7, 8, 9, 10, 11, 12),
 )
 
-def _coords_array(coords, width, stacked=False) -> np.ndarray:
-    """Read-only float64 copy of (J, width) coordinates, or of an (N, J,
-    width) stack of them; a bad row shape gets the single pose's message."""
+def _coords_array(coords, width) -> np.ndarray:
+    """Read-only float64 copy of (J, width) coordinates."""
     arr = np.array(coords, dtype=np.float64, copy=True)
-    ndim = 3 if stacked else 2
-    if arr.ndim != ndim or arr.shape[-1] != width:
-        shape = arr.shape[1:] if stacked else arr.shape
-        raise ValueError(f"expected (J, {width}) coordinates, got shape {shape}")
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"expected (J, {width}) coordinates, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -211,29 +208,6 @@ def _check_finite(coords: np.ndarray) -> None:
     if not np.isfinite(coords).all():
         raise ValueError("visible joints must have finite coordinates" if coords.shape[-1] == 2
                          else "3D coordinates must be finite")
-
-
-def poses2d(stack) -> list[Pose2D]:
-    """One all-visible Pose2D per row of an (N, J, 2) coordinate stack.
-
-    The stack is copied once, since the caller keeps it; the copy is
-    made read-only and checked once, with Pose2D's own messages. Each
-    pose holds a read-only row view of the copy, and all of them share
-    one read-only visibility array.
-    """
-    coords = _coords_array(stack, 2, stacked=True)
-    _check_finite(coords)
-    vis = _all_visible(coords.shape[1])
-    build = _frozen(Pose2D)
-    return [build(row, vis) for row in coords]
-
-
-def poses3d(stack) -> list[Pose3D]:
-    """One Pose3D per row of an (N, J, 3) coordinate stack; see poses2d."""
-    coords = _coords_array(stack, 3, stacked=True)
-    _check_finite(coords)
-    build = _frozen(Pose3D)
-    return [build(row) for row in coords]
 
 
 @dataclass(frozen=True)
@@ -320,6 +294,22 @@ def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc.mean(axis=-1)
 
 
+def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of box stacks a and b, (..., 4) rows (x_min, y_min, x_max,
+    y_max) that broadcast against each other; the last axis is dropped.
+
+    The union adds a's area to b's, then subtracts the intersection.
+    Disjoint boxes get 0, and so do boxes whose two areas underflow to 0.
+    """
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    hit = np.minimum(iw, ih) > 0.0
+    inter = np.multiply(iw, ih, out=np.zeros(hit.shape), where=hit)
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    return np.divide(inter, union, out=np.zeros(hit.shape), where=union > 0.0)
+
+
 def d3d(p: Pose3D, q: Pose3D) -> float:
     """Mean per-joint Euclidean distance between torso-centered 3D poses."""
     if p.coords.shape != q.coords.shape:
@@ -381,13 +371,8 @@ def box_around(pose: Pose2D, margin_fraction: float = DEFAULT_BOX_MARGIN) -> Bou
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    """Intersection over union of two boxes; see iou_kernel."""
+    return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
 
 
 def check_iou_threshold(iou_threshold: float) -> None:

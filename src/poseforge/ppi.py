@@ -10,14 +10,15 @@ poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
 proposals once; the public per-list functions stack their input and call
 the same private helpers, so each piece of math has one implementation.
 
-Grouping and mode extraction advance in lock-step rounds rather than one
-Python iteration per group or mode. Grouping first splits the joint
-boxes into blocks along x: sorted by x_min, a box opens a new block
-where its x_min reaches the largest x_max before it. Boxes of different
-blocks have IoU 0, so they never group while iou_threshold > 0, and each
-round seeds every block at once. At iou_threshold 0 every IoU passes, the
-first seed takes all, and the input is one block. Detections are checked
-once per stack and built without a per-object copy or check.
+Grouping and mode extraction apply one greedy rule, _seed_rounds: the
+best free proposal seeds a cluster and takes every free proposal close
+to it, by joint-box IoU >= iou_threshold for groups and d3d < t3d for
+modes. It runs in lock-step rounds over parts that cannot share a
+cluster: the groups for modes, and for grouping blocks along x. Sorted
+by x_min, a box opens a new block where its x_min reaches the largest
+x_max before it, so boxes of different blocks have IoU 0; at
+iou_threshold 0 the input is one block. Detections are checked once per
+stack and built without a per-object copy or check.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# d3d and iou are no longer called here: _modes calls pose.d3d_kernel and
-# _group repeats iou's arithmetic, in the same operation order, on stacks.
-# The names stay in this module because perfbench/tracing.py counts the
-# calls made through poseforge.ppi.d3d and poseforge.ppi.iou and patches
-# both attributes.
+# d3d and iou are not called here (_modes and _group call their kernels);
+# perfbench/tracing.py counts calls through poseforge.ppi.d3d and .iou.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
-from poseforge.pose import _all_visible, _check_finite, _frozen, check_iou_threshold
+from poseforge.pose import _all_visible, _check_finite, _frozen, check_iou_threshold, iou_kernel
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -94,6 +92,8 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) -> None:
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in joints):
+        raise ValueError(f"overlap_joints {joints} must hold int joint indices")
     if not joints or not 0 <= min(joints) <= max(joints) < joint_count:
         raise ValueError(f"overlap_joints {joints} must be non-empty joint indices "
                          f"in [0, {joint_count})")
@@ -154,107 +154,89 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
 
 
 def _overlap_boxes(planes: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
-    """(4, N) tight joint boxes, rows x_min, y_min, x_max and y_max, of 2D
-    pose planes (2, J, N); see overlap_box."""
+    """(N, 4) tight joint boxes (x_min, y_min, x_max, y_max) of 2D pose
+    planes (2, J, N); see overlap_box."""
     if joints is not None:
         _check_overlap_joints(joints, planes.shape[1])
     pts = planes if joints is None else planes[:, list(joints)]
-    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    lo, hi = pts.min(axis=1).T, pts.max(axis=1).T
     flat = hi <= lo
-    return np.concatenate([np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)])
+    return np.concatenate([np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)], axis=1)
 
 
-def _group(boxes: np.ndarray, rescored: np.ndarray,
-           iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy overlap groups of boxes (4, N), as _overlap_boxes gives
-    them, with rescored scores (N,).
+def _seed_rounds(part: np.ndarray, rescored: np.ndarray, close) -> np.ndarray:
+    """Each item's seed (N,) by the greedy rule, run in every part (N,).
 
-    Seeds come by descending score, then lower index; each takes itself
-    and every still-free box whose IoU with it is >= iou_threshold, so
-    the groups partition the input. Returns each box's group number (N,)
-    and each group's seed (G,), the groups numbered in seed order.
-
-    The boxes are split into blocks along x (see the module docstring);
-    at iou_threshold 0 they form one block. The blocks advance in
-    lock-step rounds: in each, every block that still has free boxes
-    seeds a group with the next of them by the seed rule, and one IoU
-    computation covers every (seed, free box of its block) pair. Once a
-    single block is left, its seed's bounds broadcast instead: chains of
-    overlapping x-extents can join most of an image into one block, and
-    a round then costs what one seed's IoU row cost before blocks. The
-    IoU repeats pose.iou's operations in their order. Where both
-    joint-box areas underflow to 0 the union is 0 too, and the IoU
-    counts as 0 rather than 0/0; the seed still joins its own group.
+    Each round, every part with free items seeds a cluster with the first
+    by descending rescored score, then lower index, which takes itself
+    and the free items of its part that close(seed, free) marks. seed and
+    free are equal-length index arrays, or seed is one index once a
+    single part is left.
     """
-    n = len(rescored)
-    x0, y0, x1, y1 = boxes
-    block = np.zeros(n, dtype=np.intp)
-    if iou_threshold > 0.0:
-        xs = np.argsort(x0, kind="stable")
-        reach = np.maximum.accumulate(x1[xs])
-        block[xs[1:]] = np.cumsum(x0[xs[1:]] >= reach[:-1])
-    # one row per box, bounds and area, so that a round gathers each side once
-    rows = np.stack([x0, y0, x1, y1, (x1 - x0) * (y1 - y0)], axis=1)
-    ranked = np.lexsort((np.arange(n), -rescored))  # the seed rule over all boxes
-    order = ranked[np.argsort(block[ranked], kind="stable")]  # free boxes, by block
+    n = len(part)
+    order = np.lexsort((np.arange(n), -rescored, part))  # free items, by part, then rank
     seed_of = np.empty(n, dtype=np.intp)
     while len(order):
-        if block[order[0]] == block[order[-1]]:
-            pair = order[0]
+        if part[order[0]] == part[order[-1]]:
+            seed = order[0]
         else:
-            b = block[order]
-            first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-            pair = np.repeat(order[first], np.diff(np.append(first, len(order))))
-        box, seed = rows[order], rows[pair]
-        iw = np.minimum(box[:, 2], seed[..., 2]) - np.maximum(box[:, 0], seed[..., 0])
-        ih = np.minimum(box[:, 3], seed[..., 3]) - np.maximum(box[:, 1], seed[..., 1])
-        hit = (iw > 0.0) & (ih > 0.0)
-        inter = np.multiply(iw, ih, out=np.zeros(len(order)), where=hit)
-        union = box[:, 4] + seed[..., 4] - inter
-        overlap = np.divide(inter, union, out=np.zeros(len(order)), where=hit & (union > 0.0))
-        taken = (overlap >= iou_threshold) | (pair == order)
-        seed_of[order[taken]] = pair if np.ndim(pair) == 0 else pair[taken]
+            p = part[order]
+            first = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+            seed = np.repeat(order[first], np.diff(np.append(first, len(order))))
+        taken = close(seed, order) | (seed == order)
+        seed_of[order[taken]] = seed if np.ndim(seed) == 0 else seed[taken]
         order = order[~taken]
-    seeds = ranked[seed_of[ranked] == ranked]
-    number = np.empty(n, dtype=np.intp)
+    return seed_of
+
+
+def _numbered(seed_of: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's cluster number (N,) and the seeds (C,) in cluster order:
+    by keys (N,), the last one first as in np.lexsort, then by index."""
+    seeds = np.flatnonzero(seed_of == np.arange(len(seed_of)))
+    seeds = seeds[np.lexsort((seeds,) + tuple(key[seeds] for key in keys))]
+    number = np.empty(len(seed_of), dtype=np.intp)
     number[seeds] = np.arange(len(seeds))
     return number[seed_of], seeds
 
 
+def _group(boxes: np.ndarray, rescored: np.ndarray,
+           iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy overlap groups of boxes (N, 4) from _overlap_boxes: each
+    box's group number (N,) and each group's seed (G,), in seed order.
+    The parts of _seed_rounds are blocks along x (see the module
+    docstring), and close is pose.iou_kernel >= iou_threshold."""
+    block = np.zeros(len(rescored), dtype=np.intp)
+    if iou_threshold > 0.0:
+        xs = np.argsort(boxes[:, 0], kind="stable")
+        reach = np.maximum.accumulate(boxes[xs, 2])
+        block[xs[1:]] = np.cumsum(boxes[xs[1:], 0] >= reach[:-1])
+    seed_of = _seed_rounds(
+        block, rescored, lambda seed, free: iou_kernel(boxes[seed], boxes[free]) >= iou_threshold)
+    return _numbered(seed_of, -rescored)
+
+
 def _modes(c3d: np.ndarray, rescored: np.ndarray, gid: np.ndarray,
            t3d: float) -> tuple[np.ndarray, np.ndarray]:
-    """3D modes of every overlap group of poses (N, J, 3) at once.
+    """3D modes of the overlap groups gid (N,) of poses (N, J, 3), the
+    parts of _seed_rounds, with close = pose.d3d_kernel < t3d.
 
-    gid (N,) numbers each pose's group. The groups advance in lock-step
-    rounds: in each, every group that still has free poses seeds a mode
-    with the next of them by descending score, then lower index, and one
-    pose.d3d_kernel call covers every (seed, free pose of its group)
-    pair. Returns the modes' member indices concatenated in (group,
-    round) order, each mode listing its seed first and then its members
-    in input order, and each mode's size.
+    Returns the member indices, mode by mode in (group, round) order,
+    each seed first and then the rest in input order, and each mode's
+    size. A group's later seeds rank below its earlier ones, so its
+    modes sorted by seed rank are in round order.
     """
-    n = len(gid)
-    index = np.arange(n)
     # contiguous joint rows, so the kernel's joint mean adds as pose.d3d's does
     planes = np.ascontiguousarray(c3d.transpose(2, 0, 1))
-    order = np.lexsort((index, -rescored, gid))  # free poses, by group, then seed rule
-    rounds = np.empty(n, dtype=np.intp)
-    is_seed = np.zeros(n, dtype=bool)
-    r = 0
-    while len(order):
-        g = gid[order]
-        first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-        seeds = order[first]
-        pair = np.repeat(seeds, np.diff(np.append(first, len(order))))
-        hit = (d3d_kernel(planes[:, pair], planes[:, order]) < t3d) | (pair == order)
-        rounds[order[hit]] = r
-        is_seed[seeds] = True
-        order = order[~hit]
-        r += 1
-    members = np.lexsort((index, ~is_seed, rounds, gid))
-    return members, np.diff(np.append(np.flatnonzero(is_seed[members]), n))
+    seed_of = _seed_rounds(
+        gid, rescored, lambda seed, free: d3d_kernel(planes[:, seed], planes[:, free]) < t3d)
+    mode, _ = _numbered(seed_of, -rescored, gid)
+    members = np.argsort(2 * mode + (seed_of != np.arange(len(gid))), kind="stable")
+    return members, np.bincount(mode)
 
 
+# a mean that overflows is rejected below, so numpy's warning would only
+# repeat the ValueError
+@np.errstate(over="ignore", invalid="ignore")
 def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray,
              members: np.ndarray, sizes: np.ndarray) -> list[Detection]:
     """One Detection per mode (members, sizes as _modes gives them); see
@@ -321,7 +303,7 @@ def overlap_box(pose2d: Pose2D, joints: tuple[int, ...] | None = None) -> Boundi
     fully regressed poses); a zero extent is padded by 1e-6 px so the
     box stays valid and such a proposal simply groups alone.
     """
-    return BoundingBox(*_overlap_boxes(_planes(pose2d.coords[None]), joints)[:, 0])
+    return BoundingBox(*_overlap_boxes(_planes(pose2d.coords[None]), joints)[0])
 
 
 def group_by_overlap(

@@ -298,6 +298,7 @@ class TestSlotTrainer:
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("iterations", -1, "iterations must be >= 0"),
+        ("iterations", 2.5, "iterations must be an integer, got 2.5"),
         ("learning_rate", np.nan, "learning_rate must be finite and above 0"),
         ("learning_rate", np.inf, "learning_rate must be finite and above 0"),
         ("learning_rate", 0.0, "learning_rate must be finite and above 0"),
@@ -453,8 +454,7 @@ class TestPredict:
         examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
         getattr(model.head, weight)[0, column] = np.inf
-        # softmax's inf - inf warns before predict rejects the NaN it gives
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message):
             predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
     def test_anchor_set_larger_than_model_rejected(self):

@@ -321,6 +321,8 @@ class TestParameterValidation:
         ("overlap_joints", (), r"overlap_joints \(\) must be non-empty joint indices"),
         ("overlap_joints", (-1,), r"overlap_joints \(-1,\) must be non-empty joint "
                                   r"indices in \[0, inf\)"),
+        ("overlap_joints", (1.5,), r"overlap_joints \(1.5,\) must hold int joint indices"),
+        ("overlap_joints", (True,), r"overlap_joints \(True,\) must hold int joint indices"),
     ])
     def test_params_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -742,15 +744,22 @@ def multi_group_images(draw):
     included. 3D poses are copies of a few bases shifted along x by
     multiples of 1/16 m, so d3d falls exactly on t3d = 0.125 for some
     pairs; scores come from a set of five, so equal scores are common.
+    Some images are one group of up to 60 poses with shifts of up to
+    1/2 m, so that the group splits into many modes and _modes takes its
+    single-group path from the first round.
     """
-    sizes = [draw(st.integers(1, 40))] + draw(st.lists(st.integers(1, 4), max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        sizes, shifts = [draw(st.integers(20, 60))], 9
+    else:
+        sizes = [draw(st.integers(1, 40))] + draw(st.lists(st.integers(1, 4), max_size=12))
+        shifts = 4
     gid = np.repeat(np.arange(len(sizes)), sizes)
     gid = gid[draw(st.permutations(range(len(gid))))]
     n = len(gid)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bases = np.round(rng.normal(0.0, 0.3, (3, 13, 3)) * 64) / 64  # shifts add exactly
     c3d = bases[rng.integers(3, size=n)]
-    c3d[:, :, 0] += rng.integers(-3, 4, size=(n, 1)) / 16
+    c3d[:, :, 0] += rng.integers(1 - shifts, shifts, size=(n, 1)) / 16
     jitter = rng.random(n) < 0.3
     c3d[jitter] += rng.normal(0.0, 0.05, (int(jitter.sum()), 13, 3))
     scores = rng.choice([0.0, 0.2, 0.5, 0.5, 0.9], size=n)
@@ -877,10 +886,9 @@ class TestBuiltDetections:
 
     def test_overflowing_mean_rejected(self):
         # two zero-score copies: the unweighted mean adds 1.5e308 twice, which
-        # numpy reports as an overflow before ppi rejects the inf it gives
+        # overflows to the inf that ppi rejects
         coords = np.linspace([1.5e308, 0.0], [1.5e308 + 1e300, 10.0], 13)
         twins = [PoseProposal(0, BoundingBox(1.4e308, -1, 1.6e308, 11), Pose2D(coords),
                               Pose3D(np.zeros((13, 3))), 0.0) for _ in range(2)]
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="visible joints must have finite coordinates"):
+        with pytest.raises(ValueError, match="visible joints must have finite coordinates"):
             ppi(twins, PpiParams(iou_threshold=0.0))
