@@ -101,6 +101,35 @@ class TestPoseTypes:
         with pytest.raises(ValueError, match=message):
             cls(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cls, width, message", [
+        (Pose2D, 2, "visible joints must have finite coordinates"),
+        (Pose3D, 3, "3D coordinates must be finite"),
+    ])
+    def test_non_finite_rejected(self, bad, cls, width, message):
+        coords = np.zeros((13, width))
+        coords[5, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            cls(coords)
+
+    @pytest.mark.parametrize("cls, width", [(Pose2D, 2), (Pose3D, 3)])
+    def test_coords_are_read_only_copy(self, cls, width):
+        coords = np.random.default_rng(3).normal(0.0, 1.0, (13, width))
+        pose = cls(coords)
+        assert np.array_equal(pose.coords, coords)
+        with pytest.raises(ValueError, match="read-only"):
+            pose.coords[0, 0] = 1.0
+        coords[:] = 7.0  # the pose holds a copy
+        assert (pose.coords != 7.0).all()
+
+    def test_pose2d_visibility_is_read_only_copy(self):
+        vis = np.ones(13, dtype=bool)
+        pose = Pose2D(np.zeros((13, 2)), vis)
+        vis[0] = False  # the pose holds a copy
+        assert pose.visibility.all()
+        with pytest.raises(ValueError, match="read-only"):
+            pose.visibility[0] = False
+
 
 class TestD3d:
     def test_identity_is_zero(self):
