@@ -3,13 +3,14 @@
 Clustering assigns points to centroids under the mean-per-joint distance
 (d3d) and updates centroids with the coordinate-wise mean, seeded
 k-means++ style, so results are deterministic given (poses, K, seed).
-d3d is a metric, so the Lloyd iterations skip the points that the
-triangle inequality proves cannot change centroid (Hamerly's bounds);
-the assignments, centroids and distortions are those of plain Lloyd
-iterations. Each anchor's canonical 2D layout is the per-joint mean of
-its members' finite 2D coordinates after normalization into their own
-margin boxes; it lives in unit-box coordinates and is placed into
-candidate boxes at use time.
+d3d is a metric, so each point keeps a lower bound on its distance to
+every centroid (Elkan's bounds), and the Lloyd iterations evaluate only
+the point-centroid pairs whose bound does not prove them farther than
+the point's own centroid; the assignments, centroids and distortions
+are those of plain Lloyd iterations. Each anchor's canonical 2D layout
+is the per-joint mean of its members' finite 2D coordinates after
+normalization into their own margin boxes; it lives in unit-box
+coordinates and is placed into candidate boxes at use time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from poseforge.pose import (
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOL = 1e-6  # meters of centroid shift
 # Relative slack on the pruning test, far above the rounding of d3d and
-# of the bound updates, so a pruned point is one whose assigned centroid
-# is strictly the nearest.
+# of the bound updates, so a pruned (point, centroid) pair is strictly
+# farther apart than the point and its assigned centroid.
 PRUNE_SLACK = 1e-9
 
 
@@ -74,8 +75,9 @@ class AnchorSet:
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ init: next centroid drawn with prob ~ squared d3d."""
     n = coords.shape[0]
+    planes = np.ascontiguousarray(coords.transpose(2, 0, 1))  # (3, N, J)
     chosen = [int(rng.integers(n))]
-    dist = d3d_matrix(coords, coords[chosen]).min(axis=1)
+    dist = d3d_kernel(planes, planes[:, chosen])
     while len(chosen) < k:
         weights = dist ** 2
         total = weights.sum()
@@ -85,19 +87,28 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:  # all remaining points coincide with a centroid
             idx = int(rng.choice(n))
         chosen.append(idx)
-        dist = np.minimum(dist, d3d_matrix(coords, coords[[idx]])[:, 0])
+        dist = np.minimum(dist, d3d_kernel(planes, planes[:, [idx]]))
     return coords[chosen].copy()
 
 
-def _nearest(coords: np.ndarray, centroids: np.ndarray):
-    """Full assignment rows: nearest centroid (ties to the lowest index),
-    its distance, and the distance to the second nearest (inf if k = 1)."""
-    dist = d3d_matrix(coords, centroids)
-    rows = np.arange(len(dist))
-    assign = dist.argmin(axis=1)
-    near = dist[rows, assign]
-    dist[rows, assign] = np.inf
-    return assign, near, dist.min(axis=1)
+def _pair_d3d(planes: np.ndarray, cplanes: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray, chunk: int) -> np.ndarray:
+    """d3d of point rows[i] (planes (3, N, J)) to centroid cols[i]
+    (cplanes (3, k, J)), chunk pairs at a time to bound the temporaries."""
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        end = start + chunk
+        out[start:end] = d3d_kernel(np.take(planes, rows[start:end], axis=1),
+                                    np.take(cplanes, cols[start:end], axis=1))
+    return out
+
+
+def _clusters(x: np.ndarray, assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """The rows of x (N, ...) of each of the k clusters, in input order, as
+    contiguous slices of one gathered copy. The stable sort of the smallest
+    unsigned dtype is a radix sort."""
+    order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+    return np.split(np.take(x, order, axis=0), np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
 def _unit_layouts(poses, margin_fraction: float) -> np.ndarray:
@@ -122,11 +133,11 @@ def kmeans_anchors(
     Args:
         poses: (pose2d, pose3d) pairs; 3D poses must be torso-centered.
             Invisible 2D joints may be NaN.
-        k: number of clusters; requires len(poses) >= k >= 1.
+        k: number of clusters, an int; requires len(poses) >= k >= 1.
         spec: joint layout of the poses.
         seed: RNG seed for the k-means++ initialization.
-        max_iters, tol: stop after max_iters or when the largest centroid
-            shift (in d3d) falls below tol.
+        max_iters, tol: stop after max_iters (an int >= 0) or when the
+            largest centroid shift (in d3d) falls below tol (finite, >= 0).
         margin_fraction: box margin used when normalizing member 2D poses
             for the canonical layouts.
 
@@ -135,12 +146,18 @@ def kmeans_anchors(
         sum of squared d3d to assigned centroids after each assignment.
 
     Raises:
-        ValueError: besides bad k or joint counts, when a member's visible
-            joints cannot anchor a box (see pose.box_around), or when a
-            joint coordinate is non-finite in every member of an anchor.
+        ValueError: besides bad k, max_iters, tol or joint counts, when a
+            member's visible joints cannot anchor a box (see
+            pose.box_around), or when a joint coordinate is non-finite in
+            every member of an anchor.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    for name, value, least in (("k", k, 1), ("max_iters", max_iters, 0)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if len(poses) < k:
         raise ValueError(f"need at least k={k} poses, got {len(poses)}")
     coords3d = np.stack([p3.coords for _, p3 in poses])
@@ -151,44 +168,58 @@ def kmeans_anchors(
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(coords3d, k, rng)
     planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))  # (3, N, J)
+    rows = np.arange(len(poses))
     # Per point: its centroid, the exact distance u to it, and a lower
-    # bound on the distance to every other centroid.
-    assign, u, low = _nearest(coords3d, centroids)
+    # bound on its distance to each centroid, exact after this first
+    # full assignment.
+    low = d3d_matrix(coords3d, centroids)
+    assign = low.argmin(axis=1)
+    u = low[rows, assign]
     history = [float((u ** 2).sum())]
     for _ in range(max_iters):
+        clusters = _clusters(coords3d, assign, k)
         new_centroids = centroids.copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                new_centroids[c] = coords3d[members].mean(axis=0)
+        for c, members in enumerate(clusters):
+            if len(members):
+                new_centroids[c] = members.mean(axis=0)
         # reseed empty clusters from the point farthest from its centroid
-        empty = [c for c in range(k) if not (assign == c).any()]
+        empty = [c for c, members in enumerate(clusters) if not len(members)]
         if empty:
-            point_dist = d3d_kernel(planes, new_centroids.transpose(2, 0, 1)[:, assign])
+            point_dist = d3d_kernel(planes, np.take(new_centroids.transpose(2, 0, 1),
+                                                    assign, axis=1))
             for c in empty:
                 far = int(point_dist.argmax())
                 new_centroids[c] = coords3d[far]
                 point_dist[far] = -1.0
 
-        shift = d3d_kernel(new_centroids.transpose(2, 0, 1),
-                           centroids.transpose(2, 0, 1)).max()
+        shifts = d3d_kernel(new_centroids.transpose(2, 0, 1), centroids.transpose(2, 0, 1))
         centroids = new_centroids
+        cplanes = np.ascontiguousarray(centroids.transpose(2, 0, 1))  # (3, k, J)
 
-        # assignment step: u is exact again, low drops by the largest
-        # shift; only points whose bound does not clear u get a full row
-        u = d3d_kernel(planes, centroids.transpose(2, 0, 1)[:, assign])
-        if k > 1:  # with one centroid low stays inf, and inf - inf would be NaN
-            low -= shift
-            stale = np.flatnonzero(~(u < low - PRUNE_SLACK * (np.abs(low) + u + 1.0)))
-            if len(stale):
-                assign[stale], u[stale], low[stale] = _nearest(coords3d[stale], centroids)
+        # assignment step: u is exact again and each bound drops by its
+        # centroid's shift; only the pairs whose bound does not clear u
+        # are evaluated, and only their rows can change centroid
+        u = d3d_kernel(planes, np.take(cplanes, assign, axis=1))
+        low -= shifts
+        # not u < low - PRUNE_SLACK * (|low| + u + 1), rearranged; both
+        # forms keep every pair whose bound is negative
+        candidate = ~((1.0 + PRUNE_SLACK) * u[:, None] + PRUNE_SLACK
+                      < (1.0 - PRUNE_SLACK) * low)
+        low[rows, assign] = u
+        candidate[rows, assign] = False
+        pts, cols = np.divmod(np.flatnonzero(candidate), k)
+        if len(pts):
+            # in chunks of d3d_matrix's default 256-row blocks
+            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, 256 * k)
+            moved = np.unique(pts)
+            assign[moved] = low[moved].argmin(axis=1)
+            u[moved] = low[moved, assign[moved]]
         history.append(float((u ** 2).sum()))
-        if shift < tol:
+        if shifts.max() < tol:
             break
 
     anchors = []
-    for c in range(k):
-        layouts = unit_layouts[assign == c]
+    for c, layouts in enumerate(_clusters(unit_layouts, assign, k)):
         finite = np.isfinite(layouts)
         count = finite.sum(axis=0)
         if not count.all():

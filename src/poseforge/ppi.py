@@ -23,6 +23,7 @@ stack and built without a per-object copy or check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +93,8 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) -> None:
+    if not isinstance(joints, Sequence):
+        raise ValueError(f"overlap_joints {joints!r} must be a sequence of joint indices")
     if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in joints):
         raise ValueError(f"overlap_joints {joints} must hold int joint indices")
     if not joints or not 0 <= min(joints) <= max(joints) < joint_count:
@@ -149,7 +152,8 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
     b = boxes.T[:, None]
     gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
     d = np.hypot(gap[0], gap[1])
-    factors = np.exp(-(d * d) / (sigma_b * sigma_b))
+    with np.errstate(over="ignore"):  # d * d = inf gives the factor exp(-inf) = 0
+        factors = np.exp(-(d * d) / (sigma_b * sigma_b))
     return scores * np.ascontiguousarray(factors.T).mean(axis=1)
 
 
@@ -227,8 +231,8 @@ def _modes(c3d: np.ndarray, rescored: np.ndarray, gid: np.ndarray,
     """
     # contiguous joint rows, so the kernel's joint mean adds as pose.d3d's does
     planes = np.ascontiguousarray(c3d.transpose(2, 0, 1))
-    seed_of = _seed_rounds(
-        gid, rescored, lambda seed, free: d3d_kernel(planes[:, seed], planes[:, free]) < t3d)
+    seed_of = _seed_rounds(gid, rescored, lambda seed, free: d3d_kernel(
+        np.take(planes, seed, axis=1), np.take(planes, free, axis=1)) < t3d)
     mode, _ = _numbered(seed_of, -rescored, gid)
     members = np.argsort(2 * mode + (seed_of != np.arange(len(gid))), kind="stable")
     return members, np.bincount(mode)

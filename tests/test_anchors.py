@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,24 +172,47 @@ class TestKmeansMatchesLloydOracle:
                                     max_iters=max_iters)
         assert len(out.distortion_history) == max_iters + 1
 
-    def test_pruning_skips_most_full_rows(self, monkeypatch):
-        # full rows go through the module-level d3d_matrix, which the
-        # benchmark's tracer also wraps to count pairs
+    def test_continuum_corpus_at_benchmark_scale(self):
+        # no modes to settle into: the bounds decay the most, over 63 iterations
+        rng = np.random.default_rng(20)
+        out = assert_matches_oracle(random_corpus(rng, 2000), 16, seed=6)
+        assert len(out.distortion_history) > 50
+
+    def test_pruning_skips_most_pairs(self, monkeypatch):
+        # after the first full assignment, every (point, centroid) distance
+        # besides each point's own goes through the module-level _pair_d3d
         rng = np.random.default_rng(12)
         poses = clustered_corpus(rng, 600, 30, 0.2)
-        rows = []
-        original = anchors_module.d3d_matrix
+        pairs, full = [], []
+        pair_d3d, d3d_matrix = anchors_module._pair_d3d, anchors_module.d3d_matrix
 
-        def counting(a, b, *rest):
-            if len(b) == 8:  # not a k-means++ init column
-                rows.append(len(a))
-            return original(a, b, *rest)
+        def counting_pairs(planes, cplanes, rows, cols, chunk):
+            pairs.append(len(rows))
+            return pair_d3d(planes, cplanes, rows, cols, chunk)
 
-        monkeypatch.setattr(anchors_module, "d3d_matrix", counting)
+        def counting_full(a, b, *rest):
+            full.append(len(a) * len(b))
+            return d3d_matrix(a, b, *rest)
+
+        monkeypatch.setattr(anchors_module, "_pair_d3d", counting_pairs)
+        monkeypatch.setattr(anchors_module, "d3d_matrix", counting_full)
         out = kmeans_anchors(poses, 8, H13, seed=3)
-        assert len(out.distortion_history) > 10
-        assert rows[0] == 600  # the first assignment is a full matrix
-        assert sum(rows) < 0.5 * 600 * len(out.distortion_history)
+        iterations = len(out.distortion_history) - 1
+        assert iterations > 10
+        assert full == [600 * 8]  # only the first assignment is a full matrix
+        assert 0 < sum(pairs) < 0.2 * 600 * 8 * iterations
+
+    def test_candidate_pairs_are_chunked(self):
+        # a fit_heavy-sized call: on this corpus, evaluating all candidate
+        # pairs at once peaks near 76 MB, and in chunks near 13.4 MB
+        poses = random_corpus(np.random.default_rng(30), 6000)
+        tracemalloc.start()
+        try:
+            kmeans_anchors(poses, 16, H13, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def nan_coded_corpus(rng, n, hidden_share):
@@ -302,6 +327,30 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             kmeans_anchors(random_corpus(rng, 3), 5, H13)
+
+    @pytest.mark.parametrize("arg,value,message", [
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", True, "k must be an integer, got True"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("max_iters", True, "max_iters must be an integer, got True"),
+        ("max_iters", -1, "max_iters must be >= 0, got -1"),
+        ("tol", float("nan"), "tol must be finite and >= 0, got nan"),
+        ("tol", float("inf"), "tol must be finite and >= 0, got inf"),
+        ("tol", -1e-6, "tol must be finite and >= 0, got -1e-06"),
+    ])
+    def test_bad_arguments_rejected(self, arg, value, message):
+        rng = np.random.default_rng(6)
+        kwargs = {"k": 2, arg: value}
+        with pytest.raises(ValueError, match=message):
+            kmeans_anchors(random_corpus(rng, 5), spec=H13, **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        rng = np.random.default_rng(6)
+        poses = random_corpus(rng, 10)
+        out = kmeans_anchors(poses, np.int64(3), H13, seed=2, max_iters=np.int32(4))
+        assert out.coords3d.tobytes() == kmeans_anchors(poses, 3, H13, seed=2,
+                                                        max_iters=4).coords3d.tobytes()
 
 
 def upright_layout():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -94,6 +95,18 @@ class TestRescore:
         p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords),
                          center_3d(H13, np.zeros((13, 3))), 0.7)
         assert rescore(p).rescored == 0.7
+
+    def test_joint_far_outside_contributes_zero_without_warning(self):
+        # D * D overflows to inf, and exp(-inf) = 0 is the exact factor
+        coords = np.linspace([1, 1], [9, 9], 13)
+        coords[4] = [1e200, 5.0]
+        p = PoseProposal(0, BoundingBox(0, 0, 10, 10), Pose2D(coords),
+                         center_3d(H13, np.zeros((13, 3))), 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rescore(p).rescored == 0.6 * (12 / 13)
+            (det,) = ppi([p])
+        assert det.score == 0.6 * (12 / 13)
 
     def test_one_joint_at_sigma_b(self):
         sigma = 25.0
@@ -323,6 +336,7 @@ class TestParameterValidation:
                                   r"indices in \[0, inf\)"),
         ("overlap_joints", (1.5,), r"overlap_joints \(1.5,\) must hold int joint indices"),
         ("overlap_joints", (True,), r"overlap_joints \(True,\) must hold int joint indices"),
+        ("overlap_joints", 3, "overlap_joints 3 must be a sequence of joint indices"),
     ])
     def test_params_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
