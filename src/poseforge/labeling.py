@@ -6,6 +6,22 @@ Class labels run 0..n_anchors with 0 = background; label c maps to
 anchor id c - 1. Regression targets stack the 2D residual in unit-box
 coordinates with the 3D residual in meters into a 5*J vector per class,
 flattened joint-major (x0, y0, x1, y1, ... then x0, y0, z0, ...).
+
+assign_label is called once per candidate box, and all of an image's
+boxes are labeled against the same ground truth. What depends on the
+ground truth alone (its margin boxes, 2D stacks and nearest anchors) is
+kept in a single-slot memo, the package's one piece of module state. It
+is keyed on the identity of every Pose2D and Pose3D in the ground-truth
+list (not of the list, which may change in place), the identity of the
+AnchorSet and the value of margin_fraction. It holds strong references
+to them, so their ids cannot be reused while it lives, and they are
+immutable, so a matching key means the memo is current. A miss builds a
+new memo and swaps it in with one assignment; a build that raises
+stores nothing, so a bad ground truth raises on every call. It is safe
+under threads without a lock: each call reads the memo into a local
+once and labels only with a memo built from its own arguments, so a
+race between threads on different images costs a rebuild, never a
+wrong label.
 """
 
 from __future__ import annotations
@@ -23,12 +39,12 @@ from poseforge.pose import (  # noqa: F401
     BoundingBox,
     Pose2D,
     Pose3D,
+    _check_finite,
     check_iou_threshold,
     d3d_kernel,
     iou,
     iou_kernel,
     margin_boxes,
-    normalize_to_box,
 )
 
 BACKGROUND = 0
@@ -58,6 +74,20 @@ class LabeledBox:
             object.__setattr__(self, "target", t)
 
 
+def _target(coords2d: np.ndarray, visibility: np.ndarray, hidden: np.ndarray,
+            layout: np.ndarray, res3d: np.ndarray, box: BoundingBox) -> np.ndarray:
+    """regression_target from one ground truth's (J, 2) coordinates, (J,)
+    visibility and non-finite-joint mask, an anchor's (J, 2) layout and
+    the flat (3J,) 3D residual to that anchor."""
+    scale = np.array([box.width, box.height])
+    offset = np.array([box.x_min, box.y_min])
+    res2d = (coords2d - offset) / scale
+    _check_finite(res2d[visibility])  # as the normalized Pose2D would
+    res2d -= layout
+    res2d[hidden] = 0.0
+    return np.concatenate([res2d.ravel(), res3d])
+
+
 def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
                       box: BoundingBox) -> np.ndarray:
     """5*J target: (normalized 2D pose - anchor layout, 3D pose - anchor 3D).
@@ -67,11 +97,60 @@ def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
     in for it, as LCR-Net++ hallucinates occluded joints. Pose2D keeps
     visible joints finite.
     """
-    norm2d = normalize_to_box(gt2d, box)
-    res2d = norm2d.coords - anchor.pose2d.coords
-    res2d[~np.isfinite(gt2d.coords).all(axis=1)] = 0.0
-    res3d = gt3d.coords - anchor.pose3d.coords
-    return np.concatenate([res2d.ravel(), res3d.ravel()])
+    return _target(gt2d.coords, gt2d.visibility, ~np.isfinite(gt2d.coords).all(axis=1),
+                   anchor.pose2d.coords, (gt3d.coords - anchor.pose3d.coords).ravel(), box)
+
+
+@dataclass(frozen=True, eq=False)
+class _ImageTruth:
+    """One image's ground truth as assign_label reads it, with the
+    arguments it was built from (see the module docstring)."""
+
+    gts: tuple  # the (Pose2D, Pose3D) pairs, held strongly
+    anchors: AnchorSet
+    margin_fraction: float
+    boxes: np.ndarray  # (P, 4) margin boxes
+    coords2d: np.ndarray  # (P, J, 2)
+    visibility: np.ndarray  # (P, J)
+    hidden: np.ndarray  # (P, J) joints with a non-finite 2D coordinate
+    nearest: list  # (P,) id of each ground truth's 3D-closest anchor
+    res3d: np.ndarray  # (P, 3J) 3D residual to that anchor
+
+
+_memo: _ImageTruth | None = None
+
+
+def _image_truth(gts, anchors: AnchorSet, margin_fraction: float) -> _ImageTruth:
+    """The memo for these arguments, built and swapped in on a miss."""
+    global _memo
+    truth = _memo
+    # truth.gts holds 2-tuples, which equal an entry of gts only if it is a
+    # tuple of the same two poses: Pose2D and Pose3D compare by identity
+    if (truth is not None and truth.anchors is anchors
+            and truth.margin_fraction == margin_fraction and tuple(gts) == truth.gts):
+        return truth
+    pairs = tuple((p2, p3) for p2, p3 in gts)
+    j = anchors.spec.joint_count
+    for p2, p3 in pairs:
+        if p2.joint_count != j or p3.joint_count != j:
+            raise ValueError(f"ground truth has {p2.joint_count} 2D and {p3.joint_count} 3D "
+                             f"joints, the anchors' spec {anchors.spec.name} has {j}")
+    coords2d = np.array([p2.coords for p2, _ in pairs])
+    visibility = np.array([p2.visibility for p2, _ in pairs])
+    boxes = margin_boxes(coords2d, visibility, margin_fraction)
+    coords3d = np.array([p3.coords for _, p3 in pairs])
+    anchors3d = anchors.coords3d
+    # (P, K) d3d; argmin takes ties to the lowest anchor id
+    nearest = d3d_kernel(anchors3d.transpose(2, 0, 1)[:, None],
+                         coords3d.transpose(2, 0, 1)[:, :, None]).argmin(axis=1)
+    res3d = (coords3d - anchors3d[nearest]).reshape(len(pairs), -1)
+    hidden = ~np.isfinite(coords2d).all(axis=2)
+    for arr in (boxes, coords2d, visibility, hidden, res3d):
+        arr.setflags(write=False)
+    truth = _ImageTruth(pairs, anchors, margin_fraction, boxes, coords2d, visibility, hidden,
+                        nearest.tolist(), res3d)
+    _memo = truth
+    return truth
 
 
 def assign_label(
@@ -88,7 +167,16 @@ def assign_label(
     margin) falls below iou_threshold. Otherwise the ground truth with
     the highest IoU defines the label as 1 + the id of the 3D-closest
     anchor (ties to the lowest id) and the regression target. Raises on
-    an iou_threshold outside [0, 1], NaN included.
+    an iou_threshold outside [0, 1], NaN included, and on a ground truth
+    whose joint count is not the anchors' spec's.
+
+    The ground truth's boxes, 2D stacks and nearest anchors come from a
+    single-slot memo, the package's one piece of module state, keyed on
+    the identity of each Pose2D and Pose3D in gts, the identity of
+    anchors and the value of margin_fraction, so labeling an image's
+    boxes one after another builds them once. Concurrent calls are safe:
+    each reads the memo once, and a miss swaps in a new one (see the
+    module docstring).
     """
     check_iou_threshold(iou_threshold)
     if len(anchors) == 0:
@@ -96,17 +184,15 @@ def assign_label(
     if not gts:
         return LabeledBox(box, BACKGROUND)
 
-    gt_boxes = margin_boxes(np.array([p2.coords for p2, _ in gts]),
-                            np.array([p2.visibility for p2, _ in gts]), margin_fraction)
-    overlaps = iou_kernel(np.array(box.as_tuple()), gt_boxes)
+    truth = _image_truth(gts, anchors, margin_fraction)
+    overlaps = iou_kernel(np.array(box.as_tuple()), truth.boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < iou_threshold:
         return LabeledBox(box, BACKGROUND)
 
-    gt2d, gt3d = gts[best]
-    dists = d3d_kernel(anchors.coords3d.transpose(2, 0, 1), gt3d.coords.T[:, None])
-    anchor = anchors.anchors[int(np.argmin(dists))]
-    target = regression_target(gt2d, gt3d, anchor, box)
+    anchor = anchors.anchors[truth.nearest[best]]
+    target = _target(truth.coords2d[best], truth.visibility[best], truth.hidden[best],
+                     anchor.pose2d.coords, truth.res3d[best], box)
     return LabeledBox(box, anchor.id + 1, target)
 
 

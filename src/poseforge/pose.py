@@ -7,7 +7,9 @@ Conventions used throughout the package:
   torso anchor joints is the origin. The z axis points into the image
   plane, so dropping z from an oriented 3D pose yields its 2D layout.
 * All arrays are float64; pose objects are immutable value objects and
-  every operation here is pure, so unrestricted concurrent use is safe.
+  every operation in this module is pure, so unrestricted concurrent use
+  is safe. (The package's one piece of module state is labeling's
+  per-image memo, which is safe under threads too.)
 """
 
 from __future__ import annotations

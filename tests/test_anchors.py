@@ -345,6 +345,18 @@ class TestKmeans:
         with pytest.raises(ValueError, match=message):
             kmeans_anchors(random_corpus(rng, 5), spec=H13, **kwargs)
 
+    @pytest.mark.parametrize("mixed", ["2d", "3d"])
+    def test_corpus_mixing_joint_counts_rejected(self, mixed):
+        rng = np.random.default_rng(7)
+        poses = random_corpus(rng, 6)
+        p2, p3 = poses[3]
+        if mixed == "3d":
+            poses[3] = (p2, Pose3D(np.vstack([p3.coords, np.zeros((4, 3))])))
+        else:
+            poses[3] = (Pose2D(np.vstack([p2.coords, p2.coords[:4] + 1.0])), p3)
+        with pytest.raises(ValueError):
+            kmeans_anchors(poses, 2, H13)
+
     def test_numpy_integer_arguments_accepted(self):
         rng = np.random.default_rng(6)
         poses = random_corpus(rng, 10)

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poseforge.labeling as labeling_module
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
@@ -17,6 +21,7 @@ from poseforge.labeling import (
 )
 from poseforge.pose import (
     H13,
+    H17,
     AnchorPose,
     BoundingBox,
     Pose2D,
@@ -163,6 +168,160 @@ class TestAssignLabelMatchesOracle:
         hidden = (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)
         with pytest.raises(ValueError, match="pose has no visible joints"):
             assign_label(BoundingBox(0, 0, 100, 100), [random_gt(rng), hidden], anchor_set(rng))
+
+
+def assert_matches_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
+    label, target = assign_label_oracle(box, gts, anchors, iou_threshold, margin_fraction)
+    lab = assign_label(box, gts, anchors, iou_threshold, margin_fraction)
+    assert lab.class_label == label
+    assert (lab.target is None) == (target is None)
+    if target is not None:
+        assert np.array_equal(lab.target, target)
+
+
+def box_near(rng, gts, margin_fraction=0.10, jitter=0.1):
+    """A candidate box jittered around a random ground truth's box."""
+    if not gts or rng.random() < 0.2:
+        lo = rng.uniform(0, 400, 2)
+        return BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2)))
+    x0, y0, x1, y1 = box_around(gts[int(rng.integers(len(gts)))][0], margin_fraction).as_tuple()
+    dx, dy = jitter * (x1 - x0), jitter * (y1 - y0)
+    shift = rng.uniform(-1.0, 1.0, 4) * (dx, dy, dx, dy)
+    return BoundingBox(x0 + shift[0], y0 + shift[1], x1 + shift[2], y1 + shift[3])
+
+
+def counting_margin_boxes(monkeypatch):
+    """Count assign_label's margin_boxes calls: one per memo build."""
+    calls = []
+    real = labeling_module.margin_boxes
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(labeling_module, "margin_boxes", counted)
+    return calls
+
+
+class TestImageMemo:
+    """assign_label keeps one image's ground-truth boxes, stacks and
+    nearest anchors between calls; each result must still be the oracle's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(["label"] * 4 + ["append", "replace", "reverse"]),
+                                  st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+                                  st.sampled_from([0.3, 0.8])),
+                        min_size=1, max_size=30))
+    def test_call_sequences_over_mutated_lists(self, seed, ops):
+        rng = np.random.default_rng(seed)
+        images = [[random_gt(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(3)]
+                  for _ in range(2)]
+        anchor_sets = [anchor_set(rng, 3), anchor_set(rng, 5)]
+        # a box around a ground truth's 0.25-margin box has IoU 1 with it
+        # and 1/1.25^2 = 0.64 with its 0-margin box, so at threshold 0.8
+        # the margin decides between foreground and background
+        margins = [0.0, 0.25]
+        for op, image, which, margin, threshold in ops:
+            gts = images[image]  # mutated in place: the list's identity never changes
+            if op == "append":
+                gts.append(random_gt(rng, offset=rng.uniform(-150, 150, 2)))
+            elif op == "replace":  # new pose objects at the same position
+                gts[int(rng.integers(len(gts)))] = random_gt(rng, offset=rng.uniform(-150, 150, 2))
+            elif op == "reverse":
+                gts.reverse()
+            else:
+                box = box_near(rng, gts, margins[int(rng.integers(2))], rng.choice([0.0, 0.1]))
+                assert_matches_oracle(box, gts, anchor_sets[which], threshold, margins[margin])
+
+    def test_same_poses_in_new_pairs_reuse_the_memo(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        gts = [random_gt(rng, offset=(60.0 * i, 0.0)) for i in range(4)]
+        anchors = anchor_set(rng)
+        calls = counting_margin_boxes(monkeypatch)
+        assert_matches_oracle(box_near(rng, gts), gts, anchors)
+        copy = [(p2, p3) for p2, p3 in gts]
+        assert_matches_oracle(box_near(rng, copy), copy, anchors)
+        assert len(calls) == 1
+        copy[1] = (Pose2D(copy[1][0].coords), copy[1][1])  # equal values, a new object
+        assert_matches_oracle(box_near(rng, copy), copy, anchors)
+        assert len(calls) == 2
+
+    def test_one_image_builds_its_boxes_once(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        gts = [random_gt(rng, offset=(80.0 * i, 40.0 * (i % 2))) for i in range(6)]
+        anchors = anchor_set(rng)
+        boxes = [box_near(rng, gts) for _ in range(90)]
+        calls = counting_margin_boxes(monkeypatch)
+        for box in boxes:
+            assert_matches_oracle(box, gts, anchors)
+        assert len(calls) == 1
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        anchors = anchor_set(rng)
+        good = [random_gt(rng), random_gt(rng, offset=(200.0, 0.0))]
+        gt2d, gt3d = random_gt(rng)
+        bad = [random_gt(rng), (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)]
+        box = box_around(good[0][0], 0.10)
+        calls = counting_margin_boxes(monkeypatch)
+        assert_matches_oracle(box, good, anchors)
+        for _ in range(2):  # raises on every call, not only the first
+            with pytest.raises(ValueError, match="pose has no visible joints"):
+                assign_label(box, bad, anchors)
+        assert len(calls) == 3
+        assert_matches_oracle(box, good, anchors)
+        assert len(calls) == 3  # the good image's memo survived the failed builds
+
+    @pytest.mark.parametrize("joints2d,joints3d", [(17, 17), (13, 17), (17, 13)])
+    def test_joint_count_mismatch_rejected(self, joints2d, joints3d):
+        rng = np.random.default_rng(23)
+        p2 = Pose2D(rng.uniform(100, 300, size=(joints2d, 2)))
+        p3 = center_3d(H13 if joints3d == 13 else H17, rng.normal(0.0, 0.3, size=(joints3d, 3)))
+        message = f"ground truth has {joints2d} 2D and {joints3d} 3D joints, the anchors' spec h13 has 13"
+        for box in (box_around(p2, 0.10), BoundingBox(5000, 5000, 5100, 5100)):
+            with pytest.raises(ValueError, match=message):
+                assign_label(box, [random_gt(rng), (p2, p3)], anchor_set(rng))
+
+    def test_two_threads_label_two_images_alternately(self):
+        rng = np.random.default_rng(24)
+        anchors = anchor_set(rng, 6)
+        images = []
+        for _ in range(2):
+            gts = [random_gt(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(5)]
+            images.append((gts, [box_near(rng, gts) for _ in range(300)]))
+        expected = [[assign_label_oracle(box, gts, anchors) for box in boxes]
+                    for gts, boxes in images]
+        barrier = threading.Barrier(2, timeout=30)
+        results = [None, None]
+
+        def work(i):
+            gts, boxes = images[i]
+            out = []
+            for box in boxes:
+                barrier.wait()  # both threads call at once, each on its own image
+                lab = assign_label(box, gts, anchors)
+                out.append((lab.class_label, lab.target))
+            results[i] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert got is not None and len(got) == len(want)
+            for (label, target), (want_label, want_target) in zip(got, want):
+                assert label == want_label
+                assert (target is None) == (want_target is None)
+                if target is not None:
+                    assert np.array_equal(target, want_target)
 
 
 class TestOccludedRegressionTarget:
