@@ -235,15 +235,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """smooth_l1 and smooth_l1_grad of a float64 array, from one |x| and
-    one branch mask |x| < 1."""
-    a = np.abs(x)
-    small = a < 1.0
-    a -= 0.5
-    loss = np.where(small, 0.5 * x * x, a)
-    del a  # freed before the gradient is built, so the peak stays that of one pass
-    return loss, np.where(small, x, np.sign(x))
+def _smooth_l1(x: np.ndarray, loss: np.ndarray | None = None,
+               grad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_l1 and smooth_l1_grad of a float64 array, written to the
+    optional out buffers loss and grad, in five passes.
+
+    grad = clip(x, -1, 1) is where(|x| < 1, x, sign(x)) bit for bit, NaN
+    and -0 included. loss = |grad * (x - grad/2)|: for |x| < 1, x - x/2 is
+    exact (Sterbenz), so it is (0.5 * x) * x, and otherwise it is |x| - 0.5.
+    The abs only turns the -0 that x = -0 gives into 0.5 * x * x's +0.
+    """
+    grad = np.clip(x, -1.0, 1.0, out=np.empty_like(x) if grad is None else grad)
+    loss = np.multiply(grad, 0.5, out=np.empty_like(x) if loss is None else loss)
+    np.subtract(x, loss, out=loss)
+    loss *= grad
+    return np.abs(loss, out=loss), grad
 
 
 def smooth_l1(x):
@@ -258,6 +264,45 @@ def smooth_l1_grad(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _class_loss(probs: np.ndarray, labels: np.ndarray,
+                out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean log loss of n boxes and its gradient w.r.t. the logits.
+
+    probs (n, C) are class probabilities; u(c) is clamped at LOG_EPS.
+    The gradient overwrites out, which must hold the probabilities (the
+    trainer passes probs itself), or goes to a new array.
+    """
+    n = len(labels)
+    rows = np.arange(n)
+    cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
+    g_logits = probs.copy() if out is None else out
+    g_logits[rows, labels] -= 1.0
+    g_logits /= n
+    return cls_loss, g_logits
+
+
+def _regression_loss(err: np.ndarray, n: int, order: np.ndarray | None = None,
+                     loss: np.ndarray | None = None,
+                     grad: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean smooth-L1 loss of n boxes and its gradient w.r.t. their pred.
+
+    err (m, 5*J) holds target - pred of m <= n rows; a box left out adds
+    an exact 0 to the sum, as a background box does. The row sums add
+    left to right in input order: order, if given, lists err's rows in
+    that order. loss and grad are optional (m, 5*J) out buffers for the
+    elementwise loss and for the gradient, which is returned.
+    """
+    loss, grad = _smooth_l1(err, loss, grad)
+    sums = loss.sum(axis=1)
+    if order is not None:
+        sums = sums[order]
+    # cumsum adds left to right; loss >= +0, so starting from the first
+    # row instead of 0.0 changes nothing
+    reg_loss = float(np.cumsum(sums)[-1]) if len(sums) else 0.0
+    grad /= -n  # the same as -grad / n, bit for bit
+    return reg_loss / n, grad
+
+
 def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
                 targets: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Mean log loss and smooth-L1 loss of n boxes, and their gradients.
@@ -268,19 +313,12 @@ def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
     gradients being those of the means w.r.t. the logits and pred. u(c)
     is clamped at LOG_EPS; the smooth-L1 row sums add in row order. A
     background row has zero regression loss and a zero g_pred row.
-    """
-    n = len(labels)
-    rows = np.arange(n)
-    cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
-    g_logits = probs.copy()
-    g_logits[rows, labels] -= 1.0
-    g_logits /= n
 
+    The trainer calls the same two helpers, _class_loss and
+    _regression_loss, on its own buffers and its foreground rows alone.
+    """
+    cls_loss, g_logits = _class_loss(probs, labels)
     err = targets - pred
     err[labels == BACKGROUND] = 0.0
-    loss, grad = _smooth_l1(err)
-    reg_loss = 0.0
-    for row_loss in loss.sum(axis=1).tolist():
-        reg_loss += row_loss
-    grad /= -n  # the same as -grad / n, bit for bit
-    return cls_loss, reg_loss / n, g_logits, grad
+    reg_loss, g_pred = _regression_loss(err, len(labels))
+    return cls_loss, reg_loss, g_logits, g_pred

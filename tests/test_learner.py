@@ -143,6 +143,110 @@ class TestTrainMatchesPerPositiveOracle:
             assert np.array_equal(getattr(model.head, name), getattr(oracle.head, name))
 
 
+def train_head_slot_oracle(head, x, labels, targets, config, loss_history, it_offset):
+    """The slot trainer with fresh (n, 5*J) arrays in every iteration: slot
+    products scattered into a zero-background pred, smooth-L1 in its
+    piecewise form and the row sums added in a Python loop."""
+    n, d = x.shape
+    c = head.b_cls.shape[0]
+    w = head.b_reg.shape[0] // c
+    all_rows = np.arange(n)
+    switch = int(config.decay_fraction * config.iterations)
+    w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(c + 1))
+    slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
+             if k != BACKGROUND and len(rows)]
+    pred = np.zeros((n, w))
+    for it in range(config.iterations):
+        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
+        probs = head.class_probs(x)
+        for k, rows, x_k in slots:
+            pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
+        cls_loss = float(-np.log(np.maximum(probs[all_rows, labels], 1e-12)).mean())
+        g_logits = probs.copy()
+        g_logits[all_rows, labels] -= 1.0
+        g_logits /= n
+        err = targets - pred
+        err[labels == BACKGROUND] = 0.0
+        small = np.abs(err) < 1.0
+        loss = np.where(small, 0.5 * err * err, np.abs(err) - 0.5)
+        g_pred = np.where(small, err, np.sign(err))
+        reg_loss = 0.0
+        for row_loss in loss.sum(axis=1).tolist():
+            reg_loss += row_loss
+        reg_loss /= n
+        g_pred /= -n
+
+        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
+
+        head.w_cls -= lr * (x.T @ g_logits)
+        head.b_cls -= lr * g_logits.sum(axis=0)
+        for k, rows, x_k in slots:
+            g_k = g_pred[rows]
+            w_slots[:, k] -= lr * (x_k.T @ g_k)
+            b_slots[k] -= lr * g_k.sum(axis=0)
+    return loss_history
+
+
+def slot_oracle_examples(case):
+    """Shuffled examples over 5 anchors for one TestTrainMatchesSlotOracle case."""
+    rng = np.random.default_rng(40)
+    anchors = small_anchor_set(rng, n=5)
+    # 130 rows a class: one (n, 5*J) float64 buffer is 780 * 65 * 8 B > 256 KB
+    examples, labels, _ = separable_dataset(rng, anchors,
+                                            n_per_class=130 if case == "large" else 6)
+    keep = {
+        "mixed": labels >= 0,
+        "large": labels >= 0,
+        "linear_branch": labels >= 0,
+        # classes 2 and 5 get no rows, class 4 a single one
+        "sparse_classes": ((labels != 2) & (labels != 5)
+                           & ((labels != 4) | (np.cumsum(labels == 4) == 1))),
+        "background_only": labels == BACKGROUND,
+        "foreground_only": labels != BACKGROUND,
+    }[case]
+    examples = [e for e, kept in zip(examples, keep) if kept]
+    if case == "linear_branch":  # |err| >= 1 for most coordinates
+        examples = [(f, lab if lab.target is None else
+                     LabeledBox(lab.box, lab.class_label, lab.target * 4.0))
+                    for f, lab in examples]
+    rng.shuffle(examples)
+    return anchors, examples
+
+
+class TestTrainMatchesSlotOracle:
+    # The same slot products as the trainer, so the results agree bit for bit.
+    @pytest.mark.parametrize("case,two_pass,iterations", [
+        ("mixed", False, 25),
+        ("mixed", True, 25),
+        ("mixed", False, 0),
+        ("sparse_classes", False, 25),
+        ("sparse_classes", True, 25),
+        ("background_only", False, 25),
+        ("foreground_only", False, 25),
+        ("foreground_only", True, 25),
+        ("linear_branch", False, 25),
+        ("large", False, 25),
+        ("large", True, 10),
+    ])
+    def test_loss_history_and_weights_equal(self, monkeypatch, case, two_pass, iterations):
+        anchors, examples = slot_oracle_examples(case)
+        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=3,
+                             two_pass=two_pass)
+        model = train(examples, anchors, config)
+        monkeypatch.setattr(learner_module, "_train_head", train_head_slot_oracle)
+        oracle = train(examples, anchors, config)
+        assert len(model.loss_history) == iterations * (1 + two_pass)
+        assert model.loss_history == oracle.loss_history
+        heads = [(model.head, oracle.head)]
+        if two_pass:
+            heads.append((model.refine_head, oracle.refine_head))
+        for got, want in heads:
+            for name in HEAD_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestTrain:
     def test_separable_classes_accuracy(self):
         rng = np.random.default_rng(0)

@@ -42,8 +42,6 @@ class TestSpecs:
     def test_h13_h17_valid(self):
         assert H13.joint_count == 13
         assert H17.joint_count == 17
-        assert H13.root_joint == 0
-        assert H17.root_joint == 13
 
     def test_upper_lower_partition(self):
         assert set(H13.upper_body_joints) | set(H13.lower_body_joints) == set(range(13))
