@@ -213,7 +213,9 @@ def kmeans_anchors(
         if len(pts):
             # in chunks of d3d_matrix's default 256-row blocks
             low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, 256 * k)
-            moved = np.unique(pts)
+            # pts is sorted (flat indices, divided by k), so its first
+            # occurrences are its distinct rows, in order
+            moved = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
             assign[moved] = low[moved].argmin(axis=1)
             u[moved] = low[moved, assign[moved]]
         history.append(float((u ** 2).sum()))

@@ -207,9 +207,12 @@ def regress_anchors(layouts: np.ndarray, anchors3d: np.ndarray, box: BoundingBox
     k, j = layouts.shape[:2]
     res2d = residuals[:, :2 * j].reshape(k, j, 2)
     res3d = residuals[:, 2 * j:].reshape(k, j, 3)
-    scale = np.array([box.width, box.height])
-    offset = np.array([box.x_min, box.y_min])
-    return (layouts + res2d) * scale + offset, anchors3d + res3d
+    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+    # (layouts + res2d) * (width, height) + (x0, y0), in place: the same bits
+    coords2d = layouts + res2d
+    coords2d *= (x1 - x0, y1 - y0)
+    coords2d += (x0, y0)
+    return coords2d, anchors3d + res3d
 
 
 def apply_regression(anchor: AnchorPose, box: BoundingBox,
@@ -230,9 +233,10 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of logits (n, C): class probabilities (n, C)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _smooth_l1(x: np.ndarray, loss: np.ndarray | None = None,

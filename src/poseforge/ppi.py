@@ -7,8 +7,10 @@ rescored score are broken by lower proposal position for determinism.
 
 Every step runs on stacked arrays: boxes (N, 4), 2D poses (N, J, 2), 3D
 poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
-proposals once; the public per-list functions stack their input and call
-the same private helpers, so each piece of math has one implementation.
+proposals once, and read a box once per run of consecutive proposals
+that hold the same box object, as the K proposals of one learner.predict
+call do. The public per-list functions stack their input and call the
+same private helpers, so each piece of math has one implementation.
 
 Grouping and mode extraction apply one greedy rule, _seed_rounds: the
 best free proposal seeds a cluster and takes every free proposal close
@@ -38,7 +40,7 @@ DEFAULT_IOU = 0.12
 DEFAULT_SIGMA_B = 25.0   # pixels
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PoseProposal:
     """A refined 2D-3D pose hypothesized in a candidate box.
 
@@ -102,7 +104,7 @@ def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) 
                          f"in [0, {joint_count})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Detection:
     """Aggregated 2D-3D pose with the accumulated score of its mode.
 
@@ -132,6 +134,24 @@ def _stack3d(proposals) -> np.ndarray:
     return np.array([p.pose3d.coords for p in proposals])
 
 
+def _stack_boxes(proposals) -> np.ndarray:
+    """(N, 4) stack of the proposals' boxes (x_min, y_min, x_max, y_max).
+
+    Each box is read once per run of consecutive proposals that hold the
+    same box object, as the K proposals of one learner.predict call do,
+    and its row is repeated over the run.
+    """
+    rows, runs, last = [], [], None
+    for p in proposals:
+        if p.box is last:
+            runs[-1] += 1
+        else:
+            last = p.box
+            rows.append(last.as_tuple())
+            runs.append(1)
+    return np.repeat(np.array(rows, dtype=np.float64), runs, axis=0)
+
+
 def _planes(c2d: np.ndarray) -> np.ndarray:
     """Contiguous (2, J, N) x and y planes of 2D poses (N, J, 2), one row
     per joint, so that reductions over the joints add whole rows."""
@@ -159,7 +179,12 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
 
 def _overlap_boxes(planes: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
     """(N, 4) tight joint boxes (x_min, y_min, x_max, y_max) of 2D pose
-    planes (2, J, N); see overlap_box."""
+    planes (2, J, N), around the joints listed (all by default).
+
+    Every joint counts, visible or not: proposals carry fully regressed
+    poses. A zero extent is padded by 1e-6 px on both sides, so the box
+    stays valid and its proposal simply groups alone.
+    """
     if joints is not None:
         _check_overlap_joints(joints, planes.shape[1])
     pts = planes if joints is None else planes[:, list(joints)]
@@ -300,16 +325,6 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
     return replace(proposal, rescored=float(s_prime))
 
 
-def overlap_box(pose2d: Pose2D, joints: tuple[int, ...] | None = None) -> BoundingBox:
-    """Tight box around the 2D joints used for overlap grouping.
-
-    Uses all joint coordinates (visibility is ignored: proposals carry
-    fully regressed poses); a zero extent is padded by 1e-6 px so the
-    box stays valid and such a proposal simply groups alone.
-    """
-    return BoundingBox(*_overlap_boxes(_planes(pose2d.coords[None]), joints)[0])
-
-
 def group_by_overlap(
     proposals: list[PoseProposal],
     iou_threshold: float = DEFAULT_IOU,
@@ -382,8 +397,7 @@ def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
     c2d = _stack2d(proposals)
     planes = _planes(c2d)
     scores = np.array([p.score for p in proposals], dtype=np.float64)
-    boxes = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
-    rescored = _rescore(boxes, planes, scores, params.sigma_b)
+    rescored = _rescore(_stack_boxes(proposals), planes, scores, params.sigma_b)
     if (rescored > scores + 1e-12).any():
         raise ValueError("rescored score cannot exceed the raw score")
     gid, seeds = _group(_overlap_boxes(planes, params.overlap_joints), rescored,
@@ -395,7 +409,9 @@ def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
     """Full integration: rescore, group, extract modes, average, filter.
 
     Returns detections sorted by descending score; every input proposal
-    contributes to exactly one mode.
+    contributes to exactly one mode. The proposals are stacked once, and
+    the boxes of consecutive proposals that share one box object are
+    read once (see _stack_boxes).
     """
     if not proposals:
         return []

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass
+from itertools import product
 
 import numpy as np
 import pytest
@@ -526,26 +527,34 @@ class TestPredict:
         rng = np.random.default_rng(16)
         anchors = small_anchor_set(rng, n=4)
         examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
-        model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
-        feature, box = rng.normal(0, 1, 8), BoundingBox(5, 10, 60, 140)
-        probs, v = model_outputs(model, feature)
-        w = model.slot_width
-        proposals = predict(model, feature, box, anchors)
-        assert len(proposals) == 4
-        for a, p in zip(anchors.anchors, proposals):
-            c = a.id + 1
-            pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
-            assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
-                                        Pose3D(pose3d.coords), float(probs[c])))
-            with pytest.raises(FrozenInstanceError):
-                p.score = 0.0
-            with pytest.raises(FrozenInstanceError):
-                p.pose3d.coords = np.zeros((13, 3))
-            state = (model.head.w_cls, model.head.b_cls, model.head.w_reg, model.head.b_reg,
-                     anchors.coords2d, anchors.coords3d, a.pose2d.coords, a.pose3d.coords)
-            for arr in (p.pose2d.coords, p.pose2d.visibility, p.pose3d.coords):
-                assert not arr.flags.writeable
-                assert not any(np.shares_memory(arr, other) for other in state)
+        feature = rng.normal(0, 1, 8)
+        # the huge box gives finite coordinates whose sum overflows
+        for two_pass, box in product((False, True), (BoundingBox(5, 10, 60, 140),
+                                                     BoundingBox(0, 0, 1e307, 1e307))):
+            model = train(examples, anchors,
+                          TrainConfig(iterations=5, seed=17, two_pass=two_pass))
+            probs, v = model_outputs(model, feature)
+            w = model.slot_width
+            proposals = predict(model, feature, box, anchors)
+            assert len(proposals) == 4
+            heads = (model.head,) + ((model.refine_head,) if two_pass else ())
+            weights = [arr for h in heads for arr in (h.w_cls, h.b_cls, h.w_reg, h.b_reg)]
+            for a, p in zip(anchors.anchors, proposals):
+                c = a.id + 1
+                pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
+                assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
+                                            Pose3D(pose3d.coords), float(probs[c])))
+                with pytest.raises(FrozenInstanceError):
+                    p.score = 0.0
+                with pytest.raises(FrozenInstanceError):
+                    p.pose3d.coords = np.zeros((13, 3))
+                state = weights + [anchors.coords2d, anchors.coords3d, a.pose2d.coords,
+                                   a.pose3d.coords]
+                for arr in (p.pose2d.coords, p.pose2d.visibility, p.pose3d.coords):
+                    assert not arr.flags.writeable
+                    assert not any(np.shares_memory(arr, other) for other in state)
+                for obj in (p, p.pose2d, p.pose3d):
+                    assert not hasattr(obj, "__dict__")
 
     @pytest.mark.parametrize("weight, column, message", [
         ("w_cls", 1, r"score must be in \[0, 1\], got nan"),  # an inf logit: NaN probabilities
@@ -556,10 +565,14 @@ class TestPredict:
         rng = np.random.default_rng(18)
         anchors = small_anchor_set(rng)
         examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
-        model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
-        getattr(model.head, weight)[0, column] = np.inf
-        with pytest.raises(ValueError, match=message):
-            predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
+        for two_pass in (False, True):
+            model = train(examples, anchors,
+                          TrainConfig(iterations=5, seed=19, two_pass=two_pass))
+            # the head whose outputs predict reads: a two-pass model's refine head
+            head = model.refine_head if two_pass else model.head
+            getattr(head, weight)[0, column] = np.inf
+            with pytest.raises(ValueError, match=message):
+                predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)
@@ -577,7 +590,9 @@ def assert_same(got, want):
     if isinstance(want, np.ndarray):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     elif is_dataclass(want):
-        assert list(vars(got)) == list(vars(want))
+        # the pose classes keep their fields in slots: neither has a __dict__
+        assert hasattr(got, "__dict__") == hasattr(want, "__dict__")
+        assert [f.name for f in fields(got)] == [f.name for f in fields(want)]
         for f in fields(want):
             assert_same(getattr(got, f.name), getattr(want, f.name))
     else:

@@ -16,20 +16,31 @@ from poseforge.ppi import (
     PpiParams,
     _average,
     _modes,
+    _overlap_boxes,
+    _planes,
+    _stack_boxes,
     average_mode,
     extract_modes,
     group_by_overlap,
     nms,
-    overlap_box,
     ppi,
     rescore,
 )
 
 
+def joint_box(pose2d, joints=None):
+    """Reference joint box: the tight box of the joints listed (all by
+    default), each zero extent padded by 1e-6 px on both sides."""
+    pts = pose2d.coords if joints is None else pose2d.coords[list(joints)]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    flat = hi <= lo
+    return BoundingBox(*np.where(flat, lo - 1e-6, lo), *np.where(flat, hi + 1e-6, hi))
+
+
 def make_proposal(rng, center=(200.0, 200.0), spread=40.0, score=None, pose3d=None):
     coords = rng.normal(center, spread, size=(13, 2))
     pose2d = Pose2D(coords)
-    box = overlap_box(pose2d)
+    box = joint_box(pose2d)
     if pose3d is None:
         pose3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
     s = float(rng.uniform(0.05, 0.95)) if score is None else score
@@ -136,7 +147,7 @@ class TestRescore:
 
 def greedy_group_oracle(proposals, threshold, joints=None):
     """Independent re-implementation of the greedy grouping rule."""
-    boxes = [overlap_box(p.pose2d, joints) for p in proposals]
+    boxes = [joint_box(p.pose2d, joints) for p in proposals]
     remaining = list(range(len(proposals)))
     groups = []
     while remaining:
@@ -354,7 +365,7 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=message):
             group_by_overlap(proposals, overlap_joints=joints)
         with pytest.raises(ValueError, match=message):
-            overlap_box(proposals[0].pose2d, joints)
+            _overlap_boxes(_planes(np.stack([p.pose2d.coords for p in proposals])), joints)
 
     @pytest.mark.parametrize("sigma_b", [0.0, -1.0, math.nan])
     def test_rescore_sigma_b_rejected(self, sigma_b):
@@ -385,7 +396,7 @@ class TestPpiEndToEnd:
             for _ in range(12):
                 p3 = center_3d(H13, gt3d.coords + rng.normal(0, 0.05, (13, 3)))
                 p2 = Pose2D(gt2d + rng.normal(0, 5.0, (13, 2)))
-                replicas.append(PoseProposal(0, overlap_box(Pose2D(gt2d)), p2, p3,
+                replicas.append(PoseProposal(0, joint_box(Pose2D(gt2d)), p2, p3,
                                              float(rng.uniform(0.3, 0.9))))
             dets = ppi(replicas, PpiParams(iou_threshold=0.1, t3d=1.0))
             assert len(dets) == 1
@@ -403,7 +414,7 @@ class TestPpiEndToEnd:
             for _ in range(6):
                 p3 = center_3d(H13, gt3d.coords + rng.normal(0, 0.01, (13, 3)))
                 proposals.append(PoseProposal(
-                    0, overlap_box(Pose2D(base2d)),
+                    0, joint_box(Pose2D(base2d)),
                     Pose2D(base2d + rng.normal(0, 2.0, (13, 2))), p3,
                     float(rng.uniform(0.3, 0.9))))
         dets = ppi(proposals, PpiParams(iou_threshold=0.1, t3d=0.125))
@@ -443,7 +454,7 @@ class TestNms:
         rng = np.random.default_rng(18)
         base2d = rng.normal((200, 200), 30, (13, 2))
         proposals = [
-            PoseProposal(0, overlap_box(Pose2D(base2d)),
+            PoseProposal(0, joint_box(Pose2D(base2d)),
                          Pose2D(base2d + rng.normal(0, 1.0, (13, 2))),
                          center_3d(H13, rng.normal(0, 0.3, (13, 3))),
                          score)
@@ -502,7 +513,7 @@ def crowd_proposals(rng, people, per_person):
     proposals = []
     for _ in range(people):
         base2d = rng.normal(rng.uniform(50, 450, 2), 30, (13, 2))
-        tight = overlap_box(Pose2D(base2d))
+        tight = joint_box(Pose2D(base2d))
         wide = BoundingBox(tight.x_min - 100, tight.y_min - 100,
                            tight.x_max + 100, tight.y_max + 100)
         bases3d = rng.normal(0, 0.3, (3, 13, 3))
@@ -627,7 +638,7 @@ def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> lis
 
 def reference_groups(rescored, threshold, joints=None):
     """Groups of rescored proposals, as index lists, by the reference _group."""
-    boxes = np.array([overlap_box(p.pose2d, joints).as_tuple() for p in rescored])
+    boxes = np.array([joint_box(p.pose2d, joints).as_tuple() for p in rescored])
     return [g.tolist() for g in _group(boxes, np.array([p.rescored for p in rescored]),
                                        threshold)]
 
@@ -727,7 +738,7 @@ def proposal_lists(draw):
     proposals = []
     for i in range(n):
         pose2d = Pose2D(c2d[i])
-        b = overlap_box(pose2d)
+        b = joint_box(pose2d)
         m = float(grow[i]) * min(b.width, b.height)
         box = BoundingBox(b.x_min - m, b.y_min - m, b.x_max + m, b.y_max + m)
         proposals.append(PoseProposal(0, box, pose2d, Pose3D(c3d[i]), float(scores[i])))
@@ -864,7 +875,9 @@ def assert_same(got, want):
     if isinstance(want, np.ndarray):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     elif is_dataclass(want):
-        assert list(vars(got)) == list(vars(want))
+        # the pose classes keep their fields in slots: neither has a __dict__
+        assert hasattr(got, "__dict__") == hasattr(want, "__dict__")
+        assert [f.name for f in fields(got)] == [f.name for f in fields(want)]
         for f in fields(want):
             assert_same(getattr(got, f.name), getattr(want, f.name))
     else:
@@ -889,6 +902,8 @@ class TestBuiltDetections:
                 d.pose2d.coords = np.zeros((13, 2))
             for arr in (d.pose2d.coords, d.pose2d.visibility, d.pose3d.coords):
                 assert not arr.flags.writeable
+            for obj in (d, d.pose2d, d.pose3d):
+                assert not hasattr(obj, "__dict__")
 
     def test_ppi_means_share_no_memory_with_proposals(self):
         rng = np.random.default_rng(28)
@@ -906,3 +921,82 @@ class TestBuiltDetections:
                               Pose3D(np.zeros((13, 3))), 0.0) for _ in range(2)]
         with pytest.raises(ValueError, match="visible joints must have finite coordinates"):
             ppi(twins, PpiParams(iou_threshold=0.0))
+
+
+class TestOverlapBoxes:
+    """The joint boxes that grouping compares (_overlap_boxes)."""
+
+    def test_tight_box_of_the_listed_joints(self):
+        rng = np.random.default_rng(42)
+        poses = [Pose2D(rng.normal(200, 50, (13, 2))) for _ in range(5)]
+        planes = _planes(np.stack([p.coords for p in poses]))
+        for joints in (None, H13.head_torso_joints, (3,)):
+            got = _overlap_boxes(planes, joints)
+            assert [tuple(row) for row in got] == [joint_box(p, joints).as_tuple()
+                                                   for p in poses]
+
+    def test_zero_extent_padded_and_groups_alone(self):
+        dot = np.full((13, 2), 50.0)
+        line = np.linspace([40.0, 0.0], [40.0, 100.0], 13)  # zero x extent
+        boxes = _overlap_boxes(_planes(np.stack([dot, line])), None)
+        assert boxes.tolist() == [[50 - 1e-6, 50 - 1e-6, 50 + 1e-6, 50 + 1e-6],
+                                  [40 - 1e-6, 0.0, 40 + 1e-6, 100.0]]
+        c3d = np.zeros((13, 3))
+        big = rescore(PoseProposal(0, BoundingBox(0, 0, 100, 100),
+                                   Pose2D(np.linspace([0, 0], [100, 100], 13)), Pose3D(c3d), 0.9))
+        small = rescore(PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(dot), Pose3D(c3d),
+                                     0.5))
+        assert group_by_overlap([big, small], 0.12) == [[big], [small]]
+
+    def test_invisible_joints_count(self):
+        coords = np.linspace([0, 0], [10, 10], 13)
+        far = coords.copy()
+        far[12] = (500.0, 500.0)
+        hidden = np.ones(13, dtype=bool)
+        hidden[12] = False
+        c3d = np.zeros((13, 3))
+        a = rescore(PoseProposal(0, BoundingBox(0, 0, 10, 10), Pose2D(coords), Pose3D(c3d), 0.9))
+        b = rescore(PoseProposal(0, BoundingBox(0, 0, 10, 10), Pose2D(far, hidden),
+                                 Pose3D(c3d), 0.5))
+        assert _overlap_boxes(_planes(far[None]), None).tolist() == [[0.0, 0.0, 500.0, 500.0]]
+        assert group_by_overlap([a, b], 0.12) == [[a], [b]]
+
+
+class TestBoxReading:
+    """ppi and nms read a box once per run of proposals that share the box
+    object; the boxes and detections must be those of reading each."""
+
+    @staticmethod
+    def proposals(rng, boxes):
+        return [PoseProposal(int(rng.integers(5)), box,
+                             Pose2D(rng.uniform((box.x_min, box.y_min), (box.x_max, box.y_max),
+                                                (13, 2)) + rng.normal(0, 4.0, (13, 2))),
+                             center_3d(H13, rng.normal(0, 0.3, (13, 3))),
+                             float(rng.choice([0.2, 0.5, 0.9])))
+                for box in boxes]
+
+    @pytest.mark.parametrize("case", ["shared", "equal_copies", "recurring"])
+    def test_boxes_and_detections_equal_per_proposal_reading(self, case):
+        rng = np.random.default_rng(43)
+        a, b = BoundingBox(0, 0, 100, 120), BoundingBox(60, 20, 170, 150)
+        boxes = {
+            "shared": [a] * 4 + [b] * 3,  # runs of one object each, as predict gives
+            "equal_copies": [BoundingBox(*a.as_tuple()) for _ in range(4)] + [b, b],
+            "recurring": [a, a, b, a, b, b, a],  # A, B, A: not one run per object
+        }[case]
+        proposals = self.proposals(rng, boxes)
+        assert np.array_equal(_stack_boxes(proposals),
+                              np.array([p.box.as_tuple() for p in proposals]))
+        # every proposal with a box object of its own: each box is read
+        apart = [replace(p, box=BoundingBox(*p.box.as_tuple())) for p in proposals]
+        params = PpiParams(iou_threshold=0.3, t3d=0.2)
+        for integrate in (ppi, nms):
+            got, want = integrate(proposals, params), integrate(apart, params)
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert_same(g, w)
+        rescored = [rescore(p, params.sigma_b) for p in proposals]
+        groups = reference_groups(rescored, params.iou_threshold)
+        assert_ppi_matches(ppi(proposals, params),
+                           composed_ppi_oracle(rescored, groups, params.t3d))
+        assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
