@@ -26,6 +26,8 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     PoseSpec,
+    _check_count,
+    _stack_pairs,
     d3d_kernel,
     d3d_matrix,
     margin_boxes,
@@ -111,14 +113,6 @@ def _clusters(x: np.ndarray, assign: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(np.take(x, order, axis=0), np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
-def _unit_layouts(poses, margin_fraction: float) -> np.ndarray:
-    """(N, J, 2) member 2D poses normalized into their own margin boxes."""
-    coords = np.array([p2.coords for p2, _ in poses])
-    boxes = margin_boxes(coords, np.array([p2.visibility for p2, _ in poses]),
-                         margin_fraction)[:, None, :]
-    return (coords - boxes[..., :2]) / (boxes[..., 2:] - boxes[..., :2])
-
-
 def kmeans_anchors(
     poses: list[tuple[Pose2D, Pose3D]],
     k: int,
@@ -146,26 +140,21 @@ def kmeans_anchors(
         sum of squared d3d to assigned centroids after each assignment.
 
     Raises:
-        ValueError: besides bad k, max_iters, tol or joint counts, when a
-            member's visible joints cannot anchor a box (see
-            pose.box_around), or when a joint coordinate is non-finite in
-            every member of an anchor.
+        ValueError: besides bad k, max_iters, tol or a 2D or 3D joint
+            count other than spec's, when a member's visible joints
+            cannot anchor a box (see pose.box_around), or when a joint
+            coordinate is non-finite in every member of an anchor.
     """
-    for name, value, least in (("k", k, 1), ("max_iters", max_iters, 0)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not value >= least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    _check_count("k", k, 1)
+    _check_count("max_iters", max_iters, 0)
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if len(poses) < k:
         raise ValueError(f"need at least k={k} poses, got {len(poses)}")
-    # np.array stacks equal-shape poses about twice as fast as np.stack,
-    # and raises ValueError on a corpus that mixes joint counts
-    coords3d = np.array([p3.coords for _, p3 in poses])
-    if coords3d.shape[1] != spec.joint_count:
-        raise ValueError("poses do not match the spec joint count")
-    unit_layouts = _unit_layouts(poses, margin_fraction)
+    coords2d, visibility, coords3d = _stack_pairs(poses, spec)
+    # member 2D poses normalized into their own margin boxes
+    boxes = margin_boxes(coords2d, visibility, margin_fraction)[:, None, :]
+    unit_layouts = (coords2d - boxes[..., :2]) / (boxes[..., 2:] - boxes[..., :2])
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(coords3d, k, rng)

@@ -8,24 +8,16 @@ coordinates with the 3D residual in meters into a 5*J vector per class,
 flattened joint-major (x0, y0, x1, y1, ... then x0, y0, z0, ...).
 
 assign_label is called once per candidate box, and all of an image's
-boxes are labeled against the same ground truth. What depends on the
-ground truth alone (its margin boxes, 2D stacks and nearest anchors) is
-kept in a single-slot memo, the package's one piece of module state. It
-is keyed on the identity of every Pose2D and Pose3D in the ground-truth
-list (not of the list, which may change in place), the identity of the
-AnchorSet and the value of margin_fraction. It holds strong references
-to them, so their ids cannot be reused while it lives, and they are
-immutable, so a matching key means the memo is current. A miss builds a
-new memo and swaps it in with one assignment; a build that raises
-stores nothing, so a bad ground truth raises on every call. It is safe
-under threads without a lock: each call reads the memo into a local
-once and labels only with a memo built from its own arguments, so a
-race between threads on different images costs a rebuild, never a
-wrong label.
+boxes are labeled against the same ground truth. _image_truth builds what
+depends on the ground truth alone (its margin boxes, 2D stacks and
+nearest anchors), and a functools.lru_cache of one entry keeps it for the
+last image. The poses and the AnchorSet in its key compare by identity,
+and the cache holds them, so a hit is always current.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +32,7 @@ from poseforge.pose import (  # noqa: F401
     Pose2D,
     Pose3D,
     _check_finite,
+    _stack_pairs,
     check_iou_threshold,
     d3d_kernel,
     iou,
@@ -101,56 +94,24 @@ def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
                    anchor.pose2d.coords, (gt3d.coords - anchor.pose3d.coords).ravel(), box)
 
 
-@dataclass(frozen=True, eq=False)
-class _ImageTruth:
-    """One image's ground truth as assign_label reads it, with the
-    arguments it was built from (see the module docstring)."""
-
-    gts: tuple  # the (Pose2D, Pose3D) pairs, held strongly
-    anchors: AnchorSet
-    margin_fraction: float
-    boxes: np.ndarray  # (P, 4) margin boxes
-    coords2d: np.ndarray  # (P, J, 2)
-    visibility: np.ndarray  # (P, J)
-    hidden: np.ndarray  # (P, J) joints with a non-finite 2D coordinate
-    nearest: list  # (P,) id of each ground truth's 3D-closest anchor
-    res3d: np.ndarray  # (P, 3J) 3D residual to that anchor
-
-
-_memo: _ImageTruth | None = None
-
-
-def _image_truth(gts, anchors: AnchorSet, margin_fraction: float) -> _ImageTruth:
-    """The memo for these arguments, built and swapped in on a miss."""
-    global _memo
-    truth = _memo
-    # truth.gts holds 2-tuples, which equal an entry of gts only if it is a
-    # tuple of the same two poses: Pose2D and Pose3D compare by identity
-    if (truth is not None and truth.anchors is anchors
-            and truth.margin_fraction == margin_fraction and tuple(gts) == truth.gts):
-        return truth
-    pairs = tuple((p2, p3) for p2, p3 in gts)
-    j = anchors.spec.joint_count
-    for p2, p3 in pairs:
-        if p2.joint_count != j or p3.joint_count != j:
-            raise ValueError(f"ground truth has {p2.joint_count} 2D and {p3.joint_count} 3D "
-                             f"joints, the anchors' spec {anchors.spec.name} has {j}")
-    coords2d = np.array([p2.coords for p2, _ in pairs])
-    visibility = np.array([p2.visibility for p2, _ in pairs])
+@functools.lru_cache(maxsize=1)
+def _image_truth(gts: tuple, anchors: AnchorSet, margin_fraction: float) -> tuple:
+    """One image's ground truth as assign_label reads it, all read-only:
+    the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) visibility,
+    (P, J) mask of joints with a non-finite 2D coordinate, the tuple of
+    each ground truth's 3D-closest anchor id and the (P, 3J) 3D residual
+    to that anchor."""
+    coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility, margin_fraction)
-    coords3d = np.array([p3.coords for _, p3 in pairs])
     anchors3d = anchors.coords3d
     # (P, K) d3d; argmin takes ties to the lowest anchor id
     nearest = d3d_kernel(anchors3d.transpose(2, 0, 1)[:, None],
                          coords3d.transpose(2, 0, 1)[:, :, None]).argmin(axis=1)
-    res3d = (coords3d - anchors3d[nearest]).reshape(len(pairs), -1)
+    res3d = (coords3d - anchors3d[nearest]).reshape(len(gts), -1)
     hidden = ~np.isfinite(coords2d).all(axis=2)
     for arr in (boxes, coords2d, visibility, hidden, res3d):
         arr.setflags(write=False)
-    truth = _ImageTruth(pairs, anchors, margin_fraction, boxes, coords2d, visibility, hidden,
-                        nearest.tolist(), res3d)
-    _memo = truth
-    return truth
+    return boxes, coords2d, visibility, hidden, tuple(nearest.tolist()), res3d
 
 
 def assign_label(
@@ -170,13 +131,10 @@ def assign_label(
     an iou_threshold outside [0, 1], NaN included, and on a ground truth
     whose joint count is not the anchors' spec's.
 
-    The ground truth's boxes, 2D stacks and nearest anchors come from a
-    single-slot memo, the package's one piece of module state, keyed on
-    the identity of each Pose2D and Pose3D in gts, the identity of
-    anchors and the value of margin_fraction, so labeling an image's
-    boxes one after another builds them once. Concurrent calls are safe:
-    each reads the memo once, and a miss swaps in a new one (see the
-    module docstring).
+    Labeling an image's boxes one after another builds its ground-truth
+    boxes, 2D stacks and nearest anchors once: they are cached on
+    tuple(gts), whose entries must be tuples, anchors and margin_fraction
+    (see the module docstring).
     """
     check_iou_threshold(iou_threshold)
     if len(anchors) == 0:
@@ -184,15 +142,16 @@ def assign_label(
     if not gts:
         return LabeledBox(box, BACKGROUND)
 
-    truth = _image_truth(gts, anchors, margin_fraction)
-    overlaps = iou_kernel(np.array(box.as_tuple()), truth.boxes)
+    boxes, coords2d, visibility, hidden, nearest, res3d = _image_truth(
+        tuple(gts), anchors, margin_fraction)
+    overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < iou_threshold:
         return LabeledBox(box, BACKGROUND)
 
-    anchor = anchors.anchors[truth.nearest[best]]
-    target = _target(truth.coords2d[best], truth.visibility[best], truth.hidden[best],
-                     anchor.pose2d.coords, truth.res3d[best], box)
+    anchor = anchors.anchors[nearest[best]]
+    target = _target(coords2d[best], visibility[best], hidden[best], anchor.pose2d.coords,
+                     res3d[best], box)
     return LabeledBox(box, anchor.id + 1, target)
 
 
@@ -241,8 +200,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _smooth_l1(x: np.ndarray, loss: np.ndarray | None = None,
                grad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """smooth_l1 and smooth_l1_grad of a float64 array, written to the
-    optional out buffers loss and grad, in five passes.
+    """Smooth-L1 loss (0.5 x^2 for |x| < 1, |x| - 0.5 otherwise) and its
+    gradient (x for |x| < 1, sign(x) otherwise) of a float64 array,
+    written to the optional out buffers loss and grad, in five passes.
 
     grad = clip(x, -1, 1) is where(|x| < 1, x, sign(x)) bit for bit, NaN
     and -0 included. loss = |grad * (x - grad/2)|: for |x| < 1, x - x/2 is
@@ -254,18 +214,6 @@ def _smooth_l1(x: np.ndarray, loss: np.ndarray | None = None,
     np.subtract(x, loss, out=loss)
     loss *= grad
     return np.abs(loss, out=loss), grad
-
-
-def smooth_l1(x):
-    """Piecewise loss: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise (elementwise)."""
-    out = _smooth_l1(np.asarray(x, dtype=np.float64))[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def smooth_l1_grad(x):
-    """Derivative of smooth_l1: x for |x| < 1, sign(x) otherwise."""
-    out = _smooth_l1(np.asarray(x, dtype=np.float64))[1]
-    return float(out) if out.ndim == 0 else out
 
 
 def _class_loss(probs: np.ndarray, labels: np.ndarray,

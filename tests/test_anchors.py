@@ -354,7 +354,18 @@ class TestKmeans:
             poses[3] = (p2, Pose3D(np.vstack([p3.coords, np.zeros((4, 3))])))
         else:
             poses[3] = (Pose2D(np.vstack([p2.coords, p2.coords[:4] + 1.0])), p3)
-        with pytest.raises(ValueError):
+        counts = "13 2D and 17 3D" if mixed == "3d" else "17 2D and 13 3D"
+        with pytest.raises(ValueError, match=f"ground truth has {counts} joints"):
+            kmeans_anchors(poses, 2, H13)
+
+    def test_2d_joint_count_other_than_specs_rejected(self):
+        # every 2D pose has H17's 17 joints and every 3D pose H13's 13, so
+        # the 2D stack is uniform but does not match the spec
+        rng = np.random.default_rng(8)
+        poses = [(Pose2D(np.vstack([p2.coords, p2.coords[:4] + 1.0])), p3)
+                 for p2, p3 in random_corpus(rng, 6)]
+        with pytest.raises(ValueError, match="ground truth has 17 2D and 13 3D joints, "
+                                             "the anchors' spec h13 has 13"):
             kmeans_anchors(poses, 2, H13)
 
     def test_numpy_integer_arguments_accepted(self):

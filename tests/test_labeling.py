@@ -15,8 +15,6 @@ from poseforge.labeling import (
     assign_label,
     head_losses,
     regression_target,
-    smooth_l1,
-    smooth_l1_grad,
     softmax,
 )
 from poseforge.pose import (
@@ -273,6 +271,16 @@ class TestImageMemo:
         assert_matches_oracle(box, good, anchors)
         assert len(calls) == 3  # the good image's memo survived the failed builds
 
+    def test_holds_one_image(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        anchors = anchor_set(rng)
+        image_a = [random_gt(rng), random_gt(rng, offset=(200.0, 0.0))]
+        image_b = [random_gt(rng, offset=(0.0, 200.0))]
+        calls = counting_margin_boxes(monkeypatch)
+        for gts in (image_a, image_b, image_a):  # A's entry went when B's came
+            assert_matches_oracle(box_around(gts[0][0], 0.10), gts, anchors)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("joints2d,joints3d", [(17, 17), (13, 17), (17, 13)])
     def test_joint_count_mismatch_rejected(self, joints2d, joints3d):
         rng = np.random.default_rng(23)
@@ -442,30 +450,34 @@ class TestClassificationLoss:
 
 
 class TestSmoothL1:
+    """_smooth_l1 on 0-d arrays for scalars; [0] is the loss, [1] the gradient."""
+
     def test_pinned_values(self):
-        assert smooth_l1(0.0) == 0.0
-        assert smooth_l1(0.5) == pytest.approx(0.125)
-        assert smooth_l1(2.0) == pytest.approx(1.5)
-        assert smooth_l1(-2.0) == pytest.approx(1.5)
+        assert labeling_module._smooth_l1(np.array(0.0))[0] == 0.0
+        assert labeling_module._smooth_l1(np.array(0.5))[0] == pytest.approx(0.125)
+        assert labeling_module._smooth_l1(np.array(2.0))[0] == pytest.approx(1.5)
+        assert labeling_module._smooth_l1(np.array(-2.0))[0] == pytest.approx(1.5)
         # no overflow warning from a 0.5 * x * x that the linear branch discards
-        assert smooth_l1(-1e200) == 1e200
-        assert smooth_l1_grad(-1e200) == -1.0
+        assert labeling_module._smooth_l1(np.array(-1e200))[0] == 1e200
+        assert labeling_module._smooth_l1(np.array(-1e200))[1] == -1.0
 
     def test_continuity_at_kink(self):
         eps = 1e-9
-        assert abs(smooth_l1(1 - eps) - smooth_l1(1 + eps)) < 1e-8
-        assert abs(smooth_l1_grad(1 - eps) - smooth_l1_grad(1 + eps)) < 1e-8
+        below = labeling_module._smooth_l1(np.array(1 - eps))
+        above = labeling_module._smooth_l1(np.array(1 + eps))
+        assert abs(below[0] - above[0]) < 1e-8
+        assert abs(below[1] - above[1]) < 1e-8
 
     def test_bounded_by_quadratic(self):
         xs = np.linspace(-4, 4, 401)
-        vals = smooth_l1(xs)
+        vals = labeling_module._smooth_l1(xs)[0]
         assert (vals <= 0.5 * xs ** 2 + 1e-15).all()
         inside = np.abs(xs) <= 1
         assert np.allclose(vals[inside], 0.5 * xs[inside] ** 2)
 
 
 def smooth_l1_piecewise(x):
-    """smooth_l1 and its gradient from the definition, branch by branch."""
+    """The smooth-L1 loss and its gradient from the definition, branch by branch."""
     with np.errstate(over="ignore"):  # 0.5 * x * x of a large x, not selected
         small = np.abs(x) < 1.0
         return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
@@ -502,8 +514,9 @@ class TestSmoothL1ClipForm:
     @pytest.mark.parametrize("value", EDGE_FLOATS)
     def test_scalar_functions_equal_piecewise_definition(self, value):
         want_loss, want_grad = smooth_l1_piecewise(np.array(value))
-        assert_same_bits(np.array(smooth_l1(value)), want_loss)
-        assert_same_bits(np.array(smooth_l1_grad(value)), want_grad)
+        loss, grad = labeling_module._smooth_l1(np.array(value))
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(grad, want_grad)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 65))

@@ -10,10 +10,9 @@ from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
     LabeledBox,
+    _smooth_l1,
     apply_regression,
     regression_target,
-    smooth_l1,
-    smooth_l1_grad,
 )
 from poseforge.learner import TrainConfig, ToyModel, _Head, model_outputs, predict, train
 from poseforge.ppi import PoseProposal
@@ -78,8 +77,9 @@ def train_head_oracle(head, x, labels, targets, config, loss_history, it_offset)
         for i in np.where(labels != BACKGROUND)[0]:
             sl = slice(labels[i] * w, (labels[i] + 1) * w)
             err = targets[i] - v[i, sl]
-            reg_loss += float(smooth_l1(err).sum())
-            g_v[i, sl] = -smooth_l1_grad(err)
+            loss, grad = _smooth_l1(err)
+            reg_loss += float(loss.sum())
+            g_v[i, sl] = -grad
         reg_loss /= n
         g_v /= n
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))

@@ -203,6 +203,16 @@ class TestD3dKernel:
         with pytest.raises(ValueError, match="pose spec mismatch"):
             d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
 
+    @pytest.mark.parametrize("chunk,message", [
+        (0, "chunk must be >= 1, got 0"),
+        (-1, "chunk must be >= 1, got -1"),
+        (2.5, "chunk must be an integer, got 2.5"),
+        (True, "chunk must be an integer, got True"),
+    ])
+    def test_bad_chunk_rejected(self, chunk, message):
+        with pytest.raises(ValueError, match=message):
+            d3d_matrix(np.zeros((2, 13, 3)), np.ones((4, 13, 3)), chunk=chunk)
+
 
 def box_around_oracle(pose, margin_fraction):
     """box_around written out for one pose, the form margin_boxes stacks."""
