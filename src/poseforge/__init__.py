@@ -11,12 +11,8 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     PoseSpec,
-    box_around,
-    center_3d,
     d3d,
-    denormalize_from_box,
     iou,
-    normalize_to_box,
 )
 
 __version__ = "0.1.0"
@@ -29,11 +25,7 @@ __all__ = [
     "Pose2D",
     "Pose3D",
     "PoseSpec",
-    "box_around",
-    "center_3d",
     "d3d",
-    "denormalize_from_box",
     "iou",
-    "normalize_to_box",
     "__version__",
 ]

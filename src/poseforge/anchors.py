@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from poseforge.pose import (
+    _D3D_BLOCK_ROWS,
     DEFAULT_BOX_MARGIN,
     AnchorPose,
     Pose2D,
@@ -129,7 +130,7 @@ def kmeans_anchors(
             Invisible 2D joints may be NaN.
         k: number of clusters, an int; requires len(poses) >= k >= 1.
         spec: joint layout of the poses.
-        seed: RNG seed for the k-means++ initialization.
+        seed: RNG seed for the k-means++ initialization, an int >= 0.
         max_iters, tol: stop after max_iters (an int >= 0) or when the
             largest centroid shift (in d3d) falls below tol (finite, >= 0).
         margin_fraction: box margin used when normalizing member 2D poses
@@ -140,12 +141,13 @@ def kmeans_anchors(
         sum of squared d3d to assigned centroids after each assignment.
 
     Raises:
-        ValueError: besides bad k, max_iters, tol or a 2D or 3D joint
-            count other than spec's, when a member's visible joints
-            cannot anchor a box (see pose.box_around), or when a joint
+        ValueError: besides bad k, seed, max_iters, tol or a 2D or 3D
+            joint count other than spec's, when a member's visible joints
+            cannot anchor a box (see pose.margin_boxes), or when a joint
             coordinate is non-finite in every member of an anchor.
     """
     _check_count("k", k, 1)
+    _check_count("seed", seed, 0)
     _check_count("max_iters", max_iters, 0)
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -200,8 +202,7 @@ def kmeans_anchors(
         candidate[rows, assign] = False
         pts, cols = np.divmod(np.flatnonzero(candidate), k)
         if len(pts):
-            # in chunks of d3d_matrix's default 256-row blocks
-            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, 256 * k)
+            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, _D3D_BLOCK_ROWS * k)
             # pts is sorted (flat indices, divided by k), so its first
             # occurrences are its distinct rows, in order
             moved = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
@@ -251,26 +252,19 @@ def add_upper_body_variants(anchor_set: AnchorSet) -> AnchorSet:
         raise ValueError("spec lacks an upper/lower body partition")
     if any(a.body_extent != "full_body" for a in anchor_set.anchors):
         raise ValueError("input anchor set already contains upper-body variants")
+    if not anchor_set.anchors:
+        return anchor_set
 
-    upper = list(spec.upper_body_joints)
-    variants = []
-    for a in anchor_set.anchors:
-        layout = a.pose2d.coords
-        lo = layout[upper].min(axis=0)
-        hi = layout[upper].max(axis=0)
-        if (hi <= lo).any():
-            raise ValueError(f"anchor {a.id}: upper-body joints span a degenerate box")
-        remapped = (layout - lo) / (hi - lo)
-        variants.append(
-            AnchorPose(
-                id=anchor_set.K + a.id,
-                pose2d=Pose2D(remapped),
-                pose3d=a.pose3d,
-                body_extent="upper_body",
-            )
-        )
+    layouts = anchor_set.coords2d  # (n, J, 2); row i holds anchor id i
+    upper = layouts[:, list(spec.upper_body_joints)]
+    lo, hi = upper.min(axis=1, keepdims=True), upper.max(axis=1, keepdims=True)
+    bad = np.flatnonzero((hi <= lo).any(axis=(1, 2)))
+    if len(bad):
+        raise ValueError(f"anchor {bad[0]}: upper-body joints span a degenerate box")
+    variants = tuple(AnchorPose(anchor_set.K + a.id, Pose2D(layout), a.pose3d, "upper_body")
+                     for a, layout in zip(anchor_set.anchors, (layouts - lo) / (hi - lo)))
     return AnchorSet(
-        anchors=anchor_set.anchors + tuple(variants),
+        anchors=anchor_set.anchors + variants,
         K=anchor_set.K,
         spec=spec,
         seed=anchor_set.seed,

@@ -31,10 +31,11 @@ from poseforge.pose import (  # noqa: F401
     BoundingBox,
     Pose2D,
     Pose3D,
+    _check_count,
     _check_finite,
     _stack_pairs,
     check_iou_threshold,
-    d3d_kernel,
+    d3d_matrix,
     iou,
     iou_kernel,
     margin_boxes,
@@ -54,8 +55,7 @@ class LabeledBox:
     target: np.ndarray | None = None  # finite (5*J,), present iff class_label >= 1
 
     def __post_init__(self):
-        if self.class_label < 0:
-            raise ValueError("class_label must be >= 0")
+        _check_count("class_label", self.class_label, 0)
         if (self.target is None) != (self.class_label == BACKGROUND):
             raise ValueError("target must be present iff class_label >= 1")
         if self.target is not None:
@@ -104,9 +104,7 @@ def _image_truth(gts: tuple, anchors: AnchorSet, margin_fraction: float) -> tupl
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility, margin_fraction)
     anchors3d = anchors.coords3d
-    # (P, K) d3d; argmin takes ties to the lowest anchor id
-    nearest = d3d_kernel(anchors3d.transpose(2, 0, 1)[:, None],
-                         coords3d.transpose(2, 0, 1)[:, :, None]).argmin(axis=1)
+    nearest = d3d_matrix(coords3d, anchors3d).argmin(axis=1)  # ties to the lowest id
     res3d = (coords3d - anchors3d[nearest]).reshape(len(gts), -1)
     hidden = ~np.isfinite(coords2d).all(axis=2)
     for arr in (boxes, coords2d, visibility, hidden, res3d):

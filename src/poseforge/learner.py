@@ -31,7 +31,8 @@ from poseforge.labeling import (
     regress_anchors,
     softmax,
 )
-from poseforge.pose import BoundingBox, Pose2D, Pose3D, _all_visible, _check_finite, _frozen
+from poseforge.pose import (BoundingBox, Pose2D, Pose3D, _all_visible, _check_count,
+                            _check_finite, _frozen)
 from poseforge.ppi import PoseProposal
 
 
@@ -46,10 +47,8 @@ class TrainConfig:
     two_pass: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.iterations, (int, np.integer)) or isinstance(self.iterations, bool):
-            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        _check_count("iterations", self.iterations, 0)
+        _check_count("seed", self.seed, 0)
         for name in ("learning_rate", "decay_factor"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:

@@ -22,6 +22,9 @@ import numpy as np
 # Margin used when deriving a bounding box from the joints of a pose,
 # as a fraction of the tight box extent (split evenly on both sides).
 DEFAULT_BOX_MARGIN = 0.10
+# Rows of the first stack that d3d_matrix takes at a time; kmeans_anchors
+# sizes its blocks of (point, centroid) pairs to match.
+_D3D_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -265,10 +268,6 @@ class BoundingBox:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
@@ -290,15 +289,6 @@ class AnchorPose:
     def __post_init__(self):
         if self.body_extent not in ("full_body", "upper_body"):
             raise ValueError(f"unknown body_extent {self.body_extent!r}")
-
-
-def center_3d(spec: PoseSpec, coords) -> Pose3D:
-    """Torso-center raw (J, 3) coordinates into a Pose3D."""
-    arr = np.array(coords, dtype=np.float64)
-    if arr.shape != (spec.joint_count, 3):
-        raise ValueError(f"expected ({spec.joint_count}, 3) coords, got {arr.shape}")
-    center = arr[list(spec.torso_anchor_joints)].mean(axis=0)
-    return Pose3D(arr - center)
 
 
 def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,13 +337,12 @@ def d3d(p: Pose3D, q: Pose3D) -> float:
     return float(d3d_kernel(p.coords.T, q.coords.T))
 
 
-def d3d_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
+def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise d3d between coordinate stacks a (N, J, 3) and b (M, J, 3).
 
-    Works on blocks of chunk rows of a, an integer >= 1, which keeps the
-    (chunk, M, J) temporaries small enough to stay in cache.
+    Works on blocks of _D3D_BLOCK_ROWS rows of a, which keeps the
+    (rows, M, J) temporaries small enough to stay in cache.
     """
-    _check_count("chunk", chunk, 1)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[1:] != b.shape[1:]:
@@ -361,18 +350,24 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
     at = np.ascontiguousarray(a.transpose(2, 0, 1))[:, :, None, :]
     bt = np.ascontiguousarray(b.transpose(2, 0, 1))[:, None, :, :]
     out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], chunk):
-        out[start:start + chunk] = d3d_kernel(at[:, start:start + chunk], bt)
+    rows = _D3D_BLOCK_ROWS
+    for start in range(0, a.shape[0], rows):
+        out[start:start + rows] = d3d_kernel(at[:, start:start + rows], bt)
     return out
 
 
 def margin_boxes(coords: np.ndarray, visibility: np.ndarray,
                  margin_fraction: float = DEFAULT_BOX_MARGIN) -> np.ndarray:
-    """Stacked box_around: (N, 4) boxes (x_min, y_min, x_max, y_max).
+    """(N, 4) boxes (x_min, y_min, x_max, y_max) over the visible joints
+    of N poses, coords (N, J, 2) and visibility (N, J); invisible joints
+    may hold any value, NaN included.
 
-    coords (N, J, 2) and visibility (N, J) stack N poses; invisible
-    joints may hold any value, NaN included. The arithmetic and the
-    ValueErrors are box_around's.
+    Each box is the tight box over the visible joints, widened by
+    margin_fraction of its extent per axis, half on each side. Raises
+    ValueError when a pose has no visible joint or its visible joints
+    span zero extent, which cannot anchor a proposal box, and with
+    BoundingBox's message when the margin leaves a box empty or
+    non-finite.
     """
     vis = visibility[..., None]
     lo = np.where(vis, coords, np.inf).min(axis=1)
@@ -389,18 +384,6 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray,
     return boxes
 
 
-def box_around(pose: Pose2D, margin_fraction: float = DEFAULT_BOX_MARGIN) -> BoundingBox:
-    """Tight box over the visible joints, expanded by a symmetric margin.
-
-    The margin adds margin_fraction of the tight extent per axis, half
-    on each side. Degenerate inputs (no visible joints, or a single
-    visible joint / zero extent, which cannot anchor a proposal box)
-    raise ValueError.
-    """
-    return BoundingBox(*margin_boxes(pose.coords[None], pose.visibility[None],
-                                     margin_fraction)[0])
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; see iou_kernel."""
     return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
@@ -410,20 +393,6 @@ def check_iou_threshold(iou_threshold: float) -> None:
     """Reject an IoU threshold outside [0, 1], NaN included."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-
-
-def normalize_to_box(pose: Pose2D, box: BoundingBox) -> Pose2D:
-    """Map coordinates so the box corners land on (0,0) and (1,1)."""
-    scale = np.array([box.width, box.height])
-    offset = np.array([box.x_min, box.y_min])
-    return Pose2D((pose.coords - offset) / scale, pose.visibility)
-
-
-def denormalize_from_box(pose: Pose2D, box: BoundingBox) -> Pose2D:
-    """Inverse of normalize_to_box."""
-    scale = np.array([box.width, box.height])
-    offset = np.array([box.x_min, box.y_min])
-    return Pose2D(pose.coords * scale + offset, pose.visibility)
 
 
 def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:

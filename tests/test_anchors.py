@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poseforge.anchors as anchors_module
+from helpers import box_around, center_3d
 from poseforge.anchors import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -19,10 +20,7 @@ from poseforge.pose import (
     AnchorPose,
     Pose2D,
     Pose3D,
-    box_around,
-    center_3d,
     d3d,
-    normalize_to_box,
 )
 
 
@@ -33,6 +31,13 @@ def make_pair(rng, center=None, spread=0.4):
     p3 = center_3d(H13, base)
     p2 = Pose2D(rng.normal(200.0, 60.0, size=(13, 2)))
     return p2, p3
+
+
+def unit_layout(p2, margin_fraction=0.10):
+    """p2's coordinates in its own margin box, whose corners map to (0, 0)
+    and (1, 1)."""
+    box = box_around(p2, margin_fraction)
+    return (p2.coords - np.array([box.x_min, box.y_min])) / np.array([box.width, box.height])
 
 
 def random_corpus(rng, n):
@@ -84,8 +89,7 @@ def kmeans_oracle(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL
     dist = norm_d3d_matrix(coords3d, centroids)
     assign = dist.argmin(axis=1)
     history.append(float((dist[np.arange(n), assign] ** 2).sum()))
-    unit_layouts = np.stack(
-        [normalize_to_box(p2, box_around(p2, margin_fraction)).coords for p2, _ in poses])
+    unit_layouts = np.stack([unit_layout(p2, margin_fraction) for p2, _ in poses])
     layouts = np.stack([unit_layouts[assign == c].mean(axis=0) if (assign == c).any()
                         else np.full(unit_layouts.shape[1:], np.nan) for c in range(k)])
     return centroids, layouts, tuple(history)
@@ -241,7 +245,7 @@ class TestKmeansOccludedLayouts:
                            for _, p3 in poses])
         for a in out.anchors:
             for j in range(13):
-                xs = [normalize_to_box(p2, box_around(p2)).coords[j]
+                xs = [unit_layout(p2)[j]
                       for (p2, _), c in zip(poses, assign) if c == a.id and p2.visibility[j]]
                 assert np.allclose(a.pose2d.coords[j], np.mean(xs, axis=0), rtol=0, atol=1e-12)
         assert all(np.isfinite(a.pose2d.coords).all() for a in out.anchors)
@@ -332,6 +336,10 @@ class TestKmeans:
         ("k", 2.5, "k must be an integer, got 2.5"),
         ("k", True, "k must be an integer, got True"),
         ("k", 0, "k must be >= 1, got 0"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
         ("max_iters", True, "max_iters must be an integer, got True"),
         ("max_iters", -1, "max_iters must be >= 0, got -1"),
@@ -390,6 +398,28 @@ def upright_layout():
     return coords
 
 
+def upper_body_oracle(anchor_set):
+    """add_upper_body_variants' (n, J, 2) remapped layouts, one anchor at a
+    time, as the function computed them before its stacked form."""
+    upper = list(anchor_set.spec.upper_body_joints)
+    remapped = []
+    for a in anchor_set.anchors:
+        layout = a.pose2d.coords
+        lo = layout[upper].min(axis=0)
+        hi = layout[upper].max(axis=0)
+        if (hi <= lo).any():
+            raise ValueError(f"anchor {a.id}: upper-body joints span a degenerate box")
+        remapped.append((layout - lo) / (hi - lo))
+    return np.stack(remapped)
+
+
+def layout_set(rng, layouts):
+    """Full-body AnchorSet of the (n, 13, 2) layouts with random 3D poses."""
+    anchors = tuple(AnchorPose(i, Pose2D(layout), center_3d(H13, rng.normal(0, 0.3, (13, 3))))
+                    for i, layout in enumerate(layouts))
+    return AnchorSet(anchors, K=len(layouts), spec=H13, seed=0)
+
+
 def upright_anchor_set():
     rng = np.random.default_rng(7)
     p3 = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
@@ -418,6 +448,42 @@ class TestUpperBodyVariants:
         doubled = add_upper_body_variants(upright_anchor_set())
         layout = doubled.anchors[1].pose2d.coords
         assert (layout[list(H13.lower_body_joints), 1] > 1.0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), exponent=st.integers(-6, 6),
+           collapsed=st.sets(st.integers(0, 11), max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_anchor_reference(self, n, exponent, collapsed, seed):
+        rng = np.random.default_rng(seed)
+        layouts = rng.uniform(-0.5, 1.5, size=(n, 13, 2)) * 10.0 ** exponent
+        for i in collapsed & set(range(n)):  # zero upper-body extent on one axis
+            layouts[i, list(H13.upper_body_joints), i % 2] = layouts[i, 0, i % 2]
+        anchor_set = layout_set(rng, layouts)
+        try:
+            expected = upper_body_oracle(anchor_set)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                add_upper_body_variants(anchor_set)
+            assert str(raised.value) == str(err)
+            return
+        doubled = add_upper_body_variants(anchor_set)
+        assert doubled.anchors[:n] == anchor_set.anchors
+        variants = doubled.anchors[n:]
+        assert [v.id for v in variants] == list(range(n, 2 * n))
+        for v, a in zip(variants, anchor_set.anchors):
+            assert v.body_extent == "upper_body" and v.pose3d is a.pose3d
+        assert np.array_equal(np.stack([v.pose2d.coords for v in variants]), expected)
+
+    def test_two_degenerate_anchors_name_the_lower_id(self):
+        rng = np.random.default_rng(8)
+        layouts = rng.uniform(0.0, 1.0, size=(6, 13, 2))
+        upper = list(H13.upper_body_joints)
+        layouts[4, upper, 0] = 0.5   # zero width
+        layouts[2, upper, 1] = 0.25  # zero height
+        with pytest.raises(ValueError, match="anchor 2: upper-body joints span a degenerate box"):
+            add_upper_body_variants(layout_set(rng, layouts))
+
+    def test_empty_set_stays_empty(self):
+        assert len(add_upper_body_variants(AnchorSet((), K=0, spec=H13, seed=0))) == 0
 
     def test_rejects_already_doubled(self):
         doubled = add_upper_body_variants(upright_anchor_set())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poseforge.labeling as labeling_module
+from helpers import box_around, center_3d
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
@@ -24,8 +25,6 @@ from poseforge.pose import (
     BoundingBox,
     Pose2D,
     Pose3D,
-    box_around,
-    center_3d,
     iou,
 )
 
@@ -367,8 +366,9 @@ class TestApplyRegression:
         a = random_anchor(rng)
         box = BoundingBox(100, 50, 300, 450)
         p2, p3 = apply_regression(a, box, np.zeros(65))
-        from poseforge.pose import denormalize_from_box
-        assert np.allclose(p2.coords, denormalize_from_box(a.pose2d, box).coords)
+        placed = (a.pose2d.coords * np.array([box.width, box.height])
+                  + np.array([box.x_min, box.y_min]))
+        assert np.allclose(p2.coords, placed)
         assert np.array_equal(p3.coords, a.pose3d.coords)
 
     def test_target_round_trip(self):
@@ -580,6 +580,18 @@ class TestRegressionLoss:
 
 
 class TestLabeledBox:
+    @pytest.mark.parametrize("label,message", [
+        (1.7, "class_label must be an integer, got 1.7"),
+        (True, "class_label must be an integer, got True"),
+        (-1, "class_label must be >= 0, got -1"),
+    ])
+    def test_bad_class_label_rejected(self, label, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledBox(BoundingBox(0, 0, 1, 1), label, np.zeros(65))
+
+    def test_numpy_integer_label_accepted(self):
+        assert LabeledBox(BoundingBox(0, 0, 1, 1), np.int64(2), np.zeros(65)).class_label == 2
+
     def test_target_not_5j_rejected(self):
         with pytest.raises(ValueError, match=r"flat 5\*J vector"):
             LabeledBox(BoundingBox(0, 0, 1, 1), 1, np.zeros(64))

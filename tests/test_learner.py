@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import poseforge.learner as learner_module
+from helpers import box_around, center_3d
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
@@ -22,9 +23,6 @@ from poseforge.pose import (
     BoundingBox,
     Pose2D,
     Pose3D,
-    box_around,
-    center_3d,
-    denormalize_from_box,
 )
 
 
@@ -404,6 +402,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("iterations", -1, "iterations must be >= 0"),
         ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("learning_rate", np.nan, "learning_rate must be finite and above 0"),
         ("learning_rate", np.inf, "learning_rate must be finite and above 0"),
         ("learning_rate", 0.0, "learning_rate must be finite and above 0"),
@@ -487,12 +489,12 @@ class TestPredict:
                 pose2d, pose3d = apply_regression(a, box, residual)
                 # the per-anchor reference, written out: layout + residual in
                 # unit-box coordinates, then placed into the box
-                placed = denormalize_from_box(
-                    Pose2D(a.pose2d.coords + residual[:26].reshape(13, 2)), box)
+                placed = ((a.pose2d.coords + residual[:26].reshape(13, 2))
+                          * np.array([box.width, box.height]) + np.array([box.x_min, box.y_min]))
                 assert p.anchor_id == a.id and p.box == box
                 assert p.score == probs[c]
                 assert np.array_equal(p.pose2d.coords, pose2d.coords)
-                assert np.array_equal(p.pose2d.coords, placed.coords)
+                assert np.array_equal(p.pose2d.coords, placed)
                 assert np.array_equal(p.pose3d.coords, pose3d.coords)
                 assert np.array_equal(p.pose3d.coords,
                                       a.pose3d.coords + residual[26:].reshape(13, 3))

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import poseforge.pose as pose_module
+from helpers import center_3d
 from poseforge.pose import (
     H13,
     H17,
@@ -13,18 +16,14 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     PoseSpec,
-    box_around,
-    center_3d,
     d3d,
     d3d_kernel,
     d3d_matrix,
-    denormalize_from_box,
     extrapolate_head_top,
     fit_scale_offset,
     iou,
     iou_kernel,
     margin_boxes,
-    normalize_to_box,
 )
 
 RNG = np.random.default_rng(12345)
@@ -74,12 +73,6 @@ class TestPoseTypes:
         p = random_pose2d(np.random.default_rng(0))
         with pytest.raises(ValueError):
             p.coords[0, 0] = 1.0
-
-    def test_center_3d(self):
-        rng = np.random.default_rng(7)
-        pose = center_3d(H13, rng.normal(2.0, 0.4, size=(13, 3)))
-        torso = pose.coords[list(H13.torso_anchor_joints)].mean(axis=0)
-        assert np.abs(torso).max() < 1e-9
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -180,13 +173,16 @@ def norm_d3d_matrix(a, b):
 class TestD3dKernel:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 30), m=st.integers(1, 12), j=st.integers(1, 24),
-           exponent=st.integers(-8, 8), chunk=st.integers(1, 40),
+           exponent=st.integers(-8, 8), block_rows=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
-    def test_matrix_equals_norm_formula_and_d3d_exactly(self, n, m, j, exponent, chunk, seed):
+    def test_matrix_equals_norm_formula_and_d3d_exactly(self, n, m, j, exponent, block_rows,
+                                                        seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(0.0, 10.0 ** exponent, size=(n, j, 3))
         b = rng.normal(0.0, 10.0 ** exponent, size=(m, j, 3))
-        mat = d3d_matrix(a, b, chunk=chunk)
+        # small blocks put block edges inside the n rows
+        with mock.patch.object(pose_module, "_D3D_BLOCK_ROWS", block_rows):
+            mat = d3d_matrix(a, b)
         assert np.array_equal(mat, norm_d3d_matrix(a, b))
         i, k = int(rng.integers(n)), int(rng.integers(m))
         assert mat[i, k] == d3d(Pose3D(a[i]), Pose3D(b[k]))
@@ -203,19 +199,18 @@ class TestD3dKernel:
         with pytest.raises(ValueError, match="pose spec mismatch"):
             d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
 
-    @pytest.mark.parametrize("chunk,message", [
-        (0, "chunk must be >= 1, got 0"),
-        (-1, "chunk must be >= 1, got -1"),
-        (2.5, "chunk must be an integer, got 2.5"),
-        (True, "chunk must be an integer, got True"),
-    ])
-    def test_bad_chunk_rejected(self, chunk, message):
-        with pytest.raises(ValueError, match=message):
-            d3d_matrix(np.zeros((2, 13, 3)), np.ones((4, 13, 3)), chunk=chunk)
+
+def margin_box(coords, visibility=None, margin_fraction=0.10):
+    """margin_boxes of the one pose with (J, 2) coords and (J,) visibility
+    (all visible if None), as a tuple."""
+    visibility = np.ones(len(coords), dtype=bool) if visibility is None else visibility
+    return tuple(margin_boxes(np.array(coords, dtype=float)[None], visibility[None],
+                              margin_fraction)[0])
 
 
 def box_around_oracle(pose, margin_fraction):
-    """box_around written out for one pose, the form margin_boxes stacks."""
+    """One pose's margin box written out with scalar arithmetic, the form
+    margin_boxes stacks."""
     pts = pose.coords[pose.visibility]
     if not len(pts):
         raise ValueError("pose has no visible joints")
@@ -230,30 +225,27 @@ def box_around_oracle(pose, margin_fraction):
 
 class TestBoxes:
     def test_box_around_no_margin(self):
-        pose = Pose2D([[0, 0], [100, 100]] + [[50, 50]] * 11)
-        b = box_around(pose, 0.0)
-        assert b.as_tuple() == (0, 0, 100, 100)
+        coords = [[0, 0], [100, 100]] + [[50, 50]] * 11
+        assert margin_box(coords, margin_fraction=0.0) == (0, 0, 100, 100)
 
     def test_box_around_ten_percent(self):
-        pose = Pose2D([[0, 0], [100, 100]] + [[50, 50]] * 11)
-        b = box_around(pose, 0.10)
-        assert b.as_tuple() == pytest.approx((-5, -5, 105, 105))
+        coords = [[0, 0], [100, 100]] + [[50, 50]] * 11
+        assert margin_box(coords, margin_fraction=0.10) == pytest.approx((-5, -5, 105, 105))
 
     def test_box_around_uses_visible_only(self):
         coords = np.array([[0, 0], [10, 10], [1000, 1000]], dtype=float)
         vis = np.array([True, True, False])
-        b = box_around(Pose2D(coords, vis), 0.0)
-        assert b.as_tuple() == (0, 0, 10, 10)
+        assert margin_box(coords, vis, 0.0) == (0, 0, 10, 10)
 
     def test_single_visible_joint_rejected(self):
         vis = np.zeros(13, dtype=bool)
         vis[0] = True
-        with pytest.raises(ValueError):
-            box_around(Pose2D(np.zeros((13, 2)), vis))
+        with pytest.raises(ValueError, match=r"degenerate \(zero-extent\) box"):
+            margin_box(np.zeros((13, 2)), vis)
 
     def test_no_visible_joint_rejected(self):
-        with pytest.raises(ValueError):
-            box_around(Pose2D(np.zeros((13, 2)), np.zeros(13, dtype=bool)))
+        with pytest.raises(ValueError, match="pose has no visible joints"):
+            margin_box(np.zeros((13, 2)), np.zeros(13, dtype=bool))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), margin=st.sampled_from([0.0, 0.1, 0.37]),
@@ -268,7 +260,7 @@ class TestBoxes:
         for i in range(n):
             expected = box_around_oracle(Pose2D(coords[i], vis[i]), margin)
             assert tuple(boxes[i]) == expected.as_tuple()
-            assert box_around(Pose2D(coords[i], vis[i]), margin) == expected
+            assert margin_box(coords[i], vis[i], margin) == expected.as_tuple()
 
     def test_margin_boxes_reject_like_box_around(self):
         coords = np.tile(np.arange(26.0).reshape(13, 2), (3, 1, 1))
@@ -314,7 +306,7 @@ def iou_oracle(a, b):
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / (a.width * a.height + b.width * b.height - inter)
 
 
 def expected_iou(a, b):
@@ -361,27 +353,6 @@ class TestIouKernel:
         assert iou(box, box) == 0.0
         with pytest.raises(ZeroDivisionError):
             iou_oracle(box, box)
-
-
-class TestBoxNormalization:
-    def test_center_maps_to_half(self):
-        box = BoundingBox(10, 20, 30, 60)
-        p = Pose2D([[20, 40]] * 13)
-        n = normalize_to_box(p, box)
-        assert np.allclose(n.coords, 0.5)
-
-    def test_corner_maps_to_zero(self):
-        box = BoundingBox(10, 20, 30, 60)
-        p = Pose2D([[10, 20]] * 13)
-        assert np.allclose(normalize_to_box(p, box).coords, 0.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            p = random_pose2d(rng)
-            box = BoundingBox(*np.sort(rng.uniform(0, 300, 2)), 400 + rng.uniform(0, 300), 500 + rng.uniform(0, 300))
-            rt = denormalize_from_box(normalize_to_box(p, box), box)
-            assert np.abs(rt.coords - p.coords).max() < 1e-12
 
 
 class TestFitScaleOffset:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D, center_3d, d3d, iou
+from helpers import center_3d
+from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D, d3d, iou
 from poseforge.ppi import (
     Detection,
     PoseProposal,
