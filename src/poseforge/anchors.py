@@ -20,7 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from poseforge.pose import (
+# d3d_matrix is not called here (the k-means++ draws give the first bounds);
+# perfbench/tracing.py counts calls through poseforge.anchors.d3d_matrix.
+from poseforge.pose import (  # noqa: F401
     _D3D_BLOCK_ROWS,
     DEFAULT_BOX_MARGIN,
     AnchorPose,
@@ -75,13 +77,20 @@ class AnchorSet:
         return stack
 
 
-def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ init: next centroid drawn with prob ~ squared d3d."""
+def _kmeans_pp_init(coords: np.ndarray, k: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ init: next centroid drawn with prob ~ squared d3d.
+
+    Returns the (k, J, 3) centroids and the (N, k) d3d of every point to
+    each of them, d3d_matrix(coords, centroids) bit for bit: each column
+    is computed once, to draw the next centroid, and kept.
+    """
     n = coords.shape[0]
     planes = np.ascontiguousarray(coords.transpose(2, 0, 1))  # (3, N, J)
     chosen = [int(rng.integers(n))]
-    dist = d3d_kernel(planes, planes[:, chosen])
-    while len(chosen) < k:
+    to_centroids = np.empty((n, k))
+    to_centroids[:, 0] = dist = d3d_kernel(planes, planes[:, chosen])
+    for c in range(1, k):
         weights = dist ** 2
         total = weights.sum()
         if total > 0.0:
@@ -90,8 +99,9 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:  # all remaining points coincide with a centroid
             idx = int(rng.choice(n))
         chosen.append(idx)
-        dist = np.minimum(dist, d3d_kernel(planes, planes[:, [idx]]))
-    return coords[chosen].copy()
+        to_centroids[:, c] = column = d3d_kernel(planes, planes[:, [idx]])
+        dist = np.minimum(dist, column)
+    return coords[chosen].copy(), to_centroids
 
 
 def _pair_d3d(planes: np.ndarray, cplanes: np.ndarray, rows: np.ndarray,
@@ -159,13 +169,12 @@ def kmeans_anchors(
     unit_layouts = (coords2d - boxes[..., :2]) / (boxes[..., 2:] - boxes[..., :2])
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(coords3d, k, rng)
+    # Per point: a lower bound on its distance to each centroid, exact
+    # from the k-means++ draws; then its centroid and the exact distance
+    # u to it, after this first full assignment.
+    centroids, low = _kmeans_pp_init(coords3d, k, rng)
     planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))  # (3, N, J)
     rows = np.arange(len(poses))
-    # Per point: its centroid, the exact distance u to it, and a lower
-    # bound on its distance to each centroid, exact after this first
-    # full assignment.
-    low = d3d_matrix(coords3d, centroids)
     assign = low.argmin(axis=1)
     u = low[rows, assign]
     history = [float((u ** 2).sum())]

@@ -112,6 +112,14 @@ def _image_truth(gts: tuple, anchors: AnchorSet, margin_fraction: float) -> tupl
     return boxes, coords2d, visibility, hidden, tuple(nearest.tolist()), res3d
 
 
+def _unhashable(key: tuple) -> bool:
+    try:
+        hash(key)
+    except TypeError:
+        return True
+    return False
+
+
 def assign_label(
     box: BoundingBox,
     gts: list[tuple[Pose2D, Pose3D]],
@@ -131,8 +139,9 @@ def assign_label(
 
     Labeling an image's boxes one after another builds its ground-truth
     boxes, 2D stacks and nearest anchors once: they are cached on
-    tuple(gts), whose entries must be tuples, anchors and margin_fraction
-    (see the module docstring).
+    tuple(gts), anchors and margin_fraction (see the module docstring).
+    An entry of gts may be any (Pose2D, Pose3D) pair; one that cannot be
+    hashed, such as a list, is keyed as a tuple.
     """
     check_iou_threshold(iou_threshold)
     if len(anchors) == 0:
@@ -140,8 +149,15 @@ def assign_label(
     if not gts:
         return LabeledBox(box, BACKGROUND)
 
-    boxes, coords2d, visibility, hidden, nearest, res3d = _image_truth(
-        tuple(gts), anchors, margin_fraction)
+    key = tuple(gts)
+    try:
+        truth = _image_truth(key, anchors, margin_fraction)
+    except TypeError:
+        if not _unhashable(key):  # raised by the build, not by the cache's key
+            raise
+        # an entry such as a list [Pose2D, Pose3D]
+        truth = _image_truth(tuple(map(tuple, key)), anchors, margin_fraction)
+    boxes, coords2d, visibility, hidden, nearest, res3d = truth
     overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < iou_threshold:

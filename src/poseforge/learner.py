@@ -6,9 +6,12 @@ through the same two helpers.
 A box's regression loss reaches only its own class's regressor, so
 training computes and updates each class's (D, 5*J) slot of w_reg on that
 class's boxes alone; inference computes every slot for every box. The
-trainer gathers the foreground rows once, in slot order, and makes its
-(m, 5*J) buffers once per call, so an iteration allocates nothing of
-that size (see _train_head for the page faults this saves).
+trainer gathers the foreground rows once, in slot order, copies the
+trained slots of w_reg into one contiguous slot-major working block for
+the length of the call, and makes its (m, 5*J) buffers once per call, so
+an iteration allocates nothing of that size and writes no strided slot
+(see _train_head). w_reg keeps its (D, 5*J*C) layout, which inference
+reads.
 
 An optional two-pass mode feeds the first pass's outputs back in,
 concatenated with the features, to a second linear head that produces
@@ -117,61 +120,80 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
 
     A box's regression loss reaches only the (D, 5*J) slot of w_reg that
     belongs to its own label. So each non-background class that has rows
-    is predicted and updated on those rows alone, through (D, C, 5*J) and
-    (C, 5*J) views of w_reg and b_reg: over all classes a product costs
-    m*D*5*J for the m foreground rows, not the n*D*5*J*C of the full
-    x @ w_reg. The slot of class 0, and of a class with no rows, keeps
-    its initial value.
+    is predicted and updated on those rows alone: over all classes a
+    product costs m*D*5*J for the m foreground rows, not the n*D*5*J*C of
+    the full x @ w_reg. The slot of class 0, and of a class with no rows,
+    keeps its initial value.
 
     The foreground rows are gathered once, in slot order (a stable sort
     of the labels), so slot k is a contiguous slice holding its rows in
     input order, and background rows never enter the regression path.
+    The S trained slots of w_reg are copied once per call into a
+    contiguous (S, D, 5*J) working block, slot-major, and written back
+    at the end. In w_reg a slot is a strided (D, 5*J) view whose rows lie
+    C*5*J apart, so every slot product would read, and every update
+    write, D short rows scattered over the whole array; in the block each
+    slot is one contiguous run. The per-slot products keep their shapes
+    and the updates are elementwise, so the results are those of the
+    strided form bit for bit. The block is S*D*5*J doubles: 0.75 MB on
+    the benchmark's crowd workload (S = 20, D = 72, J = 13), and about
+    29 MB for a two_pass refine head there, whose D is 72 + C + 5*J*C.
+
     The (m, 5*J) prediction, loss and gradient buffers and one (D, 5*J)
-    slot-gradient buffer are made once per call, and every iteration
-    writes into them. Fresh (n, 5*J) temporaries in every iteration,
-    as a direct form makes them, come back from the kernel as new pages
-    once they pass glibc's mmap threshold: on the benchmark's sparse
-    workload (n = 900, J = 13, seed 1) the first train call in a process
-    took about 8,000 minor faults that way, and takes about 800 with the
-    buffers, the first touch of its per-call arrays. The losses come from
-    the two helpers that labeling.head_losses composes, and the results
-    are bit-identical to that direct form.
+    slot-gradient buffer are made once per call too, and every iteration
+    writes into them; each slot's views of them are made once as well.
+    Fresh (n, 5*J) temporaries in every iteration, as a direct form
+    makes them, come back from the kernel as new pages once they pass
+    glibc's mmap threshold: on the benchmark's sparse workload (n = 900,
+    J = 13, seed 1) the first train call in a process took about 8,000
+    minor faults that way, and takes about 1,000 with the buffers and
+    the block, the first touch of its per-call arrays. The losses come
+    from the two helpers that labeling.head_losses composes, and the
+    results are bit-identical to that direct form.
     """
     n, d = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
     switch = int(config.decay_fraction * config.iterations)
-    # views, as _Head.init makes both arrays contiguous
-    w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
+    # views, as _Head.init makes both arrays contiguous: slot_major[k] is
+    # class k's (D, w) slot of w_reg, a strided view
+    slot_major = head.w_reg.reshape(d, c, w).transpose(1, 0, 2)
+    b_slots = head.b_reg.reshape(c, w)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(c + 1))
     fg = order[bounds[1]:]  # BACKGROUND is 0, the first class
     bounds -= bounds[1]  # slot k is fg[bounds[k]:bounds[k + 1]]
-    slots = [(k, slice(bounds[k], bounds[k + 1])) for k in range(1, c)
-             if bounds[k + 1] > bounds[k]]
+    ids = [k for k in range(1, c) if bounds[k + 1] > bounds[k]]
+    spans = [slice(bounds[k], bounds[k + 1]) for k in ids]
+    block = np.ascontiguousarray(slot_major[ids])  # (S, D, w), the working block
     x_fg, t_fg = x[fg], targets[fg]
     in_input_order = np.argsort(fg)
     pred, loss, grad = np.empty((3, len(fg), w))
+    # per slot, views made once: its weights in the block, its bias row,
+    # and its rows of x_fg (and their transpose), of pred and of grad
+    slots = [(w_k, b_slots[k], x_fg[s], x_fg[s].T, pred[s], grad[s])
+             for w_k, k, s in zip(block, ids, spans)]
     g_w = np.empty((d, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
         probs = head.class_probs(x)
         cls_loss, g_logits = _class_loss(probs, labels, out=probs)
-        for k, s in slots:
-            np.matmul(x_fg[s], w_slots[:, k], out=pred[s])
-            pred[s] += b_slots[k]
+        for w_k, b_k, x_k, _, p_k, _ in slots:
+            np.matmul(x_k, w_k, out=p_k)
+            p_k += b_k
         err = np.subtract(t_fg, pred, out=pred)  # pred is not needed again
-        reg_loss, g_pred = _regression_loss(err, n, in_input_order, loss, grad)
+        reg_loss, _ = _regression_loss(err, n, in_input_order, loss, grad)  # into grad
 
         loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
 
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
-        for k, s in slots:
-            np.matmul(x_fg[s].T, g_pred[s], out=g_w)
+        for w_k, b_k, _, xt_k, _, g_k in slots:
+            np.matmul(xt_k, g_k, out=g_w)
             g_w *= lr
-            w_slots[:, k] -= g_w
-            b_slots[k] -= lr * g_pred[s].sum(axis=0)
+            w_k -= g_w
+            b_k -= lr * g_k.sum(axis=0)
+    slot_major[ids] = block
     return loss_history
 
 
@@ -182,9 +204,12 @@ def train(
 ) -> ToyModel:
     """Fit the toy model on (feature, labeled box) pairs.
 
-    Deterministic given config.seed. Raises on inconsistent feature or
-    target dimensions and on a feature row that is not finite.
+    Deterministic given config.seed. Raises on an empty anchor set, on
+    inconsistent feature or target dimensions and on a feature row that
+    is not finite.
     """
+    if len(anchors) == 0:
+        raise ValueError("empty anchor set")
     if not examples:
         raise ValueError("no training examples")
     x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])

@@ -21,6 +21,7 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     d3d,
+    d3d_matrix,
 )
 
 
@@ -63,7 +64,7 @@ def kmeans_oracle(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL
     plain member mean, and the distortion history.
     """
     coords3d = np.stack([p3.coords for _, p3 in poses])
-    centroids = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed))
+    centroids, _ = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed))
     history = []
     n = len(poses)
     for _ in range(max_iters):
@@ -183,8 +184,10 @@ class TestKmeansMatchesLloydOracle:
         assert len(out.distortion_history) > 50
 
     def test_pruning_skips_most_pairs(self, monkeypatch):
-        # after the first full assignment, every (point, centroid) distance
-        # besides each point's own goes through the module-level _pair_d3d
+        # the first bounds are the k-means++ distance columns, so no full
+        # matrix is computed; after the first assignment, every (point,
+        # centroid) distance besides each point's own goes through the
+        # module-level _pair_d3d
         rng = np.random.default_rng(12)
         poses = clustered_corpus(rng, 600, 30, 0.2)
         pairs, full = [], []
@@ -203,7 +206,7 @@ class TestKmeansMatchesLloydOracle:
         out = kmeans_anchors(poses, 8, H13, seed=3)
         iterations = len(out.distortion_history) - 1
         assert iterations > 10
-        assert full == [600 * 8]  # only the first assignment is a full matrix
+        assert full == []
         assert 0 < sum(pairs) < 0.2 * 600 * 8 * iterations
 
     def test_candidate_pairs_are_chunked(self):
@@ -217,6 +220,36 @@ class TestKmeansMatchesLloydOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def kmeans_pp_oracle(coords3d, k, rng):
+    """k-means++ draws from a full d3d_matrix to the centroids chosen so far."""
+    n = len(coords3d)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        weights = d3d_matrix(coords3d, coords3d[chosen]).min(axis=1) ** 2
+        total = weights.sum()
+        chosen.append(int(rng.choice(n, p=weights / total)) if total > 0.0
+                      else int(rng.choice(n)))
+    return coords3d[chosen]
+
+
+class TestKmeansPlusPlusInit:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 60), k_frac=st.floats(0.0, 1.0), distinct=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bounds_are_d3d_matrix_of_the_draws(self, n, k_frac, distinct, seed):
+        # `distinct` poses repeated to n rows: small values exhaust the
+        # distinct poses before k, so the equal-weight draws run too
+        rng = np.random.default_rng(seed)
+        poses = clustered_corpus(rng, distinct, 3, 0.1)
+        coords3d = np.stack([poses[i % distinct][1].coords for i in range(n)])
+        k = 1 + int(k_frac * (n - 1))
+        centroids, low = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed % 1000))
+        assert np.array_equal(centroids,
+                              kmeans_pp_oracle(coords3d, k, np.random.default_rng(seed % 1000)))
+        assert low.shape == (n, k) and low.flags.c_contiguous
+        assert np.array_equal(low, d3d_matrix(coords3d, centroids))
 
 
 def nan_coded_corpus(rng, n, hidden_share):

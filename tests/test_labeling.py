@@ -280,6 +280,28 @@ class TestImageMemo:
             assert_matches_oracle(box_around(gts[0][0], 0.10), gts, anchors)
         assert len(calls) == 3
 
+    def test_list_entries_label_as_tuple_entries(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        anchors = anchor_set(rng)
+        gts = [random_gt(rng, offset=(90.0 * i, 30.0 * i)) for i in range(4)]
+        lists = [list(pair) for pair in gts]
+        calls = counting_margin_boxes(monkeypatch)
+        for box in [box_near(rng, gts) for _ in range(20)]:
+            want = assign_label(box, gts, anchors)
+            for image in (lists, lists[:2] + gts[2:]):  # list entries, alone or mixed
+                got = assign_label(box, image, anchors)
+                assert got.class_label == want.class_label
+                assert (got.target is None) == (want.target is None)
+                if want.target is not None:
+                    assert np.array_equal(got.target, want.target)
+        # the list entries key the cache as their tuples, the same poses
+        assert len(calls) == 1
+
+    def test_type_error_of_a_hashable_key_is_not_retried(self):
+        rng = np.random.default_rng(27)
+        with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
+            assign_label(BoundingBox(0, 0, 10, 10), [random_gt(rng), 5], anchor_set(rng))
+
     @pytest.mark.parametrize("joints2d,joints3d", [(17, 17), (13, 17), (17, 13)])
     def test_joint_count_mismatch_rejected(self, joints2d, joints3d):
         rng = np.random.default_rng(23)

@@ -1,9 +1,12 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poseforge.learner as learner_module
 from helpers import box_around, center_3d
@@ -246,6 +249,47 @@ class TestTrainMatchesSlotOracle:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@st.composite
+def label_layouts(draw):
+    """(n_anchors, labels): labels drawn from a random subset of the classes,
+    so slots can be empty or hold one row, and the whole set can be
+    background-only or foreground-only."""
+    n_anchors = draw(st.integers(1, 6))
+    used = sorted(draw(st.sets(st.integers(0, n_anchors), min_size=1)))
+    labels = draw(st.lists(st.sampled_from(used), min_size=1, max_size=40))
+    return n_anchors, labels
+
+
+class TestTrainMatchesSlotOracleProperty:
+    # The same slot products as the trainer, so the results agree bit for bit.
+    @settings(max_examples=60, deadline=None)
+    @given(layout=label_layouts(), dim=st.integers(1, 12), iterations=st.integers(0, 5),
+           two_pass=st.booleans(), target_scale=st.sampled_from([0.1, 4.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_loss_history_and_weights_equal(self, layout, dim, iterations, two_pass,
+                                            target_scale, seed):
+        n_anchors, labels = layout
+        rng = np.random.default_rng(seed)
+        anchors = small_anchor_set(rng, n=n_anchors)
+        box = BoundingBox(0, 0, 100, 100)
+        examples = [(rng.normal(0, 1, dim),
+                     LabeledBox(box, k, None if k == BACKGROUND
+                                else rng.normal(0, target_scale, 65)))
+                    for k in labels]
+        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000,
+                             two_pass=two_pass)
+        model = train(examples, anchors, config)
+        with mock.patch.object(learner_module, "_train_head", train_head_slot_oracle):
+            oracle = train(examples, anchors, config)
+        assert model.loss_history == oracle.loss_history
+        heads = [(model.head, oracle.head)]
+        if two_pass:
+            heads.append((model.refine_head, oracle.refine_head))
+        for got, want in heads:
+            for name in HEAD_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestTrain:
     def test_separable_classes_accuracy(self):
         rng = np.random.default_rng(0)
@@ -306,6 +350,12 @@ class TestTrain:
         bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 3, np.zeros(65)))]
         with pytest.raises(ValueError, match="class label exceeds anchor count"):
             train(bad, anchors)
+
+    def test_empty_anchor_set_rejected(self):
+        empty = AnchorSet((), K=0, spec=H13, seed=0)
+        examples = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 10, 10), BACKGROUND))] * 3
+        with pytest.raises(ValueError, match="empty anchor set"):
+            train(examples, empty, TrainConfig(iterations=2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_rejected(self, bad):
