@@ -5,7 +5,6 @@ classification-regression head (learner), and pose proposal integration (ppi).
 
 from poseforge.pose import (
     H13,
-    H17,
     AnchorPose,
     BoundingBox,
     Pose2D,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "H13",
-    "H17",
     "AnchorPose",
     "BoundingBox",
     "Pose2D",

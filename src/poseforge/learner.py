@@ -252,7 +252,10 @@ def train(
 
 def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities and regression vector for one finite feature vector."""
-    x = np.asarray(feature, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(feature, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"feature must be one vector, got shape {x.shape}")
+    x = x[None]
     if x.shape[1] != model.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} != {model.feature_dim}")
     _check_features(x)
@@ -285,7 +288,7 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     model or the anchors. The K proposals hold the one box object.
     """
     k, j = len(anchors), model.joint_count
-    if k + 1 > model.n_classes or anchors.spec.joint_count != j:
+    if k + 1 != model.n_classes or anchors.spec.joint_count != j:
         raise ValueError(
             f"{k} anchors of {anchors.spec.joint_count} joints do not fit a model "
             f"with {model.n_classes - 1} anchor classes of {j} joints"

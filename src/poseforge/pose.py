@@ -32,7 +32,7 @@ class PoseSpec:
     """Joint layout shared by all poses of one skeleton convention.
 
     Attributes:
-        name: short identifier ("h13", "h17").
+        name: short identifier, such as "h13".
         joint_names: one label per joint.
         torso_anchor_joints: indices whose coordinate mean defines the
             torso center (the origin of torso-centered 3D poses).
@@ -111,14 +111,6 @@ H13 = PoseSpec(
     lower_body_joints=(7, 8, 9, 10, 11, 12),
 )
 
-H17 = PoseSpec(
-    name="h17",
-    joint_names=H13.joint_names + ("pelvis", "back", "torso", "neck"),
-    torso_anchor_joints=(1, 2, 7, 8),
-    head_joints=(0, 16),
-    kinematic_tree=(16, 16, 16, 1, 2, 3, 4, 13, 13, 7, 8, 9, 10, -1, 13, 14, 15),
-    lower_body_joints=(7, 8, 9, 10, 11, 12),
-)
 
 def _coords_array(coords, width) -> np.ndarray:
     """Read-only float64 copy of (J, width) coordinates."""
@@ -340,11 +332,16 @@ def d3d(p: Pose3D, q: Pose3D) -> float:
 def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise d3d between coordinate stacks a (N, J, 3) and b (M, J, 3).
 
+    Raises ValueError on a stack of another shape, or on stacks whose
+    joint counts differ.
+
     Works on blocks of _D3D_BLOCK_ROWS rows of a, which keeps the
     (rows, M, J) temporaries small enough to stay in cache.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[2] != 3 or b.shape[2] != 3:
+        raise ValueError(f"expected (N, J, 3) stacks, got shapes {a.shape} and {b.shape}")
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"pose spec mismatch: {a.shape} vs {b.shape}")
     at = np.ascontiguousarray(a.transpose(2, 0, 1))[:, :, None, :]
@@ -421,8 +418,12 @@ def extrapolate_head_top(spec: PoseSpec, pose: Pose2D, ratio: float = 1.0) -> np
 
     The 13-joint spec has no head-top joint; the point at
     head + ratio * (head - neck) stands in for it when computing head
-    sizes (neck = mean of the base joints in spec.head_joints).
+    sizes (neck = mean of the base joints in spec.head_joints). Raises
+    ValueError when the head joint or a base joint is not finite, as an
+    occluded joint of a Pose2D may be.
     """
-    head = pose.coords[spec.head_joints[0]]
-    neck = pose.coords[list(spec.head_joints[1:])].mean(axis=0)
+    joints = pose.coords[list(spec.head_joints)]
+    if not np.isfinite(joints).all():
+        raise ValueError("head and neck joints must be finite to extrapolate the head top")
+    head, neck = joints[0], joints[1:].mean(axis=0)
     return head + ratio * (head - neck)

@@ -6,98 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poseforge.anchors as anchors_module
-from helpers import box_around, center_3d
+import reference as ref
 from poseforge.anchors import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
     AnchorSet,
     _kmeans_pp_init,
     add_upper_body_variants,
     kmeans_anchors,
 )
-from poseforge.pose import (
-    H13,
-    AnchorPose,
-    Pose2D,
-    Pose3D,
-    d3d,
-    d3d_matrix,
-)
-
-
-def make_pair(rng, center=None, spread=0.4):
-    base = rng.normal(0.0, spread, size=(13, 3))
-    if center is not None:
-        base = center + rng.normal(0.0, spread, size=(13, 3))
-    p3 = center_3d(H13, base)
-    p2 = Pose2D(rng.normal(200.0, 60.0, size=(13, 2)))
-    return p2, p3
-
-
-def unit_layout(p2, margin_fraction=0.10):
-    """p2's coordinates in its own margin box, whose corners map to (0, 0)
-    and (1, 1)."""
-    box = box_around(p2, margin_fraction)
-    return (p2.coords - np.array([box.x_min, box.y_min])) / np.array([box.width, box.height])
-
-
-def random_corpus(rng, n):
-    return [make_pair(rng) for _ in range(n)]
-
-
-def norm_d3d_matrix(a, b, chunk=256):
-    """Pairwise d3d through np.linalg.norm, as k-means computed it before."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], chunk):
-        blk = a[start:start + chunk]
-        out[start:start + chunk] = np.linalg.norm(
-            blk[:, None, :, :] - b[None, :, :, :], axis=3
-        ).mean(axis=2)
-    return out
-
-
-def kmeans_oracle(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
-                  margin_fraction=0.10):
-    """Plain Lloyd iterations with a full distance matrix per assignment.
-
-    Returns the centroids (k, J, 3), the unit-box layouts (k, J, 2) as a
-    plain member mean, and the distortion history.
-    """
-    coords3d = np.stack([p3.coords for _, p3 in poses])
-    centroids, _ = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed))
-    history = []
-    n = len(poses)
-    for _ in range(max_iters):
-        dist = norm_d3d_matrix(coords3d, centroids)
-        assign = dist.argmin(axis=1)
-        history.append(float((dist[np.arange(n), assign] ** 2).sum()))
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                new_centroids[c] = coords3d[members].mean(axis=0)
-        empty = [c for c in range(k) if not (assign == c).any()]
-        if empty:
-            point_dist = norm_d3d_matrix(coords3d, new_centroids)[np.arange(n), assign]
-            for c in empty:
-                far = int(point_dist.argmax())
-                new_centroids[c] = coords3d[far]
-                point_dist[far] = -1.0
-        shift = np.linalg.norm(new_centroids - centroids, axis=2).mean(axis=1).max()
-        centroids = new_centroids
-        if shift < tol:
-            break
-    dist = norm_d3d_matrix(coords3d, centroids)
-    assign = dist.argmin(axis=1)
-    history.append(float((dist[np.arange(n), assign] ** 2).sum()))
-    unit_layouts = np.stack([unit_layout(p2, margin_fraction) for p2, _ in poses])
-    layouts = np.stack([unit_layouts[assign == c].mean(axis=0) if (assign == c).any()
-                        else np.full(unit_layouts.shape[1:], np.nan) for c in range(k)])
-    return centroids, layouts, tuple(history)
+from poseforge.pose import H13, Pose2D, Pose3D, d3d, d3d_matrix
 
 
 def assert_matches_oracle(poses, k, **kwargs):
-    centroids, layouts, history = kmeans_oracle(poses, k, **kwargs)
+    centroids, layouts, history = ref.kmeans(poses, k, **kwargs)
     if np.isnan(layouts).any():  # a cluster without members in the end
         with pytest.raises(ValueError, match="has no finite 2D coordinate in its 0 members"):
             kmeans_anchors(poses, k, H13, **kwargs)
@@ -109,19 +29,11 @@ def assert_matches_oracle(poses, k, **kwargs):
     return out
 
 
-def clustered_corpus(rng, n, modes, spread):
-    """n poses around `modes` random centers, the regime pruning is for."""
-    centers = rng.normal(0.0, 0.5, size=(modes, 13, 3))
-    return [(Pose2D(rng.normal(200.0, 60.0, size=(13, 2))),
-             center_3d(H13, centers[rng.integers(modes)] + rng.normal(0.0, spread, (13, 3))))
-            for _ in range(n)]
-
-
 class TestKmeansMatchesLloydOracle:
     @pytest.mark.parametrize("n,k,seed", [(300, 6, 0), (500, 12, 1), (200, 3, 2)])
     def test_seeded_corpora(self, n, k, seed):
         rng = np.random.default_rng(100 + seed)
-        assert_matches_oracle(clustered_corpus(rng, n, 8, 0.08), k, seed=seed)
+        assert_matches_oracle(ref.clustered_corpus(rng, n, 8, 0.08), k, seed=seed)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 40), k_frac=st.floats(0.0, 1.0), spread=st.sampled_from([0.01, 0.1, 0.5]),
@@ -129,22 +41,22 @@ class TestKmeansMatchesLloydOracle:
     def test_hypothesis_corpora(self, n, k_frac, spread, seed):
         rng = np.random.default_rng(seed)
         k = 1 + int(k_frac * (n - 1))
-        assert_matches_oracle(clustered_corpus(rng, n, 4, spread), k, seed=seed % 1000)
+        assert_matches_oracle(ref.clustered_corpus(rng, n, 4, spread), k, seed=seed % 1000)
 
     def test_k1(self):
         rng = np.random.default_rng(7)
-        out = assert_matches_oracle(clustered_corpus(rng, 50, 3, 0.1), 1, seed=4)
+        out = assert_matches_oracle(ref.clustered_corpus(rng, 50, 3, 0.1), 1, seed=4)
         assert len(out.distortion_history) >= 2
 
     def test_k_equals_n(self):
         rng = np.random.default_rng(8)
-        assert_matches_oracle(clustered_corpus(rng, 12, 3, 0.1), 12, seed=2)
+        assert_matches_oracle(ref.clustered_corpus(rng, 12, 3, 0.1), 12, seed=2)
 
     def test_duplicate_poses(self):
         # 6 distinct poses, each repeated 5 times; with k = 8 two clusters
         # end without members, which raises
         rng = np.random.default_rng(9)
-        distinct = clustered_corpus(rng, 6, 2, 0.2)
+        distinct = ref.clustered_corpus(rng, 6, 2, 0.2)
         poses = [distinct[i % 6] for i in range(30)]
         for k, seed in [(4, 0), (5, 3), (6, 1), (6, 5), (8, 2)]:
             assert_matches_oracle(poses, k, seed=seed)
@@ -173,14 +85,14 @@ class TestKmeansMatchesLloydOracle:
     @pytest.mark.parametrize("max_iters", [0, 1, 2])
     def test_max_iters_cut_short(self, max_iters):
         rng = np.random.default_rng(11)
-        out = assert_matches_oracle(clustered_corpus(rng, 200, 5, 0.1), 5, seed=6,
+        out = assert_matches_oracle(ref.clustered_corpus(rng, 200, 5, 0.1), 5, seed=6,
                                     max_iters=max_iters)
         assert len(out.distortion_history) == max_iters + 1
 
     def test_continuum_corpus_at_benchmark_scale(self):
         # no modes to settle into: the bounds decay the most, over 63 iterations
         rng = np.random.default_rng(20)
-        out = assert_matches_oracle(random_corpus(rng, 2000), 16, seed=6)
+        out = assert_matches_oracle(ref.corpus(rng, 2000), 16, seed=6)
         assert len(out.distortion_history) > 50
 
     def test_pruning_skips_most_pairs(self, monkeypatch):
@@ -189,7 +101,7 @@ class TestKmeansMatchesLloydOracle:
         # centroid) distance besides each point's own goes through the
         # module-level _pair_d3d
         rng = np.random.default_rng(12)
-        poses = clustered_corpus(rng, 600, 30, 0.2)
+        poses = ref.clustered_corpus(rng, 600, 30, 0.2)
         pairs, full = [], []
         pair_d3d, d3d_matrix = anchors_module._pair_d3d, anchors_module.d3d_matrix
 
@@ -212,7 +124,7 @@ class TestKmeansMatchesLloydOracle:
     def test_candidate_pairs_are_chunked(self):
         # a fit_heavy-sized call: on this corpus, evaluating all candidate
         # pairs at once peaks near 76 MB, and in chunks near 13.4 MB
-        poses = random_corpus(np.random.default_rng(30), 6000)
+        poses = ref.corpus(np.random.default_rng(30), 6000)
         tracemalloc.start()
         try:
             kmeans_anchors(poses, 16, H13, seed=1)
@@ -220,18 +132,6 @@ class TestKmeansMatchesLloydOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-
-def kmeans_pp_oracle(coords3d, k, rng):
-    """k-means++ draws from a full d3d_matrix to the centroids chosen so far."""
-    n = len(coords3d)
-    chosen = [int(rng.integers(n))]
-    while len(chosen) < k:
-        weights = d3d_matrix(coords3d, coords3d[chosen]).min(axis=1) ** 2
-        total = weights.sum()
-        chosen.append(int(rng.choice(n, p=weights / total)) if total > 0.0
-                      else int(rng.choice(n)))
-    return coords3d[chosen]
 
 
 class TestKmeansPlusPlusInit:
@@ -242,35 +142,23 @@ class TestKmeansPlusPlusInit:
         # `distinct` poses repeated to n rows: small values exhaust the
         # distinct poses before k, so the equal-weight draws run too
         rng = np.random.default_rng(seed)
-        poses = clustered_corpus(rng, distinct, 3, 0.1)
+        poses = ref.clustered_corpus(rng, distinct, 3, 0.1)
         coords3d = np.stack([poses[i % distinct][1].coords for i in range(n)])
         k = 1 + int(k_frac * (n - 1))
         centroids, low = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed % 1000))
         assert np.array_equal(centroids,
-                              kmeans_pp_oracle(coords3d, k, np.random.default_rng(seed % 1000)))
+                              ref.kmeans_pp(coords3d, k, np.random.default_rng(seed % 1000)))
         assert low.shape == (n, k) and low.flags.c_contiguous
         assert np.array_equal(low, d3d_matrix(coords3d, centroids))
-
-
-def nan_coded_corpus(rng, n, hidden_share):
-    """Corpus whose invisible 2D joints are coded as NaN."""
-    poses = []
-    for p2, p3 in clustered_corpus(rng, n, 4, 0.1):
-        vis = rng.random(13) >= hidden_share
-        vis[:2] = True
-        coords = p2.coords.copy()
-        coords[~vis] = np.nan
-        poses.append((Pose2D(coords, vis), p3))
-    return poses
 
 
 class TestKmeansOccludedLayouts:
     def test_nan_joints_average_over_finite_members(self):
         rng = np.random.default_rng(13)
-        poses = nan_coded_corpus(rng, 120, 0.2)
+        poses = ref.nan_coded_corpus(rng, 120, 0.2)
         out = kmeans_anchors(poses, 4, H13, seed=1)
         # the 3D side is untouched by 2D occlusion
-        centroids, _, history = kmeans_oracle(poses, 4, seed=1)
+        centroids, _, history = ref.kmeans(poses, 4, seed=1)
         assert np.array_equal(out.coords3d, centroids)
         assert out.distortion_history == history
         # each layout joint is the mean of the finite member coordinates
@@ -278,14 +166,14 @@ class TestKmeansOccludedLayouts:
                            for _, p3 in poses])
         for a in out.anchors:
             for j in range(13):
-                xs = [unit_layout(p2)[j]
+                xs = [ref.unit_layout(p2)[j]
                       for (p2, _), c in zip(poses, assign) if c == a.id and p2.visibility[j]]
                 assert np.allclose(a.pose2d.coords[j], np.mean(xs, axis=0), rtol=0, atol=1e-12)
         assert all(np.isfinite(a.pose2d.coords).all() for a in out.anchors)
 
     def test_joint_hidden_in_every_member_raises(self):
         rng = np.random.default_rng(14)
-        poses = nan_coded_corpus(rng, 30, 0.0)
+        poses = ref.nan_coded_corpus(rng, 30, 0.0)
         hidden = np.ones(13, dtype=bool)
         hidden[5] = False
         poses = [(Pose2D(np.where(hidden[:, None], p2.coords, np.nan), hidden), p3)
@@ -297,14 +185,14 @@ class TestKmeansOccludedLayouts:
 class TestKmeans:
     def test_k1_is_mean_pose(self):
         rng = np.random.default_rng(0)
-        poses = random_corpus(rng, 20)
+        poses = ref.corpus(rng, 20)
         out = kmeans_anchors(poses, 1, H13, seed=3)
         mean = np.stack([p3.coords for _, p3 in poses]).mean(axis=0)
         assert np.abs(out.anchors[0].pose3d.coords - mean).max() < 1e-12
 
     def test_k_equals_n_distinct(self):
         rng = np.random.default_rng(1)
-        poses = random_corpus(rng, 8)
+        poses = ref.corpus(rng, 8)
         out = kmeans_anchors(poses, 8, H13, seed=5)
         assert len(out) == 8
         assert out.distortion_history[-1] == pytest.approx(0.0, abs=1e-20)
@@ -319,12 +207,12 @@ class TestKmeans:
         poses, labels = [], []
         for mode, c in enumerate(centers):
             for _ in range(10):
-                p3 = center_3d(H13, c + rng.normal(0.0, 0.05, size=(13, 3)))
+                p3 = ref.center_3d(c + rng.normal(0.0, 0.05, size=(13, 3)))
                 poses.append((Pose2D(rng.normal(200, 50, (13, 2))), p3))
                 labels.append(mode)
         out = kmeans_anchors(poses, 3, H13, seed=11)
         # brute-force nearest-mode oracle: each anchor maps to a true mode center
-        mode_poses = [center_3d(H13, c) for c in centers]
+        mode_poses = [ref.center_3d(c) for c in centers]
         anchor_to_mode = [
             int(np.argmin([d3d(a.pose3d, m) for m in mode_poses])) for a in out.anchors
         ]
@@ -336,7 +224,7 @@ class TestKmeans:
 
     def test_distortion_monotone(self):
         rng = np.random.default_rng(3)
-        poses = random_corpus(rng, 60)
+        poses = ref.corpus(rng, 60)
         out = kmeans_anchors(poses, 5, H13, seed=7)
         hist = out.distortion_history
         assert len(hist) >= 2
@@ -345,7 +233,7 @@ class TestKmeans:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        poses = random_corpus(rng, 30)
+        poses = ref.corpus(rng, 30)
         a = kmeans_anchors(poses, 4, H13, seed=9)
         b = kmeans_anchors(poses, 4, H13, seed=9)
         assert np.array_equal(a.coords3d, b.coords3d)
@@ -354,7 +242,7 @@ class TestKmeans:
 
     def test_anchors_torso_centered(self):
         rng = np.random.default_rng(5)
-        poses = random_corpus(rng, 30)
+        poses = ref.corpus(rng, 30)
         out = kmeans_anchors(poses, 4, H13, seed=1)
         for a in out.anchors:
             torso = a.pose3d.coords[list(H13.torso_anchor_joints)].mean(axis=0)
@@ -363,7 +251,7 @@ class TestKmeans:
     def test_too_few_poses_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            kmeans_anchors(random_corpus(rng, 3), 5, H13)
+            kmeans_anchors(ref.corpus(rng, 3), 5, H13)
 
     @pytest.mark.parametrize("arg,value,message", [
         ("k", 2.5, "k must be an integer, got 2.5"),
@@ -384,12 +272,12 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         kwargs = {"k": 2, arg: value}
         with pytest.raises(ValueError, match=message):
-            kmeans_anchors(random_corpus(rng, 5), spec=H13, **kwargs)
+            kmeans_anchors(ref.corpus(rng, 5), spec=H13, **kwargs)
 
     @pytest.mark.parametrize("mixed", ["2d", "3d"])
     def test_corpus_mixing_joint_counts_rejected(self, mixed):
         rng = np.random.default_rng(7)
-        poses = random_corpus(rng, 6)
+        poses = ref.corpus(rng, 6)
         p2, p3 = poses[3]
         if mixed == "3d":
             poses[3] = (p2, Pose3D(np.vstack([p3.coords, np.zeros((4, 3))])))
@@ -400,18 +288,18 @@ class TestKmeans:
             kmeans_anchors(poses, 2, H13)
 
     def test_2d_joint_count_other_than_specs_rejected(self):
-        # every 2D pose has H17's 17 joints and every 3D pose H13's 13, so
+        # every 2D pose has 17 joints and every 3D pose H13's 13, so
         # the 2D stack is uniform but does not match the spec
         rng = np.random.default_rng(8)
         poses = [(Pose2D(np.vstack([p2.coords, p2.coords[:4] + 1.0])), p3)
-                 for p2, p3 in random_corpus(rng, 6)]
+                 for p2, p3 in ref.corpus(rng, 6)]
         with pytest.raises(ValueError, match="ground truth has 17 2D and 13 3D joints, "
                                              "the anchors' spec h13 has 13"):
             kmeans_anchors(poses, 2, H13)
 
     def test_numpy_integer_arguments_accepted(self):
         rng = np.random.default_rng(6)
-        poses = random_corpus(rng, 10)
+        poses = ref.corpus(rng, 10)
         out = kmeans_anchors(poses, np.int64(3), H13, seed=2, max_iters=np.int32(4))
         assert out.coords3d.tobytes() == kmeans_anchors(poses, 3, H13, seed=2,
                                                         max_iters=4).coords3d.tobytes()
@@ -431,33 +319,8 @@ def upright_layout():
     return coords
 
 
-def upper_body_oracle(anchor_set):
-    """add_upper_body_variants' (n, J, 2) remapped layouts, one anchor at a
-    time, as the function computed them before its stacked form."""
-    upper = list(anchor_set.spec.upper_body_joints)
-    remapped = []
-    for a in anchor_set.anchors:
-        layout = a.pose2d.coords
-        lo = layout[upper].min(axis=0)
-        hi = layout[upper].max(axis=0)
-        if (hi <= lo).any():
-            raise ValueError(f"anchor {a.id}: upper-body joints span a degenerate box")
-        remapped.append((layout - lo) / (hi - lo))
-    return np.stack(remapped)
-
-
-def layout_set(rng, layouts):
-    """Full-body AnchorSet of the (n, 13, 2) layouts with random 3D poses."""
-    anchors = tuple(AnchorPose(i, Pose2D(layout), center_3d(H13, rng.normal(0, 0.3, (13, 3))))
-                    for i, layout in enumerate(layouts))
-    return AnchorSet(anchors, K=len(layouts), spec=H13, seed=0)
-
-
 def upright_anchor_set():
-    rng = np.random.default_rng(7)
-    p3 = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-    anchor = AnchorPose(0, Pose2D(upright_layout()), p3)
-    return AnchorSet((anchor,), K=1, spec=H13, seed=0)
+    return ref.anchor_set(np.random.default_rng(7), layouts=[upright_layout()])
 
 
 class TestUpperBodyVariants:
@@ -490,9 +353,9 @@ class TestUpperBodyVariants:
         layouts = rng.uniform(-0.5, 1.5, size=(n, 13, 2)) * 10.0 ** exponent
         for i in collapsed & set(range(n)):  # zero upper-body extent on one axis
             layouts[i, list(H13.upper_body_joints), i % 2] = layouts[i, 0, i % 2]
-        anchor_set = layout_set(rng, layouts)
+        anchor_set = ref.anchor_set(rng, layouts=layouts)
         try:
-            expected = upper_body_oracle(anchor_set)
+            expected = ref.upper_body(anchor_set)
         except ValueError as err:
             with pytest.raises(ValueError) as raised:
                 add_upper_body_variants(anchor_set)
@@ -513,7 +376,7 @@ class TestUpperBodyVariants:
         layouts[4, upper, 0] = 0.5   # zero width
         layouts[2, upper, 1] = 0.25  # zero height
         with pytest.raises(ValueError, match="anchor 2: upper-body joints span a degenerate box"):
-            add_upper_body_variants(layout_set(rng, layouts))
+            add_upper_body_variants(ref.anchor_set(rng, layouts=layouts))
 
     def test_empty_set_stays_empty(self):
         assert len(add_upper_body_variants(AnchorSet((), K=0, spec=H13, seed=0))) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poseforge.labeling as labeling_module
-from helpers import box_around, center_3d
+import reference as ref
 from poseforge.anchors import AnchorSet
 from poseforge.labeling import (
     BACKGROUND,
@@ -18,39 +18,14 @@ from poseforge.labeling import (
     regression_target,
     softmax,
 )
-from poseforge.pose import (
-    H13,
-    H17,
-    AnchorPose,
-    BoundingBox,
-    Pose2D,
-    Pose3D,
-    iou,
-)
-
-
-def random_anchor(rng, aid=0):
-    layout = rng.uniform(0.1, 0.9, size=(13, 2))
-    p3 = center_3d(H13, rng.normal(0.0, 0.3, size=(13, 3)))
-    return AnchorPose(aid, Pose2D(layout), p3)
-
-
-def anchor_set(rng, n=4):
-    return AnchorSet(tuple(random_anchor(rng, i) for i in range(n)), K=n, spec=H13, seed=0)
-
-
-def random_gt(rng, offset=(0.0, 0.0)):
-    coords2d = rng.uniform(100, 300, size=(13, 2)) + np.asarray(offset)
-    p2 = Pose2D(coords2d)
-    p3 = center_3d(H13, rng.normal(0.0, 0.3, size=(13, 3)))
-    return p2, p3
+from poseforge.pose import H13, AnchorPose, BoundingBox, Pose2D
 
 
 class TestAssignLabel:
     def test_far_box_is_background(self):
         rng = np.random.default_rng(0)
-        anchors = anchor_set(rng)
-        gt = random_gt(rng)
+        anchors = ref.anchor_set(rng)
+        gt = ref.ground_truth(rng)
         far = BoundingBox(5000, 5000, 5100, 5100)
         lab = assign_label(far, [gt], anchors)
         assert lab.class_label == BACKGROUND
@@ -58,28 +33,26 @@ class TestAssignLabel:
 
     def test_exact_anchor_match_zero_3d_target(self):
         rng = np.random.default_rng(1)
-        anchors = anchor_set(rng)
+        anchors = ref.anchor_set(rng)
         j = 2
-        gt2d, _ = random_gt(rng)
+        gt2d, _ = ref.ground_truth(rng)
         gt = (gt2d, anchors.anchors[j].pose3d)  # 3D pose equals anchor j
-        box = box_around(gt2d, 0.10)
+        box = ref.visible_box(gt2d, 0.10)
         lab = assign_label(box, [gt], anchors)
         assert lab.class_label == j + 1
         assert np.abs(lab.target[26:]).max() == 0.0  # 3D residual slots
 
     def test_highest_iou_gt_wins(self):
         rng = np.random.default_rng(2)
-        anchors = anchor_set(rng)
-        gt_a = random_gt(rng)
-        gt_b = (Pose2D(gt_a[0].coords + 40.0), random_gt(rng)[1])
-        box = box_around(gt_a[0], 0.10)
+        anchors = ref.anchor_set(rng)
+        gt_a = ref.ground_truth(rng)
+        gt_b = (Pose2D(gt_a[0].coords + 40.0), ref.ground_truth(rng)[1])
+        box = ref.visible_box(gt_a[0], 0.10)
         # brute-force oracle over both pairings
-        from poseforge.pose import d3d, iou
-        ious = [iou(box, box_around(g[0], 0.10)) for g in (gt_a, gt_b)]
+        ious = [ref.iou(box, ref.visible_box(g[0], 0.10)) for g in (gt_a, gt_b)]
         best = int(np.argmax(ious))
-        expected_anchor = int(
-            np.argmin([d3d(a.pose3d, (gt_a, gt_b)[best][1]) for a in anchors.anchors])
-        )
+        expected_anchor = int(np.argmin([ref.d3d(a.pose3d.coords, (gt_a, gt_b)[best][1].coords)
+                                         for a in anchors.anchors]))
         lab = assign_label(box, [gt_a, gt_b], anchors)
         assert lab.class_label == expected_anchor + 1
 
@@ -87,32 +60,22 @@ class TestAssignLabel:
         rng = np.random.default_rng(3)
         empty = AnchorSet((), K=0, spec=H13, seed=0)
         with pytest.raises(ValueError):
-            assign_label(BoundingBox(0, 0, 1, 1), [random_gt(rng)], empty)
+            assign_label(BoundingBox(0, 0, 1, 1), [ref.ground_truth(rng)], empty)
 
     # nan would label the far box foreground, 1.5 the exact box background
     @pytest.mark.parametrize("threshold,far", [(np.nan, True), (1.5, False), (-0.1, True)])
     def test_threshold_outside_unit_interval_rejected(self, threshold, far):
         rng = np.random.default_rng(4)
-        anchors = anchor_set(rng)
-        gt = random_gt(rng)
-        box = BoundingBox(5000, 5000, 5100, 5100) if far else box_around(gt[0], 0.10)
+        anchors = ref.anchor_set(rng)
+        gt = ref.ground_truth(rng)
+        box = BoundingBox(5000, 5000, 5100, 5100) if far else ref.visible_box(gt[0], 0.10)
         with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\], got"):
             assign_label(box, [gt], anchors, iou_threshold=threshold)
 
 
-def assign_label_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
-    """assign_label one ground truth and one anchor at a time: (label, target)."""
-    if not gts:
-        return BACKGROUND, None
-    overlaps = [iou(box, box_around(p2, margin_fraction)) for p2, _ in gts]
-    best = int(np.argmax(overlaps))
-    if overlaps[best] < iou_threshold:
-        return BACKGROUND, None
-    gt2d, gt3d = gts[best]
-    dists = [float(np.linalg.norm(a.pose3d.coords - gt3d.coords, axis=1).mean())
-             for a in anchors.anchors]
-    anchor = anchors.anchors[int(np.argmin(dists))]
-    return anchor.id + 1, regression_target(gt2d, gt3d, anchor, box)
+def assert_matches_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
+    ref.assert_label(assign_label(box, gts, anchors, iou_threshold, margin_fraction),
+                     *ref.assign_label(box, gts, anchors, iou_threshold, margin_fraction))
 
 
 class TestAssignLabelMatchesOracle:
@@ -123,68 +86,39 @@ class TestAssignLabelMatchesOracle:
     def test_labels_and_targets_exact(self, n_gts, n_anchors, threshold, margin, occluded,
                                       seed):
         rng = np.random.default_rng(seed)
-        anchors = anchor_set(rng, n_anchors)
+        anchors = ref.anchor_set(rng, n_anchors)
         if n_anchors > 2:  # a 3D tie: anchor 2 repeats anchor 1, lower id wins
             dup = AnchorPose(2, Pose2D(rng.uniform(0.1, 0.9, (13, 2))),
                              anchors.anchors[1].pose3d)
             anchors = AnchorSet(anchors.anchors[:2] + (dup,) + anchors.anchors[3:],
                                 K=n_anchors, spec=H13, seed=0)
-        gts = []
-        for g in range(n_gts):
-            gt2d, gt3d = random_gt(rng, offset=rng.uniform(-150, 150, 2))
-            vis = rng.random(13) < 0.8
-            vis[:2] = True
-            coords = np.where(vis[:, None], gt2d.coords, occluded)  # off-box or NaN-coded
-            gts.append((Pose2D(coords, vis), gt3d))
+        # occluded joints off-box or NaN-coded
+        gts = [ref.ground_truth(rng, rng.uniform(-150, 150, 2), occluded) for _ in range(n_gts)]
         if n_gts:  # an IoU tie: the first ground truth's 3D pose and target win
-            gts.append((gts[0][0], random_gt(rng)[1]))
+            gts.append((gts[0][0], ref.ground_truth(rng)[1]))
         for _ in range(5):
             lo = rng.uniform(50, 350, 2)
-            box = BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2)))
-            label, target = assign_label_oracle(box, gts, anchors, threshold, margin)
-            lab = assign_label(box, gts, anchors, threshold, margin)
-            assert lab.class_label == label
-            assert (lab.target is None) == (target is None)
-            if target is not None:
-                assert np.array_equal(lab.target, target)
+            assert_matches_oracle(BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2))), gts, anchors,
+                                  threshold, margin)
 
     def test_ties_go_to_first_ground_truth_and_lowest_anchor(self):
         rng = np.random.default_rng(16)
-        gt2d, gt3d = random_gt(rng)
+        gt2d, gt3d = ref.ground_truth(rng)
         # anchors 1 and 2 both carry gt3d; both ground truths carry gt2d
         twins = tuple(AnchorPose(i, Pose2D(rng.uniform(0.1, 0.9, (13, 2))), gt3d) for i in (1, 2))
-        anchors = AnchorSet((random_anchor(rng, 0),) + twins, K=3, spec=H13, seed=0)
-        box = box_around(gt2d, 0.10)
-        lab = assign_label(box, [(gt2d, gt3d), (gt2d, random_gt(rng)[1])], anchors)
+        anchors = AnchorSet((ref.anchor_set(rng, 1).anchors[0],) + twins, K=3, spec=H13, seed=0)
+        box = ref.visible_box(gt2d, 0.10)
+        lab = assign_label(box, [(gt2d, gt3d), (gt2d, ref.ground_truth(rng)[1])], anchors)
         assert lab.class_label == 2
         assert np.array_equal(lab.target, regression_target(gt2d, gt3d, twins[0], box))
 
     def test_ground_truth_without_visible_joints_rejected(self):
         rng = np.random.default_rng(15)
-        gt2d, gt3d = random_gt(rng)
+        gt2d, gt3d = ref.ground_truth(rng)
         hidden = (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)
         with pytest.raises(ValueError, match="pose has no visible joints"):
-            assign_label(BoundingBox(0, 0, 100, 100), [random_gt(rng), hidden], anchor_set(rng))
-
-
-def assert_matches_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
-    label, target = assign_label_oracle(box, gts, anchors, iou_threshold, margin_fraction)
-    lab = assign_label(box, gts, anchors, iou_threshold, margin_fraction)
-    assert lab.class_label == label
-    assert (lab.target is None) == (target is None)
-    if target is not None:
-        assert np.array_equal(lab.target, target)
-
-
-def box_near(rng, gts, margin_fraction=0.10, jitter=0.1):
-    """A candidate box jittered around a random ground truth's box."""
-    if not gts or rng.random() < 0.2:
-        lo = rng.uniform(0, 400, 2)
-        return BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2)))
-    x0, y0, x1, y1 = box_around(gts[int(rng.integers(len(gts)))][0], margin_fraction).as_tuple()
-    dx, dy = jitter * (x1 - x0), jitter * (y1 - y0)
-    shift = rng.uniform(-1.0, 1.0, 4) * (dx, dy, dx, dy)
-    return BoundingBox(x0 + shift[0], y0 + shift[1], x1 + shift[2], y1 + shift[3])
+            assign_label(BoundingBox(0, 0, 100, 100), [ref.ground_truth(rng), hidden],
+                         ref.anchor_set(rng))
 
 
 def counting_margin_boxes(monkeypatch):
@@ -212,9 +146,9 @@ class TestImageMemo:
                         min_size=1, max_size=30))
     def test_call_sequences_over_mutated_lists(self, seed, ops):
         rng = np.random.default_rng(seed)
-        images = [[random_gt(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(3)]
+        images = [[ref.ground_truth(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(3)]
                   for _ in range(2)]
-        anchor_sets = [anchor_set(rng, 3), anchor_set(rng, 5)]
+        anchor_sets = [ref.anchor_set(rng, 3), ref.anchor_set(rng, 5)]
         # a box around a ground truth's 0.25-margin box has IoU 1 with it
         # and 1/1.25^2 = 0.64 with its 0-margin box, so at threshold 0.8
         # the margin decides between foreground and background
@@ -222,33 +156,33 @@ class TestImageMemo:
         for op, image, which, margin, threshold in ops:
             gts = images[image]  # mutated in place: the list's identity never changes
             if op == "append":
-                gts.append(random_gt(rng, offset=rng.uniform(-150, 150, 2)))
+                gts.append(ref.ground_truth(rng, offset=rng.uniform(-150, 150, 2)))
             elif op == "replace":  # new pose objects at the same position
-                gts[int(rng.integers(len(gts)))] = random_gt(rng, offset=rng.uniform(-150, 150, 2))
+                gts[int(rng.integers(len(gts)))] = ref.ground_truth(rng, rng.uniform(-150, 150, 2))
             elif op == "reverse":
                 gts.reverse()
             else:
-                box = box_near(rng, gts, margins[int(rng.integers(2))], rng.choice([0.0, 0.1]))
+                box = ref.box_near(rng, gts, margins[int(rng.integers(2))], rng.choice([0.0, 0.1]))
                 assert_matches_oracle(box, gts, anchor_sets[which], threshold, margins[margin])
 
     def test_same_poses_in_new_pairs_reuse_the_memo(self, monkeypatch):
         rng = np.random.default_rng(20)
-        gts = [random_gt(rng, offset=(60.0 * i, 0.0)) for i in range(4)]
-        anchors = anchor_set(rng)
+        gts = [ref.ground_truth(rng, offset=(60.0 * i, 0.0)) for i in range(4)]
+        anchors = ref.anchor_set(rng)
         calls = counting_margin_boxes(monkeypatch)
-        assert_matches_oracle(box_near(rng, gts), gts, anchors)
+        assert_matches_oracle(ref.box_near(rng, gts), gts, anchors)
         copy = [(p2, p3) for p2, p3 in gts]
-        assert_matches_oracle(box_near(rng, copy), copy, anchors)
+        assert_matches_oracle(ref.box_near(rng, copy), copy, anchors)
         assert len(calls) == 1
         copy[1] = (Pose2D(copy[1][0].coords), copy[1][1])  # equal values, a new object
-        assert_matches_oracle(box_near(rng, copy), copy, anchors)
+        assert_matches_oracle(ref.box_near(rng, copy), copy, anchors)
         assert len(calls) == 2
 
     def test_one_image_builds_its_boxes_once(self, monkeypatch):
         rng = np.random.default_rng(21)
-        gts = [random_gt(rng, offset=(80.0 * i, 40.0 * (i % 2))) for i in range(6)]
-        anchors = anchor_set(rng)
-        boxes = [box_near(rng, gts) for _ in range(90)]
+        gts = [ref.ground_truth(rng, offset=(80.0 * i, 40.0 * (i % 2))) for i in range(6)]
+        anchors = ref.anchor_set(rng)
+        boxes = [ref.box_near(rng, gts) for _ in range(90)]
         calls = counting_margin_boxes(monkeypatch)
         for box in boxes:
             assert_matches_oracle(box, gts, anchors)
@@ -256,11 +190,11 @@ class TestImageMemo:
 
     def test_failed_build_is_not_kept(self, monkeypatch):
         rng = np.random.default_rng(22)
-        anchors = anchor_set(rng)
-        good = [random_gt(rng), random_gt(rng, offset=(200.0, 0.0))]
-        gt2d, gt3d = random_gt(rng)
-        bad = [random_gt(rng), (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)]
-        box = box_around(good[0][0], 0.10)
+        anchors = ref.anchor_set(rng)
+        good = [ref.ground_truth(rng), ref.ground_truth(rng, offset=(200.0, 0.0))]
+        gt2d, gt3d = ref.ground_truth(rng)
+        bad = [ref.ground_truth(rng), (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)]
+        box = ref.visible_box(good[0][0], 0.10)
         calls = counting_margin_boxes(monkeypatch)
         assert_matches_oracle(box, good, anchors)
         for _ in range(2):  # raises on every call, not only the first
@@ -272,54 +206,51 @@ class TestImageMemo:
 
     def test_holds_one_image(self, monkeypatch):
         rng = np.random.default_rng(25)
-        anchors = anchor_set(rng)
-        image_a = [random_gt(rng), random_gt(rng, offset=(200.0, 0.0))]
-        image_b = [random_gt(rng, offset=(0.0, 200.0))]
+        anchors = ref.anchor_set(rng)
+        image_a = [ref.ground_truth(rng), ref.ground_truth(rng, offset=(200.0, 0.0))]
+        image_b = [ref.ground_truth(rng, offset=(0.0, 200.0))]
         calls = counting_margin_boxes(monkeypatch)
         for gts in (image_a, image_b, image_a):  # A's entry went when B's came
-            assert_matches_oracle(box_around(gts[0][0], 0.10), gts, anchors)
+            assert_matches_oracle(ref.visible_box(gts[0][0], 0.10), gts, anchors)
         assert len(calls) == 3
 
     def test_list_entries_label_as_tuple_entries(self, monkeypatch):
         rng = np.random.default_rng(26)
-        anchors = anchor_set(rng)
-        gts = [random_gt(rng, offset=(90.0 * i, 30.0 * i)) for i in range(4)]
+        anchors = ref.anchor_set(rng)
+        gts = [ref.ground_truth(rng, offset=(90.0 * i, 30.0 * i)) for i in range(4)]
         lists = [list(pair) for pair in gts]
         calls = counting_margin_boxes(monkeypatch)
-        for box in [box_near(rng, gts) for _ in range(20)]:
+        for box in [ref.box_near(rng, gts) for _ in range(20)]:
             want = assign_label(box, gts, anchors)
             for image in (lists, lists[:2] + gts[2:]):  # list entries, alone or mixed
-                got = assign_label(box, image, anchors)
-                assert got.class_label == want.class_label
-                assert (got.target is None) == (want.target is None)
-                if want.target is not None:
-                    assert np.array_equal(got.target, want.target)
+                ref.assert_label(assign_label(box, image, anchors), want.class_label, want.target)
         # the list entries key the cache as their tuples, the same poses
         assert len(calls) == 1
 
     def test_type_error_of_a_hashable_key_is_not_retried(self):
         rng = np.random.default_rng(27)
         with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
-            assign_label(BoundingBox(0, 0, 10, 10), [random_gt(rng), 5], anchor_set(rng))
+            assign_label(BoundingBox(0, 0, 10, 10), [ref.ground_truth(rng), 5],
+                         ref.anchor_set(rng))
 
     @pytest.mark.parametrize("joints2d,joints3d", [(17, 17), (13, 17), (17, 13)])
     def test_joint_count_mismatch_rejected(self, joints2d, joints3d):
         rng = np.random.default_rng(23)
         p2 = Pose2D(rng.uniform(100, 300, size=(joints2d, 2)))
-        p3 = center_3d(H13 if joints3d == 13 else H17, rng.normal(0.0, 0.3, size=(joints3d, 3)))
+        p3 = ref.pose3d(rng, j=joints3d)
         message = f"ground truth has {joints2d} 2D and {joints3d} 3D joints, the anchors' spec h13 has 13"
-        for box in (box_around(p2, 0.10), BoundingBox(5000, 5000, 5100, 5100)):
+        for box in (ref.visible_box(p2, 0.10), BoundingBox(5000, 5000, 5100, 5100)):
             with pytest.raises(ValueError, match=message):
-                assign_label(box, [random_gt(rng), (p2, p3)], anchor_set(rng))
+                assign_label(box, [ref.ground_truth(rng), (p2, p3)], ref.anchor_set(rng))
 
     def test_two_threads_label_two_images_alternately(self):
         rng = np.random.default_rng(24)
-        anchors = anchor_set(rng, 6)
+        anchors = ref.anchor_set(rng, 6)
         images = []
         for _ in range(2):
-            gts = [random_gt(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(5)]
-            images.append((gts, [box_near(rng, gts) for _ in range(300)]))
-        expected = [[assign_label_oracle(box, gts, anchors) for box in boxes]
+            gts = [ref.ground_truth(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(5)]
+            images.append((gts, [ref.box_near(rng, gts) for _ in range(300)]))
+        expected = [[ref.assign_label(box, gts, anchors) for box in boxes]
                     for gts, boxes in images]
         barrier = threading.Barrier(2, timeout=30)
         results = [None, None]
@@ -329,8 +260,7 @@ class TestImageMemo:
             out = []
             for box in boxes:
                 barrier.wait()  # both threads call at once, each on its own image
-                lab = assign_label(box, gts, anchors)
-                out.append((lab.class_label, lab.target))
+                out.append(assign_label(box, gts, anchors))
             results[i] = out
 
         interval = sys.getswitchinterval()
@@ -346,26 +276,23 @@ class TestImageMemo:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, expected):
             assert got is not None and len(got) == len(want)
-            for (label, target), (want_label, want_target) in zip(got, want):
-                assert label == want_label
-                assert (target is None) == (want_target is None)
-                if target is not None:
-                    assert np.array_equal(target, want_target)
+            for lab, (label, target) in zip(got, want):
+                ref.assert_label(lab, label, target)
 
 
 class TestOccludedRegressionTarget:
     @pytest.mark.parametrize("code", [np.nan, np.inf])
     def test_non_finite_occluded_joint_gets_zero_2d_residual(self, code):
         rng = np.random.default_rng(17)
-        gt2d, gt3d = random_gt(rng)
+        gt2d, gt3d = ref.ground_truth(rng)
         vis = np.ones(13, dtype=bool)
         vis[[4, 9]] = False
         coded = gt2d.coords.copy()
         coded[4] = code
         coded[9, 1] = code  # one non-finite coordinate hides the whole joint
         finite, hidden = Pose2D(gt2d.coords, vis), Pose2D(coded, vis)
-        anchors = anchor_set(rng)
-        box = box_around(finite, 0.10)
+        anchors = ref.anchor_set(rng)
+        box = ref.visible_box(finite, 0.10)
         expected = regression_target(finite, gt3d, anchors.anchors[1], box)
         target = regression_target(hidden, gt3d, anchors.anchors[1], box)
         assert np.isfinite(target).all()
@@ -376,16 +303,16 @@ class TestOccludedRegressionTarget:
         assert np.array_equal(target[keep], expected[keep])
 
         lab = assign_label(box, [(hidden, gt3d)], anchors)
-        ref = assign_label(box, [(finite, gt3d)], anchors)
-        assert lab.class_label == ref.class_label
-        assert np.array_equal(lab.target[keep], ref.target[keep])
+        want = assign_label(box, [(finite, gt3d)], anchors)
+        assert lab.class_label == want.class_label
+        assert np.array_equal(lab.target[keep], want.target[keep])
         assert (lab.target[zeroed] == 0.0).all()
 
 
 class TestApplyRegression:
     def test_zero_residual_places_anchor(self):
         rng = np.random.default_rng(4)
-        a = random_anchor(rng)
+        a = ref.anchor_set(rng, 1).anchors[0]
         box = BoundingBox(100, 50, 300, 450)
         p2, p3 = apply_regression(a, box, np.zeros(65))
         placed = (a.pose2d.coords * np.array([box.width, box.height])
@@ -396,9 +323,9 @@ class TestApplyRegression:
     def test_target_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a = random_anchor(rng)
-            gt2d, gt3d = random_gt(rng)
-            box = box_around(gt2d, 0.10)
+            a = ref.anchor_set(rng, 1).anchors[0]
+            gt2d, gt3d = ref.ground_truth(rng)
+            box = ref.visible_box(gt2d, 0.10)
             t = regression_target(gt2d, gt3d, a, box)
             p2, p3 = apply_regression(a, box, t)
             assert np.abs(p2.coords - gt2d.coords).max() < 1e-12
@@ -406,7 +333,7 @@ class TestApplyRegression:
 
     def test_random_residual_matches_recomputation(self):
         rng = np.random.default_rng(6)
-        a = random_anchor(rng)
+        a = ref.anchor_set(rng, 1).anchors[0]
         box = BoundingBox(10, 20, 200, 400)
         res = rng.normal(0, 0.3, size=65)
         p2, p3 = apply_regression(a, box, res)
@@ -419,7 +346,8 @@ class TestApplyRegression:
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            apply_regression(random_anchor(rng), BoundingBox(0, 0, 1, 1), np.zeros(64))
+            apply_regression(ref.anchor_set(rng, 1).anchors[0], BoundingBox(0, 0, 1, 1),
+                             np.zeros(64))
 
 
 class TestSoftmax:
@@ -498,13 +426,6 @@ class TestSmoothL1:
         assert np.allclose(vals[inside], 0.5 * xs[inside] ** 2)
 
 
-def smooth_l1_piecewise(x):
-    """The smooth-L1 loss and its gradient from the definition, branch by branch."""
-    with np.errstate(over="ignore"):  # 0.5 * x * x of a large x, not selected
-        small = np.abs(x) < 1.0
-        return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
-
-
 ONE_ULP_AROUND_ONE = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
 EDGE_FLOATS = (ONE_ULP_AROUND_ONE + [-v for v in ONE_ULP_AROUND_ONE]
                + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-320,
@@ -527,7 +448,7 @@ class TestSmoothL1ClipForm:
         x = np.array(values)
         out = (np.full_like(x, 7.0), np.full_like(x, 7.0)) if buffers else (None, None)
         loss, grad = labeling_module._smooth_l1(x, *out)
-        want_loss, want_grad = smooth_l1_piecewise(x)
+        want_loss, want_grad = ref.smooth_l1(x)
         assert_same_bits(loss, want_loss)
         assert_same_bits(grad, want_grad)
         if buffers:
@@ -535,7 +456,7 @@ class TestSmoothL1ClipForm:
 
     @pytest.mark.parametrize("value", EDGE_FLOATS)
     def test_scalar_functions_equal_piecewise_definition(self, value):
-        want_loss, want_grad = smooth_l1_piecewise(np.array(value))
+        want_loss, want_grad = ref.smooth_l1(np.array(value))
         loss, grad = labeling_module._smooth_l1(np.array(value))
         assert_same_bits(loss, want_loss)
         assert_same_bits(grad, want_grad)
@@ -552,7 +473,7 @@ class TestSmoothL1ClipForm:
         err = targets - pred
         err[labels == BACKGROUND] = 0.0
         total = 0.0
-        for row_loss in smooth_l1_piecewise(err)[0].sum(axis=1).tolist():
+        for row_loss in ref.smooth_l1(err)[0].sum(axis=1).tolist():
             total += row_loss
         assert reg_loss == total / n
 

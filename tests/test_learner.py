@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import FrozenInstanceError
 from itertools import product
 from unittest import mock
 
@@ -9,96 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poseforge.learner as learner_module
-from helpers import box_around, center_3d
-from poseforge.anchors import AnchorSet
-from poseforge.labeling import (
-    BACKGROUND,
-    LabeledBox,
-    _smooth_l1,
-    apply_regression,
-    regression_target,
-)
-from poseforge.learner import TrainConfig, ToyModel, _Head, model_outputs, predict, train
+import reference as ref
+from poseforge.anchors import AnchorSet, add_upper_body_variants
+from poseforge.labeling import BACKGROUND, LabeledBox, apply_regression, regression_target
+from poseforge.learner import TrainConfig, _Head, model_outputs, predict, train
 from poseforge.ppi import PoseProposal
-from poseforge.pose import (
-    H13,
-    AnchorPose,
-    BoundingBox,
-    Pose2D,
-    Pose3D,
-)
-
-
-def small_anchor_set(rng, n=3):
-    anchors = []
-    for i in range(n):
-        layout = rng.uniform(0.1, 0.9, size=(13, 2))
-        p3 = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-        anchors.append(AnchorPose(i, Pose2D(layout), p3))
-    return AnchorSet(tuple(anchors), K=n, spec=H13, seed=0)
-
-
-def separable_dataset(rng, anchors, n_per_class=20, noise=0.05, dim=8):
-    """Features clustered around per-class means; targets from random GTs."""
-    n_classes = len(anchors) + 1
-    means = rng.normal(0, 2.0, size=(n_classes, dim))
-    examples, labels = [], []
-    for c in range(n_classes):
-        for _ in range(n_per_class):
-            f = means[c] + rng.normal(0, noise, size=dim)
-            if c == 0:
-                lab = LabeledBox(BoundingBox(0, 0, 100, 100), 0)
-            else:
-                gt2d = Pose2D(rng.uniform(50, 250, (13, 2)))
-                gt3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-                box = box_around(gt2d, 0.10)
-                t = regression_target(gt2d, gt3d, anchors.anchors[c - 1], box)
-                lab = LabeledBox(box, c, t)
-            examples.append((f, lab))
-            labels.append(c)
-    return examples, np.array(labels), means
-
-
-def train_head_oracle(head, x, labels, targets, config, loss_history, it_offset):
-    """_train_head with the regression loss taken one positive at a time."""
-    n, _ = x.shape
-    c = head.b_cls.shape[0]
-    w = head.b_reg.shape[0] // c
-    rows = np.arange(n)
-    switch = int(config.decay_fraction * config.iterations)
-    for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
-        probs, v = head.forward(x)
-        cls_loss = float(-np.log(np.maximum(probs[rows, labels], 1e-12)).mean())
-        g_logits = probs.copy()
-        g_logits[rows, labels] -= 1.0
-        g_logits /= n
-        reg_loss = 0.0
-        g_v = np.zeros_like(v)
-        for i in np.where(labels != BACKGROUND)[0]:
-            sl = slice(labels[i] * w, (labels[i] + 1) * w)
-            err = targets[i] - v[i, sl]
-            loss, grad = _smooth_l1(err)
-            reg_loss += float(loss.sum())
-            g_v[i, sl] = -grad
-        reg_loss /= n
-        g_v /= n
-        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
-        head.w_cls -= lr * (x.T @ g_logits)
-        head.b_cls -= lr * g_logits.sum(axis=0)
-        head.w_reg -= lr * (x.T @ g_v)
-        head.b_reg -= lr * g_v.sum(axis=0)
-    return loss_history
-
-
-HEAD_ARRAYS = ("w_cls", "b_cls", "w_reg", "b_reg")
-
-
-def assert_close_to_max(got, want, rtol=1e-12):
-    """|got - want| <= rtol times the largest magnitude in want."""
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 
 
 class TestTrainMatchesPerPositiveOracle:
@@ -109,8 +25,8 @@ class TestTrainMatchesPerPositiveOracle:
     def test_loss_history_and_weights_match(self, monkeypatch, two_pass, n_per_class,
                                             target_scale):
         rng = np.random.default_rng(20)
-        anchors = small_anchor_set(rng, n=4)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=n_per_class)
+        anchors = ref.anchor_set(rng, 4)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=n_per_class)
         # scaled targets reach the linear branch of smooth-L1 (|err| >= 1)
         examples = [(f, lab if lab.target is None else
                      LabeledBox(lab.box, lab.class_label, lab.target * target_scale))
@@ -118,86 +34,28 @@ class TestTrainMatchesPerPositiveOracle:
         rng.shuffle(examples)
         config = TrainConfig(iterations=25, learning_rate=0.7, seed=3, two_pass=two_pass)
         model = train(examples, anchors, config)
-        monkeypatch.setattr(learner_module, "_train_head", train_head_oracle)
-        oracle = train(examples, anchors, config)
-        assert [h[0] for h in model.loss_history] == [h[0] for h in oracle.loss_history]
-        assert_close_to_max([h[1:] for h in model.loss_history],
-                            [h[1:] for h in oracle.loss_history])
-        heads = [(model.head, oracle.head)]
-        if two_pass:
-            heads.append((model.refine_head, oracle.refine_head))
-        for got, want in heads:
-            for name in HEAD_ARRAYS:
-                assert_close_to_max(getattr(got, name), getattr(want, name))
+        monkeypatch.setattr(learner_module, "_train_head", ref.train_head_per_positive)
+        ref.assert_same_training(model, train(examples, anchors, config), rtol=1e-12)
 
     def test_background_only(self, monkeypatch):
         rng = np.random.default_rng(21)
-        anchors = small_anchor_set(rng)
+        anchors = ref.anchor_set(rng, 3)
         examples = [(rng.normal(0, 1, 8), LabeledBox(BoundingBox(0, 0, 10, 10), 0))
                     for _ in range(12)]
         config = TrainConfig(iterations=10, seed=1)
         model = train(examples, anchors, config)
-        monkeypatch.setattr(learner_module, "_train_head", train_head_oracle)
-        oracle = train(examples, anchors, config)
-        assert model.loss_history == oracle.loss_history
+        monkeypatch.setattr(learner_module, "_train_head", ref.train_head_per_positive)
+        ref.assert_same_training(model, train(examples, anchors, config))
         assert all(reg == 0.0 for _, _, reg, _ in model.loss_history)
-        for name in HEAD_ARRAYS:
-            assert np.array_equal(getattr(model.head, name), getattr(oracle.head, name))
-
-
-def train_head_slot_oracle(head, x, labels, targets, config, loss_history, it_offset):
-    """The slot trainer with fresh (n, 5*J) arrays in every iteration: slot
-    products scattered into a zero-background pred, smooth-L1 in its
-    piecewise form and the row sums added in a Python loop."""
-    n, d = x.shape
-    c = head.b_cls.shape[0]
-    w = head.b_reg.shape[0] // c
-    all_rows = np.arange(n)
-    switch = int(config.decay_fraction * config.iterations)
-    w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(c + 1))
-    slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
-             if k != BACKGROUND and len(rows)]
-    pred = np.zeros((n, w))
-    for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
-        probs = head.class_probs(x)
-        for k, rows, x_k in slots:
-            pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
-        cls_loss = float(-np.log(np.maximum(probs[all_rows, labels], 1e-12)).mean())
-        g_logits = probs.copy()
-        g_logits[all_rows, labels] -= 1.0
-        g_logits /= n
-        err = targets - pred
-        err[labels == BACKGROUND] = 0.0
-        small = np.abs(err) < 1.0
-        loss = np.where(small, 0.5 * err * err, np.abs(err) - 0.5)
-        g_pred = np.where(small, err, np.sign(err))
-        reg_loss = 0.0
-        for row_loss in loss.sum(axis=1).tolist():
-            reg_loss += row_loss
-        reg_loss /= n
-        g_pred /= -n
-
-        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
-
-        head.w_cls -= lr * (x.T @ g_logits)
-        head.b_cls -= lr * g_logits.sum(axis=0)
-        for k, rows, x_k in slots:
-            g_k = g_pred[rows]
-            w_slots[:, k] -= lr * (x_k.T @ g_k)
-            b_slots[k] -= lr * g_k.sum(axis=0)
-    return loss_history
 
 
 def slot_oracle_examples(case):
     """Shuffled examples over 5 anchors for one TestTrainMatchesSlotOracle case."""
     rng = np.random.default_rng(40)
-    anchors = small_anchor_set(rng, n=5)
+    anchors = ref.anchor_set(rng, 5)
     # 130 rows a class: one (n, 5*J) float64 buffer is 780 * 65 * 8 B > 256 KB
-    examples, labels, _ = separable_dataset(rng, anchors,
-                                            n_per_class=130 if case == "large" else 6)
+    examples, labels, _ = ref.separable_dataset(rng, anchors,
+                                                n_per_class=130 if case == "large" else 6)
     keep = {
         "mixed": labels >= 0,
         "large": labels >= 0,
@@ -237,16 +95,9 @@ class TestTrainMatchesSlotOracle:
         config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=3,
                              two_pass=two_pass)
         model = train(examples, anchors, config)
-        monkeypatch.setattr(learner_module, "_train_head", train_head_slot_oracle)
-        oracle = train(examples, anchors, config)
+        monkeypatch.setattr(learner_module, "_train_head", ref.train_head_slots)
         assert len(model.loss_history) == iterations * (1 + two_pass)
-        assert model.loss_history == oracle.loss_history
-        heads = [(model.head, oracle.head)]
-        if two_pass:
-            heads.append((model.refine_head, oracle.refine_head))
-        for got, want in heads:
-            for name in HEAD_ARRAYS:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        ref.assert_same_training(model, train(examples, anchors, config))
 
 
 @st.composite
@@ -270,7 +121,7 @@ class TestTrainMatchesSlotOracleProperty:
                                             target_scale, seed):
         n_anchors, labels = layout
         rng = np.random.default_rng(seed)
-        anchors = small_anchor_set(rng, n=n_anchors)
+        anchors = ref.anchor_set(rng, n_anchors)
         box = BoundingBox(0, 0, 100, 100)
         examples = [(rng.normal(0, 1, dim),
                      LabeledBox(box, k, None if k == BACKGROUND
@@ -279,22 +130,15 @@ class TestTrainMatchesSlotOracleProperty:
         config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000,
                              two_pass=two_pass)
         model = train(examples, anchors, config)
-        with mock.patch.object(learner_module, "_train_head", train_head_slot_oracle):
-            oracle = train(examples, anchors, config)
-        assert model.loss_history == oracle.loss_history
-        heads = [(model.head, oracle.head)]
-        if two_pass:
-            heads.append((model.refine_head, oracle.refine_head))
-        for got, want in heads:
-            for name in HEAD_ARRAYS:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        with mock.patch.object(learner_module, "_train_head", ref.train_head_slots):
+            ref.assert_same_training(model, train(examples, anchors, config))
 
 
 class TestTrain:
     def test_separable_classes_accuracy(self):
         rng = np.random.default_rng(0)
-        anchors = small_anchor_set(rng)
-        examples, _, means = separable_dataset(rng, anchors)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, means = ref.separable_dataset(rng, anchors)
         model = train(examples, anchors, TrainConfig(iterations=300, seed=1))
         # held-out split: fresh draws around the same means
         correct = 0
@@ -308,27 +152,26 @@ class TestTrain:
 
     def test_zero_iterations_equals_initialization(self):
         rng = np.random.default_rng(1)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         cfg = TrainConfig(iterations=0, seed=42)
         model = train(examples, anchors, cfg)
-        ref = _Head.init(np.random.default_rng(42), 8, len(anchors) + 1, 65,
-                         cfg.init_scale)
-        assert np.array_equal(model.head.w_cls, ref.w_cls)
-        assert np.array_equal(model.head.w_reg, ref.w_reg)
+        init = _Head.init(np.random.default_rng(42), 8, len(anchors) + 1, 65, cfg.init_scale)
+        assert np.array_equal(model.head.w_cls, init.w_cls)
+        assert np.array_equal(model.head.w_reg, init.w_reg)
         assert model.loss_history == []
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(2)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors)
         model = train(examples, anchors, TrainConfig(iterations=200, seed=3))
         assert model.loss_history[-1][3] <= model.loss_history[0][3]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=6)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=6)
         m1 = train(examples, anchors, TrainConfig(iterations=50, seed=5))
         m2 = train(examples, anchors, TrainConfig(iterations=50, seed=5))
         assert np.array_equal(m1.head.w_cls, m2.head.w_cls)
@@ -337,7 +180,7 @@ class TestTrain:
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        anchors = small_anchor_set(rng)
+        anchors = ref.anchor_set(rng, 3)
         # 60 = 5*12 is a valid LabeledBox target but H13 needs 5*13 = 65
         bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 1, np.zeros(60)))]
         with pytest.raises(ValueError, match="target length 60 != 65"):
@@ -345,7 +188,7 @@ class TestTrain:
 
     def test_class_label_beyond_anchors_rejected(self):
         rng = np.random.default_rng(16)
-        anchors = small_anchor_set(rng, n=2)
+        anchors = ref.anchor_set(rng, 2)
         # class 3 is anchor id 2, which a 2-anchor set does not have
         bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 3, np.zeros(65)))]
         with pytest.raises(ValueError, match="class label exceeds anchor count"):
@@ -360,8 +203,8 @@ class TestTrain:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_rejected(self, bad):
         rng = np.random.default_rng(13)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=2)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
         feature = examples[3][0].copy()
         feature[5] = bad
         examples[3] = (feature, examples[3][1])
@@ -370,8 +213,8 @@ class TestTrain:
 
     def test_two_pass_refinement(self):
         rng = np.random.default_rng(5)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=10)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=10)
         model = train(examples, anchors,
                       TrainConfig(iterations=100, seed=6, two_pass=True))
         assert model.refine_head is not None
@@ -390,8 +233,8 @@ class TestSlotTrainer:
     @pytest.mark.parametrize("two_pass", [False, True])
     def test_untrained_slots_keep_initial_values(self, two_pass):
         rng = np.random.default_rng(30)
-        anchors = small_anchor_set(rng, n=5)
-        examples, labels, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 5)
+        examples, labels, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         # classes 2 and 5 get no rows, class 4 a single one
         keep = (labels != 2) & (labels != 5) & ((labels != 4) | (np.cumsum(labels == 4) == 1))
         examples = [e for e, kept in zip(examples, keep) if kept]
@@ -413,8 +256,8 @@ class TestSlotTrainer:
 
     def test_target_reaches_only_its_own_slot(self):
         rng = np.random.default_rng(31)
-        anchors = small_anchor_set(rng, n=4)
-        examples, labels, _ = separable_dataset(rng, anchors, n_per_class=5)
+        anchors = ref.anchor_set(rng, 4)
+        examples, labels, _ = ref.separable_dataset(rng, anchors, n_per_class=5)
         i = int(np.flatnonzero(labels == 3)[2])
         f, lab = examples[i]
         perturbed = list(examples)
@@ -431,7 +274,7 @@ class TestSlotTrainer:
     def test_peak_memory_below_one_full_regression_buffer(self):
         # fit_heavy-sized head: 32 anchor classes, J = 13, D = 72
         rng = np.random.default_rng(32)
-        anchors = small_anchor_set(rng, n=32)
+        anchors = ref.anchor_set(rng, 32)
         n, dim, c, w = 720, 72, 33, 65
         labels = rng.integers(0, c, size=n)
         box = BoundingBox(0, 0, 100, 100)
@@ -478,8 +321,8 @@ class TestTrainConfig:
 class TestPredict:
     def test_one_proposal_per_anchor(self):
         rng = np.random.default_rng(6)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=10)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=10)
         model = train(examples, anchors, TrainConfig(iterations=100, seed=7))
         proposals = predict(model, examples[0][0], BoundingBox(10, 10, 200, 300), anchors)
         assert len(proposals) == len(anchors)
@@ -487,8 +330,8 @@ class TestPredict:
 
     def test_scores_form_subdistribution(self):
         rng = np.random.default_rng(7)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=8)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=8)
         model = train(examples, anchors, TrainConfig(iterations=50, seed=8))
         proposals = predict(model, rng.normal(0, 1, 8), BoundingBox(0, 0, 100, 100), anchors)
         scores = [p.score for p in proposals]
@@ -497,8 +340,8 @@ class TestPredict:
 
     def test_engineered_feature_selects_class(self):
         rng = np.random.default_rng(8)
-        anchors = small_anchor_set(rng)
-        examples, _, means = separable_dataset(rng, anchors, n_per_class=25)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, means = ref.separable_dataset(rng, anchors, n_per_class=25)
         model = train(examples, anchors, TrainConfig(iterations=400, seed=9))
         target_class = 2  # anchor id 1
         proposals = predict(model, means[target_class],
@@ -509,10 +352,10 @@ class TestPredict:
     def test_regression_learns_round_trip(self):
         # one class, constant feature, constant target: regressor must fit it
         rng = np.random.default_rng(9)
-        anchors = small_anchor_set(rng, n=1)
+        anchors = ref.anchor_set(rng, 1)
         gt2d = Pose2D(rng.uniform(50, 250, (13, 2)))
-        gt3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-        box = box_around(gt2d, 0.10)
+        gt3d = ref.pose3d(rng)
+        box = ref.visible_box(gt2d, 0.10)
         t = regression_target(gt2d, gt3d, anchors.anchors[0], box)
         f = np.ones(4)
         examples = [(f, LabeledBox(box, 1, t))] * 10
@@ -524,8 +367,8 @@ class TestPredict:
 
     def test_matches_per_anchor_apply_regression(self):
         rng = np.random.default_rng(10)
-        anchors = small_anchor_set(rng, n=5)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=6)
+        anchors = ref.anchor_set(rng, 5)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=6)
         model = train(examples, anchors, TrainConfig(iterations=30, seed=11))
         w = model.slot_width
         for _ in range(5):
@@ -533,27 +376,22 @@ class TestPredict:
             box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
             probs, v = model_outputs(model, feature)
             proposals = predict(model, feature, box, anchors)
-            for a, p in zip(anchors.anchors, proposals):
+            expected = ref.predict(model, feature, box, anchors)
+            for a, p, (aid, score, placed, moved) in zip(anchors.anchors, proposals, expected):
                 c = a.id + 1
-                residual = v[c * w:(c + 1) * w]
-                pose2d, pose3d = apply_regression(a, box, residual)
-                # the per-anchor reference, written out: layout + residual in
-                # unit-box coordinates, then placed into the box
-                placed = ((a.pose2d.coords + residual[:26].reshape(13, 2))
-                          * np.array([box.width, box.height]) + np.array([box.x_min, box.y_min]))
-                assert p.anchor_id == a.id and p.box == box
-                assert p.score == probs[c]
+                pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
+                assert p.anchor_id == a.id == aid and p.box == box
+                assert p.score == probs[c] == score
                 assert np.array_equal(p.pose2d.coords, pose2d.coords)
                 assert np.array_equal(p.pose2d.coords, placed)
                 assert np.array_equal(p.pose3d.coords, pose3d.coords)
-                assert np.array_equal(p.pose3d.coords,
-                                      a.pose3d.coords + residual[26:].reshape(13, 3))
+                assert np.array_equal(p.pose3d.coords, moved)
 
     @pytest.mark.parametrize("two_pass", [False, True])
     def test_non_finite_feature_rejected(self, two_pass):
         rng = np.random.default_rng(14)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, two_pass=two_pass))
         feature = np.zeros(8)
         feature[2] = np.nan
@@ -564,8 +402,8 @@ class TestPredict:
 
     def test_proposal_poses_are_read_only(self):
         rng = np.random.default_rng(15)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5))
         layouts = anchors.coords2d
         assert anchors.coords2d is layouts and not layouts.flags.writeable
@@ -577,8 +415,8 @@ class TestPredict:
 
     def test_proposals_equal_public_constructions(self):
         rng = np.random.default_rng(16)
-        anchors = small_anchor_set(rng, n=4)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 4)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         feature = rng.normal(0, 1, 8)
         # the huge box gives finite coordinates whose sum overflows
         for two_pass, box in product((False, True), (BoundingBox(5, 10, 60, 140),
@@ -594,7 +432,7 @@ class TestPredict:
             for a, p in zip(anchors.anchors, proposals):
                 c = a.id + 1
                 pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
-                assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
+                ref.assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
                                             Pose3D(pose3d.coords), float(probs[c])))
                 with pytest.raises(FrozenInstanceError):
                     p.score = 0.0
@@ -615,8 +453,8 @@ class TestPredict:
     ])
     def test_non_finite_weight_rejected(self, weight, column, message):
         rng = np.random.default_rng(18)
-        anchors = small_anchor_set(rng)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         for two_pass in (False, True):
             model = train(examples, anchors,
                           TrainConfig(iterations=5, seed=19, two_pass=two_pass))
@@ -628,24 +466,32 @@ class TestPredict:
 
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)
-        anchors = small_anchor_set(rng, n=2)
-        examples, _, _ = separable_dataset(rng, anchors, n_per_class=4)
+        anchors = ref.anchor_set(rng, 2)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=12))
         with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit"):
-            predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), small_anchor_set(rng, n=3))
+            predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), ref.anchor_set(rng, 3))
 
+    def test_anchor_set_smaller_than_model_rejected(self):
+        # the full-body half of a doubled set: its scores and the background
+        # probability would not sum to 1
+        rng = np.random.default_rng(12)
+        anchors = add_upper_body_variants(ref.anchor_set(rng, 3))
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=13))
+        full_body = AnchorSet(anchors.anchors[:3], K=3, spec=H13, seed=0)
+        with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit a model "
+                                             "with 6 anchor classes"):
+            predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), full_body)
 
-def assert_same(got, want):
-    """got equals want bit for bit: type, attribute layout, and every field,
-    arrays by dtype, shape and bytes."""
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    elif is_dataclass(want):
-        # the pose classes keep their fields in slots: neither has a __dict__
-        assert hasattr(got, "__dict__") == hasattr(want, "__dict__")
-        assert [f.name for f in fields(got)] == [f.name for f in fields(want)]
-        for f in fields(want):
-            assert_same(getattr(got, f.name), getattr(want, f.name))
-    else:
-        assert got == want
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
+    def test_feature_not_one_vector_rejected(self, shape):
+        rng = np.random.default_rng(14)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5))
+        message = rf"feature must be one vector, got shape \({', '.join(map(str, shape))}"
+        with pytest.raises(ValueError, match=message):
+            model_outputs(model, np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            predict(model, np.zeros(shape), BoundingBox(0, 0, 10, 10), anchors)

@@ -16,7 +16,7 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_removed_per_pose_helpers_are_gone():
-    for name in ("center_3d", "box_around", "normalize_to_box", "denormalize_from_box"):
+    for name in ("center_3d", "box_around", "normalize_to_box", "denormalize_from_box", "H17"):
         assert not hasattr(poseforge, name) and not hasattr(poseforge.pose, name), name
     assert not hasattr(poseforge.pose.BoundingBox, "area")
     assert list(inspect.signature(poseforge.pose.d3d_matrix).parameters) == ["a", "b"]

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import poseforge.pose as pose_module
-from helpers import center_3d
+import reference as ref
 from poseforge.pose import (
     H13,
-    H17,
     BoundingBox,
     Pose2D,
     Pose3D,
@@ -29,18 +28,10 @@ from poseforge.pose import (
 RNG = np.random.default_rng(12345)
 
 
-def random_pose3d(rng, j=13, scale=0.5):
-    return center_3d(H13 if j == 13 else H17, rng.normal(0.0, scale, size=(j, 3)))
-
-
-def random_pose2d(rng, j=13, scale=100.0):
-    return Pose2D(rng.normal(200.0, scale, size=(j, 2)))
-
-
 class TestSpecs:
     def test_h13_h17_valid(self):
         assert H13.joint_count == 13
-        assert H17.joint_count == 17
+        assert ref.H17.joint_count == 17
 
     def test_upper_lower_partition(self):
         assert set(H13.upper_body_joints) | set(H13.lower_body_joints) == set(range(13))
@@ -70,7 +61,7 @@ class TestPoseTypes:
         Pose2D(np.nan_to_num(coords), vis)  # fine once hidden
 
     def test_pose_immutability(self):
-        p = random_pose2d(np.random.default_rng(0))
+        p = Pose2D(np.random.default_rng(0).normal(200.0, 100.0, (13, 2)))
         with pytest.raises(ValueError):
             p.coords[0, 0] = 1.0
 
@@ -124,19 +115,19 @@ class TestPoseTypes:
 
 class TestD3d:
     def test_identity_is_zero(self):
-        p = random_pose3d(np.random.default_rng(1))
+        p = ref.pose3d(np.random.default_rng(1), 0.5)
         assert d3d(p, p) == 0.0
 
     def test_translation_removed_by_centering(self):
         rng = np.random.default_rng(2)
         raw = rng.normal(0.0, 0.5, size=(13, 3))
-        p = center_3d(H13, raw)
-        q = center_3d(H13, raw + np.array([0.3, -1.2, 4.0]))
+        p = ref.center_3d(raw)
+        q = ref.center_3d(raw + np.array([0.3, -1.2, 4.0]))
         assert d3d(p, q) < 1e-12
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(3)
-        p, q = random_pose3d(rng), random_pose3d(rng)
+        p, q = ref.pose3d(rng, 0.5), ref.pose3d(rng, 0.5)
         naive = sum(
             float(np.sqrt(((p.coords[j] - q.coords[j]) ** 2).sum())) for j in range(13)
         ) / 13.0
@@ -145,29 +136,24 @@ class TestD3d:
     def test_spec_mismatch(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            d3d(random_pose3d(rng, 13), random_pose3d(rng, 17))
+            d3d(ref.pose3d(rng, 0.5), ref.pose3d(rng, 0.5, j=17))
 
     def test_metric_properties(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            a, b, c = (random_pose3d(rng) for _ in range(3))
+            a, b, c = (ref.pose3d(rng, 0.5) for _ in range(3))
             assert d3d(a, b) == pytest.approx(d3d(b, a), abs=1e-15)
             assert d3d(a, b) >= 0.0
             assert d3d(a, c) <= d3d(a, b) + d3d(b, c) + 1e-12
 
     def test_matrix_matches_pairs(self):
         rng = np.random.default_rng(6)
-        a = np.stack([random_pose3d(rng).coords for _ in range(5)])
-        b = np.stack([random_pose3d(rng).coords for _ in range(7)])
+        a = np.stack([ref.pose3d(rng, 0.5).coords for _ in range(5)])
+        b = np.stack([ref.pose3d(rng, 0.5).coords for _ in range(7)])
         mat = d3d_matrix(a, b)
         for i in range(5):
             for k in range(7):
                 assert mat[i, k] == pytest.approx(d3d(Pose3D(a[i]), Pose3D(b[k])), abs=1e-12)
-
-
-def norm_d3d_matrix(a, b):
-    """d3d_matrix as np.linalg.norm computes it, the formula it replaced."""
-    return np.linalg.norm(a[:, None] - b[None], axis=3).mean(axis=2)
 
 
 class TestD3dKernel:
@@ -183,11 +169,10 @@ class TestD3dKernel:
         # small blocks put block edges inside the n rows
         with mock.patch.object(pose_module, "_D3D_BLOCK_ROWS", block_rows):
             mat = d3d_matrix(a, b)
-        assert np.array_equal(mat, norm_d3d_matrix(a, b))
+        assert np.array_equal(mat, ref.d3d_matrix(a, b))
         i, k = int(rng.integers(n)), int(rng.integers(m))
         assert mat[i, k] == d3d(Pose3D(a[i]), Pose3D(b[k]))
-        assert d3d(Pose3D(a[i]), Pose3D(b[k])) == float(
-            np.linalg.norm(a[i] - b[k], axis=1).mean())
+        assert d3d(Pose3D(a[i]), Pose3D(b[k])) == ref.d3d(a[i], b[k])
 
     def test_paired_rows_equal_matrix_diagonal(self):
         rng = np.random.default_rng(13)
@@ -199,53 +184,40 @@ class TestD3dKernel:
         with pytest.raises(ValueError, match="pose spec mismatch"):
             d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 13, 2), (3, 13, 2)), ((13, 3), (2, 13, 3)),
+                                                  ((2, 13, 3), (2, 13, 3, 1))])
+    def test_stacks_not_n_j_3_rejected(self, a_shape, b_shape):
+        message = re.escape(f"expected (N, J, 3) stacks, got shapes {a_shape} and {b_shape}")
+        with pytest.raises(ValueError, match=message):
+            d3d_matrix(np.zeros(a_shape), np.zeros(b_shape))
 
-def margin_box(coords, visibility=None, margin_fraction=0.10):
-    """margin_boxes of the one pose with (J, 2) coords and (J,) visibility
-    (all visible if None), as a tuple."""
-    visibility = np.ones(len(coords), dtype=bool) if visibility is None else visibility
-    return tuple(margin_boxes(np.array(coords, dtype=float)[None], visibility[None],
-                              margin_fraction)[0])
 
-
-def box_around_oracle(pose, margin_fraction):
-    """One pose's margin box written out with scalar arithmetic, the form
-    margin_boxes stacks."""
-    pts = pose.coords[pose.visibility]
-    if not len(pts):
-        raise ValueError("pose has no visible joints")
-    x_min, y_min = pts.min(axis=0)
-    x_max, y_max = pts.max(axis=0)
-    if x_max <= x_min or y_max <= y_min:
-        raise ValueError("visible joints span a degenerate (zero-extent) box")
-    dx = 0.5 * margin_fraction * (x_max - x_min)
-    dy = 0.5 * margin_fraction * (y_max - y_min)
-    return BoundingBox(x_min - dx, y_min - dy, x_max + dx, y_max + dy)
+ALL_13 = np.ones((1, 13), dtype=bool)
 
 
 class TestBoxes:
     def test_box_around_no_margin(self):
-        coords = [[0, 0], [100, 100]] + [[50, 50]] * 11
-        assert margin_box(coords, margin_fraction=0.0) == (0, 0, 100, 100)
+        coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
+        assert tuple(margin_boxes(coords, ALL_13, 0.0)[0]) == (0, 0, 100, 100)
 
     def test_box_around_ten_percent(self):
-        coords = [[0, 0], [100, 100]] + [[50, 50]] * 11
-        assert margin_box(coords, margin_fraction=0.10) == pytest.approx((-5, -5, 105, 105))
+        coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
+        assert tuple(margin_boxes(coords, ALL_13, 0.10)[0]) == pytest.approx((-5, -5, 105, 105))
 
     def test_box_around_uses_visible_only(self):
-        coords = np.array([[0, 0], [10, 10], [1000, 1000]], dtype=float)
-        vis = np.array([True, True, False])
-        assert margin_box(coords, vis, 0.0) == (0, 0, 10, 10)
+        coords = np.array([[[0, 0], [10, 10], [1000, 1000]]], dtype=float)
+        vis = np.array([[True, True, False]])
+        assert tuple(margin_boxes(coords, vis, 0.0)[0]) == (0, 0, 10, 10)
 
     def test_single_visible_joint_rejected(self):
-        vis = np.zeros(13, dtype=bool)
-        vis[0] = True
+        vis = np.zeros((1, 13), dtype=bool)
+        vis[0, 0] = True
         with pytest.raises(ValueError, match=r"degenerate \(zero-extent\) box"):
-            margin_box(np.zeros((13, 2)), vis)
+            margin_boxes(np.zeros((1, 13, 2)), vis)
 
     def test_no_visible_joint_rejected(self):
         with pytest.raises(ValueError, match="pose has no visible joints"):
-            margin_box(np.zeros((13, 2)), np.zeros(13, dtype=bool))
+            margin_boxes(np.zeros((1, 13, 2)), ~ALL_13)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), margin=st.sampled_from([0.0, 0.1, 0.37]),
@@ -258,9 +230,10 @@ class TestBoxes:
         coords[~vis] = np.nan  # invisible joints may be NaN
         boxes = margin_boxes(coords, vis, margin)
         for i in range(n):
-            expected = box_around_oracle(Pose2D(coords[i], vis[i]), margin)
+            expected = ref.visible_box(Pose2D(coords[i], vis[i]), margin)
             assert tuple(boxes[i]) == expected.as_tuple()
-            assert margin_box(coords[i], vis[i], margin) == expected.as_tuple()
+            one = margin_boxes(coords[i:i + 1], vis[i:i + 1], margin)[0]
+            assert tuple(one) == expected.as_tuple()
 
     def test_margin_boxes_reject_like_box_around(self):
         coords = np.tile(np.arange(26.0).reshape(13, 2), (3, 1, 1))
@@ -298,26 +271,6 @@ class TestBoxes:
             assert v == pytest.approx(iou(b, a), abs=1e-15)
 
 
-def iou_oracle(a, b):
-    """pose.iou as it was written before iou_kernel, kept verbatim as the
-    reference."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.width * a.height + b.width * b.height - inter)
-
-
-def expected_iou(a, b):
-    """iou_oracle, except that boxes whose two areas underflow to 0 get 0,
-    where the oracle divides 0 by 0."""
-    try:
-        return iou_oracle(a, b)
-    except ZeroDivisionError:
-        return 0.0
-
-
 @st.composite
 def grid_boxes(draw, n):
     """(n, 4) boxes on an integer grid of 0 to 10 units, 1 to 4 units wide
@@ -342,17 +295,17 @@ class TestIouKernel:
             assert got.shape == np.shape(want)
             assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
-        same(iou_kernel(a, b), [expected_iou(p, q) for p, q in zip(ba, bb)])
-        same(iou_kernel(a[0], b), [expected_iou(ba[0], q) for q in bb])
-        same(iou_kernel(a[:, None], b), [[expected_iou(p, q) for q in bb] for p in ba])
-        same(iou_kernel(a[0], b[0]), expected_iou(ba[0], bb[0]))
-        assert iou(ba[0], bb[0]) == expected_iou(ba[0], bb[0])
+        same(iou_kernel(a, b), [ref.iou(p, q) for p, q in zip(ba, bb)])
+        same(iou_kernel(a[0], b), [ref.iou(ba[0], q) for q in bb])
+        same(iou_kernel(a[:, None], b), [[ref.iou(p, q) for q in bb] for p in ba])
+        same(iou_kernel(a[0], b[0]), ref.iou(ba[0], bb[0]))
+        assert iou(ba[0], bb[0]) == ref.iou(ba[0], bb[0])
 
     def test_underflowing_areas_give_zero(self):
         box = BoundingBox(0.0, 0.0, 1e-200, 1e-200)  # area 1e-400 underflows to 0
+        assert box.width * box.height == 0.0  # so the union is 0, and inter/union is 0/0
         assert iou(box, box) == 0.0
-        with pytest.raises(ZeroDivisionError):
-            iou_oracle(box, box)
+        assert ref.iou(box, box) == 0.0
 
 
 class TestFitScaleOffset:
@@ -378,3 +331,11 @@ class TestHeadTop:
         coords[2] = [10.0, 20.0]
         top = extrapolate_head_top(H13, Pose2D(coords), ratio=1.0)
         assert np.allclose(top, [0.0, -20.0])
+
+    @pytest.mark.parametrize("joint", [0, 2])  # the head, and a shoulder of the neck
+    def test_non_finite_head_or_neck_rejected(self, joint):
+        coords = np.linspace([0.0, 0.0], [120.0, 240.0], 13)
+        coords[joint] = np.nan
+        vis = np.arange(13) != joint  # Pose2D allows NaN at an occluded joint
+        with pytest.raises(ValueError, match="head and neck joints must be finite"):
+            extrapolate_head_top(H13, Pose2D(coords, vis))

@@ -1,7 +1,6 @@
 import math
 import warnings
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
-from types import SimpleNamespace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import center_3d
-from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D, d3d, iou
+import reference as ref
+from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D, d3d
 from poseforge.ppi import (
     Detection,
     PoseProposal,
@@ -29,43 +28,11 @@ from poseforge.ppi import (
 )
 
 
-def joint_box(pose2d, joints=None):
-    """Reference joint box: the tight box of the joints listed (all by
-    default), each zero extent padded by 1e-6 px on both sides."""
-    pts = pose2d.coords if joints is None else pose2d.coords[list(joints)]
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    flat = hi <= lo
-    return BoundingBox(*np.where(flat, lo - 1e-6, lo), *np.where(flat, hi + 1e-6, hi))
-
-
-def make_proposal(rng, center=(200.0, 200.0), spread=40.0, score=None, pose3d=None):
-    coords = rng.normal(center, spread, size=(13, 2))
-    pose2d = Pose2D(coords)
-    box = joint_box(pose2d)
-    if pose3d is None:
-        pose3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-    s = float(rng.uniform(0.05, 0.95)) if score is None else score
-    return PoseProposal(anchor_id=int(rng.integers(0, 5)), box=box,
-                        pose2d=pose2d, pose3d=pose3d, score=s)
-
-
 def inside_box_proposal(score=0.8):
     coords = np.linspace([10, 10], [90, 90], 13)
     pose2d = Pose2D(coords)
     return PoseProposal(0, BoundingBox(0, 0, 100, 100), pose2d,
-                        center_3d(H13, np.zeros((13, 3))), score)
-
-
-def rescore_oracle(proposal, sigma_b=25.0):
-    """Scalar reference of rescore: one joint at a time, s * total / J."""
-    box = proposal.box
-    total = 0.0
-    for x, y in proposal.pose2d.coords:
-        dx = max(box.x_min - x, 0.0, x - box.x_max)
-        dy = max(box.y_min - y, 0.0, y - box.y_max)
-        d = math.hypot(dx, dy)
-        total += 1.0 if d == 0.0 else math.exp(-(d * d) / (sigma_b * sigma_b))
-    return proposal.score * total / len(proposal.pose2d.coords)
+                        ref.center_3d(np.zeros((13, 3))), score)
 
 
 class TestRescore:
@@ -83,7 +50,7 @@ class TestRescore:
         visibility = np.ones(13, dtype=bool)
         visibility[3] = False  # Pose2D accepts NaN at an invisible joint
         p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords, visibility),
-                         center_3d(H13, np.zeros((13, 3))), 0.5)
+                         ref.center_3d(np.zeros((13, 3))), 0.5)
         with pytest.raises(ValueError, match="proposal 2D poses must be finite"):
             rescore(p)
         with pytest.raises(ValueError, match="proposal 2D poses must be finite"):
@@ -92,20 +59,20 @@ class TestRescore:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
-            p = make_proposal(rng)
+            p = ref.proposal(rng)
             b = p.box
             m = float(rng.uniform(-0.4, 0.1)) * min(b.width, b.height)  # shrink or grow
             box = BoundingBox(b.x_min - m, b.y_min - m, b.x_max + m, b.y_max + m)
             p = replace(p, box=box)
             sigma = float(rng.uniform(5, 60))
             assert rescore(p, sigma).rescored == pytest.approx(
-                rescore_oracle(p, sigma), rel=1e-14, abs=0.0)
+                ref.rescore(p, sigma), rel=1e-14, abs=0.0)
 
     def test_joint_on_boundary_contributes_one(self):
         coords = np.linspace([10, 10], [90, 90], 13)
         coords[0] = [0.0, 50.0]  # exactly on the left edge
         p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords),
-                         center_3d(H13, np.zeros((13, 3))), 0.7)
+                         ref.center_3d(np.zeros((13, 3))), 0.7)
         assert rescore(p).rescored == 0.7
 
     def test_joint_far_outside_contributes_zero_without_warning(self):
@@ -113,7 +80,7 @@ class TestRescore:
         coords = np.linspace([1, 1], [9, 9], 13)
         coords[4] = [1e200, 5.0]
         p = PoseProposal(0, BoundingBox(0, 0, 10, 10), Pose2D(coords),
-                         center_3d(H13, np.zeros((13, 3))), 0.6)
+                         ref.center_3d(np.zeros((13, 3))), 0.6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert rescore(p).rescored == 0.6 * (12 / 13)
@@ -125,14 +92,14 @@ class TestRescore:
         coords = np.linspace([10, 10], [90, 90], 13)
         coords[5] = [50.0, 100.0 + sigma]  # sigma_b below the bottom edge
         p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords),
-                         center_3d(H13, np.zeros((13, 3))), 0.6)
+                         ref.center_3d(np.zeros((13, 3))), 0.6)
         expected = 0.6 * (12 + math.exp(-1)) / 13
         assert abs(rescore(p, sigma).rescored - expected) < 1e-12
 
     def test_never_increases(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            p = make_proposal(rng)
+            p = ref.proposal(rng)
             # shrink the box so joints leak out
             b = p.box
             small = BoundingBox(b.x_min + 5, b.y_min + 5, b.x_max - 5, b.y_max - 5)
@@ -146,39 +113,6 @@ class TestRescore:
             assert (r.rescored == r.score) == inside
 
 
-def greedy_group_oracle(proposals, threshold, joints=None):
-    """Independent re-implementation of the greedy grouping rule."""
-    boxes = [joint_box(p.pose2d, joints) for p in proposals]
-    remaining = list(range(len(proposals)))
-    groups = []
-    while remaining:
-        seed = remaining[0]
-        for i in remaining:
-            if proposals[i].rescored > proposals[seed].rescored:
-                seed = i
-        members = [i for i in remaining if iou(boxes[i], boxes[seed]) >= threshold]
-        groups.append(members)
-        remaining = [i for i in remaining if i not in members]
-    return groups
-
-
-def modes_oracle(group, t3d):
-    """Independent re-implementation of mode extraction."""
-    left = list(range(len(group)))
-    modes = []
-    while left:
-        seed = left[0]
-        for i in left:
-            if group[i].rescored > group[seed].rescored:
-                seed = i
-        mode = [seed] + [
-            i for i in left if i != seed and d3d(group[seed].pose3d, group[i].pose3d) < t3d
-        ]
-        modes.append(mode)
-        left = [i for i in left if i not in mode]
-    return modes
-
-
 def ids(proposals, subset):
     index = {id(p): i for i, p in enumerate(proposals)}
     return [index[id(p)] for p in subset]
@@ -187,14 +121,14 @@ def ids(proposals, subset):
 class TestGrouping:
     def test_single_proposal(self):
         rng = np.random.default_rng(1)
-        p = rescore(make_proposal(rng))
+        p = rescore(ref.proposal(rng))
         groups = group_by_overlap([p], 0.2)
         assert len(groups) == 1 and groups[0] == [p]
 
     def test_disjoint_boxes_two_groups(self):
         rng = np.random.default_rng(2)
-        a = rescore(make_proposal(rng, center=(100, 100), spread=10))
-        b = rescore(make_proposal(rng, center=(900, 900), spread=10))
+        a = rescore(ref.proposal(rng, center=(100, 100), spread=10))
+        b = rescore(ref.proposal(rng, center=(900, 900), spread=10))
         assert len(group_by_overlap([a, b], 0.1)) == 2
 
     def test_matches_oracle_on_random_sets(self):
@@ -202,7 +136,7 @@ class TestGrouping:
         for _ in range(50):
             n = int(rng.integers(2, 21))
             proposals = [
-                rescore(make_proposal(
+                rescore(ref.proposal(
                     rng,
                     center=rng.uniform(50, 450, size=2),
                     spread=float(rng.uniform(20, 80)),
@@ -211,11 +145,11 @@ class TestGrouping:
             ]
             threshold = float(rng.uniform(0.05, 0.6))
             got = [ids(proposals, g) for g in group_by_overlap(proposals, threshold)]
-            assert got == greedy_group_oracle(proposals, threshold)
+            assert got == ref.groups(proposals, threshold)
 
     def test_groups_partition_input(self):
         rng = np.random.default_rng(4)
-        proposals = [rescore(make_proposal(rng)) for _ in range(30)]
+        proposals = [rescore(ref.proposal(rng)) for _ in range(30)]
         groups = group_by_overlap(proposals, 0.3)
         flat = [i for g in groups for i in ids(proposals, g)]
         assert sorted(flat) == list(range(30))
@@ -225,14 +159,14 @@ class TestGrouping:
         coords = np.zeros((13, 2))
         coords[0, 0] = 5e-324  # joint-box area 5e-324 * 2e-6 underflows to 0
         p = rescore(PoseProposal(0, BoundingBox(0, 0, 1, 1), Pose2D(coords),
-                                 center_3d(H13, np.zeros((13, 3))), 0.5))
+                                 ref.center_3d(np.zeros((13, 3))), 0.5))
         assert group_by_overlap([p], 0.5) == [[p]]
         assert [d.member_count for d in ppi([p])] == [1]
 
     def test_threshold_is_inclusive(self):
         rng = np.random.default_rng(24)
-        a = rescore(make_proposal(rng, center=(100, 100), spread=10))
-        b = rescore(make_proposal(rng, center=(900, 900), spread=10))
+        a = rescore(ref.proposal(rng, center=(100, 100), spread=10))
+        b = rescore(ref.proposal(rng, center=(900, 900), spread=10))
         twin = rescore(replace(a, score=a.score / 2, rescored=None))  # same joint box
         assert len(group_by_overlap([a, twin], 1.0)) == 1  # IoU 1 >= 1
         assert len(group_by_overlap([a, b], 0.0)) == 1  # IoU 0 >= 0
@@ -240,52 +174,53 @@ class TestGrouping:
     def test_requires_rescored(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            group_by_overlap([make_proposal(rng)], 0.2)
+            group_by_overlap([ref.proposal(rng)], 0.2)
 
 
 class TestModes:
     def test_identical_poses_one_mode(self):
         rng = np.random.default_rng(6)
-        p3 = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-        group = [rescore(make_proposal(rng, pose3d=p3)) for _ in range(5)]
+        p3 = ref.pose3d(rng)
+        group = [rescore(ref.proposal(rng, p3=p3)) for _ in range(5)]
         modes = extract_modes(group, 0.125)
         assert len(modes) == 1 and len(modes[0]) == 5
 
     def test_two_separated_subpopulations(self):
         rng = np.random.default_rng(7)
-        base_a = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-        base_b = center_3d(H13, base_a.coords + rng.normal(0, 1.0, (13, 3)))
+        base_a = ref.pose3d(rng)
+        base_b = ref.center_3d(base_a.coords + rng.normal(0, 1.0, (13, 3)))
         assert d3d(base_a, base_b) > 0.5
         group = []
         for base in (base_a, base_b):
             for _ in range(4):
-                p3 = center_3d(H13, base.coords + rng.normal(0, 0.01, (13, 3)))
-                group.append(rescore(make_proposal(rng, pose3d=p3)))
+                p3 = ref.center_3d(base.coords + rng.normal(0, 0.01, (13, 3)))
+                group.append(rescore(ref.proposal(rng, p3=p3)))
         modes = extract_modes(group, 0.125)
         assert len(modes) == 2
         assert sorted(len(m) for m in modes) == [4, 4]
-        assert [ids(group, m) for m in modes] == modes_oracle(group, 0.125)
+        assert [ids(group, m) for m in modes] == ref.modes(
+            np.array([p.pose3d.coords for p in group]), [p.rescored for p in group], 0.125)
 
     def test_distance_equal_to_t3d_splits(self):
         rng = np.random.default_rng(25)
-        p = rescore(make_proposal(rng, pose3d=Pose3D(np.zeros((13, 3)))))
+        p = rescore(ref.proposal(rng, p3=Pose3D(np.zeros((13, 3)))))
         shifted = np.zeros((13, 3))
         shifted[:, 0] = 0.125  # d3d is exactly 0.125
-        q = rescore(make_proposal(rng, pose3d=Pose3D(shifted)))
+        q = rescore(ref.proposal(rng, p3=Pose3D(shifted)))
         assert d3d(p.pose3d, q.pose3d) == 0.125
         assert len(extract_modes([p, q], 0.125)) == 2
         assert len(extract_modes([p, q], 0.1250001)) == 1
 
     def test_singleton(self):
         rng = np.random.default_rng(8)
-        group = [rescore(make_proposal(rng))]
+        group = [rescore(ref.proposal(rng))]
         modes = extract_modes(group, 0.125)
         assert modes == [group]
 
     def test_seed_is_highest_scored(self):
         rng = np.random.default_rng(9)
-        p3 = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
-        group = [rescore(make_proposal(rng, pose3d=p3)) for _ in range(6)]
+        p3 = ref.pose3d(rng)
+        group = [rescore(ref.proposal(rng, p3=p3)) for _ in range(6)]
         modes = extract_modes(group, 10.0)
         top = max(group, key=lambda p: p.rescored)
         assert modes[0][0] is top
@@ -294,7 +229,7 @@ class TestModes:
 class TestAverageMode:
     def test_singleton_detection(self):
         rng = np.random.default_rng(10)
-        p = rescore(make_proposal(rng))
+        p = rescore(ref.proposal(rng))
         det = average_mode([p])
         assert det.score == p.rescored
         assert det.member_count == 1
@@ -302,7 +237,7 @@ class TestAverageMode:
 
     def test_two_copies_sum_scores(self):
         coords = np.linspace([10, 10], [90, 90], 13)
-        p3 = center_3d(H13, np.zeros((13, 3)))
+        p3 = ref.center_3d(np.zeros((13, 3)))
         box = BoundingBox(0, 0, 100, 100)
         a = rescore(PoseProposal(0, box, Pose2D(coords), p3, 0.3))
         b = rescore(PoseProposal(0, box, Pose2D(coords), p3, 0.2))
@@ -313,7 +248,7 @@ class TestAverageMode:
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            mode = [rescore(make_proposal(rng)) for _ in range(int(rng.integers(1, 8)))]
+            mode = [rescore(ref.proposal(rng)) for _ in range(int(rng.integers(1, 8)))]
             det = average_mode(mode)
             s = sum(p.rescored for p in mode)
             exp2d = sum(p.rescored * p.pose2d.coords for p in mode) / s
@@ -327,7 +262,7 @@ class TestAverageMode:
         mode = [
             rescore(PoseProposal(0, BoundingBox(0, 0, 100, 100),
                                  Pose2D(rng.uniform(10, 90, (13, 2))),
-                                 center_3d(H13, rng.normal(0, 0.3, (13, 3))), 0.0))
+                                 ref.pose3d(rng), 0.0))
             for _ in range(3)
         ]
         det = average_mode(mode)
@@ -356,7 +291,7 @@ class TestParameterValidation:
 
     def test_joint_beyond_pose_rejected(self):
         rng = np.random.default_rng(40)
-        proposals = [rescore(make_proposal(rng)) for _ in range(3)]
+        proposals = [rescore(ref.proposal(rng)) for _ in range(3)]
         joints = (0, 13)
         message = r"overlap_joints \(0, 13\) must be non-empty joint indices in \[0, 13\)"
         with pytest.raises(ValueError, match=message):
@@ -375,7 +310,7 @@ class TestParameterValidation:
 
     def test_per_list_thresholds_rejected(self):
         rng = np.random.default_rng(41)
-        proposals = [rescore(make_proposal(rng)) for _ in range(3)]
+        proposals = [rescore(ref.proposal(rng)) for _ in range(3)]
         with pytest.raises(ValueError, match="t3d must be positive"):
             extract_modes(proposals, math.nan)
         with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\]"):
@@ -391,13 +326,13 @@ class TestPpiEndToEnd:
         wins = 0
         trials = 50
         for _ in range(trials):
-            gt3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
+            gt3d = ref.pose3d(rng)
             gt2d = rng.uniform(100, 400, (13, 2))
             replicas = []
             for _ in range(12):
-                p3 = center_3d(H13, gt3d.coords + rng.normal(0, 0.05, (13, 3)))
+                p3 = ref.center_3d(gt3d.coords + rng.normal(0, 0.05, (13, 3)))
                 p2 = Pose2D(gt2d + rng.normal(0, 5.0, (13, 2)))
-                replicas.append(PoseProposal(0, joint_box(Pose2D(gt2d)), p2, p3,
+                replicas.append(PoseProposal(0, ref.overlap_box(Pose2D(gt2d)), p2, p3,
                                              float(rng.uniform(0.3, 0.9))))
             dets = ppi(replicas, PpiParams(iou_threshold=0.1, t3d=1.0))
             assert len(dets) == 1
@@ -410,12 +345,12 @@ class TestPpiEndToEnd:
         rng = np.random.default_rng(14)
         proposals = []
         for center in ((100.0, 100.0), (800.0, 100.0)):
-            gt3d = center_3d(H13, rng.normal(0, 0.3, (13, 3)))
+            gt3d = ref.pose3d(rng)
             base2d = rng.normal(center, 30, (13, 2))
             for _ in range(6):
-                p3 = center_3d(H13, gt3d.coords + rng.normal(0, 0.01, (13, 3)))
+                p3 = ref.center_3d(gt3d.coords + rng.normal(0, 0.01, (13, 3)))
                 proposals.append(PoseProposal(
-                    0, joint_box(Pose2D(base2d)),
+                    0, ref.overlap_box(Pose2D(base2d)),
                     Pose2D(base2d + rng.normal(0, 2.0, (13, 2))), p3,
                     float(rng.uniform(0.3, 0.9))))
         dets = ppi(proposals, PpiParams(iou_threshold=0.1, t3d=0.125))
@@ -424,7 +359,7 @@ class TestPpiEndToEnd:
     def test_detection_count_and_score_invariants(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
-            proposals = [make_proposal(rng) for _ in range(int(rng.integers(1, 30)))]
+            proposals = [ref.proposal(rng) for _ in range(int(rng.integers(1, 30)))]
             dets = ppi(proposals, PpiParams())
             assert len(dets) <= len(proposals)
             assert sum(d.member_count for d in dets) == len(proposals)
@@ -435,7 +370,7 @@ class TestPpiEndToEnd:
 
     def test_min_score_filters(self):
         rng = np.random.default_rng(16)
-        proposals = [make_proposal(rng) for _ in range(10)]
+        proposals = [ref.proposal(rng) for _ in range(10)]
         dets_all = ppi(proposals, PpiParams())
         cut = dets_all[len(dets_all) // 2].score if len(dets_all) > 1 else 0.0
         dets_cut = ppi(proposals, PpiParams(min_score=cut + 1e-9))
@@ -445,7 +380,7 @@ class TestPpiEndToEnd:
 class TestNms:
     def test_singleton(self):
         rng = np.random.default_rng(17)
-        p = make_proposal(rng)
+        p = ref.proposal(rng)
         dets = nms([p], PpiParams())
         assert len(dets) == 1
         assert dets[0].member_count == 1
@@ -455,9 +390,9 @@ class TestNms:
         rng = np.random.default_rng(18)
         base2d = rng.normal((200, 200), 30, (13, 2))
         proposals = [
-            PoseProposal(0, joint_box(Pose2D(base2d)),
+            PoseProposal(0, ref.overlap_box(Pose2D(base2d)),
                          Pose2D(base2d + rng.normal(0, 1.0, (13, 2))),
-                         center_3d(H13, rng.normal(0, 0.3, (13, 3))),
+                         ref.pose3d(rng),
                          score)
             for score in (0.2, 0.9, 0.5)
         ]
@@ -469,99 +404,22 @@ class TestNms:
     def test_matches_argmax_per_group_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
-            proposals = [make_proposal(rng) for _ in range(int(rng.integers(1, 25)))]
+            proposals = [ref.proposal(rng) for _ in range(int(rng.integers(1, 25)))]
             params = PpiParams(iou_threshold=float(rng.uniform(0.05, 0.5)))
-            dets = nms(proposals, params)
             rescored = [rescore(p, params.sigma_b) for p in proposals]
-            oracle_groups = greedy_group_oracle(rescored, params.iou_threshold)
-            oracle_tops = sorted(
-                (max((rescored[i] for i in g), key=lambda p: p.rescored).rescored
-                 for g in oracle_groups),
-                reverse=True,
-            )
-            assert len(dets) == len(oracle_groups)
-            assert [d.score for d in dets] == pytest.approx(oracle_tops)
+            ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))
 
     def test_result_is_group_member(self):
         rng = np.random.default_rng(20)
-        proposals = [make_proposal(rng) for _ in range(15)]
+        proposals = [ref.proposal(rng) for _ in range(15)]
         dets = nms(proposals, PpiParams())
         originals = {tuple(p.pose2d.coords.ravel()) for p in proposals}
         for d in dets:
             assert tuple(d.pose2d.coords.ravel()) in originals
 
 
-def average_oracle(mode):
-    """(score, 2D mean, 3D mean, count) of a mode, one member at a time."""
-    weights = np.array([p.rescored for p in mode])
-    total = float(weights.sum())
-    coords2d = np.stack([p.pose2d.coords for p in mode])
-    coords3d = np.stack([p.pose3d.coords for p in mode])
-    if total > 0.0:
-        w = weights / total
-        return (total, np.einsum("i,ijk->jk", w, coords2d),
-                np.einsum("i,ijk->jk", w, coords3d), len(mode))
-    return total, coords2d.mean(axis=0), coords3d.mean(axis=0), len(mode)
-
-
-def crowd_proposals(rng, people, per_person):
-    """Jittered proposals around a few people, each with three 3D modes.
-
-    Half of the proposals score 0.5 in a box wide enough to hold every
-    joint, so their rescored scores tie exactly and the tie-breaks on
-    the lower index are exercised.
-    """
-    proposals = []
-    for _ in range(people):
-        base2d = rng.normal(rng.uniform(50, 450, 2), 30, (13, 2))
-        tight = joint_box(Pose2D(base2d))
-        wide = BoundingBox(tight.x_min - 100, tight.y_min - 100,
-                           tight.x_max + 100, tight.y_max + 100)
-        bases3d = rng.normal(0, 0.3, (3, 13, 3))
-        for _ in range(per_person):
-            c3d = bases3d[rng.integers(3)] + rng.normal(0, 0.03, (13, 3))
-            tie = rng.random() < 0.5
-            proposals.append(PoseProposal(
-                int(rng.integers(0, 5)), wide if tie else tight,
-                Pose2D(base2d + rng.normal(0, 8.0, (13, 2))), center_3d(H13, c3d),
-                0.5 if tie else float(rng.uniform(0.05, 0.95))))
-    return proposals
-
-
-def composed_ppi_oracle(rescored, groups, t3d):
-    """(score, 2D mean, 3D mean, count) of each detection, in ppi's order,
-    from groups (index lists) of rescored proposals."""
-    expected = []
-    for g in groups:
-        group = [rescored[i] for i in g]
-        expected += [average_oracle([group[i] for i in m]) for m in modes_oracle(group, t3d)]
-    return [expected[i] for i in sorted(range(len(expected)), key=lambda i: (-expected[i][0], i))]
-
-
-def composed_nms_oracle(rescored, groups):
-    """The first top-rescored proposal of each group, in nms's order."""
-    tops = [max((rescored[i] for i in g), key=lambda p: p.rescored) for g in groups]
-    return [tops[i] for i in sorted(range(len(tops)), key=lambda i: (-tops[i].rescored, i))]
-
-
-def assert_ppi_matches(dets, expected):
-    assert len(dets) == len(expected)
-    for det, (score, mean2d, mean3d, count) in zip(dets, expected):
-        assert det.score == score and det.member_count == count
-        assert np.array_equal(det.pose2d.coords, mean2d)
-        assert np.array_equal(det.pose3d.coords, mean3d)
-
-
-def assert_nms_matches(dets, tops):
-    assert [d.score for d in dets] == [p.rescored for p in tops]
-    for det, top in zip(dets, tops):
-        assert det.member_count == 1
-        assert np.array_equal(det.pose2d.coords, top.pose2d.coords)
-        assert np.array_equal(det.pose3d.coords, top.pose3d.coords)
-
-
 class TestArrayCoreEquivalence:
-    """ppi() and nms() against the oracles above, composed as the pipeline."""
+    """ppi() and nms() against the reference."""
 
     CASES = [
         PpiParams(),
@@ -573,75 +431,20 @@ class TestArrayCoreEquivalence:
     def test_ppi_matches_composed_oracles(self, params):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            proposals = crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
+            proposals = ref.crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
             rescored = [rescore(p, params.sigma_b) for p in proposals]
             for p, r in zip(proposals, rescored):
-                assert r.rescored == pytest.approx(rescore_oracle(p, params.sigma_b),
+                assert r.rescored == pytest.approx(ref.rescore(p, params.sigma_b),
                                                    rel=1e-14, abs=0.0)
-            groups = greedy_group_oracle(rescored, params.iou_threshold, params.overlap_joints)
-            assert_ppi_matches(ppi(proposals, params),
-                               composed_ppi_oracle(rescored, groups, params.t3d))
+            ref.assert_detections(ppi(proposals, params), ref.ppi(rescored, params))
 
     @pytest.mark.parametrize("params", CASES)
     def test_nms_matches_composed_oracles(self, params):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            proposals = crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
+            proposals = ref.crowd_proposals(rng, int(rng.integers(1, 5)), int(rng.integers(1, 25)))
             rescored = [rescore(p, params.sigma_b) for p in proposals]
-            groups = greedy_group_oracle(rescored, params.iou_threshold, params.overlap_joints)
-            assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
-
-
-# The grouping that the lock-step one over x-extent blocks replaced, kept
-# verbatim as the reference: one Python iteration per seed, and one IoU
-# row per group over every free proposal of the image.
-def _greedy(rescored: np.ndarray, near) -> list[tuple[int, np.ndarray]]:
-    """Greedy clustering for overlap grouping.
-
-    Seeds come by descending score, then lower index. Each seed takes
-    itself and every still-free proposal that near(seed, candidates)
-    marks, so the clusters partition the input. Returns (seed, members
-    in input order) per cluster.
-    """
-    n = len(rescored)
-    free = np.ones(n, dtype=bool)
-    clusters = []
-    for seed in np.lexsort((np.arange(n), -rescored)):
-        if free[seed]:
-            cand = np.flatnonzero(free)
-            members = cand[near(seed, cand) | (cand == seed)]
-            free[members] = False
-            clusters.append((seed, members))
-    return clusters
-
-
-def _group(boxes: np.ndarray, rescored: np.ndarray, iou_threshold: float) -> list[np.ndarray]:
-    """Overlap groups of boxes (N, 4), as index arrays in input order.
-
-    A seed's IoU row repeats pose.iou's operations in their order. Where
-    both joint-box areas underflow to 0 the union is 0 too, and the IoU
-    counts as 0 rather than 0/0; the seed still joins its own group.
-    """
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-
-    def overlapping(seed, cand):
-        b, s = boxes[cand], boxes[seed]
-        iw = np.minimum(b[:, 2], s[2]) - np.maximum(b[:, 0], s[0])
-        ih = np.minimum(b[:, 3], s[3]) - np.maximum(b[:, 1], s[1])
-        hit = (iw > 0.0) & (ih > 0.0)
-        inter = np.multiply(iw, ih, out=np.zeros(len(cand)), where=hit)
-        union = area[cand] + area[seed] - inter
-        row = np.divide(inter, union, out=np.zeros(len(cand)), where=hit & (union > 0.0))
-        return row >= iou_threshold
-
-    return [members for _, members in _greedy(rescored, overlapping)]
-
-
-def reference_groups(rescored, threshold, joints=None):
-    """Groups of rescored proposals, as index lists, by the reference _group."""
-    boxes = np.array([joint_box(p.pose2d, joints).as_tuple() for p in rescored])
-    return [g.tolist() for g in _group(boxes, np.array([p.rescored for p in rescored]),
-                                       threshold)]
+            ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))
 
 
 def underflow_proposal(score, c3d):
@@ -689,7 +492,7 @@ GROUPING_CASES = dict(
 
 
 class TestLockStepGrouping:
-    """group_by_overlap, ppi and nms against the reference _group above:
+    """group_by_overlap, ppi and nms against the reference greedy grouping:
     the same groups in the same order, and the same detections."""
 
     @settings(max_examples=150, deadline=None)
@@ -697,24 +500,21 @@ class TestLockStepGrouping:
     def test_group_by_overlap_matches_reference(self, proposals, threshold, joints):
         rescored = [rescore(p) for p in proposals]
         got = group_by_overlap(rescored, threshold, joints)
-        assert [ids(rescored, g) for g in got] == reference_groups(rescored, threshold, joints)
+        assert [ids(rescored, g) for g in got] == ref.groups(rescored, threshold, joints)
 
     @settings(max_examples=100, deadline=None)
     @given(**GROUPING_CASES)
     def test_ppi_matches_reference(self, proposals, threshold, joints):
         params = PpiParams(iou_threshold=threshold, overlap_joints=joints)
         rescored = [rescore(p, params.sigma_b) for p in proposals]
-        groups = reference_groups(rescored, threshold, joints)
-        assert_ppi_matches(ppi(proposals, params),
-                           composed_ppi_oracle(rescored, groups, params.t3d))
+        ref.assert_detections(ppi(proposals, params), ref.ppi(rescored, params))
 
     @settings(max_examples=100, deadline=None)
     @given(**GROUPING_CASES)
     def test_nms_matches_reference(self, proposals, threshold, joints):
         params = PpiParams(iou_threshold=threshold, overlap_joints=joints)
         rescored = [rescore(p, params.sigma_b) for p in proposals]
-        groups = reference_groups(rescored, threshold, joints)
-        assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
+        ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))
 
     def test_touching_edges_split_above_threshold_zero(self):
         c3d = np.zeros((13, 3))
@@ -739,7 +539,7 @@ def proposal_lists(draw):
     proposals = []
     for i in range(n):
         pose2d = Pose2D(c2d[i])
-        b = joint_box(pose2d)
+        b = ref.overlap_box(pose2d)
         m = float(grow[i]) * min(b.width, b.height)
         box = BoundingBox(b.x_min - m, b.y_min - m, b.x_max + m, b.y_max + m)
         proposals.append(PoseProposal(0, box, pose2d, Pose3D(c3d[i]), float(scores[i])))
@@ -792,30 +592,21 @@ def multi_group_images(draw):
     return gid, c3d, scores
 
 
-def stacked_proposals(c3d, scores, c2d=None):
-    """Stand-ins for rescored proposals, as the oracles read them."""
-    return [SimpleNamespace(rescored=float(s), pose3d=Pose3D(c),
-                            pose2d=None if c2d is None else Pose2D(c2d[i]))
-            for i, (c, s) in enumerate(zip(c3d, scores))]
-
-
 def split_modes(members, sizes):
     return [m.tolist() for m in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 class TestLockStepModes:
-    """_modes over all groups at once against modes_oracle per group."""
+    """_modes over all groups at once against the reference per group."""
 
     @settings(max_examples=120, deadline=None)
     @given(multi_group_images(), st.sampled_from([0.125, 0.2, 10.0]))
     def test_matches_oracle_group_by_group(self, image, t3d):
         gid, c3d, scores = image
-        props = stacked_proposals(c3d, scores)
         expected = []
         for g in range(gid.max() + 1):
             index = np.flatnonzero(gid == g)
-            expected += [[int(index[i]) for i in mode]
-                         for mode in modes_oracle([props[i] for i in index], t3d)]
+            expected += [index[mode].tolist() for mode in ref.modes(c3d[index], scores[index], t3d)]
         members, sizes = _modes(c3d, scores, gid, t3d)
         assert split_modes(members, sizes) == expected
 
@@ -842,16 +633,12 @@ class TestBucketedAverage:
         for start, size in zip(starts, sizes):
             if rng.random() < 0.3:  # zero-score modes beside positive ones of each size
                 weights[members[start:start + size]] = 0.0
-        props = stacked_proposals(c3d, weights, c2d)
         dets = _average(c2d, c3d, weights, members, np.array(sizes))
-        assert len(dets) == len(sizes)
-        for det, start, size in zip(dets, starts, sizes):
-            mode = [props[i] for i in members[start:start + size]]
-            score, mean2d, mean3d, count = average_oracle(mode)
-            assert det.score == score and det.member_count == count == size
-            assert det.unweighted == (score == 0.0)
-            assert np.array_equal(det.pose2d.coords, mean2d)
-            assert np.array_equal(det.pose3d.coords, mean3d)
+        expected = [ref.average(c2d[m], c3d[m], weights[m])
+                    for m in np.split(members, np.cumsum(sizes)[:-1])]
+        ref.assert_detections(dets, expected)
+        assert [d.member_count for d in dets] == sizes
+        assert [d.unweighted for d in dets] == [score == 0.0 for score, *_ in expected]
 
     def test_zero_and_positive_modes_of_one_size_in_one_image(self):
         rng = np.random.default_rng(26)
@@ -859,30 +646,10 @@ class TestBucketedAverage:
         c3d = rng.normal(0.0, 0.3, (6, 13, 3))
         weights = np.array([0.0, 0.3, 0.0, 0.7, 0.2, 0.0])
         members = np.array([0, 2, 1, 3, 5, 4])
-        props = stacked_proposals(c3d, weights, c2d)
         dets = _average(c2d, c3d, weights, members, np.array([2, 2, 2]))
         assert [d.unweighted for d in dets] == [True, False, False]
-        for det, mode in zip(dets, ([0, 2], [1, 3], [5, 4])):
-            score, mean2d, mean3d, _ = average_oracle([props[i] for i in mode])
-            assert det.score == score
-            assert np.array_equal(det.pose2d.coords, mean2d)
-            assert np.array_equal(det.pose3d.coords, mean3d)
-
-
-def assert_same(got, want):
-    """got equals want bit for bit: type, attribute layout, and every field,
-    arrays by dtype, shape and bytes."""
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    elif is_dataclass(want):
-        # the pose classes keep their fields in slots: neither has a __dict__
-        assert hasattr(got, "__dict__") == hasattr(want, "__dict__")
-        assert [f.name for f in fields(got)] == [f.name for f in fields(want)]
-        for f in fields(want):
-            assert_same(getattr(got, f.name), getattr(want, f.name))
-    else:
-        assert got == want
+        ref.assert_detections(dets, [ref.average(c2d[m], c3d[m], weights[m])
+                                     for m in ([0, 2], [1, 3], [5, 4])])
 
 
 class TestBuiltDetections:
@@ -891,11 +658,11 @@ class TestBuiltDetections:
     @pytest.mark.parametrize("integrate", [ppi, nms])
     def test_equal_public_constructions(self, integrate):
         rng = np.random.default_rng(27)
-        proposals = crowd_proposals(rng, 3, 12)
+        proposals = ref.crowd_proposals(rng, 3, 12)
         dets = integrate(proposals, PpiParams())
         assert dets
         for d in dets:
-            assert_same(d, Detection(Pose2D(d.pose2d.coords), Pose3D(d.pose3d.coords),
+            ref.assert_same(d, Detection(Pose2D(d.pose2d.coords), Pose3D(d.pose3d.coords),
                                      d.score, d.member_count, d.unweighted))
             with pytest.raises(FrozenInstanceError):
                 d.score = 0.0
@@ -908,7 +675,7 @@ class TestBuiltDetections:
 
     def test_ppi_means_share_no_memory_with_proposals(self):
         rng = np.random.default_rng(28)
-        proposals = crowd_proposals(rng, 2, 8)
+        proposals = ref.crowd_proposals(rng, 2, 8)
         for d in ppi(proposals, PpiParams()):
             for p in proposals:
                 assert not np.shares_memory(d.pose2d.coords, p.pose2d.coords)
@@ -933,7 +700,7 @@ class TestOverlapBoxes:
         planes = _planes(np.stack([p.coords for p in poses]))
         for joints in (None, H13.head_torso_joints, (3,)):
             got = _overlap_boxes(planes, joints)
-            assert [tuple(row) for row in got] == [joint_box(p, joints).as_tuple()
+            assert [tuple(row) for row in got] == [ref.overlap_box(p, joints).as_tuple()
                                                    for p in poses]
 
     def test_zero_extent_padded_and_groups_alone(self):
@@ -972,7 +739,7 @@ class TestBoxReading:
         return [PoseProposal(int(rng.integers(5)), box,
                              Pose2D(rng.uniform((box.x_min, box.y_min), (box.x_max, box.y_max),
                                                 (13, 2)) + rng.normal(0, 4.0, (13, 2))),
-                             center_3d(H13, rng.normal(0, 0.3, (13, 3))),
+                             ref.pose3d(rng),
                              float(rng.choice([0.2, 0.5, 0.9])))
                 for box in boxes]
 
@@ -995,9 +762,7 @@ class TestBoxReading:
             got, want = integrate(proposals, params), integrate(apart, params)
             assert len(got) == len(want) > 0
             for g, w in zip(got, want):
-                assert_same(g, w)
+                ref.assert_same(g, w)
         rescored = [rescore(p, params.sigma_b) for p in proposals]
-        groups = reference_groups(rescored, params.iou_threshold)
-        assert_ppi_matches(ppi(proposals, params),
-                           composed_ppi_oracle(rescored, groups, params.t3d))
-        assert_nms_matches(nms(proposals, params), composed_nms_oracle(rescored, groups))
+        ref.assert_detections(ppi(proposals, params), ref.ppi(rescored, params))
+        ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))
