@@ -10,7 +10,10 @@ the point's own centroid; the assignments, centroids and distortions
 are those of plain Lloyd iterations. Each anchor's canonical 2D layout
 is the per-joint mean of its members' finite 2D coordinates after
 normalization into their own margin boxes; it lives in unit-box
-coordinates and is placed into candidate boxes at use time.
+coordinates and is placed into candidate boxes at use time. A joint that
+no member shows (every member codes it as NaN) takes its place from the
+anchor's 3D pose: the (x, y) projection of the centroid, fitted by scale
+and offset onto the anchor's other joints.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 # perfbench/tracing.py counts calls through poseforge.anchors.d3d_matrix.
 from poseforge.pose import (  # noqa: F401
     _D3D_BLOCK_ROWS,
-    DEFAULT_BOX_MARGIN,
     AnchorPose,
     Pose2D,
     Pose3D,
@@ -33,6 +35,7 @@ from poseforge.pose import (  # noqa: F401
     _stack_pairs,
     d3d_kernel,
     d3d_matrix,
+    fit_scale_offset,
     margin_boxes,
 )
 
@@ -46,12 +49,12 @@ PRUNE_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """Anchor poses with the clustering provenance that produced them."""
+    """Anchor poses, with the distortion history of the clustering that
+    produced them."""
 
     anchors: tuple[AnchorPose, ...]
     K: int  # number of full-body anchors
     spec: PoseSpec
-    seed: int
     distortion_history: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -130,8 +133,6 @@ def kmeans_anchors(
     spec: PoseSpec,
     seed: int = 0,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    margin_fraction: float = DEFAULT_BOX_MARGIN,
 ) -> AnchorSet:
     """Cluster paired 2D-3D poses into k anchor poses.
 
@@ -141,31 +142,34 @@ def kmeans_anchors(
         k: number of clusters, an int; requires len(poses) >= k >= 1.
         spec: joint layout of the poses.
         seed: RNG seed for the k-means++ initialization, an int >= 0.
-        max_iters, tol: stop after max_iters (an int >= 0) or when the
-            largest centroid shift (in d3d) falls below tol (finite, >= 0).
-        margin_fraction: box margin used when normalizing member 2D poses
-            for the canonical layouts.
+        max_iters: stop after max_iters updates (an int >= 0) or when
+            the largest centroid shift (in d3d) falls below DEFAULT_TOL.
 
     Returns:
         AnchorSet of k full-body anchors; distortion_history records the
         sum of squared d3d to assigned centroids after each assignment.
+        Each layout joint is the mean of the members' finite unit-box
+        coordinates. A joint with no finite coordinate in any member of
+        its anchor is filled from the centroid's (x, y) projection,
+        placed by pose.fit_scale_offset onto the anchor's other joints.
 
     Raises:
-        ValueError: besides bad k, seed, max_iters, tol or a 2D or 3D
-            joint count other than spec's, when a member's visible joints
-            cannot anchor a box (see pose.margin_boxes), or when a joint
-            coordinate is non-finite in every member of an anchor.
+        ValueError: besides bad k, seed, max_iters or a 2D or 3D joint
+            count other than spec's, when a member's visible joints cannot
+            anchor a box (see pose.margin_boxes), or when a joint has no
+            finite coordinate in any member of an anchor and the fill
+            cannot place it: the anchor has fewer than 2 joints with a
+            finite coordinate (an anchor without members has none), or
+            the projection of those joints has no spread.
     """
     _check_count("k", k, 1)
     _check_count("seed", seed, 0)
     _check_count("max_iters", max_iters, 0)
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if len(poses) < k:
         raise ValueError(f"need at least k={k} poses, got {len(poses)}")
     coords2d, visibility, coords3d = _stack_pairs(poses, spec)
     # member 2D poses normalized into their own margin boxes
-    boxes = margin_boxes(coords2d, visibility, margin_fraction)[:, None, :]
+    boxes = margin_boxes(coords2d, visibility)[:, None, :]
     unit_layouts = (coords2d - boxes[..., :2]) / (boxes[..., 2:] - boxes[..., :2])
 
     rng = np.random.default_rng(seed)
@@ -218,23 +222,28 @@ def kmeans_anchors(
             assign[moved] = low[moved].argmin(axis=1)
             u[moved] = low[moved, assign[moved]]
         history.append(float((u ** 2).sum()))
-        if shifts.max() < tol:
+        if shifts.max() < DEFAULT_TOL:
             break
 
     anchors = []
     for c, layouts in enumerate(_clusters(unit_layouts, assign, k)):
         finite = np.isfinite(layouts)
         count = finite.sum(axis=0)
-        if not count.all():
-            joint = int(np.argmin(count.all(axis=1)))
-            raise ValueError(
-                f"anchor {c}: joint {joint} has no finite 2D coordinate "
-                f"in its {len(layouts)} members"
-            )
+        layout = np.where(finite, layouts, 0.0).sum(axis=0) / np.maximum(count, 1)
+        orphan = ~count.all(axis=1)
+        if orphan.any():
+            try:
+                s, t = fit_scale_offset(centroids[c, ~orphan, :2], layout[~orphan])
+            except ValueError:  # fewer than 2 finite joints, or no spread
+                raise ValueError(
+                    f"anchor {c}: joint {int(np.argmax(orphan))} has no finite 2D "
+                    f"coordinate in its {len(layouts)} members"
+                ) from None
+            layout[orphan] = s * centroids[c, orphan, :2] + t
         anchors.append(
             AnchorPose(
                 id=c,
-                pose2d=Pose2D(np.where(finite, layouts, 0.0).sum(axis=0) / count),
+                pose2d=Pose2D(layout),
                 pose3d=Pose3D(centroids[c]),
                 body_extent="full_body",
             )
@@ -243,7 +252,6 @@ def kmeans_anchors(
         anchors=tuple(anchors),
         K=k,
         spec=spec,
-        seed=seed,
         distortion_history=tuple(history),
     )
 
@@ -276,6 +284,5 @@ def add_upper_body_variants(anchor_set: AnchorSet) -> AnchorSet:
         anchors=anchor_set.anchors + variants,
         K=anchor_set.K,
         spec=spec,
-        seed=anchor_set.seed,
         distortion_history=anchor_set.distortion_history,
     )

@@ -26,7 +26,6 @@ from poseforge.anchors import AnchorSet
 # iou is not called here (assign_label calls its kernel); perfbench/tracing.py
 # counts calls through poseforge.labeling.iou.
 from poseforge.pose import (  # noqa: F401
-    DEFAULT_BOX_MARGIN,
     AnchorPose,
     BoundingBox,
     Pose2D,
@@ -34,7 +33,6 @@ from poseforge.pose import (  # noqa: F401
     _check_count,
     _check_finite,
     _stack_pairs,
-    check_iou_threshold,
     d3d_matrix,
     iou,
     iou_kernel,
@@ -42,6 +40,8 @@ from poseforge.pose import (  # noqa: F401
 )
 
 BACKGROUND = 0
+# A candidate box is a positive (foreground) example when its IoU with a
+# ground-truth box reaches this.
 DEFAULT_IOU_THRESHOLD = 0.5
 LOG_EPS = 1e-12  # clamp for -log u(c) when u(c) underflows to 0
 
@@ -95,14 +95,14 @@ def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
 
 
 @functools.lru_cache(maxsize=1)
-def _image_truth(gts: tuple, anchors: AnchorSet, margin_fraction: float) -> tuple:
+def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
     """One image's ground truth as assign_label reads it, all read-only:
     the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) visibility,
     (P, J) mask of joints with a non-finite 2D coordinate, the tuple of
     each ground truth's 3D-closest anchor id and the (P, 3J) 3D residual
     to that anchor."""
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
-    boxes = margin_boxes(coords2d, visibility, margin_fraction)
+    boxes = margin_boxes(coords2d, visibility)
     anchors3d = anchors.coords3d
     nearest = d3d_matrix(coords3d, anchors3d).argmin(axis=1)  # ties to the lowest id
     res3d = (coords3d - anchors3d[nearest]).reshape(len(gts), -1)
@@ -124,26 +124,23 @@ def assign_label(
     box: BoundingBox,
     gts: list[tuple[Pose2D, Pose3D]],
     anchors: AnchorSet,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    margin_fraction: float = DEFAULT_BOX_MARGIN,
 ) -> LabeledBox:
     """Assign class label and regression target to a candidate box.
 
     Background (label 0, no target) when the box's IoU with every
-    ground-truth box (built around the visible joints with the standard
-    margin) falls below iou_threshold. Otherwise the ground truth with
-    the highest IoU defines the label as 1 + the id of the 3D-closest
-    anchor (ties to the lowest id) and the regression target. Raises on
-    an iou_threshold outside [0, 1], NaN included, and on a ground truth
-    whose joint count is not the anchors' spec's.
+    ground-truth box (pose.margin_boxes around the visible joints) falls
+    below DEFAULT_IOU_THRESHOLD. Otherwise the ground truth with the
+    highest IoU defines the label as 1 + the id of the 3D-closest anchor
+    (ties to the lowest id) and the regression target. Raises on an empty
+    anchor set and on a ground truth whose joint count is not the
+    anchors' spec's.
 
     Labeling an image's boxes one after another builds its ground-truth
     boxes, 2D stacks and nearest anchors once: they are cached on
-    tuple(gts), anchors and margin_fraction (see the module docstring).
+    tuple(gts) and anchors (see the module docstring).
     An entry of gts may be any (Pose2D, Pose3D) pair; one that cannot be
     hashed, such as a list, is keyed as a tuple.
     """
-    check_iou_threshold(iou_threshold)
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
     if not gts:
@@ -151,16 +148,16 @@ def assign_label(
 
     key = tuple(gts)
     try:
-        truth = _image_truth(key, anchors, margin_fraction)
+        truth = _image_truth(key, anchors)
     except TypeError:
         if not _unhashable(key):  # raised by the build, not by the cache's key
             raise
         # an entry such as a list [Pose2D, Pose3D]
-        truth = _image_truth(tuple(map(tuple, key)), anchors, margin_fraction)
+        truth = _image_truth(tuple(map(tuple, key)), anchors)
     boxes, coords2d, visibility, hidden, nearest, res3d = truth
     overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
     best = int(np.argmax(overlaps))
-    if overlaps[best] < iou_threshold:
+    if overlaps[best] < DEFAULT_IOU_THRESHOLD:
         return LabeledBox(box, BACKGROUND)
 
     anchor = anchors.anchors[nearest[best]]

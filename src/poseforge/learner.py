@@ -39,27 +39,25 @@ from poseforge.pose import (BoundingBox, Pose2D, Pose3D, _all_visible, _check_co
 from poseforge.ppi import PoseProposal
 
 
+# Step schedule: the learning rate drops by DECAY_FACTOR once, after the
+# first DECAY_FRACTION of the iterations.
+DECAY_FACTOR = 0.1
+DECAY_FRACTION = 0.6
+INIT_SCALE = 0.01  # standard deviation of the initial weights
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 300
     learning_rate: float = 0.5
-    decay_factor: float = 0.1      # applied once, partway through
-    decay_fraction: float = 0.6    # fraction of iterations at the base rate
     seed: int = 0
-    init_scale: float = 0.01
     two_pass: bool = False
 
     def __post_init__(self):
         _check_count("iterations", self.iterations, 0)
         _check_count("seed", self.seed, 0)
-        for name in ("learning_rate", "decay_factor"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and above 0, got {value}")
-        if not 0.0 <= self.decay_fraction <= 1.0:
-            raise ValueError(f"decay_fraction must be in [0, 1], got {self.decay_fraction}")
-        if not 0.0 <= self.init_scale < np.inf:
-            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and above 0, got {self.learning_rate}")
 
 
 @dataclass(eq=False)
@@ -72,11 +70,11 @@ class _Head:
     b_reg: np.ndarray  # (5*J*C,)
 
     @classmethod
-    def init(cls, rng, dim, n_classes, slot_width, scale):
+    def init(cls, rng, dim, n_classes, slot_width):
         return cls(
-            w_cls=rng.normal(0.0, scale, size=(dim, n_classes)),
+            w_cls=rng.normal(0.0, INIT_SCALE, size=(dim, n_classes)),
             b_cls=np.zeros(n_classes),
-            w_reg=rng.normal(0.0, scale, size=(dim, slot_width * n_classes)),
+            w_reg=rng.normal(0.0, INIT_SCALE, size=(dim, slot_width * n_classes)),
             b_reg=np.zeros(slot_width * n_classes),
         )
 
@@ -154,7 +152,7 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
     n, d = x.shape
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
-    switch = int(config.decay_fraction * config.iterations)
+    switch = int(DECAY_FRACTION * config.iterations)
     # views, as _Head.init makes both arrays contiguous: slot_major[k] is
     # class k's (D, w) slot of w_reg, a strided view
     slot_major = head.w_reg.reshape(d, c, w).transpose(1, 0, 2)
@@ -175,7 +173,7 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
              for w_k, k, s in zip(block, ids, spans)]
     g_w = np.empty((d, w))
     for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
+        lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
         probs = head.class_probs(x)
         cls_loss, g_logits = _class_loss(probs, labels, out=probs)
         for w_k, b_k, x_k, _, p_k, _ in slots:
@@ -205,16 +203,18 @@ def train(
     """Fit the toy model on (feature, labeled box) pairs.
 
     Deterministic given config.seed. Raises on an empty anchor set, on
-    inconsistent feature or target dimensions and on a feature row that
-    is not finite.
+    no examples, on features that are not vectors of one length, on
+    inconsistent target dimensions and on a feature row that is not
+    finite.
     """
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
     if not examples:
         raise ValueError("no training examples")
-    x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])
-    if x.ndim != 2:
+    features = [np.asarray(f, dtype=np.float64) for f, _ in examples]
+    if features[0].ndim != 1 or any(f.shape != features[0].shape for f in features):
         raise ValueError("features must be fixed-dimension vectors")
+    x = np.stack(features)
     _check_features(x)
     j = anchors.spec.joint_count
     n_classes = len(anchors) + 1
@@ -230,7 +230,7 @@ def train(
             targets[i] = lab.target
 
     rng = np.random.default_rng(config.seed)
-    head = _Head.init(rng, x.shape[1], n_classes, slot, config.init_scale)
+    head = _Head.init(rng, x.shape[1], n_classes, slot)
     model = ToyModel(
         head=head,
         feature_dim=x.shape[1],
@@ -243,7 +243,7 @@ def train(
     if config.two_pass:
         probs, v = head.forward(x)
         x2 = np.concatenate([x, probs, v], axis=1)
-        refine = _Head.init(rng, x2.shape[1], n_classes, slot, config.init_scale)
+        refine = _Head.init(rng, x2.shape[1], n_classes, slot)
         _train_head(refine, x2, labels, targets, config,
                     model.loss_history, config.iterations)
         model.refine_head = refine

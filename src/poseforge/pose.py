@@ -39,7 +39,6 @@ class PoseSpec:
         head_joints: indices defining the head segment for PCKh; the
             first entry is the head joint, the mean of the remaining
             entries gives the segment base (neck) point.
-        kinematic_tree: parent index per joint, -1 at the single root.
         lower_body_joints: indices treated as lower body (hips, knees,
             ankles) when building upper-body anchor variants.
     """
@@ -48,15 +47,12 @@ class PoseSpec:
     joint_names: tuple[str, ...]
     torso_anchor_joints: tuple[int, ...]
     head_joints: tuple[int, ...]
-    kinematic_tree: tuple[int, ...]
     lower_body_joints: tuple[int, ...] = ()
 
     def __post_init__(self):
         j = len(self.joint_names)
         if j < 2:
             raise ValueError(f"need at least 2 joints, got {j}")
-        if len(self.kinematic_tree) != j:
-            raise ValueError("kinematic_tree length must equal joint count")
         if not self.torso_anchor_joints:
             raise ValueError("torso_anchor_joints must be non-empty")
         for grp in (self.torso_anchor_joints, self.head_joints, self.lower_body_joints):
@@ -64,20 +60,6 @@ class PoseSpec:
                 raise ValueError(f"joint index out of range in {grp}")
         if len(self.head_joints) < 2:
             raise ValueError("head_joints needs a head joint plus base joints")
-        roots = [i for i, p in enumerate(self.kinematic_tree) if p == -1]
-        if len(roots) != 1:
-            raise ValueError(f"kinematic_tree must have exactly one root, got {roots}")
-        # every joint must reach the root without cycles
-        for i in range(j):
-            seen, cur = set(), i
-            while cur != -1:
-                if cur in seen:
-                    raise ValueError("kinematic_tree contains a cycle")
-                seen.add(cur)
-                p = self.kinematic_tree[cur]
-                if p != -1 and not (0 <= p < j):
-                    raise ValueError(f"invalid parent {p} for joint {cur}")
-                cur = p
 
     @property
     def joint_count(self) -> int:
@@ -107,7 +89,6 @@ H13 = PoseSpec(
     ),
     torso_anchor_joints=(1, 2, 7, 8),
     head_joints=(0, 1, 2),  # neck proxy = mid-shoulders
-    kinematic_tree=(-1, 0, 0, 1, 2, 3, 4, 1, 2, 7, 8, 9, 10),
     lower_body_joints=(7, 8, 9, 10, 11, 12),
 )
 
@@ -156,10 +137,6 @@ class Pose3D:
         coords = _coords_array(self.coords, 3)
         _check_finite(coords)
         object.__setattr__(self, "coords", coords)
-
-    @property
-    def joint_count(self) -> int:
-        return len(self.coords)
 
 
 @functools.cache
@@ -353,18 +330,16 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def margin_boxes(coords: np.ndarray, visibility: np.ndarray,
-                 margin_fraction: float = DEFAULT_BOX_MARGIN) -> np.ndarray:
+def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
     """(N, 4) boxes (x_min, y_min, x_max, y_max) over the visible joints
     of N poses, coords (N, J, 2) and visibility (N, J); invisible joints
     may hold any value, NaN included.
 
     Each box is the tight box over the visible joints, widened by
-    margin_fraction of its extent per axis, half on each side. Raises
+    DEFAULT_BOX_MARGIN of its extent per axis, half on each side. Raises
     ValueError when a pose has no visible joint or its visible joints
     span zero extent, which cannot anchor a proposal box, and with
-    BoundingBox's message when the margin leaves a box empty or
-    non-finite.
+    BoundingBox's message when the margin makes a box non-finite.
     """
     vis = visibility[..., None]
     lo = np.where(vis, coords, np.inf).min(axis=1)
@@ -373,9 +348,9 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray,
         raise ValueError("pose has no visible joints")
     if (hi <= lo).any():
         raise ValueError("visible joints span a degenerate (zero-extent) box")
-    d = 0.5 * margin_fraction * (hi - lo)
+    d = 0.5 * DEFAULT_BOX_MARGIN * (hi - lo)
     boxes = np.concatenate([lo - d, hi + d], axis=1)
-    if not (np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all()):
+    if not np.isfinite(boxes).all():
         for box in boxes:
             BoundingBox(*box)  # raises BoundingBox's own error at the first bad box
     return boxes
@@ -386,22 +361,19 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
 
 
-def check_iou_threshold(iou_threshold: float) -> None:
-    """Reject an IoU threshold outside [0, 1], NaN included."""
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-
-
 def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares uniform scale + translation mapping src onto dst.
 
     Minimizes sum ||s * src_i + t - dst_i||^2 over scalar s and 2D/any-D
-    offset t. Raises on fewer than 2 points or zero spread in src.
+    offset t. Raises ValueError on fewer than 2 points, on a NaN or an
+    infinity in either point set, or on zero spread in src.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or len(src) < 2:
         raise ValueError("need matching point sets with at least 2 points")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("points must be finite")
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
     src0 = src - src_c
@@ -413,12 +385,12 @@ def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarra
     return s, t
 
 
-def extrapolate_head_top(spec: PoseSpec, pose: Pose2D, ratio: float = 1.0) -> np.ndarray:
+def extrapolate_head_top(spec: PoseSpec, pose: Pose2D) -> np.ndarray:
     """Head-top point extrapolated along the neck-to-head direction.
 
     The 13-joint spec has no head-top joint; the point at
-    head + ratio * (head - neck) stands in for it when computing head
-    sizes (neck = mean of the base joints in spec.head_joints). Raises
+    head + (head - neck) stands in for it when computing head sizes
+    (neck = mean of the base joints in spec.head_joints). Raises
     ValueError when the head joint or a base joint is not finite, as an
     occluded joint of a Pose2D may be.
     """
@@ -426,4 +398,4 @@ def extrapolate_head_top(spec: PoseSpec, pose: Pose2D, ratio: float = 1.0) -> np
     if not np.isfinite(joints).all():
         raise ValueError("head and neck joints must be finite to extrapolate the head top")
     head, neck = joints[0], joints[1:].mean(axis=0)
-    return head + ratio * (head - neck)
+    return head + (head - neck)

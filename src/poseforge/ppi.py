@@ -33,7 +33,7 @@ import numpy as np
 # d3d and iou are not called here (_modes and _group call their kernels);
 # perfbench/tracing.py counts calls through poseforge.ppi.d3d and .iou.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
-from poseforge.pose import _all_visible, _check_finite, _frozen, check_iou_threshold, iou_kernel
+from poseforge.pose import _all_visible, _check_finite, _frozen, iou_kernel
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -80,13 +80,19 @@ class PpiParams:
     overlap_joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        check_iou_threshold(self.iou_threshold)
+        _check_iou_threshold(self.iou_threshold)
         _check_positive("t3d", self.t3d)
         _check_positive("sigma_b", self.sigma_b)
         if self.min_score is not None and not self.min_score >= 0.0:
             raise ValueError(f"min_score must be None or >= 0, got {self.min_score}")
         if self.overlap_joints is not None:
             _check_overlap_joints(self.overlap_joints)
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
+    """Reject an IoU threshold outside [0, 1], NaN included."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -171,10 +177,60 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
     """
     b = boxes.T[:, None]
     gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
-    d = np.hypot(gap[0], gap[1])
+    d = _hypot(gap[0], gap[1])
     with np.errstate(over="ignore"):  # d * d = inf gives the factor exp(-inf) = 0
         factors = np.exp(-(d * d) / (sigma_b * sigma_b))
     return scores * np.ascontiguousarray(factors.T).mean(axis=1)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into hi + lo, each of at most 26 bits."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product: x * x = hi + lo."""
+    x_hi, x_lo = _split(x)
+    p, q = x_hi * x_hi, 2.0 * (x_hi * x_lo)
+    hi = p + q
+    return hi, p - hi + q + x_lo * x_lo
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x^2 + y^2) of gaps x, y >= 0, rounded as math.hypot rounds it.
+
+    np.hypot may be 1 ulp off, which exp(-D^2 / sigma_b^2) magnifies by
+    2 D^2 / sigma_b^2: about 3e-14 relative for a joint 11 sigma_b out.
+    Where one gap is 0 the other is the distance. Elsewhere this is
+    math.hypot's algorithm (CPython 3.10 on): scale by a power of 2, at
+    most 2**1021, to below 1, add the exact squares to 1 with their
+    rounding errors carried aside, take the root and correct it by one
+    Newton step on the exact residual.
+    """
+    d = np.maximum(x, y)
+    corner = (np.minimum(x, y) > 0.0) & np.isfinite(d)
+    if not corner.any():
+        return d
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(d[corner])[1], -1021))
+    x, y = x[corner], y[corner]
+    x_hi, x_lo = _square(x * scale)
+    y_hi, y_lo = _square(y * scale)
+    csum = 1.0 + x_hi
+    frac2 = 1.0 - csum + x_hi
+    total = csum + y_hi
+    frac2 = frac2 + (csum - total + y_hi)
+    frac1 = x_lo + y_lo
+    h = np.sqrt(total - 1.0 + (frac1 + frac2))
+    r_hi, r_lo = _square(h)
+    csum = total - r_hi
+    frac2 = frac2 + (total - csum - r_hi)
+    frac1 = frac1 - r_lo
+    h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+    with np.errstate(over="ignore"):  # h / scale overflows to inf past 1.8e308
+        d[corner] = h / scale
+    return d
 
 
 def _overlap_boxes(planes: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
@@ -337,7 +393,7 @@ def group_by_overlap(
     with the seed is >= iou_threshold. Groups partition the input;
     members keep their input order.
     """
-    check_iou_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     rescored = _require_rescored(proposals)
     if not proposals:
         return []

@@ -17,7 +17,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from poseforge.anchors import DEFAULT_MAX_ITERS, DEFAULT_TOL, AnchorSet
-from poseforge.labeling import BACKGROUND, LOG_EPS, LabeledBox
+from poseforge.labeling import BACKGROUND, DEFAULT_IOU_THRESHOLD, LOG_EPS, LabeledBox
+from poseforge.learner import DECAY_FACTOR, DECAY_FRACTION
 from poseforge.pose import (DEFAULT_BOX_MARGIN, H13, AnchorPose, BoundingBox, Pose2D, Pose3D,
                             PoseSpec)
 from poseforge.ppi import PoseProposal
@@ -29,7 +30,6 @@ H17 = PoseSpec(
     joint_names=H13.joint_names + ("pelvis", "back", "torso", "neck"),
     torso_anchor_joints=(1, 2, 7, 8),
     head_joints=(0, 16),
-    kinematic_tree=(16, 16, 16, 1, 2, 3, 4, 13, 13, 7, 8, 9, 10, -1, 13, 14, 15),
     lower_body_joints=(7, 8, 9, 10, 11, 12),
 )
 
@@ -93,16 +93,16 @@ def anchor_set(rng, n=4, layouts=None):
     for i, layout in enumerate([None] * n if layouts is None else layouts):
         layout = rng.uniform(0.1, 0.9, size=(13, 2)) if layout is None else layout
         anchors.append(AnchorPose(i, Pose2D(layout), pose3d(rng)))
-    return AnchorSet(tuple(anchors), K=len(anchors), spec=H13, seed=0)
+    return AnchorSet(tuple(anchors), K=len(anchors), spec=H13)
 
 
-def box_near(rng, gts, margin_fraction=DEFAULT_BOX_MARGIN, jitter=0.1):
+def box_near(rng, gts, jitter=0.1):
     """A candidate box jittered around a random ground truth's margin box,
     or, one time in five, anywhere."""
     if not gts or rng.random() < 0.2:
         lo = rng.uniform(0, 400, 2)
         return BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2)))
-    x0, y0, x1, y1 = visible_box(gts[int(rng.integers(len(gts)))][0], margin_fraction).as_tuple()
+    x0, y0, x1, y1 = visible_box(gts[int(rng.integers(len(gts)))][0]).as_tuple()
     dx, dy = jitter * (x1 - x0), jitter * (y1 - y0)
     shift = rng.uniform(-1.0, 1.0, 4) * (dx, dy, dx, dy)
     return BoundingBox(x0 + shift[0], y0 + shift[1], x1 + shift[2], y1 + shift[3])
@@ -180,9 +180,9 @@ def d3d(p, q):
     return float(np.linalg.norm(p - q, axis=1).mean())
 
 
-def visible_box(pose2d, margin_fraction=DEFAULT_BOX_MARGIN):
+def visible_box(pose2d):
     """The tight box over a Pose2D's visible joints, widened by
-    margin_fraction of its extent per axis, half on each side."""
+    DEFAULT_BOX_MARGIN of its extent per axis, half on each side."""
     pts = pose2d.coords[pose2d.visibility]
     if not len(pts):
         raise ValueError("pose has no visible joints")
@@ -190,8 +190,8 @@ def visible_box(pose2d, margin_fraction=DEFAULT_BOX_MARGIN):
     x_max, y_max = pts.max(axis=0)
     if x_max <= x_min or y_max <= y_min:
         raise ValueError("visible joints span a degenerate (zero-extent) box")
-    dx = 0.5 * margin_fraction * (x_max - x_min)
-    dy = 0.5 * margin_fraction * (y_max - y_min)
+    dx = 0.5 * DEFAULT_BOX_MARGIN * (x_max - x_min)
+    dy = 0.5 * DEFAULT_BOX_MARGIN * (y_max - y_min)
     return BoundingBox(x_min - dx, y_min - dy, x_max + dx, y_max + dy)
 
 
@@ -219,10 +219,10 @@ def iou(a, b):
 
 # Codebook
 
-def unit_layout(pose2d, margin_fraction=DEFAULT_BOX_MARGIN):
+def unit_layout(pose2d):
     """A Pose2D's coordinates in its own margin box, whose corners map to
     (0, 0) and (1, 1)."""
-    b = visible_box(pose2d, margin_fraction)
+    b = visible_box(pose2d)
     return (pose2d.coords - (b.x_min, b.y_min)) / (b.x_max - b.x_min, b.y_max - b.y_min)
 
 
@@ -240,18 +240,16 @@ def kmeans_pp(coords3d, k, rng):
     return coords3d[chosen]
 
 
-def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
-           margin_fraction=DEFAULT_BOX_MARGIN):
+def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS):
     """Plain Lloyd iterations under d3d from kmeans_pp's centroids, with a
     full distance matrix per assignment. An update keeps the centroid of an
     emptied cluster; then each empty cluster in turn takes the point
     farthest from its own centroid. Stops after max_iters updates or once
-    every centroid moves less than tol.
+    every centroid moves less than DEFAULT_TOL.
 
-    Returns the (k, J, 3) centroids, the (k, J, 2) unit-box layouts as the
-    mean of each final cluster's member layouts (NaN for a cluster without
-    members) and the distortion history, the sum of squared d3d to the
-    assigned centroids after each assignment.
+    Returns the (k, J, 3) centroids, the (k, J, 2) unit-box layouts of the
+    final clusters (see anchor_layout) and the distortion history, the sum of
+    squared d3d to the assigned centroids after each assignment.
     """
     coords3d = np.stack([p3.coords for _, p3 in poses])
     centroids = kmeans_pp(coords3d, k, np.random.default_rng(seed))
@@ -281,13 +279,49 @@ def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
                 point_dist[far] = -1.0
         shift = max(d3d(new, old) for new, old in zip(new_centroids, centroids))
         centroids = new_centroids
-        if shift < tol:
+        if shift < DEFAULT_TOL:
             break
     assign = assignment()
-    unit_layouts = np.stack([unit_layout(p2, margin_fraction) for p2, _ in poses])
-    layouts = np.stack([unit_layouts[assign == c].mean(axis=0) if (assign == c).any()
-                        else np.full(unit_layouts.shape[1:], np.nan) for c in range(k)])
+    unit_layouts = np.stack([unit_layout(p2) for p2, _ in poses])
+    layouts = np.stack([anchor_layout(unit_layouts[assign == c], centroids[c]) for c in range(k)])
     return centroids, layouts, tuple(history)
+
+
+def anchor_layout(members, centroid):
+    """One anchor's (J, 2) layout from its members' (n, J, 2) unit-box
+    layouts and its (J, 3) centroid: per joint and axis, the mean of the
+    finite member coordinates, added one member at a time. A joint with no
+    finite coordinate in some axis is the centroid's (x, y) scaled by s and
+    moved by t, the least-squares fit of the other joints' centroid (x, y)
+    onto their layout. All NaN where that fit has fewer than 2 joints, or
+    their (x, y) all coincide: there kmeans_anchors raises."""
+    j = centroid.shape[0]
+    out = np.full((j, 2), np.nan)
+    for joint in range(j):
+        for axis in range(2):
+            values = [v for v in members[:, joint, axis].tolist() if math.isfinite(v)]
+            if values:
+                total = 0.0
+                for v in values:
+                    total += v
+                out[joint, axis] = total / len(values)
+    known = [joint for joint in range(j) if np.isfinite(out[joint]).all()]
+    if len(known) == j:
+        return out
+    if len(known) < 2:
+        return np.full((j, 2), np.nan)
+    src, dst = centroid[known, :2], out[known]
+    src_c, dst_c = src.mean(axis=0), dst.mean(axis=0)
+    src0 = src - src_c
+    denom = float((src0 ** 2).sum())
+    if denom <= 0.0:
+        return np.full((j, 2), np.nan)
+    s = float((src0 * (dst - dst_c)).sum() / denom)
+    t = dst_c - s * src_c
+    for joint in range(j):
+        if joint not in known:
+            out[joint] = s * centroid[joint, :2] + t
+    return out
 
 
 def upper_body(anchor_set):
@@ -318,16 +352,16 @@ def regression_target(gt2d, gt3d, anchor, box):
     return np.concatenate([res2d.ravel(), (gt3d.coords - anchor.pose3d.coords).ravel()])
 
 
-def assign_label(box, gts, anchors, iou_threshold=0.5, margin_fraction=DEFAULT_BOX_MARGIN):
+def assign_label(box, gts, anchors):
     """(label, target) of a box, one ground truth and one anchor at a time:
-    background (0, None) below iou_threshold with every ground truth's
+    background (0, None) below DEFAULT_IOU_THRESHOLD with every ground truth's
     margin box, otherwise the first best-overlapping ground truth's
     3D-closest anchor (the lowest id of a tie), as 1 + its id, and target."""
     if not gts:
         return BACKGROUND, None
-    overlaps = [iou(box, visible_box(p2, margin_fraction)) for p2, _ in gts]
+    overlaps = [iou(box, visible_box(p2)) for p2, _ in gts]
     best = int(np.argmax(overlaps))
-    if overlaps[best] < iou_threshold:
+    if overlaps[best] < DEFAULT_IOU_THRESHOLD:
         return BACKGROUND, None
     gt2d, gt3d = gts[best]
     anchor = anchors.anchors[int(np.argmin([d3d(a.pose3d.coords, gt3d.coords)
@@ -352,9 +386,9 @@ def train_head_per_positive(head, x, labels, targets, config, loss_history, it_o
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
     rows = np.arange(n)
-    switch = int(config.decay_fraction * config.iterations)
+    switch = int(DECAY_FRACTION * config.iterations)
     for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
+        lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
         probs, v = head.forward(x)
         cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
         g_logits = probs.copy()
@@ -386,7 +420,7 @@ def train_head_slots(head, x, labels, targets, config, loss_history, it_offset):
     c = head.b_cls.shape[0]
     w = head.b_reg.shape[0] // c
     all_rows = np.arange(n)
-    switch = int(config.decay_fraction * config.iterations)
+    switch = int(DECAY_FRACTION * config.iterations)
     w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(c + 1))
@@ -394,7 +428,7 @@ def train_head_slots(head, x, labels, targets, config, loss_history, it_offset):
              if k != BACKGROUND and len(rows)]
     pred = np.zeros((n, w))
     for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else config.decay_factor)
+        lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
         probs = head.class_probs(x)
         for k, rows, x_k in slots:
             pred[rows] = x_k @ w_slots[:, k] + b_slots[k]

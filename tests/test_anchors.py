@@ -13,13 +13,13 @@ from poseforge.anchors import (
     add_upper_body_variants,
     kmeans_anchors,
 )
-from poseforge.pose import H13, Pose2D, Pose3D, d3d, d3d_matrix
+from poseforge.pose import H13, Pose2D, Pose3D, PoseSpec, d3d, d3d_matrix, fit_scale_offset
 
 
 def assert_matches_oracle(poses, k, **kwargs):
     centroids, layouts, history = ref.kmeans(poses, k, **kwargs)
-    if np.isnan(layouts).any():  # a cluster without members in the end
-        with pytest.raises(ValueError, match="has no finite 2D coordinate in its 0 members"):
+    if np.isnan(layouts).any():  # a cluster whose layout cannot be filled
+        with pytest.raises(ValueError, match="has no finite 2D coordinate in its"):
             kmeans_anchors(poses, k, H13, **kwargs)
         return None
     out = kmeans_anchors(poses, k, H13, **kwargs)
@@ -171,15 +171,42 @@ class TestKmeansOccludedLayouts:
                 assert np.allclose(a.pose2d.coords[j], np.mean(xs, axis=0), rtol=0, atol=1e-12)
         assert all(np.isfinite(a.pose2d.coords).all() for a in out.anchors)
 
-    def test_joint_hidden_in_every_member_raises(self):
+    def test_joint_hidden_in_every_member_is_filled(self):
+        # joint 5 is NaN in every member, joint 9 in the first half: anchor
+        # by anchor, a joint no member shows takes the centroid's (x, y),
+        # fitted by scale and offset onto the anchor's other joints
         rng = np.random.default_rng(14)
         poses = ref.nan_coded_corpus(rng, 30, 0.0)
-        hidden = np.ones(13, dtype=bool)
-        hidden[5] = False
-        poses = [(Pose2D(np.where(hidden[:, None], p2.coords, np.nan), hidden), p3)
-                 for p2, p3 in poses]
-        with pytest.raises(ValueError, match="anchor 0: joint 5 has no finite 2D coordinate"):
+        visible = np.ones((30, 13), dtype=bool)
+        visible[:, 5] = False
+        visible[:15, 9] = False
+        poses = [(Pose2D(np.where(vis[:, None], p2.coords, np.nan), vis), p3)
+                 for (p2, p3), vis in zip(poses, visible)]
+        out = assert_matches_oracle(poses, 3, seed=0)
+        for a in out.anchors:
+            others = np.arange(13) != 5
+            s, t = fit_scale_offset(a.pose3d.coords[others, :2], a.pose2d.coords[others])
+            assert np.array_equal(a.pose2d.coords[5], s * a.pose3d.coords[5, :2] + t)
+
+    def test_fill_without_spread_raises(self):
+        # every centroid has its joints at one (x, y), so the fill's scale
+        # is undetermined
+        rng = np.random.default_rng(16)
+        visible = np.arange(13) != 5
+        poses = [(Pose2D(np.where(visible[:, None], p2.coords, np.nan), visible),
+                  Pose3D(np.column_stack([np.zeros((13, 2)), rng.normal(0.0, 0.3, 13)])))
+                 for p2, _ in ref.corpus(rng, 20)]
+        with pytest.raises(ValueError, match="anchor 0: joint 5 has no finite 2D coordinate "
+                                             "in its"):
             kmeans_anchors(poses, 2, H13, seed=0)
+
+
+class TestAnchorSet:
+    def test_ids_not_dense_rejected(self):
+        anchors = ref.anchor_set(np.random.default_rng(17), 3).anchors
+        for ids in [anchors[1:], anchors[::-1], anchors[:1] * 2]:
+            with pytest.raises(ValueError, match=r"anchor ids must be dense 0\.\.n-1"):
+                AnchorSet(ids, K=len(ids), spec=H13)
 
 
 class TestKmeans:
@@ -264,9 +291,6 @@ class TestKmeans:
         ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
         ("max_iters", True, "max_iters must be an integer, got True"),
         ("max_iters", -1, "max_iters must be >= 0, got -1"),
-        ("tol", float("nan"), "tol must be finite and >= 0, got nan"),
-        ("tol", float("inf"), "tol must be finite and >= 0, got inf"),
-        ("tol", -1e-6, "tol must be finite and >= 0, got -1e-06"),
     ])
     def test_bad_arguments_rejected(self, arg, value, message):
         rng = np.random.default_rng(6)
@@ -379,7 +403,13 @@ class TestUpperBodyVariants:
             add_upper_body_variants(ref.anchor_set(rng, layouts=layouts))
 
     def test_empty_set_stays_empty(self):
-        assert len(add_upper_body_variants(AnchorSet((), K=0, spec=H13, seed=0))) == 0
+        assert len(add_upper_body_variants(AnchorSet((), K=0, spec=H13))) == 0
+
+    def test_spec_without_lower_body_rejected(self):
+        spec = PoseSpec("h13_no_lower", H13.joint_names, H13.torso_anchor_joints, H13.head_joints)
+        anchors = upright_anchor_set().anchors
+        with pytest.raises(ValueError, match="spec lacks an upper/lower body partition"):
+            add_upper_body_variants(AnchorSet(anchors, K=1, spec=spec))
 
     def test_rejects_already_doubled(self):
         doubled = add_upper_body_variants(upright_anchor_set())

@@ -37,7 +37,7 @@ class TestAssignLabel:
         j = 2
         gt2d, _ = ref.ground_truth(rng)
         gt = (gt2d, anchors.anchors[j].pose3d)  # 3D pose equals anchor j
-        box = ref.visible_box(gt2d, 0.10)
+        box = ref.visible_box(gt2d)
         lab = assign_label(box, [gt], anchors)
         assert lab.class_label == j + 1
         assert np.abs(lab.target[26:]).max() == 0.0  # 3D residual slots
@@ -47,9 +47,9 @@ class TestAssignLabel:
         anchors = ref.anchor_set(rng)
         gt_a = ref.ground_truth(rng)
         gt_b = (Pose2D(gt_a[0].coords + 40.0), ref.ground_truth(rng)[1])
-        box = ref.visible_box(gt_a[0], 0.10)
+        box = ref.visible_box(gt_a[0])
         # brute-force oracle over both pairings
-        ious = [ref.iou(box, ref.visible_box(g[0], 0.10)) for g in (gt_a, gt_b)]
+        ious = [ref.iou(box, ref.visible_box(g[0])) for g in (gt_a, gt_b)]
         best = int(np.argmax(ious))
         expected_anchor = int(np.argmin([ref.d3d(a.pose3d.coords, (gt_a, gt_b)[best][1].coords)
                                          for a in anchors.anchors]))
@@ -58,56 +58,42 @@ class TestAssignLabel:
 
     def test_empty_anchor_set_rejected(self):
         rng = np.random.default_rng(3)
-        empty = AnchorSet((), K=0, spec=H13, seed=0)
+        empty = AnchorSet((), K=0, spec=H13)
         with pytest.raises(ValueError):
             assign_label(BoundingBox(0, 0, 1, 1), [ref.ground_truth(rng)], empty)
 
-    # nan would label the far box foreground, 1.5 the exact box background
-    @pytest.mark.parametrize("threshold,far", [(np.nan, True), (1.5, False), (-0.1, True)])
-    def test_threshold_outside_unit_interval_rejected(self, threshold, far):
-        rng = np.random.default_rng(4)
-        anchors = ref.anchor_set(rng)
-        gt = ref.ground_truth(rng)
-        box = BoundingBox(5000, 5000, 5100, 5100) if far else ref.visible_box(gt[0], 0.10)
-        with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\], got"):
-            assign_label(box, [gt], anchors, iou_threshold=threshold)
 
-
-def assert_matches_oracle(box, gts, anchors, iou_threshold=0.5, margin_fraction=0.10):
-    ref.assert_label(assign_label(box, gts, anchors, iou_threshold, margin_fraction),
-                     *ref.assign_label(box, gts, anchors, iou_threshold, margin_fraction))
+def assert_matches_oracle(box, gts, anchors):
+    ref.assert_label(assign_label(box, gts, anchors), *ref.assign_label(box, gts, anchors))
 
 
 class TestAssignLabelMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(n_gts=st.integers(0, 6), n_anchors=st.integers(1, 8),
-           threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]), margin=st.sampled_from([0.0, 0.1]),
            occluded=st.sampled_from([2000.0, np.nan]), seed=st.integers(0, 2**32 - 1))
-    def test_labels_and_targets_exact(self, n_gts, n_anchors, threshold, margin, occluded,
-                                      seed):
+    def test_labels_and_targets_exact(self, n_gts, n_anchors, occluded, seed):
         rng = np.random.default_rng(seed)
         anchors = ref.anchor_set(rng, n_anchors)
         if n_anchors > 2:  # a 3D tie: anchor 2 repeats anchor 1, lower id wins
             dup = AnchorPose(2, Pose2D(rng.uniform(0.1, 0.9, (13, 2))),
                              anchors.anchors[1].pose3d)
             anchors = AnchorSet(anchors.anchors[:2] + (dup,) + anchors.anchors[3:],
-                                K=n_anchors, spec=H13, seed=0)
+                                K=n_anchors, spec=H13)
         # occluded joints off-box or NaN-coded
         gts = [ref.ground_truth(rng, rng.uniform(-150, 150, 2), occluded) for _ in range(n_gts)]
         if n_gts:  # an IoU tie: the first ground truth's 3D pose and target win
             gts.append((gts[0][0], ref.ground_truth(rng)[1]))
         for _ in range(5):
             lo = rng.uniform(50, 350, 2)
-            assert_matches_oracle(BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2))), gts, anchors,
-                                  threshold, margin)
+            assert_matches_oracle(BoundingBox(*lo, *(lo + rng.uniform(20, 250, 2))), gts, anchors)
 
     def test_ties_go_to_first_ground_truth_and_lowest_anchor(self):
         rng = np.random.default_rng(16)
         gt2d, gt3d = ref.ground_truth(rng)
         # anchors 1 and 2 both carry gt3d; both ground truths carry gt2d
         twins = tuple(AnchorPose(i, Pose2D(rng.uniform(0.1, 0.9, (13, 2))), gt3d) for i in (1, 2))
-        anchors = AnchorSet((ref.anchor_set(rng, 1).anchors[0],) + twins, K=3, spec=H13, seed=0)
-        box = ref.visible_box(gt2d, 0.10)
+        anchors = AnchorSet((ref.anchor_set(rng, 1).anchors[0],) + twins, K=3, spec=H13)
+        box = ref.visible_box(gt2d)
         lab = assign_label(box, [(gt2d, gt3d), (gt2d, ref.ground_truth(rng)[1])], anchors)
         assert lab.class_label == 2
         assert np.array_equal(lab.target, regression_target(gt2d, gt3d, twins[0], box))
@@ -141,19 +127,14 @@ class TestImageMemo:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            ops=st.lists(st.tuples(st.sampled_from(["label"] * 4 + ["append", "replace", "reverse"]),
-                                  st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
-                                  st.sampled_from([0.3, 0.8])),
+                                  st.integers(0, 1), st.integers(0, 1)),
                         min_size=1, max_size=30))
     def test_call_sequences_over_mutated_lists(self, seed, ops):
         rng = np.random.default_rng(seed)
         images = [[ref.ground_truth(rng, offset=rng.uniform(-150, 150, 2)) for _ in range(3)]
                   for _ in range(2)]
         anchor_sets = [ref.anchor_set(rng, 3), ref.anchor_set(rng, 5)]
-        # a box around a ground truth's 0.25-margin box has IoU 1 with it
-        # and 1/1.25^2 = 0.64 with its 0-margin box, so at threshold 0.8
-        # the margin decides between foreground and background
-        margins = [0.0, 0.25]
-        for op, image, which, margin, threshold in ops:
+        for op, image, which in ops:
             gts = images[image]  # mutated in place: the list's identity never changes
             if op == "append":
                 gts.append(ref.ground_truth(rng, offset=rng.uniform(-150, 150, 2)))
@@ -162,8 +143,8 @@ class TestImageMemo:
             elif op == "reverse":
                 gts.reverse()
             else:
-                box = ref.box_near(rng, gts, margins[int(rng.integers(2))], rng.choice([0.0, 0.1]))
-                assert_matches_oracle(box, gts, anchor_sets[which], threshold, margins[margin])
+                box = ref.box_near(rng, gts, rng.choice([0.0, 0.1]))
+                assert_matches_oracle(box, gts, anchor_sets[which])
 
     def test_same_poses_in_new_pairs_reuse_the_memo(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -194,7 +175,7 @@ class TestImageMemo:
         good = [ref.ground_truth(rng), ref.ground_truth(rng, offset=(200.0, 0.0))]
         gt2d, gt3d = ref.ground_truth(rng)
         bad = [ref.ground_truth(rng), (Pose2D(gt2d.coords, np.zeros(13, dtype=bool)), gt3d)]
-        box = ref.visible_box(good[0][0], 0.10)
+        box = ref.visible_box(good[0][0])
         calls = counting_margin_boxes(monkeypatch)
         assert_matches_oracle(box, good, anchors)
         for _ in range(2):  # raises on every call, not only the first
@@ -211,7 +192,7 @@ class TestImageMemo:
         image_b = [ref.ground_truth(rng, offset=(0.0, 200.0))]
         calls = counting_margin_boxes(monkeypatch)
         for gts in (image_a, image_b, image_a):  # A's entry went when B's came
-            assert_matches_oracle(ref.visible_box(gts[0][0], 0.10), gts, anchors)
+            assert_matches_oracle(ref.visible_box(gts[0][0]), gts, anchors)
         assert len(calls) == 3
 
     def test_list_entries_label_as_tuple_entries(self, monkeypatch):
@@ -239,7 +220,7 @@ class TestImageMemo:
         p2 = Pose2D(rng.uniform(100, 300, size=(joints2d, 2)))
         p3 = ref.pose3d(rng, j=joints3d)
         message = f"ground truth has {joints2d} 2D and {joints3d} 3D joints, the anchors' spec h13 has 13"
-        for box in (ref.visible_box(p2, 0.10), BoundingBox(5000, 5000, 5100, 5100)):
+        for box in (ref.visible_box(p2), BoundingBox(5000, 5000, 5100, 5100)):
             with pytest.raises(ValueError, match=message):
                 assign_label(box, [ref.ground_truth(rng), (p2, p3)], ref.anchor_set(rng))
 
@@ -292,7 +273,7 @@ class TestOccludedRegressionTarget:
         coded[9, 1] = code  # one non-finite coordinate hides the whole joint
         finite, hidden = Pose2D(gt2d.coords, vis), Pose2D(coded, vis)
         anchors = ref.anchor_set(rng)
-        box = ref.visible_box(finite, 0.10)
+        box = ref.visible_box(finite)
         expected = regression_target(finite, gt3d, anchors.anchors[1], box)
         target = regression_target(hidden, gt3d, anchors.anchors[1], box)
         assert np.isfinite(target).all()
@@ -325,7 +306,7 @@ class TestApplyRegression:
         for _ in range(100):
             a = ref.anchor_set(rng, 1).anchors[0]
             gt2d, gt3d = ref.ground_truth(rng)
-            box = ref.visible_box(gt2d, 0.10)
+            box = ref.visible_box(gt2d)
             t = regression_target(gt2d, gt3d, a, box)
             p2, p3 = apply_regression(a, box, t)
             assert np.abs(p2.coords - gt2d.coords).max() < 1e-12

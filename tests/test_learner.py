@@ -156,7 +156,7 @@ class TestTrain:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         cfg = TrainConfig(iterations=0, seed=42)
         model = train(examples, anchors, cfg)
-        init = _Head.init(np.random.default_rng(42), 8, len(anchors) + 1, 65, cfg.init_scale)
+        init = _Head.init(np.random.default_rng(42), 8, len(anchors) + 1, 65)
         assert np.array_equal(model.head.w_cls, init.w_cls)
         assert np.array_equal(model.head.w_reg, init.w_reg)
         assert model.loss_history == []
@@ -194,8 +194,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="class label exceeds anchor count"):
             train(bad, anchors)
 
+    def test_no_examples_rejected(self):
+        with pytest.raises(ValueError, match="no training examples"):
+            train([], ref.anchor_set(np.random.default_rng(17), 3))
+
+    @pytest.mark.parametrize("bad", [np.zeros(7), np.zeros(9), np.float64(0.0)])
+    def test_features_of_unequal_length_rejected(self, bad):
+        rng = np.random.default_rng(18)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
+        examples[5] = (bad, examples[5][1])
+        with pytest.raises(ValueError, match="features must be fixed-dimension vectors"):
+            train(examples, anchors, TrainConfig(iterations=2))
+
     def test_empty_anchor_set_rejected(self):
-        empty = AnchorSet((), K=0, spec=H13, seed=0)
+        empty = AnchorSet((), K=0, spec=H13)
         examples = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 10, 10), BACKGROUND))] * 3
         with pytest.raises(ValueError, match="empty anchor set"):
             train(examples, empty, TrainConfig(iterations=2))
@@ -242,11 +255,11 @@ class TestSlotTrainer:
         model = train(examples, anchors, config)
         c = len(anchors) + 1
         init_rng = np.random.default_rng(config.seed)
-        heads = [(model.head, _Head.init(init_rng, 8, c, 65, config.init_scale))]
+        heads = [(model.head, _Head.init(init_rng, 8, c, 65))]
         if two_pass:
             refine_dim = model.refine_head.w_reg.shape[0]
             heads.append((model.refine_head,
-                          _Head.init(init_rng, refine_dim, c, 65, config.init_scale)))
+                          _Head.init(init_rng, refine_dim, c, 65)))
         for got, init in heads:
             (w_got, b_got), (w_init, b_init) = reg_slots(got, c), reg_slots(init, c)
             for k in range(c):
@@ -302,20 +315,14 @@ class TestTrainConfig:
         ("learning_rate", np.nan, "learning_rate must be finite and above 0"),
         ("learning_rate", np.inf, "learning_rate must be finite and above 0"),
         ("learning_rate", 0.0, "learning_rate must be finite and above 0"),
-        ("decay_factor", np.nan, "decay_factor must be finite and above 0"),
-        ("decay_factor", -0.1, "decay_factor must be finite and above 0"),
-        ("decay_fraction", 1.5, r"decay_fraction must be in \[0, 1\]"),
-        ("decay_fraction", np.nan, r"decay_fraction must be in \[0, 1\]"),
-        ("init_scale", -0.01, "init_scale must be finite and >= 0"),
-        ("init_scale", np.inf, "init_scale must be finite and >= 0"),
     ])
     def test_bad_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
 
     def test_bounds_accepted(self):
-        TrainConfig(iterations=0, decay_fraction=0.0, init_scale=0.0)
-        TrainConfig(decay_fraction=1.0, decay_factor=2.0)
+        TrainConfig(iterations=0, seed=0)
+        TrainConfig(learning_rate=5e-324)
 
 
 class TestPredict:
@@ -355,7 +362,7 @@ class TestPredict:
         anchors = ref.anchor_set(rng, 1)
         gt2d = Pose2D(rng.uniform(50, 250, (13, 2)))
         gt3d = ref.pose3d(rng)
-        box = ref.visible_box(gt2d, 0.10)
+        box = ref.visible_box(gt2d)
         t = regression_target(gt2d, gt3d, anchors.anchors[0], box)
         f = np.ones(4)
         examples = [(f, LabeledBox(box, 1, t))] * 10
@@ -479,10 +486,19 @@ class TestPredict:
         anchors = add_upper_body_variants(ref.anchor_set(rng, 3))
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=13))
-        full_body = AnchorSet(anchors.anchors[:3], K=3, spec=H13, seed=0)
+        full_body = AnchorSet(anchors.anchors[:3], K=3, spec=H13)
         with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit a model "
                                              "with 6 anchor classes"):
             predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), full_body)
+
+    @pytest.mark.parametrize("dim", [7, 9])
+    def test_feature_of_wrong_dimension_rejected(self, dim):
+        rng = np.random.default_rng(15)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5))
+        with pytest.raises(ValueError, match=f"feature dim {dim} != 8"):
+            model_outputs(model, np.zeros(dim))
 
     @pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
     def test_feature_not_one_vector_rejected(self, shape):

@@ -37,13 +37,18 @@ class TestSpecs:
         assert set(H13.upper_body_joints) | set(H13.lower_body_joints) == set(range(13))
         assert not set(H13.upper_body_joints) & set(H13.lower_body_joints)
 
-    def test_invalid_tree_rejected(self):
-        with pytest.raises(ValueError):
-            PoseSpec("bad", ("a", "b"), (0,), (0, 1), (1, 0))  # cycle, no root
-
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            PoseSpec("bad", ("a", "b"), (5,), (0, 1), (-1, 0))
+            PoseSpec("bad", ("a", "b"), (5,), (0, 1))
+
+    @pytest.mark.parametrize("joints, torso, head, message", [
+        (("a",), (0,), (0, 0), "need at least 2 joints, got 1"),
+        (("a", "b"), (), (0, 1), "torso_anchor_joints must be non-empty"),
+        (("a", "b"), (0, 1), (0,), "head_joints needs a head joint plus base joints"),
+    ])
+    def test_bad_spec_rejected(self, joints, torso, head, message):
+        with pytest.raises(ValueError, match=message):
+            PoseSpec("bad", joints, torso, head)
 
 
 class TestPoseTypes:
@@ -103,6 +108,11 @@ class TestPoseTypes:
             pose.coords[0, 0] = 1.0
         coords[:] = 7.0  # the pose holds a copy
         assert (pose.coords != 7.0).all()
+
+    @pytest.mark.parametrize("length", [12, 14])
+    def test_pose2d_visibility_of_wrong_length_rejected(self, length):
+        with pytest.raises(ValueError, match="visibility length must equal joint count"):
+            Pose2D(np.zeros((13, 2)), np.ones(length, dtype=bool))
 
     def test_pose2d_visibility_is_read_only_copy(self):
         vis = np.ones(13, dtype=bool)
@@ -197,17 +207,19 @@ ALL_13 = np.ones((1, 13), dtype=bool)
 
 class TestBoxes:
     def test_box_around_no_margin(self):
+        # the tight box, with the margin constant set to 0
         coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
-        assert tuple(margin_boxes(coords, ALL_13, 0.0)[0]) == (0, 0, 100, 100)
+        with mock.patch.object(pose_module, "DEFAULT_BOX_MARGIN", 0.0):
+            assert tuple(margin_boxes(coords, ALL_13)[0]) == (0, 0, 100, 100)
 
     def test_box_around_ten_percent(self):
         coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
-        assert tuple(margin_boxes(coords, ALL_13, 0.10)[0]) == pytest.approx((-5, -5, 105, 105))
+        assert tuple(margin_boxes(coords, ALL_13)[0]) == pytest.approx((-5, -5, 105, 105))
 
     def test_box_around_uses_visible_only(self):
         coords = np.array([[[0, 0], [10, 10], [1000, 1000]]], dtype=float)
         vis = np.array([[True, True, False]])
-        assert tuple(margin_boxes(coords, vis, 0.0)[0]) == (0, 0, 10, 10)
+        assert tuple(margin_boxes(coords, vis)[0]) == pytest.approx((-0.5, -0.5, 10.5, 10.5))
 
     def test_single_visible_joint_rejected(self):
         vis = np.zeros((1, 13), dtype=bool)
@@ -220,19 +232,18 @@ class TestBoxes:
             margin_boxes(np.zeros((1, 13, 2)), ~ALL_13)
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 8), margin=st.sampled_from([0.0, 0.1, 0.37]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_margin_boxes_match_scalar_oracle(self, n, margin, seed):
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_margin_boxes_match_scalar_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(-50.0, 400.0, size=(n, 13, 2))
         vis = rng.random((n, 13)) < 0.7
         vis[:, :2] = True
         coords[~vis] = np.nan  # invisible joints may be NaN
-        boxes = margin_boxes(coords, vis, margin)
+        boxes = margin_boxes(coords, vis)
         for i in range(n):
-            expected = ref.visible_box(Pose2D(coords[i], vis[i]), margin)
+            expected = ref.visible_box(Pose2D(coords[i], vis[i]))
             assert tuple(boxes[i]) == expected.as_tuple()
-            one = margin_boxes(coords[i:i + 1], vis[i:i + 1], margin)[0]
+            one = margin_boxes(coords[i:i + 1], vis[i:i + 1])[0]
             assert tuple(one) == expected.as_tuple()
 
     def test_margin_boxes_reject_like_box_around(self):
@@ -244,8 +255,10 @@ class TestBoxes:
         vis[1, 4] = True
         with pytest.raises(ValueError, match=r"degenerate \(zero-extent\) box"):
             margin_boxes(coords, vis)
-        with pytest.raises(ValueError, match=r"degenerate box \("):
-            margin_boxes(coords[:1], vis[:1], margin_fraction=-2.0)
+        coords[2, :2] = (-1.75e308, 0.0)  # the margin moves x_min past the largest float
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match=r"box bounds must be finite, got \("):
+            margin_boxes(coords[2:], vis[2:])
 
     def test_iou_identical(self):
         b = BoundingBox(0, 0, 2, 2)
@@ -322,6 +335,13 @@ class TestFitScaleOffset:
         with pytest.raises(ValueError):
             fit_scale_offset(np.ones((5, 2)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("side, bad", [(0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf)])
+    def test_non_finite_point_rejected(self, side, bad):
+        points = [np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]) for _ in range(2)]
+        points[side][1, 0] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit_scale_offset(*points)
+
 
 class TestHeadTop:
     def test_extrapolation_direction(self):
@@ -329,7 +349,7 @@ class TestHeadTop:
         coords[0] = [0.0, 0.0]    # head
         coords[1] = [-10.0, 20.0]  # shoulders -> neck at (0, 20)
         coords[2] = [10.0, 20.0]
-        top = extrapolate_head_top(H13, Pose2D(coords), ratio=1.0)
+        top = extrapolate_head_top(H13, Pose2D(coords))
         assert np.allclose(top, [0.0, -20.0])
 
     @pytest.mark.parametrize("joint", [0, 2])  # the head, and a shoulder of the neck

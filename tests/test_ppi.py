@@ -35,6 +35,19 @@ def inside_box_proposal(score=0.8):
                         ref.center_3d(np.zeros((13, 3))), score)
 
 
+class TestPoseProposal:
+    @pytest.mark.parametrize("score, rescored, message", [
+        (-0.1, None, r"score must be in \[0, 1\], got -0.1"),
+        (1.5, None, r"score must be in \[0, 1\], got 1.5"),
+        (math.nan, None, r"score must be in \[0, 1\], got nan"),
+        (0.5, 0.6, "rescored score cannot exceed the raw score"),
+    ])
+    def test_bad_scores_rejected(self, score, rescored, message):
+        p = inside_box_proposal()
+        with pytest.raises(ValueError, match=message):
+            PoseProposal(p.anchor_id, p.box, p.pose2d, p.pose3d, score, rescored)
+
+
 class TestRescore:
     def test_all_joints_inside_keeps_score(self):
         p = rescore(inside_box_proposal(0.8))
@@ -67,6 +80,21 @@ class TestRescore:
             sigma = float(rng.uniform(5, 60))
             assert rescore(p, sigma).rescored == pytest.approx(
                 ref.rescore(p, sigma), rel=1e-14, abs=0.0)
+
+    def test_matches_scalar_oracle_far_outside(self):
+        # exp(-D^2 / sigma^2) turns a 1-ulp error in D into 2 D^2 / sigma^2
+        # ulps, so joints up to 25 sigma out, with factors down to 1e-280,
+        # need D rounded as math.hypot rounds it. At the first gap np.hypot
+        # is 1 ulp off, and the factor 2e-14.
+        rng = np.random.default_rng(23)
+        gaps = np.vstack([[94.45839760960405, 62.28414954945373],
+                          rng.uniform(0.0, 180.0, (299, 2))])
+        for gx, gy in gaps:
+            coords = np.tile([100.0 + gx, -gy], (13, 1))  # every joint out by (gx, gy)
+            p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords),
+                             ref.center_3d(np.zeros((13, 3))), 0.6)
+            assert rescore(p, 10.0).rescored == pytest.approx(
+                ref.rescore(p, 10.0), rel=1e-14, abs=0.0)
 
     def test_joint_on_boundary_contributes_one(self):
         coords = np.linspace([10, 10], [90, 90], 13)
@@ -320,6 +348,14 @@ class TestParameterValidation:
 class TestPpiEndToEnd:
     def test_empty_input(self):
         assert ppi([], PpiParams()) == []
+
+    def test_empty_input_of_each_stage(self):
+        assert group_by_overlap([]) == []
+        assert nms([], PpiParams()) == []
+        with pytest.raises(ValueError, match="empty group"):
+            extract_modes([])
+        with pytest.raises(ValueError, match="empty mode"):
+            average_mode([])
 
     def test_noisy_replicas_concentrate(self):
         rng = np.random.default_rng(13)
