@@ -91,13 +91,12 @@ class _Head:
 
 @dataclass(eq=False)
 class ToyModel:
-    """Trained weights plus everything needed to reproduce the run."""
+    """Trained weights, their shape and the loss curve of the run."""
 
     head: _Head
     feature_dim: int
     n_classes: int
     joint_count: int
-    config: TrainConfig
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
     refine_head: _Head | None = None
 
@@ -231,13 +230,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     head = _Head.init(rng, x.shape[1], n_classes, slot)
-    model = ToyModel(
-        head=head,
-        feature_dim=x.shape[1],
-        n_classes=n_classes,
-        joint_count=j,
-        config=config,
-    )
+    model = ToyModel(head=head, feature_dim=x.shape[1], n_classes=n_classes, joint_count=j)
     _train_head(head, x, labels, targets, config, model.loss_history, 0)
 
     if config.two_pass:

@@ -330,6 +330,9 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# a margin that overflows is rejected below, so numpy's warning would only
+# repeat the ValueError
+@np.errstate(over="ignore")
 def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
     """(N, 4) boxes (x_min, y_min, x_max, y_max) over the visible joints
     of N poses, coords (N, J, 2) and visibility (N, J); invisible joints

@@ -169,68 +169,19 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
     """Rescored scores from boxes (N, 4), 2D pose planes (2, J, N) and
     scores (N,).
 
-    D is each joint's distance to its box, 0 inside or on it, where
-    exp(-D^2 / sigma_b^2) is exactly 1. Scaling s by the mean of these
-    factors, which is at most 1, gives s' <= s, and s' = s exactly when
-    every joint is inside. Each pose's mean adds its J factors along one
-    contiguous row, as numpy adds an (N, J) array's rows.
+    A joint's squared distance to its box is D^2 = gx * gx + gy * gy, from
+    its gaps gx, gy >= 0 past the box along x and y, 0 inside or on it,
+    where exp(-D^2 / sigma_b^2) is exactly 1. Scaling s by the mean of
+    these factors, which is at most 1, gives s' <= s, and s' = s exactly
+    when every joint is inside. Each pose's mean adds its J factors along
+    one contiguous row, as numpy adds an (N, J) array's rows.
     """
     b = boxes.T[:, None]
     gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
-    d = _hypot(gap[0], gap[1])
-    with np.errstate(over="ignore"):  # d * d = inf gives the factor exp(-inf) = 0
-        factors = np.exp(-(d * d) / (sigma_b * sigma_b))
+    with np.errstate(over="ignore"):  # a D^2 of inf gives the factor exp(-inf) = 0
+        d2 = gap[0] * gap[0] + gap[1] * gap[1]
+        factors = np.exp(-d2 / (sigma_b * sigma_b))
     return scores * np.ascontiguousarray(factors.T).mean(axis=1)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of x into hi + lo, each of at most 26 bits."""
-    t = x * 134217729.0  # 2**27 + 1
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's exact product: x * x = hi + lo."""
-    x_hi, x_lo = _split(x)
-    p, q = x_hi * x_hi, 2.0 * (x_hi * x_lo)
-    hi = p + q
-    return hi, p - hi + q + x_lo * x_lo
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sqrt(x^2 + y^2) of gaps x, y >= 0, rounded as math.hypot rounds it.
-
-    np.hypot may be 1 ulp off, which exp(-D^2 / sigma_b^2) magnifies by
-    2 D^2 / sigma_b^2: about 3e-14 relative for a joint 11 sigma_b out.
-    Where one gap is 0 the other is the distance. Elsewhere this is
-    math.hypot's algorithm (CPython 3.10 on): scale by a power of 2, at
-    most 2**1021, to below 1, add the exact squares to 1 with their
-    rounding errors carried aside, take the root and correct it by one
-    Newton step on the exact residual.
-    """
-    d = np.maximum(x, y)
-    corner = (np.minimum(x, y) > 0.0) & np.isfinite(d)
-    if not corner.any():
-        return d
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(d[corner])[1], -1021))
-    x, y = x[corner], y[corner]
-    x_hi, x_lo = _square(x * scale)
-    y_hi, y_lo = _square(y * scale)
-    csum = 1.0 + x_hi
-    frac2 = 1.0 - csum + x_hi
-    total = csum + y_hi
-    frac2 = frac2 + (csum - total + y_hi)
-    frac1 = x_lo + y_lo
-    h = np.sqrt(total - 1.0 + (frac1 + frac2))
-    r_hi, r_lo = _square(h)
-    csum = total - r_hi
-    frac2 = frac2 + (total - csum - r_hi)
-    frac1 = frac1 - r_lo
-    h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-    with np.errstate(over="ignore"):  # h / scale overflows to inf past 1.8e308
-        d[corner] = h / scale
-    return d
 
 
 def _overlap_boxes(planes: np.ndarray, joints: tuple[int, ...] | None) -> np.ndarray:
@@ -371,9 +322,10 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
 
     s' = s * mean_j f(p_j, B) with f = 1 inside the box and
     exp(-D^2 / sigma_b^2) outside, D being the distance of the joint to
-    the box boundary. All J regressed joints participate, visible or
-    not, and must be finite; if every joint lies inside or on the box,
-    s' = s exactly.
+    the box boundary. D^2 is taken as gx * gx + gy * gy from the joint's
+    gaps past the box along x and y. All J regressed joints participate,
+    visible or not, and must be finite; if every joint lies inside or on
+    the box, s' = s exactly.
     """
     _check_positive("sigma_b", sigma_b)
     (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _planes(_stack2d([proposal])),

@@ -39,6 +39,8 @@ def test_removed_per_pose_helpers_are_gone():
                                   "lower_body_joints"],
         poseforge.anchors.AnchorSet: ["anchors", "K", "spec", "distortion_history"],
         poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed", "two_pass"],
+        poseforge.learner.ToyModel: ["head", "feature_dim", "n_classes", "joint_count",
+                                     "loss_history", "refine_head"],
     }
     for cls, names in fields.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls

@@ -256,8 +256,7 @@ class TestBoxes:
         with pytest.raises(ValueError, match=r"degenerate \(zero-extent\) box"):
             margin_boxes(coords, vis)
         coords[2, :2] = (-1.75e308, 0.0)  # the margin moves x_min past the largest float
-        with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                       match=r"box bounds must be finite, got \("):
+        with pytest.raises(ValueError, match=r"box bounds must be finite, got \("):
             margin_boxes(coords[2:], vis[2:])
 
     def test_iou_identical(self):

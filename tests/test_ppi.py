@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -82,10 +83,11 @@ class TestRescore:
                 ref.rescore(p, sigma), rel=1e-14, abs=0.0)
 
     def test_matches_scalar_oracle_far_outside(self):
-        # exp(-D^2 / sigma^2) turns a 1-ulp error in D into 2 D^2 / sigma^2
-        # ulps, so joints up to 25 sigma out, with factors down to 1e-280,
-        # need D rounded as math.hypot rounds it. At the first gap np.hypot
-        # is 1 ulp off, and the factor 2e-14.
+        # exp(-D^2 / sigma^2) turns a relative error e in D^2 into D^2 / sigma^2
+        # times e, so joints up to 25 sigma out, with factors down to 1e-280,
+        # need D^2 rounded as the reference rounds it: both take
+        # gx * gx + gy * gy from the gaps, never D. At the first gap, D from
+        # np.hypot is 1 ulp off, which would put the factor 2e-14 out.
         rng = np.random.default_rng(23)
         gaps = np.vstack([[94.45839760960405, 62.28414954945373],
                           rng.uniform(0.0, 180.0, (299, 2))])
@@ -95,6 +97,26 @@ class TestRescore:
                              ref.center_3d(np.zeros((13, 3))), 0.6)
             assert rescore(p, 10.0).rescored == pytest.approx(
                 ref.rescore(p, 10.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [10.0, 25.0])
+    def test_matches_exact_arithmetic(self, sigma):
+        # every joint out by a gap (gx, gy), D up to 6 sigma, against
+        # exp(-(gx^2 + gy^2) / sigma^2) in 50-digit decimal from the exact
+        # float gaps: an oracle that shares no rounding with the package
+        rng = np.random.default_rng(29)
+        r, t = rng.uniform(0.0, 6.0 * sigma, 500), rng.uniform(0.0, math.pi / 2, 500)
+        gaps = [(6.0 * sigma, 0.0), (0.0, 6.0 * sigma)]
+        gaps += zip((r * np.cos(t)).tolist(), (r * np.sin(t)).tolist())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for gx, gy in gaps:
+                p = PoseProposal(0, BoundingBox(-100, -100, 0, 0),
+                                 Pose2D(np.tile([gx, gy], (13, 1))),
+                                 ref.center_3d(np.zeros((13, 3))), 0.6)
+                x, y, s = map(decimal.Decimal, (gx, gy, sigma))
+                exact = float((-(x * x + y * y) / (s * s)).exp())
+                assert rescore(p, sigma).rescored / 0.6 == pytest.approx(
+                    exact, rel=2e-14, abs=0.0)
 
     def test_joint_on_boundary_contributes_one(self):
         coords = np.linspace([10, 10], [90, 90], 13)
@@ -112,6 +134,7 @@ class TestRescore:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert rescore(p).rescored == 0.6 * (12 / 13)
+            assert rescore(p).rescored == pytest.approx(ref.rescore(p), rel=1e-14, abs=0.0)
             (det,) = ppi([p])
         assert det.score == 0.6 * (12 / 13)
 
