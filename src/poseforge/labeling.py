@@ -30,6 +30,7 @@ from poseforge.pose import (  # noqa: F401
     BoundingBox,
     Pose2D,
     Pose3D,
+    _all_finite,
     _check_count,
     _check_finite,
     _stack_pairs,
@@ -62,7 +63,7 @@ class LabeledBox:
             t = np.asarray(self.target, dtype=np.float64)
             if t.ndim != 1 or len(t) % 5 != 0:
                 raise ValueError("target must be a flat 5*J vector")
-            if not np.isfinite(t).all():
+            if not _all_finite(t):
                 raise ValueError("target must be finite")
             object.__setattr__(self, "target", t)
 
@@ -75,7 +76,7 @@ def _target(coords2d: np.ndarray, visibility: np.ndarray, hidden: np.ndarray,
     scale = np.array([box.width, box.height])
     offset = np.array([box.x_min, box.y_min])
     res2d = (coords2d - offset) / scale
-    _check_finite(res2d[visibility])  # as the normalized Pose2D would
+    _check_finite(res2d, visibility)  # as the normalized Pose2D would
     res2d -= layout
     res2d[hidden] = 0.0
     return np.concatenate([res2d.ravel(), res3d])

@@ -20,7 +20,6 @@ the final estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +33,8 @@ from poseforge.labeling import (
     regress_anchors,
     softmax,
 )
-from poseforge.pose import (BoundingBox, Pose2D, Pose3D, _all_visible, _check_count,
-                            _check_finite, _frozen)
+from poseforge.pose import (BoundingBox, Pose2D, Pose3D, _all_finite, _all_visible,
+                            _check_count, _check_finite, _frozen)
 from poseforge.ppi import PoseProposal
 
 
@@ -107,7 +106,7 @@ class ToyModel:
 
 def _check_features(x: np.ndarray) -> None:
     """Reject feature rows holding a NaN or an infinity, naming the first."""
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise ValueError(f"feature row {row} is not finite")
 
@@ -271,14 +270,13 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     background probability sum to 1, and each proposal equals what
     model_outputs and apply_regression give. All anchors' poses are
     built in one regress_anchors call. The (K, J, 2) and (K, J, 3)
-    stacks it returns are tested once, through their sum, to be finite;
-    only when that fails (a non-finite entry, or finite entries whose
-    sum overflows) are they checked one by one. Those checks and the
-    check of the K scores to lie in [0, 1] raise with the messages of
-    Pose2D, Pose3D and PoseProposal, so a model with a non-finite weight
-    raises ValueError. The stacks are then made read-only, and each
-    proposal's poses are row views of them, sharing no memory with the
-    model or the anchors. The K proposals hold the one box object.
+    stacks it returns must be finite, each tested by one sum (see
+    pose._all_finite), and the K scores must lie in [0, 1]; these checks
+    raise with the messages of Pose2D, Pose3D and PoseProposal, so a
+    model with a non-finite weight raises ValueError. The stacks are
+    then made read-only, and each proposal's poses are row views of
+    them, sharing no memory with the model or the anchors. The K
+    proposals hold the one box object.
     """
     k, j = len(anchors), model.joint_count
     if k + 1 != model.n_classes or anchors.spec.joint_count != j:
@@ -290,9 +288,8 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     w = model.slot_width
     coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
                                          v[w:(k + 1) * w].reshape(k, w))
-    if not math.isfinite(coords2d.sum() + coords3d.sum()):
-        _check_finite(coords2d)
-        _check_finite(coords3d)
+    _check_finite(coords2d)
+    _check_finite(coords3d)
     scores = probs[1:k + 1].tolist()
     for s in scores:
         if not 0.0 <= s <= 1.0:  # NaN included

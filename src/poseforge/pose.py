@@ -104,7 +104,11 @@ def _coords_array(coords, width) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Pose2D:
-    """2D pose: per-joint pixel coordinates plus a visibility flag."""
+    """2D pose: per-joint pixel coordinates plus a visibility flag.
+
+    Visible joints must be finite; a hidden joint may hold any value, NaN
+    included (see _check_finite).
+    """
 
     coords: np.ndarray  # (J, 2) pixels
     visibility: np.ndarray = None  # (J,) bool; defaults to all visible
@@ -120,7 +124,7 @@ class Pose2D:
             raise ValueError("visibility length must equal joint count")
         vis.setflags(write=False)
         object.__setattr__(self, "visibility", vis)
-        _check_finite(coords[vis])
+        _check_finite(coords, vis)
 
     @property
     def joint_count(self) -> int:
@@ -204,10 +208,25 @@ def _stack_pairs(pairs, spec: PoseSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.array([p3.coords for _, p3 in pairs]))
 
 
-def _check_finite(coords: np.ndarray) -> None:
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of the float array x is finite: the package's
+    one finiteness rule.
+
+    A NaN or an infinity makes the sum of the squared entries NaN or inf,
+    so a finite sum proves x finite in one BLAS dot, which numpy runs
+    without a floating-point warning. Only a sum that is not finite (a
+    non-finite entry, or finite entries whose squares overflow, from
+    about 1.3e154) costs the exact np.isfinite scan.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _check_finite(coords: np.ndarray, visibility: np.ndarray | None = None) -> None:
     """Reject 2D or 3D coordinates, of one pose or a stack, holding a
-    NaN or an infinity, with Pose2D's or Pose3D's message."""
-    if not np.isfinite(coords).all():
+    NaN or an infinity (see _all_finite), with Pose2D's or Pose3D's
+    message. Given a visibility mask, only the visible joints must be
+    finite; they are tested alone only when the whole array is not."""
+    if not _all_finite(coords) and (visibility is None or not _all_finite(coords[visibility])):
         raise ValueError("visible joints must have finite coordinates" if coords.shape[-1] == 2
                          else "3D coordinates must be finite")
 
@@ -222,7 +241,8 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.y_min)
+                and math.isfinite(self.x_max) and math.isfinite(self.y_max)):
             raise ValueError(f"box bounds must be finite, got {self.as_tuple()}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError(
@@ -353,7 +373,7 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
         raise ValueError("visible joints span a degenerate (zero-extent) box")
     d = 0.5 * DEFAULT_BOX_MARGIN * (hi - lo)
     boxes = np.concatenate([lo - d, hi + d], axis=1)
-    if not np.isfinite(boxes).all():
+    if not _all_finite(boxes):
         for box in boxes:
             BoundingBox(*box)  # raises BoundingBox's own error at the first bad box
     return boxes
@@ -375,7 +395,7 @@ def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarra
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or len(src) < 2:
         raise ValueError("need matching point sets with at least 2 points")
-    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+    if not (_all_finite(src) and _all_finite(dst)):
         raise ValueError("points must be finite")
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
@@ -398,7 +418,7 @@ def extrapolate_head_top(spec: PoseSpec, pose: Pose2D) -> np.ndarray:
     occluded joint of a Pose2D may be.
     """
     joints = pose.coords[list(spec.head_joints)]
-    if not np.isfinite(joints).all():
+    if not _all_finite(joints):
         raise ValueError("head and neck joints must be finite to extrapolate the head top")
     head, neck = joints[0], joints[1:].mean(axis=0)
     return head + (head - neck)

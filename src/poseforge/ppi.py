@@ -33,7 +33,7 @@ import numpy as np
 # d3d and iou are not called here (_modes and _group call their kernels);
 # perfbench/tracing.py counts calls through poseforge.ppi.d3d and .iou.
 from poseforge.pose import BoundingBox, Pose2D, Pose3D, d3d, d3d_kernel, iou  # noqa: F401
-from poseforge.pose import _all_visible, _check_finite, _frozen, iou_kernel
+from poseforge.pose import _all_finite, _all_visible, _check_finite, _frozen, iou_kernel
 
 DEFAULT_T3D = 0.125      # meters (125 mm)
 DEFAULT_IOU = 0.12
@@ -45,9 +45,9 @@ class PoseProposal:
     """A refined 2D-3D pose hypothesized in a candidate box.
 
     score is the classification probability; rescored is filled by
-    rescore() and never exceeds score. learner.predict checks a whole
-    stack of proposals at once and builds them with pose._frozen, which
-    skips this class's own check.
+    rescore() and lies in [0, score], NaN excluded. learner.predict
+    checks a whole stack of proposals at once and builds them with
+    pose._frozen, which skips this class's own check.
     """
 
     anchor_id: int
@@ -60,8 +60,11 @@ class PoseProposal:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if self.rescored is not None and self.rescored > self.score + 1e-12:
-            raise ValueError("rescored score cannot exceed the raw score")
+        if self.rescored is not None:
+            if self.rescored > self.score + 1e-12:
+                raise ValueError("rescored score cannot exceed the raw score")
+            if not self.rescored >= 0.0:  # NaN included
+                raise ValueError(f"rescored score must be >= 0, got {self.rescored}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class Detection:
 def _stack2d(proposals) -> np.ndarray:
     """(N, J, 2) stack of the proposals' 2D poses, required finite."""
     c2d = np.array([p.pose2d.coords for p in proposals])
-    if not np.isfinite(c2d).all():
+    if not _all_finite(c2d):
         raise ValueError(
             "proposal 2D poses must be finite at every joint, occluded ones included"
         )

@@ -489,17 +489,18 @@ def predict(model, feature, box, anchors):
 
 def rescore(p, sigma_b=25.0):
     """p.score times the mean over joints of exp(-D^2 / sigma_b^2), 1 at a
-    joint inside or on p.box, added one joint at a time. D^2 is
-    gx * gx + gy * gy, gx and gy being the joint's gaps past the box along
-    x and y; in Python floats a D^2 past the largest float is inf, with no
-    warning."""
+    joint inside or on p.box, added one joint at a time; the mean is taken
+    before the product, so a subnormal result rounds as score * (sum / J).
+    D^2 is gx * gx + gy * gy, gx and gy being the joint's gaps past the box
+    along x and y; in Python floats a D^2 past the largest float is inf,
+    with no warning."""
     x0, y0, x1, y1 = map(float, p.box.as_tuple())
     total = 0.0
     for x, y in p.pose2d.coords.tolist():
         gx, gy = max(x0 - x, 0.0, x - x1), max(y0 - y, 0.0, y - y1)
         d2 = gx * gx + gy * gy
         total += 1.0 if d2 == 0.0 else math.exp(-d2 / (sigma_b * sigma_b))
-    return p.score * total / len(p.pose2d.coords)
+    return p.score * (total / len(p.pose2d.coords))
 
 
 def greedy(scores, close):

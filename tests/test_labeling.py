@@ -525,3 +525,8 @@ class TestLabeledBox:
         target[7] = np.nan
         with pytest.raises(ValueError, match="target must be finite"):
             LabeledBox(BoundingBox(0, 0, 1, 1), 1, target)
+
+    @pytest.mark.parametrize("big", [1.5e308, -1.5e308])
+    def test_target_whose_sum_overflows_accepted(self, big):
+        target = np.full(65, big)
+        assert np.array_equal(LabeledBox(BoundingBox(0, 0, 1, 1), 1, target).target, target)

@@ -63,7 +63,12 @@ class TestPoseTypes:
             Pose2D(coords)
         vis = np.ones(13, dtype=bool)
         vis[3] = False
-        Pose2D(np.nan_to_num(coords), vis)  # fine once hidden
+        assert np.isnan(Pose2D(coords, vis).coords[3, 0])  # fine once hidden
+        coords[4:] = 1.5e308  # and when the visible joints' sum overflows
+        assert np.array_equal(Pose2D(coords, vis).coords, coords, equal_nan=True)
+        coords[5, 1] = np.inf  # a visible infinity beside the hidden NaN
+        with pytest.raises(ValueError, match="visible joints must have finite coordinates"):
+            Pose2D(coords, vis)
 
     def test_pose_immutability(self):
         p = Pose2D(np.random.default_rng(0).normal(200.0, 100.0, (13, 2)))
@@ -98,6 +103,18 @@ class TestPoseTypes:
         coords[5, 1] = bad
         with pytest.raises(ValueError, match=message):
             cls(coords)
+
+    @pytest.mark.parametrize("big", [1.5e308, -1.5e308, 1e200])
+    @pytest.mark.parametrize("cls, width", [(Pose2D, 2), (Pose3D, 3)])
+    def test_finite_entries_whose_sum_overflows_accepted(self, big, cls, width):
+        # the one-sum test of finiteness overflows, so the exact scan decides
+        coords = np.full((13, width), big)
+        assert np.array_equal(cls(coords).coords, coords)
+
+    @pytest.mark.parametrize("bounds", [(1e308, 1e308, 1.5e308, 1.5e308),
+                                        (-1.5e308, -1.5e308, -1e308, -1e308)])
+    def test_box_whose_bounds_sum_overflows_accepted(self, bounds):
+        assert BoundingBox(*bounds).as_tuple() == bounds
 
     @pytest.mark.parametrize("cls, width", [(Pose2D, 2), (Pose3D, 3)])
     def test_coords_are_read_only_copy(self, cls, width):

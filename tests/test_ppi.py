@@ -42,6 +42,8 @@ class TestPoseProposal:
         (1.5, None, r"score must be in \[0, 1\], got 1.5"),
         (math.nan, None, r"score must be in \[0, 1\], got nan"),
         (0.5, 0.6, "rescored score cannot exceed the raw score"),
+        (0.5, math.nan, "rescored score must be >= 0, got nan"),
+        (0.5, -0.1, "rescored score must be >= 0, got -0.1"),
     ])
     def test_bad_scores_rejected(self, score, rescored, message):
         p = inside_box_proposal()
@@ -97,6 +99,20 @@ class TestRescore:
                              ref.center_3d(np.zeros((13, 3))), 0.6)
             assert rescore(p, 10.0).rescored == pytest.approx(
                 ref.rescore(p, 10.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("near, far, n_near, score", [(267.8, 271.5, 5, 0.91),
+                                                           (268.0, 271.2, 7, 0.9)])
+    def test_matches_scalar_oracle_where_subnormal(self, near, far, n_near, score):
+        # joints 26.8-27.2 sigma above the box: the rescored score is near
+        # 1e-312, where (score * sum) / J and score * (sum / J) round apart
+        coords = np.zeros((13, 2))
+        coords[:, 0] = 50.0
+        coords[:, 1] = -np.where(np.arange(13) < n_near, near, far)
+        p = PoseProposal(0, BoundingBox(0, 0, 100, 100), Pose2D(coords),
+                         ref.center_3d(np.zeros((13, 3))), score)
+        rescored = rescore(p, 10.0).rescored
+        assert 0.0 < rescored < 2.2e-308
+        assert rescored == pytest.approx(ref.rescore(p, 10.0), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [10.0, 25.0])
     def test_matches_exact_arithmetic(self, sigma):

@@ -2,7 +2,8 @@
 
 For each directory, prints the total number of lines and the number of
 code lines: lines that are not blank, hold only a comment, or belong to
-a module, class or function docstring.
+a module, class or function docstring. Then prints the same two figures
+for each module of the package, src/poseforge/*.py.
 
 Usage: python tools/loc.py [ROOT]   (ROOT defaults to the repository root)
 """
@@ -49,6 +50,9 @@ def main(root: Path) -> None:
             total += t
             code += c
         print(f"{name + '/':<11} {total:>6,} lines {code:>6,} code")
+    for path in sorted((root / "src" / "poseforge").glob("*.py")):
+        t, c = count(path.read_text(encoding="utf-8"))
+        print(f"  {path.name:<15} {t:>6,} lines {c:>6,} code")
 
 
 if __name__ == "__main__":
