@@ -50,17 +50,21 @@ PRUNE_SLACK = 1e-9
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
     """Anchor poses, with the distortion history of the clustering that
-    produced them."""
+    produced them.
+
+    Anchor id i is anchors[i]; the first K are full-body, and the rest
+    are upper-body variants (see add_upper_body_variants).
+    """
 
     anchors: tuple[AnchorPose, ...]
-    K: int  # number of full-body anchors
+    K: int
     spec: PoseSpec
     distortion_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ids = [a.id for a in self.anchors]
-        if ids != list(range(len(ids))):
-            raise ValueError("anchor ids must be dense 0..n-1")
+        _check_count("K", self.K, 0)
+        if self.K > len(self.anchors):
+            raise ValueError(f"K must be <= the {len(self.anchors)} anchors, got {self.K}")
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -240,14 +244,7 @@ def kmeans_anchors(
                     f"coordinate in its {len(layouts)} members"
                 ) from None
             layout[orphan] = s * centroids[c, orphan, :2] + t
-        anchors.append(
-            AnchorPose(
-                id=c,
-                pose2d=Pose2D(layout),
-                pose3d=Pose3D(centroids[c]),
-                body_extent="full_body",
-            )
-        )
+        anchors.append(AnchorPose(Pose2D(layout), Pose3D(centroids[c])))
     return AnchorSet(
         anchors=tuple(anchors),
         K=k,
@@ -262,12 +259,13 @@ def add_upper_body_variants(anchor_set: AnchorSet) -> AnchorSet:
     Each variant remaps the canonical 2D layout so the upper-body joints
     span the unit box exactly, pushing lower-body joints below y = 1;
     the 3D pose is unchanged, so a box covering only the upper body still
-    regresses the full-body pose.
+    regresses the full-body pose. The variant of anchor i is anchor K + i.
+    Raises on an input that already holds variants (len(anchor_set) != K).
     """
     spec = anchor_set.spec
     if not spec.lower_body_joints or not spec.upper_body_joints:
         raise ValueError("spec lacks an upper/lower body partition")
-    if any(a.body_extent != "full_body" for a in anchor_set.anchors):
+    if len(anchor_set) != anchor_set.K:
         raise ValueError("input anchor set already contains upper-body variants")
     if not anchor_set.anchors:
         return anchor_set
@@ -278,7 +276,7 @@ def add_upper_body_variants(anchor_set: AnchorSet) -> AnchorSet:
     bad = np.flatnonzero((hi <= lo).any(axis=(1, 2)))
     if len(bad):
         raise ValueError(f"anchor {bad[0]}: upper-body joints span a degenerate box")
-    variants = tuple(AnchorPose(anchor_set.K + a.id, Pose2D(layout), a.pose3d, "upper_body")
+    variants = tuple(AnchorPose(Pose2D(layout), a.pose3d)
                      for a, layout in zip(anchor_set.anchors, (layouts - lo) / (hi - lo)))
     return AnchorSet(
         anchors=anchor_set.anchors + variants,

@@ -3,16 +3,18 @@ head's joint loss with its gradients (head_losses: log loss over the
 classes plus smooth-L1 on the labeled class's regression output).
 
 Class labels run 0..n_anchors with 0 = background; label c maps to
-anchor id c - 1. Regression targets stack the 2D residual in unit-box
-coordinates with the 3D residual in meters into a 5*J vector per class,
-flattened joint-major (x0, y0, x1, y1, ... then x0, y0, z0, ...).
+anchor id c - 1, anchors.anchors[c - 1]. Regression targets stack the 2D
+residual in unit-box coordinates with the 3D residual in meters into a
+5*J vector per class, flattened joint-major (x0, y0, x1, y1, ... then
+x0, y0, z0, ...).
 
 assign_label is called once per candidate box, and all of an image's
 boxes are labeled against the same ground truth. _image_truth builds what
 depends on the ground truth alone (its margin boxes, 2D stacks and
 nearest anchors), and a functools.lru_cache of one entry keeps it for the
-last image. The poses and the AnchorSet in its key compare by identity,
-and the cache holds them, so a hit is always current.
+last image. Its key is the ground truth as a tuple of (Pose2D, Pose3D)
+tuples and the AnchorSet; the poses and the AnchorSet compare by
+identity, and the cache holds them, so a hit is always current.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ LOG_EPS = 1e-12  # clamp for -log u(c) when u(c) underflows to 0
 
 @dataclass(frozen=True, eq=False)
 class LabeledBox:
-    """A candidate box with its ground-truth class and regression target."""
+    """A candidate box's ground-truth class and regression target."""
 
-    box: BoundingBox
     class_label: int
     target: np.ndarray | None = None  # finite (5*J,), present iff class_label >= 1
 
@@ -101,7 +102,7 @@ def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
     the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) visibility,
     (P, J) mask of joints with a non-finite 2D coordinate, the tuple of
     each ground truth's 3D-closest anchor id and the (P, 3J) 3D residual
-    to that anchor."""
+    to that anchor. gts is a tuple of (Pose2D, Pose3D) tuples."""
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility)
     anchors3d = anchors.coords3d
@@ -111,14 +112,6 @@ def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
     for arr in (boxes, coords2d, visibility, hidden, res3d):
         arr.setflags(write=False)
     return boxes, coords2d, visibility, hidden, tuple(nearest.tolist()), res3d
-
-
-def _unhashable(key: tuple) -> bool:
-    try:
-        hash(key)
-    except TypeError:
-        return True
-    return False
 
 
 def assign_label(
@@ -137,34 +130,27 @@ def assign_label(
     anchors' spec's.
 
     Labeling an image's boxes one after another builds its ground-truth
-    boxes, 2D stacks and nearest anchors once: they are cached on
-    tuple(gts) and anchors (see the module docstring).
-    An entry of gts may be any (Pose2D, Pose3D) pair; one that cannot be
-    hashed, such as a list, is keyed as a tuple.
+    boxes, 2D stacks and nearest anchors once: they are cached on the
+    entries of gts, each as a tuple, and anchors (see the module
+    docstring). So an entry may be any (Pose2D, Pose3D) pair, a list
+    included; one that is not iterable raises TypeError.
     """
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
     if not gts:
-        return LabeledBox(box, BACKGROUND)
+        return LabeledBox(BACKGROUND)
 
-    key = tuple(gts)
-    try:
-        truth = _image_truth(key, anchors)
-    except TypeError:
-        if not _unhashable(key):  # raised by the build, not by the cache's key
-            raise
-        # an entry such as a list [Pose2D, Pose3D]
-        truth = _image_truth(tuple(map(tuple, key)), anchors)
-    boxes, coords2d, visibility, hidden, nearest, res3d = truth
+    boxes, coords2d, visibility, hidden, nearest, res3d = _image_truth(
+        tuple(map(tuple, gts)), anchors)
     overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < DEFAULT_IOU_THRESHOLD:
-        return LabeledBox(box, BACKGROUND)
+        return LabeledBox(BACKGROUND)
 
     anchor = anchors.anchors[nearest[best]]
     target = _target(coords2d[best], visibility[best], hidden[best], anchor.pose2d.coords,
                      res3d[best], box)
-    return LabeledBox(box, anchor.id + 1, target)
+    return LabeledBox(nearest[best] + 1, target)
 
 
 def regress_anchors(layouts: np.ndarray, anchors3d: np.ndarray, box: BoundingBox,

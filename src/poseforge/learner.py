@@ -90,18 +90,21 @@ class _Head:
 
 @dataclass(eq=False)
 class ToyModel:
-    """Trained weights, their shape and the loss curve of the run."""
+    """Trained weights and the loss curve of the run. The head's arrays
+    give the model's shapes: w_cls is (D, C) and w_reg holds C slots of
+    5*J columns; a two-pass model's refine head has the same C slots."""
 
     head: _Head
-    feature_dim: int
-    n_classes: int
-    joint_count: int
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
     refine_head: _Head | None = None
 
     @property
+    def n_classes(self) -> int:
+        return len(self.head.b_cls)
+
+    @property
     def slot_width(self) -> int:
-        return 5 * self.joint_count
+        return len(self.head.b_reg) // self.n_classes
 
 
 def _check_features(x: np.ndarray) -> None:
@@ -214,9 +217,8 @@ def train(
         raise ValueError("features must be fixed-dimension vectors")
     x = np.stack(features)
     _check_features(x)
-    j = anchors.spec.joint_count
     n_classes = len(anchors) + 1
-    slot = 5 * j
+    slot = 5 * anchors.spec.joint_count
     labels = np.array([lab.class_label for _, lab in examples], dtype=int)
     if labels.max() >= n_classes:
         raise ValueError("class label exceeds anchor count")
@@ -229,7 +231,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     head = _Head.init(rng, x.shape[1], n_classes, slot)
-    model = ToyModel(head=head, feature_dim=x.shape[1], n_classes=n_classes, joint_count=j)
+    model = ToyModel(head)
     _train_head(head, x, labels, targets, config, model.loss_history, 0)
 
     if config.two_pass:
@@ -248,8 +250,9 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
     if x.ndim != 1:
         raise ValueError(f"feature must be one vector, got shape {x.shape}")
     x = x[None]
-    if x.shape[1] != model.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != {model.feature_dim}")
+    dim = model.head.w_cls.shape[0]
+    if x.shape[1] != dim:
+        raise ValueError(f"feature dim {x.shape[1]} != {dim}")
     _check_features(x)
     probs, v = model.head.forward(x)
     if model.refine_head is not None:
@@ -265,10 +268,10 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             anchors: AnchorSet) -> list[PoseProposal]:
     """One scored PoseProposal per non-background class.
 
-    Proposal k carries score u(k+1) and the pose reconstructed from
-    anchor k's slice of the regression output; scores plus the
-    background probability sum to 1, and each proposal equals what
-    model_outputs and apply_regression give. All anchors' poses are
+    Proposal k carries anchor id k, score u(k+1) and the pose
+    reconstructed from anchor k's slice of the regression output; scores
+    plus the background probability sum to 1, and each proposal equals
+    what model_outputs and apply_regression give. All anchors' poses are
     built in one regress_anchors call. The (K, J, 2) and (K, J, 3)
     stacks it returns must be finite, each tested by one sum (see
     pose._all_finite), and the K scores must lie in [0, 1]; these checks
@@ -278,14 +281,13 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     them, sharing no memory with the model or the anchors. The K
     proposals hold the one box object.
     """
-    k, j = len(anchors), model.joint_count
-    if k + 1 != model.n_classes or anchors.spec.joint_count != j:
+    k, j, w = len(anchors), anchors.spec.joint_count, model.slot_width
+    if k + 1 != model.n_classes or 5 * j != w:
         raise ValueError(
-            f"{k} anchors of {anchors.spec.joint_count} joints do not fit a model "
-            f"with {model.n_classes - 1} anchor classes of {j} joints"
+            f"{k} anchors of {j} joints do not fit a model "
+            f"with {model.n_classes - 1} anchor classes of {w // 5} joints"
         )
     probs, v = model_outputs(model, feature)
-    w = model.slot_width
     coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
                                          v[w:(k + 1) * w].reshape(k, w))
     _check_finite(coords2d)
@@ -298,5 +300,5 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     coords3d.setflags(write=False)
     vis = _all_visible(j)
     proposal, pose2d, pose3d = _frozen(PoseProposal), _frozen(Pose2D), _frozen(Pose3D)
-    return [proposal(a.id, box, pose2d(c2, vis), pose3d(c3), s, None)
-            for a, c2, c3, s in zip(anchors.anchors, coords2d, coords3d, scores)]
+    return [proposal(i, box, pose2d(c2, vis), pose3d(c3), s, None)
+            for i, (c2, c3, s) in enumerate(zip(coords2d, coords3d, scores))]

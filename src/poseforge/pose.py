@@ -267,17 +267,12 @@ class AnchorPose:
 
     The 2D layout lives in unit-box coordinates (labeling.regress_anchors
     places it, refined by a residual, into a candidate box); the 3D pose
-    is torso-centered.
+    is torso-centered. An anchor's id is its position in its AnchorSet,
+    which also tells whether it is full-body or an upper-body variant.
     """
 
-    id: int
     pose2d: Pose2D
     pose3d: Pose3D
-    body_extent: str = "full_body"  # or "upper_body"
-
-    def __post_init__(self):
-        if self.body_extent not in ("full_body", "upper_body"):
-            raise ValueError(f"unknown body_extent {self.body_extent!r}")
 
 
 def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,7 +370,7 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
     boxes = np.concatenate([lo - d, hi + d], axis=1)
     if not _all_finite(boxes):
         for box in boxes:
-            BoundingBox(*box)  # raises BoundingBox's own error at the first bad box
+            BoundingBox(*box.tolist())  # raises BoundingBox's own error at the first bad box
     return boxes
 
 

@@ -123,9 +123,14 @@ class Detection:
 
     pose2d: Pose2D
     pose3d: Pose3D
-    score: float          # sum of member rescored scores
+    score: float          # sum of member rescored scores, each >= 0
     member_count: int
-    unweighted: bool = False  # True when all member scores were zero
+
+    @property
+    def unweighted(self) -> bool:
+        """True when all member scores were zero, so the pose is their
+        unweighted mean: not score > 0, as no member score is negative."""
+        return not self.score > 0.0
 
 
 def _stack2d(proposals) -> np.ndarray:
@@ -310,7 +315,7 @@ def _average(c2d: np.ndarray, c3d: np.ndarray, weights: np.ndarray,
     mean3d.setflags(write=False)
     vis = _all_visible(mean2d.shape[1])
     detection, pose2d, pose3d = _frozen(Detection), _frozen(Pose2D), _frozen(Pose3D)
-    return [detection(pose2d(p2, vis), pose3d(p3), s, m, not s > 0.0)
+    return [detection(pose2d(p2, vis), pose3d(p3), s, m)
             for p2, p3, s, m in zip(mean2d, mean3d, totals.tolist(), sizes.tolist())]
 
 
@@ -442,6 +447,6 @@ def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
         return []
     _, rescored, _, seeds = _rescored_groups(proposals, params)
     detection = _frozen(Detection)
-    return _finalize([detection(proposals[i].pose2d, proposals[i].pose3d, s, 1, False)
+    return _finalize([detection(proposals[i].pose2d, proposals[i].pose3d, s, 1)
                       for i, s in zip(seeds.tolist(), rescored[seeds].tolist())],
                      params.min_score)

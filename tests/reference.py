@@ -90,9 +90,9 @@ def anchor_set(rng, n=4, layouts=None):
     """A full-body AnchorSet: per anchor a unit-box layout, random in
     [0.1, 0.9] unless layouts gives it, then a 3D pose."""
     anchors = []
-    for i, layout in enumerate([None] * n if layouts is None else layouts):
+    for layout in [None] * n if layouts is None else layouts:
         layout = rng.uniform(0.1, 0.9, size=(13, 2)) if layout is None else layout
-        anchors.append(AnchorPose(i, Pose2D(layout), pose3d(rng)))
+        anchors.append(AnchorPose(Pose2D(layout), pose3d(rng)))
     return AnchorSet(tuple(anchors), K=len(anchors), spec=H13)
 
 
@@ -119,12 +119,12 @@ def separable_dataset(rng, anchors, n_per_class=20, noise=0.05, dim=8):
         for _ in range(n_per_class):
             f = means[c] + rng.normal(0, noise, size=dim)
             if c == BACKGROUND:
-                lab = LabeledBox(BoundingBox(0, 0, 100, 100), 0)
+                lab = LabeledBox(0)
             else:
                 gt2d = Pose2D(rng.uniform(50, 250, (13, 2)))
                 gt3d = pose3d(rng)
                 box = visible_box(gt2d)
-                lab = LabeledBox(box, c, regression_target(gt2d, gt3d, anchors.anchors[c - 1], box))
+                lab = LabeledBox(c, regression_target(gt2d, gt3d, anchors.anchors[c - 1], box))
             examples.append((f, lab))
             labels.append(c)
     return examples, np.array(labels), means
@@ -330,12 +330,12 @@ def upper_body(anchor_set):
     the unit box."""
     upper = list(anchor_set.spec.upper_body_joints)
     remapped = []
-    for a in anchor_set.anchors:
+    for i, a in enumerate(anchor_set.anchors):
         layout = a.pose2d.coords
         lo = layout[upper].min(axis=0)
         hi = layout[upper].max(axis=0)
         if (hi <= lo).any():
-            raise ValueError(f"anchor {a.id}: upper-body joints span a degenerate box")
+            raise ValueError(f"anchor {i}: upper-body joints span a degenerate box")
         remapped.append((layout - lo) / (hi - lo))
     return np.stack(remapped)
 
@@ -364,9 +364,8 @@ def assign_label(box, gts, anchors):
     if overlaps[best] < DEFAULT_IOU_THRESHOLD:
         return BACKGROUND, None
     gt2d, gt3d = gts[best]
-    anchor = anchors.anchors[int(np.argmin([d3d(a.pose3d.coords, gt3d.coords)
-                                            for a in anchors.anchors]))]
-    return anchor.id + 1, regression_target(gt2d, gt3d, anchor, box)
+    nearest = int(np.argmin([d3d(a.pose3d.coords, gt3d.coords) for a in anchors.anchors]))
+    return nearest + 1, regression_target(gt2d, gt3d, anchors.anchors[nearest], box)
 
 
 # Head
@@ -476,11 +475,11 @@ def predict(model, feature, box, anchors):
     probs, v = probs[0], v[0]
     x0, y0, x1, y1 = box.as_tuple()
     out = []
-    for a in anchors.anchors:
+    for i, a in enumerate(anchors.anchors):
         j = len(a.pose2d.coords)
-        res = v[(a.id + 1) * 5 * j:(a.id + 2) * 5 * j]
+        res = v[(i + 1) * 5 * j:(i + 2) * 5 * j]
         coords2d = (a.pose2d.coords + res[:2 * j].reshape(j, 2)) * (x1 - x0, y1 - y0) + (x0, y0)
-        out.append((a.id, float(probs[a.id + 1]), coords2d,
+        out.append((i, float(probs[i + 1]), coords2d,
                     a.pose3d.coords + res[2 * j:].reshape(j, 3)))
     return out
 

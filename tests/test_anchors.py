@@ -164,10 +164,10 @@ class TestKmeansOccludedLayouts:
         # each layout joint is the mean of the finite member coordinates
         assign = np.array([np.argmin([d3d(a.pose3d, p3) for a in out.anchors])
                            for _, p3 in poses])
-        for a in out.anchors:
+        for i, a in enumerate(out.anchors):
             for j in range(13):
                 xs = [ref.unit_layout(p2)[j]
-                      for (p2, _), c in zip(poses, assign) if c == a.id and p2.visibility[j]]
+                      for (p2, _), c in zip(poses, assign) if c == i and p2.visibility[j]]
                 assert np.allclose(a.pose2d.coords[j], np.mean(xs, axis=0), rtol=0, atol=1e-12)
         assert all(np.isfinite(a.pose2d.coords).all() for a in out.anchors)
 
@@ -202,11 +202,19 @@ class TestKmeansOccludedLayouts:
 
 
 class TestAnchorSet:
-    def test_ids_not_dense_rejected(self):
+    def test_bad_k_rejected(self):
         anchors = ref.anchor_set(np.random.default_rng(17), 3).anchors
-        for ids in [anchors[1:], anchors[::-1], anchors[:1] * 2]:
-            with pytest.raises(ValueError, match=r"anchor ids must be dense 0\.\.n-1"):
-                AnchorSet(ids, K=len(ids), spec=H13)
+        for k, message in [(4, "K must be <= the 3 anchors, got 4"),
+                           (-1, "K must be >= 0, got -1"),
+                           (1.0, "K must be an integer, got 1.0"),
+                           (True, "K must be an integer, got True"),
+                           (None, "K must be an integer, got None")]:
+            with pytest.raises(ValueError, match=message):
+                AnchorSet(anchors, K=k, spec=H13)
+        for k in (0, 3, np.int64(2)):
+            assert AnchorSet(anchors, K=k, spec=H13).K == k
+        with pytest.raises(ValueError, match="K must be <= the 0 anchors, got 1"):
+            AnchorSet((), K=1, spec=H13)
 
 
 class TestKmeans:
@@ -350,12 +358,9 @@ def upright_anchor_set():
 class TestUpperBodyVariants:
     def test_doubles_with_dense_ids(self):
         doubled = add_upper_body_variants(upright_anchor_set())
-        assert len(doubled) == 2
-        assert [a.id for a in doubled.anchors] == [0, 1]
-        assert np.array_equal(
-            doubled.anchors[0].pose3d.coords, doubled.anchors[1].pose3d.coords
-        )
-        assert doubled.anchors[1].body_extent == "upper_body"
+        assert len(doubled) == 2 and doubled.K == 1
+        # the variant of anchor 0 is anchor K + 0
+        assert doubled.anchors[1].pose3d is doubled.anchors[0].pose3d
 
     def test_upper_body_spans_unit_box(self):
         doubled = add_upper_body_variants(upright_anchor_set())
@@ -387,10 +392,10 @@ class TestUpperBodyVariants:
             return
         doubled = add_upper_body_variants(anchor_set)
         assert doubled.anchors[:n] == anchor_set.anchors
+        assert len(doubled) == 2 * n and doubled.K == n
         variants = doubled.anchors[n:]
-        assert [v.id for v in variants] == list(range(n, 2 * n))
         for v, a in zip(variants, anchor_set.anchors):
-            assert v.body_extent == "upper_body" and v.pose3d is a.pose3d
+            assert v.pose3d is a.pose3d
         assert np.array_equal(np.stack([v.pose2d.coords for v in variants]), expected)
 
     def test_two_degenerate_anchors_name_the_lower_id(self):
@@ -413,5 +418,9 @@ class TestUpperBodyVariants:
 
     def test_rejects_already_doubled(self):
         doubled = add_upper_body_variants(upright_anchor_set())
-        with pytest.raises(ValueError):
+        message = "input anchor set already contains upper-body variants"
+        with pytest.raises(ValueError, match=message):
             add_upper_body_variants(doubled)
+        # any set with more anchors than K holds variants
+        with pytest.raises(ValueError, match=message):
+            add_upper_body_variants(AnchorSet(doubled.anchors[:1] * 3, K=2, spec=H13))

@@ -29,7 +29,7 @@ class TestTrainMatchesPerPositiveOracle:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=n_per_class)
         # scaled targets reach the linear branch of smooth-L1 (|err| >= 1)
         examples = [(f, lab if lab.target is None else
-                     LabeledBox(lab.box, lab.class_label, lab.target * target_scale))
+                     LabeledBox(lab.class_label, lab.target * target_scale))
                     for f, lab in examples]
         rng.shuffle(examples)
         config = TrainConfig(iterations=25, learning_rate=0.7, seed=3, two_pass=two_pass)
@@ -40,8 +40,7 @@ class TestTrainMatchesPerPositiveOracle:
     def test_background_only(self, monkeypatch):
         rng = np.random.default_rng(21)
         anchors = ref.anchor_set(rng, 3)
-        examples = [(rng.normal(0, 1, 8), LabeledBox(BoundingBox(0, 0, 10, 10), 0))
-                    for _ in range(12)]
+        examples = [(rng.normal(0, 1, 8), LabeledBox(0)) for _ in range(12)]
         config = TrainConfig(iterations=10, seed=1)
         model = train(examples, anchors, config)
         monkeypatch.setattr(learner_module, "_train_head", ref.train_head_per_positive)
@@ -69,7 +68,7 @@ def slot_oracle_examples(case):
     examples = [e for e, kept in zip(examples, keep) if kept]
     if case == "linear_branch":  # |err| >= 1 for most coordinates
         examples = [(f, lab if lab.target is None else
-                     LabeledBox(lab.box, lab.class_label, lab.target * 4.0))
+                     LabeledBox(lab.class_label, lab.target * 4.0))
                     for f, lab in examples]
     rng.shuffle(examples)
     return anchors, examples
@@ -122,10 +121,8 @@ class TestTrainMatchesSlotOracleProperty:
         n_anchors, labels = layout
         rng = np.random.default_rng(seed)
         anchors = ref.anchor_set(rng, n_anchors)
-        box = BoundingBox(0, 0, 100, 100)
         examples = [(rng.normal(0, 1, dim),
-                     LabeledBox(box, k, None if k == BACKGROUND
-                                else rng.normal(0, target_scale, 65)))
+                     LabeledBox(k, None if k == BACKGROUND else rng.normal(0, target_scale, 65)))
                     for k in labels]
         config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000,
                              two_pass=two_pass)
@@ -182,7 +179,7 @@ class TestTrain:
         rng = np.random.default_rng(4)
         anchors = ref.anchor_set(rng, 3)
         # 60 = 5*12 is a valid LabeledBox target but H13 needs 5*13 = 65
-        bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 1, np.zeros(60)))]
+        bad = [(np.zeros(8), LabeledBox(1, np.zeros(60)))]
         with pytest.raises(ValueError, match="target length 60 != 65"):
             train(bad, anchors)
 
@@ -190,7 +187,7 @@ class TestTrain:
         rng = np.random.default_rng(16)
         anchors = ref.anchor_set(rng, 2)
         # class 3 is anchor id 2, which a 2-anchor set does not have
-        bad = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 1, 1), 3, np.zeros(65)))]
+        bad = [(np.zeros(8), LabeledBox(3, np.zeros(65)))]
         with pytest.raises(ValueError, match="class label exceeds anchor count"):
             train(bad, anchors)
 
@@ -209,7 +206,7 @@ class TestTrain:
 
     def test_empty_anchor_set_rejected(self):
         empty = AnchorSet((), K=0, spec=H13)
-        examples = [(np.zeros(8), LabeledBox(BoundingBox(0, 0, 10, 10), BACKGROUND))] * 3
+        examples = [(np.zeros(8), LabeledBox(BACKGROUND))] * 3
         with pytest.raises(ValueError, match="empty anchor set"):
             train(examples, empty, TrainConfig(iterations=2))
 
@@ -274,7 +271,7 @@ class TestSlotTrainer:
         i = int(np.flatnonzero(labels == 3)[2])
         f, lab = examples[i]
         perturbed = list(examples)
-        perturbed[i] = (f, LabeledBox(lab.box, lab.class_label, lab.target + 0.25))
+        perturbed[i] = (f, LabeledBox(lab.class_label, lab.target + 0.25))
         config = TrainConfig(iterations=15, seed=2)
         base, moved = train(examples, anchors, config), train(perturbed, anchors, config)
         c = len(anchors) + 1
@@ -290,9 +287,8 @@ class TestSlotTrainer:
         anchors = ref.anchor_set(rng, 32)
         n, dim, c, w = 720, 72, 33, 65
         labels = rng.integers(0, c, size=n)
-        box = BoundingBox(0, 0, 100, 100)
         examples = [(rng.normal(0, 1, dim),
-                     LabeledBox(box, int(k), None if k == BACKGROUND else rng.normal(0, 0.1, w)))
+                     LabeledBox(int(k), None if k == BACKGROUND else rng.normal(0, 0.1, w)))
                     for k in labels]
         full_buffer = n * w * c * 8
         tracemalloc.start()
@@ -365,8 +361,8 @@ class TestPredict:
         box = ref.visible_box(gt2d)
         t = regression_target(gt2d, gt3d, anchors.anchors[0], box)
         f = np.ones(4)
-        examples = [(f, LabeledBox(box, 1, t))] * 10
-        examples += [(np.zeros(4) - 1.0, LabeledBox(BoundingBox(500, 500, 600, 600), 0))] * 10
+        examples = [(f, LabeledBox(1, t))] * 10
+        examples += [(np.zeros(4) - 1.0, LabeledBox(0))] * 10
         model = train(examples, anchors, TrainConfig(iterations=2000, learning_rate=1.0, seed=10))
         proposals = predict(model, f, box, anchors)
         assert np.abs(proposals[0].pose2d.coords - gt2d.coords).max() < 2.0  # pixels
@@ -384,10 +380,11 @@ class TestPredict:
             probs, v = model_outputs(model, feature)
             proposals = predict(model, feature, box, anchors)
             expected = ref.predict(model, feature, box, anchors)
-            for a, p, (aid, score, placed, moved) in zip(anchors.anchors, proposals, expected):
-                c = a.id + 1
+            for i, (a, p, (aid, score, placed, moved)) in enumerate(
+                    zip(anchors.anchors, proposals, expected)):
+                c = i + 1
                 pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
-                assert p.anchor_id == a.id == aid and p.box == box
+                assert p.anchor_id == i == aid and p.box == box
                 assert p.score == probs[c] == score
                 assert np.array_equal(p.pose2d.coords, pose2d.coords)
                 assert np.array_equal(p.pose2d.coords, placed)
@@ -436,10 +433,10 @@ class TestPredict:
             assert len(proposals) == 4
             heads = (model.head,) + ((model.refine_head,) if two_pass else ())
             weights = [arr for h in heads for arr in (h.w_cls, h.b_cls, h.w_reg, h.b_reg)]
-            for a, p in zip(anchors.anchors, proposals):
-                c = a.id + 1
+            for i, (a, p) in enumerate(zip(anchors.anchors, proposals)):
+                c = i + 1
                 pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
-                ref.assert_same(p, PoseProposal(a.id, box, Pose2D(pose2d.coords),
+                ref.assert_same(p, PoseProposal(i, box, Pose2D(pose2d.coords),
                                             Pose3D(pose3d.coords), float(probs[c])))
                 with pytest.raises(FrozenInstanceError):
                     p.score = 0.0

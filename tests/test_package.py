@@ -6,6 +6,7 @@ import poseforge.anchors
 import poseforge.labeling
 import poseforge.learner
 import poseforge.pose
+import poseforge.ppi
 
 
 def test_every_exported_name_resolves():
@@ -24,6 +25,7 @@ def test_removed_per_pose_helpers_are_gone():
         assert not hasattr(poseforge, name) and not hasattr(poseforge.pose, name), name
     assert not hasattr(poseforge.pose.BoundingBox, "area")
     assert not hasattr(poseforge.pose.Pose3D, "joint_count")
+    assert not hasattr(poseforge.labeling, "_unhashable")
     # fixed hyperparameters are module constants, not options or fields
     parameters = {
         poseforge.pose.d3d_matrix: ["a", "b"],
@@ -34,13 +36,21 @@ def test_removed_per_pose_helpers_are_gone():
     }
     for fn, names in parameters.items():
         assert list(inspect.signature(fn).parameters) == names, fn
+    # each fact is stored once: an anchor's id is its position in the set,
+    # and the upper-body variants are the positions from K on; a model's
+    # shapes are its head's; a detection is unweighted when its score is 0
     fields = {
         poseforge.pose.PoseSpec: ["name", "joint_names", "torso_anchor_joints", "head_joints",
                                   "lower_body_joints"],
+        poseforge.pose.AnchorPose: ["pose2d", "pose3d"],
         poseforge.anchors.AnchorSet: ["anchors", "K", "spec", "distortion_history"],
+        poseforge.labeling.LabeledBox: ["class_label", "target"],
         poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed", "two_pass"],
-        poseforge.learner.ToyModel: ["head", "feature_dim", "n_classes", "joint_count",
-                                     "loss_history", "refine_head"],
+        poseforge.learner.ToyModel: ["head", "loss_history", "refine_head"],
+        poseforge.ppi.Detection: ["pose2d", "pose3d", "score", "member_count"],
     }
     for cls, names in fields.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls
+    model, detection = poseforge.learner.ToyModel, poseforge.ppi.Detection
+    for derived in (model.n_classes, model.slot_width, detection.unweighted):
+        assert isinstance(derived, property) and derived.fset is None

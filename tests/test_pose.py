@@ -276,6 +276,12 @@ class TestBoxes:
         with pytest.raises(ValueError, match=r"box bounds must be finite, got \("):
             margin_boxes(coords[2:], vis[2:])
 
+    def test_overflowing_margin_box_message_shows_plain_floats(self):
+        coords = np.arange(26.0).reshape(1, 13, 2)
+        coords[0, 0] = (-1.75e308, 0.0)  # the margin moves x_min past the largest float
+        with pytest.raises(ValueError, match=r"box bounds must be finite, got \(-inf, -1\.25, "):
+            margin_boxes(coords, np.ones((1, 13), dtype=bool))
+
     def test_iou_identical(self):
         b = BoundingBox(0, 0, 2, 2)
         assert iou(b, b) == 1.0

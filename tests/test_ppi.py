@@ -484,6 +484,14 @@ class TestNms:
             rescored = [rescore(p, params.sigma_b) for p in proposals]
             ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))
 
+    def test_zero_score_proposal_unweighted_as_in_ppi(self):
+        for score in (0.0, 0.8):
+            p = inside_box_proposal(score)
+            for integrate in (ppi, nms):
+                (det,) = integrate([p], PpiParams())
+                assert det.score == score and det.member_count == 1
+                assert det.unweighted is (score == 0.0), integrate
+
     def test_result_is_group_member(self):
         rng = np.random.default_rng(20)
         proposals = [ref.proposal(rng) for _ in range(15)]
@@ -738,7 +746,7 @@ class TestBuiltDetections:
         assert dets
         for d in dets:
             ref.assert_same(d, Detection(Pose2D(d.pose2d.coords), Pose3D(d.pose3d.coords),
-                                     d.score, d.member_count, d.unweighted))
+                                         d.score, d.member_count))
             with pytest.raises(FrozenInstanceError):
                 d.score = 0.0
             with pytest.raises(FrozenInstanceError):
