@@ -12,10 +12,6 @@ the length of the call, and makes its (m, 5*J) buffers once per call, so
 an iteration allocates nothing of that size and writes no strided slot
 (see _train_head). w_reg keeps its (D, 5*J*C) layout, which inference
 reads.
-
-An optional two-pass mode feeds the first pass's outputs back in,
-concatenated with the features, to a second linear head that produces
-the final estimate.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ class TrainConfig:
     iterations: int = 300
     learning_rate: float = 0.5
     seed: int = 0
-    two_pass: bool = False
 
     def __post_init__(self):
         _check_count("iterations", self.iterations, 0)
@@ -92,11 +87,10 @@ class _Head:
 class ToyModel:
     """Trained weights and the loss curve of the run. The head's arrays
     give the model's shapes: w_cls is (D, C) and w_reg holds C slots of
-    5*J columns; a two-pass model's refine head has the same C slots."""
+    5*J columns."""
 
     head: _Head
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
-    refine_head: _Head | None = None
 
     @property
     def n_classes(self) -> int:
@@ -114,7 +108,7 @@ def _check_features(x: np.ndarray) -> None:
         raise ValueError(f"feature row {row} is not finite")
 
 
-def _train_head(head, x, labels, targets, config, loss_history, it_offset):
+def _train_head(head, x, labels, targets, config, loss_history):
     """Gradient descent on the mean head losses, one regression slot at a time.
 
     A box's regression loss reaches only the (D, 5*J) slot of w_reg that
@@ -135,8 +129,7 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
     slot is one contiguous run. The per-slot products keep their shapes
     and the updates are elementwise, so the results are those of the
     strided form bit for bit. The block is S*D*5*J doubles: 0.75 MB on
-    the benchmark's crowd workload (S = 20, D = 72, J = 13), and about
-    29 MB for a two_pass refine head there, whose D is 72 + C + 5*J*C.
+    the benchmark's crowd workload (S = 20, D = 72, J = 13).
 
     The (m, 5*J) prediction, loss and gradient buffers and one (D, 5*J)
     slot-gradient buffer are made once per call too, and every iteration
@@ -183,7 +176,7 @@ def _train_head(head, x, labels, targets, config, loss_history, it_offset):
         err = np.subtract(t_fg, pred, out=pred)  # pred is not needed again
         reg_loss, _ = _regression_loss(err, n, in_input_order, loss, grad)  # into grad
 
-        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
+        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
 
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
@@ -229,18 +222,8 @@ def train(
                 raise ValueError(f"target length {len(lab.target)} != {slot}")
             targets[i] = lab.target
 
-    rng = np.random.default_rng(config.seed)
-    head = _Head.init(rng, x.shape[1], n_classes, slot)
-    model = ToyModel(head)
-    _train_head(head, x, labels, targets, config, model.loss_history, 0)
-
-    if config.two_pass:
-        probs, v = head.forward(x)
-        x2 = np.concatenate([x, probs, v], axis=1)
-        refine = _Head.init(rng, x2.shape[1], n_classes, slot)
-        _train_head(refine, x2, labels, targets, config,
-                    model.loss_history, config.iterations)
-        model.refine_head = refine
+    model = ToyModel(_Head.init(np.random.default_rng(config.seed), x.shape[1], n_classes, slot))
+    _train_head(model.head, x, labels, targets, config, model.loss_history)
     return model
 
 
@@ -255,9 +238,6 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError(f"feature dim {x.shape[1]} != {dim}")
     _check_features(x)
     probs, v = model.head.forward(x)
-    if model.refine_head is not None:
-        x2 = np.concatenate([x, probs, v], axis=1)
-        probs, v = model.refine_head.forward(x2)
     return probs[0], v[0]
 
 

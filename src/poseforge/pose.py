@@ -379,12 +379,17 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
 
 
+# an s or t that is not finite is rejected below, so numpy's warnings would
+# only repeat the ValueError
+@np.errstate(over="ignore", invalid="ignore")
 def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares uniform scale + translation mapping src onto dst.
 
     Minimizes sum ||s * src_i + t - dst_i||^2 over scalar s and 2D/any-D
     offset t. Raises ValueError on fewer than 2 points, on a NaN or an
-    infinity in either point set, or on zero spread in src.
+    infinity in either point set, on zero spread in src, or when s or t
+    is not finite, as for finite points so far apart that their squared
+    spread overflows.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -400,6 +405,8 @@ def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarra
         raise ValueError("source points are coincident; scale is undetermined")
     s = float((src0 * (dst - dst_c)).sum() / denom)
     t = dst_c - s * src_c
+    if not (math.isfinite(s) and _all_finite(t)):
+        raise ValueError(f"scale and offset must be finite, got {s} and {t}")
     return s, t
 
 

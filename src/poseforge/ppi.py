@@ -85,7 +85,7 @@ class PpiParams:
     def __post_init__(self):
         _check_iou_threshold(self.iou_threshold)
         _check_positive("t3d", self.t3d)
-        _check_positive("sigma_b", self.sigma_b)
+        _check_sigma_b(self.sigma_b)
         if self.min_score is not None and not self.min_score >= 0.0:
             raise ValueError(f"min_score must be None or >= 0, got {self.min_score}")
         if self.overlap_joints is not None:
@@ -101,6 +101,14 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_sigma_b(sigma_b: float) -> None:
+    """Reject a sigma_b whose square is not a positive finite float: a
+    square that underflows to 0 gives 0 / 0 for a joint inside its box,
+    and one that overflows gives inf / inf for an infinite gap."""
+    if not (sigma_b > 0.0 and 0.0 < float(sigma_b) * float(sigma_b) < np.inf):
+        raise ValueError(f"sigma_b must be positive, with a positive finite square, got {sigma_b}")
 
 
 def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) -> None:
@@ -185,8 +193,9 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
     one contiguous row, as numpy adds an (N, J) array's rows.
     """
     b = boxes.T[:, None]
-    gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
-    with np.errstate(over="ignore"):  # a D^2 of inf gives the factor exp(-inf) = 0
+    # a gap or a D^2 of inf gives the factor exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        gap = np.maximum(np.maximum(b[:2] - planes, 0.0), planes - b[2:])
         d2 = gap[0] * gap[0] + gap[1] * gap[1]
         factors = np.exp(-d2 / (sigma_b * sigma_b))
     return scores * np.ascontiguousarray(factors.T).mean(axis=1)
@@ -259,6 +268,8 @@ def _group(boxes: np.ndarray, rescored: np.ndarray,
     return _numbered(seed_of, -rescored)
 
 
+# a d3d that overflows is inf, rightly not below t3d, so the warning says nothing
+@np.errstate(over="ignore")
 def _modes(c3d: np.ndarray, rescored: np.ndarray, gid: np.ndarray,
            t3d: float) -> tuple[np.ndarray, np.ndarray]:
     """3D modes of the overlap groups gid (N,) of poses (N, J, 3), the
@@ -335,7 +346,7 @@ def rescore(proposal: PoseProposal, sigma_b: float = DEFAULT_SIGMA_B) -> PosePro
     visible or not, and must be finite; if every joint lies inside or on
     the box, s' = s exactly.
     """
-    _check_positive("sigma_b", sigma_b)
+    _check_sigma_b(sigma_b)
     (s_prime,) = _rescore(np.array([proposal.box.as_tuple()]), _planes(_stack2d([proposal])),
                           np.array([proposal.score]), sigma_b)
     return replace(proposal, rescored=float(s_prime))

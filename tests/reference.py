@@ -378,7 +378,7 @@ def smooth_l1(x):
         return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
 
 
-def train_head_per_positive(head, x, labels, targets, config, loss_history, it_offset):
+def train_head_per_positive(head, x, labels, targets, config, loss_history):
     """learner._train_head with the regression loss taken one positive at
     a time, through the full x @ w_reg of head.forward."""
     n, _ = x.shape
@@ -402,7 +402,7 @@ def train_head_per_positive(head, x, labels, targets, config, loss_history, it_o
             g_v[i, sl] = -grad
         reg_loss /= n
         g_v /= n
-        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
+        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
         head.w_reg -= lr * (x.T @ g_v)
@@ -410,7 +410,7 @@ def train_head_per_positive(head, x, labels, targets, config, loss_history, it_o
     return loss_history
 
 
-def train_head_slots(head, x, labels, targets, config, loss_history, it_offset):
+def train_head_slots(head, x, labels, targets, config, loss_history):
     """learner._train_head one class slot at a time, on its strided view of
     w_reg, with fresh (n, 5*J) arrays in every iteration: slot products
     scattered into a zero-background pred, and the row sums of the loss
@@ -444,7 +444,7 @@ def train_head_slots(head, x, labels, targets, config, loss_history, it_offset):
         reg_loss /= n
         g_pred /= -n
 
-        loss_history.append((it_offset + it, cls_loss, reg_loss, cls_loss + reg_loss))
+        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
 
         head.w_cls -= lr * (x.T @ g_logits)
         head.b_cls -= lr * g_logits.sum(axis=0)
@@ -464,14 +464,11 @@ def _forward(head, x):
 def predict(model, feature, box, anchors):
     """Per anchor, one at a time: (anchor id, score u(id + 1), (J, 2) pixel
     pose, (J, 3) pose). A head gives the class probabilities u =
-    softmax(x @ w_cls + b_cls) and the regression output x @ w_reg + b_reg;
-    a two-pass model's refine head reads [x, u, that output]. The output's
-    slot of class id + 1 is added to the anchor's unit-box layout, which is
-    then placed in the box, and to its 3D pose."""
+    softmax(x @ w_cls + b_cls) and the regression output x @ w_reg + b_reg.
+    The output's slot of class id + 1 is added to the anchor's unit-box
+    layout, which is then placed in the box, and to its 3D pose."""
     x = np.asarray(feature, dtype=np.float64)[None]
     probs, v = _forward(model.head, x)
-    if model.refine_head is not None:
-        probs, v = _forward(model.refine_head, np.concatenate([x, probs, v], axis=1))
     probs, v = probs[0], v[0]
     x0, y0, x1, y1 = box.as_tuple()
     out = []
@@ -620,10 +617,5 @@ def assert_same_training(got, want, rtol=0.0):
 
     assert [h[0] for h in got.loss_history] == [h[0] for h in want.loss_history]
     close([h[1:] for h in got.loss_history], [h[1:] for h in want.loss_history])
-    assert (got.refine_head is None) == (want.refine_head is None)
-    heads = [(got.head, want.head)]
-    if want.refine_head is not None:
-        heads.append((got.refine_head, want.refine_head))
-    for g, w in heads:
-        for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
-            close(getattr(g, name), getattr(w, name))
+    for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+        close(getattr(got.head, name), getattr(want.head, name))

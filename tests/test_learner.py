@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -20,10 +19,9 @@ from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 class TestTrainMatchesPerPositiveOracle:
     # The slot products and the oracle's full GEMMs pick different BLAS
     # kernels, so they agree to rounding, not bit for bit.
-    @pytest.mark.parametrize("two_pass", [False, True])
-    @pytest.mark.parametrize("n_per_class,target_scale", [(6, 1.0), (15, 4.0)])
-    def test_loss_history_and_weights_match(self, monkeypatch, two_pass, n_per_class,
-                                            target_scale):
+    @pytest.mark.parametrize("n_per_class,target_scale", [(6, 1.0), (15, 4.0)],
+                             ids=["6-1.0-False", "15-4.0-False"])  # ids: see SLOT_ORACLE_CASES
+    def test_loss_history_and_weights_match(self, monkeypatch, n_per_class, target_scale):
         rng = np.random.default_rng(20)
         anchors = ref.anchor_set(rng, 4)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=n_per_class)
@@ -32,7 +30,7 @@ class TestTrainMatchesPerPositiveOracle:
                      LabeledBox(lab.class_label, lab.target * target_scale))
                     for f, lab in examples]
         rng.shuffle(examples)
-        config = TrainConfig(iterations=25, learning_rate=0.7, seed=3, two_pass=two_pass)
+        config = TrainConfig(iterations=25, learning_rate=0.7, seed=3)
         model = train(examples, anchors, config)
         monkeypatch.setattr(learner_module, "_train_head", ref.train_head_per_positive)
         ref.assert_same_training(model, train(examples, anchors, config), rtol=1e-12)
@@ -46,6 +44,14 @@ class TestTrainMatchesPerPositiveOracle:
         monkeypatch.setattr(learner_module, "_train_head", ref.train_head_per_positive)
         ref.assert_same_training(model, train(examples, anchors, config))
         assert all(reg == 0.0 for _, _, reg, _ in model.loss_history)
+
+
+# Before the learner kept one head only, these cases also ran with a second,
+# refine pass. Their ids keep the one-pass "False", so that each case can be
+# followed across versions, and so do the file's other such cases.
+SLOT_ORACLE_CASES = [("mixed", 25), ("mixed", 0), ("sparse_classes", 25),
+                     ("background_only", 25), ("foreground_only", 25),
+                     ("linear_branch", 25), ("large", 25)]
 
 
 def slot_oracle_examples(case):
@@ -76,26 +82,14 @@ def slot_oracle_examples(case):
 
 class TestTrainMatchesSlotOracle:
     # The same slot products as the trainer, so the results agree bit for bit.
-    @pytest.mark.parametrize("case,two_pass,iterations", [
-        ("mixed", False, 25),
-        ("mixed", True, 25),
-        ("mixed", False, 0),
-        ("sparse_classes", False, 25),
-        ("sparse_classes", True, 25),
-        ("background_only", False, 25),
-        ("foreground_only", False, 25),
-        ("foreground_only", True, 25),
-        ("linear_branch", False, 25),
-        ("large", False, 25),
-        ("large", True, 10),
-    ])
-    def test_loss_history_and_weights_equal(self, monkeypatch, case, two_pass, iterations):
+    @pytest.mark.parametrize("case,iterations", SLOT_ORACLE_CASES,
+                             ids=[f"{case}-False-{it}" for case, it in SLOT_ORACLE_CASES])
+    def test_loss_history_and_weights_equal(self, monkeypatch, case, iterations):
         anchors, examples = slot_oracle_examples(case)
-        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=3,
-                             two_pass=two_pass)
+        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=3)
         model = train(examples, anchors, config)
         monkeypatch.setattr(learner_module, "_train_head", ref.train_head_slots)
-        assert len(model.loss_history) == iterations * (1 + two_pass)
+        assert [row[0] for row in model.loss_history] == list(range(iterations))
         ref.assert_same_training(model, train(examples, anchors, config))
 
 
@@ -114,18 +108,15 @@ class TestTrainMatchesSlotOracleProperty:
     # The same slot products as the trainer, so the results agree bit for bit.
     @settings(max_examples=60, deadline=None)
     @given(layout=label_layouts(), dim=st.integers(1, 12), iterations=st.integers(0, 5),
-           two_pass=st.booleans(), target_scale=st.sampled_from([0.1, 4.0]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_loss_history_and_weights_equal(self, layout, dim, iterations, two_pass,
-                                            target_scale, seed):
+           target_scale=st.sampled_from([0.1, 4.0]), seed=st.integers(0, 2**32 - 1))
+    def test_loss_history_and_weights_equal(self, layout, dim, iterations, target_scale, seed):
         n_anchors, labels = layout
         rng = np.random.default_rng(seed)
         anchors = ref.anchor_set(rng, n_anchors)
         examples = [(rng.normal(0, 1, dim),
                      LabeledBox(k, None if k == BACKGROUND else rng.normal(0, target_scale, 65)))
                     for k in labels]
-        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000,
-                             two_pass=two_pass)
+        config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000)
         model = train(examples, anchors, config)
         with mock.patch.object(learner_module, "_train_head", ref.train_head_slots):
             ref.assert_same_training(model, train(examples, anchors, config))
@@ -221,17 +212,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="feature row 3 is not finite"):
             train(examples, anchors, TrainConfig(iterations=5))
 
-    def test_two_pass_refinement(self):
-        rng = np.random.default_rng(5)
-        anchors = ref.anchor_set(rng, 3)
-        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=10)
-        model = train(examples, anchors,
-                      TrainConfig(iterations=100, seed=6, two_pass=True))
-        assert model.refine_head is not None
-        assert len(model.loss_history) == 200  # both passes logged
-        probs, _ = model_outputs(model, examples[0][0])
-        assert probs.shape == (4,)
-
 
 def reg_slots(head, n_classes):
     """w_reg and b_reg as (D, C, 5*J) and (C, 5*J) per-class slots."""
@@ -240,29 +220,23 @@ def reg_slots(head, n_classes):
 
 
 class TestSlotTrainer:
-    @pytest.mark.parametrize("two_pass", [False, True])
-    def test_untrained_slots_keep_initial_values(self, two_pass):
+    @pytest.mark.parametrize("iterations", [20], ids=["False"])  # ids: see SLOT_ORACLE_CASES
+    def test_untrained_slots_keep_initial_values(self, iterations):
         rng = np.random.default_rng(30)
         anchors = ref.anchor_set(rng, 5)
         examples, labels, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         # classes 2 and 5 get no rows, class 4 a single one
         keep = (labels != 2) & (labels != 5) & ((labels != 4) | (np.cumsum(labels == 4) == 1))
         examples = [e for e, kept in zip(examples, keep) if kept]
-        config = TrainConfig(iterations=20, seed=4, two_pass=two_pass)
+        config = TrainConfig(iterations=iterations, seed=4)
         model = train(examples, anchors, config)
         c = len(anchors) + 1
-        init_rng = np.random.default_rng(config.seed)
-        heads = [(model.head, _Head.init(init_rng, 8, c, 65))]
-        if two_pass:
-            refine_dim = model.refine_head.w_reg.shape[0]
-            heads.append((model.refine_head,
-                          _Head.init(init_rng, refine_dim, c, 65)))
-        for got, init in heads:
-            (w_got, b_got), (w_init, b_init) = reg_slots(got, c), reg_slots(init, c)
-            for k in range(c):
-                untouched = k in (BACKGROUND, 2, 5)
-                assert np.array_equal(w_got[:, k], w_init[:, k]) == untouched
-                assert np.array_equal(b_got[k], b_init[k]) == untouched
+        init = _Head.init(np.random.default_rng(config.seed), 8, c, 65)
+        (w_got, b_got), (w_init, b_init) = reg_slots(model.head, c), reg_slots(init, c)
+        for k in range(c):
+            untouched = k in (BACKGROUND, 2, 5)
+            assert np.array_equal(w_got[:, k], w_init[:, k]) == untouched
+            assert np.array_equal(b_got[k], b_init[k]) == untouched
 
     def test_target_reaches_only_its_own_slot(self):
         rng = np.random.default_rng(31)
@@ -391,12 +365,12 @@ class TestPredict:
                 assert np.array_equal(p.pose3d.coords, pose3d.coords)
                 assert np.array_equal(p.pose3d.coords, moved)
 
-    @pytest.mark.parametrize("two_pass", [False, True])
-    def test_non_finite_feature_rejected(self, two_pass):
+    @pytest.mark.parametrize("iterations", [5], ids=["False"])  # ids: see SLOT_ORACLE_CASES
+    def test_non_finite_feature_rejected(self, iterations):
         rng = np.random.default_rng(14)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
-        model = train(examples, anchors, TrainConfig(iterations=5, two_pass=two_pass))
+        model = train(examples, anchors, TrainConfig(iterations=iterations))
         feature = np.zeros(8)
         feature[2] = np.nan
         with pytest.raises(ValueError, match="feature row 0 is not finite"):
@@ -423,16 +397,14 @@ class TestPredict:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         feature = rng.normal(0, 1, 8)
         # the huge box gives finite coordinates whose sum overflows
-        for two_pass, box in product((False, True), (BoundingBox(5, 10, 60, 140),
-                                                     BoundingBox(0, 0, 1e307, 1e307))):
-            model = train(examples, anchors,
-                          TrainConfig(iterations=5, seed=17, two_pass=two_pass))
-            probs, v = model_outputs(model, feature)
-            w = model.slot_width
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
+        probs, v = model_outputs(model, feature)
+        w = model.slot_width
+        h = model.head
+        weights = [h.w_cls, h.b_cls, h.w_reg, h.b_reg]
+        for box in (BoundingBox(5, 10, 60, 140), BoundingBox(0, 0, 1e307, 1e307)):
             proposals = predict(model, feature, box, anchors)
             assert len(proposals) == 4
-            heads = (model.head,) + ((model.refine_head,) if two_pass else ())
-            weights = [arr for h in heads for arr in (h.w_cls, h.b_cls, h.w_reg, h.b_reg)]
             for i, (a, p) in enumerate(zip(anchors.anchors, proposals)):
                 c = i + 1
                 pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
@@ -459,14 +431,10 @@ class TestPredict:
         rng = np.random.default_rng(18)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
-        for two_pass in (False, True):
-            model = train(examples, anchors,
-                          TrainConfig(iterations=5, seed=19, two_pass=two_pass))
-            # the head whose outputs predict reads: a two-pass model's refine head
-            head = model.refine_head if two_pass else model.head
-            getattr(head, weight)[0, column] = np.inf
-            with pytest.raises(ValueError, match=message):
-                predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
+        getattr(model.head, weight)[0, column] = np.inf
+        with pytest.raises(ValueError, match=message):
+            predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)

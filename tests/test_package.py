@@ -45,8 +45,8 @@ def test_removed_per_pose_helpers_are_gone():
         poseforge.pose.AnchorPose: ["pose2d", "pose3d"],
         poseforge.anchors.AnchorSet: ["anchors", "K", "spec", "distortion_history"],
         poseforge.labeling.LabeledBox: ["class_label", "target"],
-        poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed", "two_pass"],
-        poseforge.learner.ToyModel: ["head", "loss_history", "refine_head"],
+        poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed"],
+        poseforge.learner.ToyModel: ["head", "loss_history"],
         poseforge.ppi.Detection: ["pose2d", "pose3d", "score", "member_count"],
     }
     for cls, names in fields.items():

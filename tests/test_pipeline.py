@@ -24,10 +24,9 @@ PARAMS = [PpiParams(), PpiParams(iou_threshold=0.3, t3d=0.2, sigma_b=10.0, min_s
 
 @settings(max_examples=30, deadline=None)
 @given(people=st.integers(1, 4), n_boxes=st.integers(1, 12), k=st.integers(1, 4),
-       iterations=st.integers(0, 4), two_pass=st.booleans(), params=st.sampled_from(PARAMS),
+       iterations=st.integers(0, 4), params=st.sampled_from(PARAMS),
        seed=st.integers(0, 2**32 - 1))
-def test_every_stage_matches_the_reference(people, n_boxes, k, iterations, two_pass, params,
-                                           seed):
+def test_every_stage_matches_the_reference(people, n_boxes, k, iterations, params, seed):
     rng = np.random.default_rng(seed)
     poses = ref.clustered_corpus(rng, k + int(rng.integers(0, 9)), 3, 0.1)
     centroids, layouts, history = ref.kmeans(poses, k, seed=seed % 1000, max_iters=5)
@@ -51,8 +50,7 @@ def test_every_stage_matches_the_reference(people, n_boxes, k, iterations, two_p
 
     features = rng.normal(0.0, 1.0, (n_boxes, 6))
     examples = list(zip(features, labels))
-    config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000,
-                         two_pass=two_pass)
+    config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000)
     model = train(examples, anchors, config)
     for trainer, rtol in [(ref.train_head_slots, 0.0), (ref.train_head_per_positive, 1e-12)]:
         with mock.patch.object(learner_module, "_train_head", trainer):

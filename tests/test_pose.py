@@ -364,6 +364,12 @@ class TestFitScaleOffset:
         with pytest.raises(ValueError, match="points must be finite"):
             fit_scale_offset(*points)
 
+    def test_overflowing_spread_rejected(self):
+        # finite points whose squared spread overflows, so s is inf / inf
+        points = np.array([[0.0, 0.0], [1e160, 1e160]])
+        with pytest.raises(ValueError, match="scale and offset must be finite"):
+            fit_scale_offset(points, points)
+
 
 class TestHeadTop:
     def test_extrapolation_direction(self):

@@ -154,6 +154,21 @@ class TestRescore:
             (det,) = ppi([p])
         assert det.score == 0.6 * (12 / 13)
 
+    def test_joint_past_a_huge_box_contributes_zero_without_warning(self):
+        # the gap -1e308 - 1.7e308 overflows to -inf before it is clipped to
+        # 0, and the gap 0.7e308 squares to inf; the joints span 0.4 px in y,
+        # so the area of their joint box, which grouping reads, stays finite
+        coords = np.linspace([10, 50], [90, 50.4], 13)
+        coords[4] = [1.7e308, 50.0]
+        p = PoseProposal(0, BoundingBox(-1e308, -1e308, 1e308, 1e308), Pose2D(coords),
+                         ref.center_3d(np.zeros((13, 3))), 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rescore(p).rescored == 0.6 * (12 / 13)
+            for integrate in (ppi, nms):
+                (det,) = integrate([p])
+                assert det.score == 0.6 * (12 / 13)
+
     def test_one_joint_at_sigma_b(self):
         sigma = 25.0
         coords = np.linspace([10, 10], [90, 90], 13)
@@ -292,6 +307,15 @@ class TestModes:
         top = max(group, key=lambda p: p.rescored)
         assert modes[0][0] is top
 
+    def test_overflowing_distance_splits_without_warning(self):
+        # poses 2e200 m apart: d3d overflows to inf, which is not below t3d
+        group = [rescore(replace(inside_box_proposal(s), pose3d=Pose3D(np.full((13, 3), v))))
+                 for v, s in ((1e200, 0.6), (-1e200, 0.5))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [ids(group, m) for m in extract_modes(group)] == [[0], [1]]
+            assert [d.score for d in ppi(group)] == [0.6, 0.5]
+
 
 class TestAverageMode:
     def test_singleton_detection(self):
@@ -351,6 +375,10 @@ class TestParameterValidation:
         ("overlap_joints", (1.5,), r"overlap_joints \(1.5,\) must hold int joint indices"),
         ("overlap_joints", (True,), r"overlap_joints \(True,\) must hold int joint indices"),
         ("overlap_joints", 3, "overlap_joints 3 must be a sequence of joint indices"),
+        # squares that underflow to 0 or overflow, which give 0 / 0 or inf / inf
+        ("sigma_b", 1e-200, "sigma_b must be positive"),
+        ("sigma_b", 1e200, "sigma_b must be positive"),
+        ("sigma_b", math.inf, "sigma_b must be positive"),
     ])
     def test_params_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -370,7 +398,7 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=message):
             _overlap_boxes(_planes(np.stack([p.pose2d.coords for p in proposals])), joints)
 
-    @pytest.mark.parametrize("sigma_b", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma_b", [0.0, -1.0, math.nan, 1e-200, 1e200, math.inf])
     def test_rescore_sigma_b_rejected(self, sigma_b):
         with pytest.raises(ValueError, match="sigma_b must be positive"):
             rescore(inside_box_proposal(), sigma_b)

@@ -7,8 +7,7 @@ line with a hash of each stage's outputs:
 * anchors: every anchor's 2D layout and 3D pose, K and the distortion
   history;
 * labels: every training box's class label and regression target;
-* training: the loss history and the weights of the head (and of the
-  refine head, if any);
+* training: the loss history and the weights of the head;
 * proposals: every test image's proposals, in order: anchor id, box,
   poses, score and rescored score;
 * detections: every test image's detections, in order: poses, score,
@@ -103,12 +102,8 @@ def digest_seed(pipeline, w, seed: int) -> dict[str, str]:
         d["training"].integer(row[0])
         for x in row[1:]:
             d["training"].real(x)
-    for head in (model.head, model.refine_head):
-        if head is None:
-            d["training"].none()
-            continue
-        for arr in (head.w_cls, head.b_cls, head.w_reg, head.b_reg):
-            d["training"].array(arr)
+    for arr in (model.head.w_cls, model.head.b_cls, model.head.w_reg, model.head.b_reg):
+        d["training"].array(arr)
 
     for img in inputs.test:
         proposals, detections = pipeline.infer_image(pf, fitted, img)

@@ -1,4 +1,4 @@
-"""Line counts of the Python files under src/, tests/ and perfbench/.
+"""Line counts of the Python files under src/, tests/, perfbench/ and tools/.
 
 For each directory, prints the total number of lines and the number of
 code lines: lines that are not blank, hold only a comment, or belong to
@@ -16,7 +16,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-DIRS = ("src", "tests", "perfbench")
+DIRS = ("src", "tests", "perfbench", "tools")
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
