@@ -1,7 +1,10 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
 per-anchor linear regressors over externally supplied feature vectors,
 trained by plain gradient descent on the losses of labeling.head_losses,
-through the same two helpers.
+through the same two helpers. ToyModel is that one head: its four weight
+arrays and the loss curve. train draws the weights and hands the model to
+_train_head, which updates it in place; tests swap in a reference trainer
+of the same signature there.
 
 A box's regression loss reaches only its own class's regressor, so
 training computes and updates each class's (D, 5*J) slot of w_reg on that
@@ -55,50 +58,29 @@ class TrainConfig:
 
 
 @dataclass(eq=False)
-class _Head:
-    """One linear classification + regression head."""
+class ToyModel:
+    """One linear classification + regression head: its trained weights
+    and the loss curve of the run. The arrays give the model's shapes:
+    w_cls is (D, C) and w_reg holds C slots of 5*J columns."""
 
     w_cls: np.ndarray  # (D, C)
     b_cls: np.ndarray  # (C,)
     w_reg: np.ndarray  # (D, 5*J*C): class c's slot is columns c*5*J to (c+1)*5*J
     b_reg: np.ndarray  # (5*J*C,)
+    loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
-    @classmethod
-    def init(cls, rng, dim, n_classes, slot_width):
-        return cls(
-            w_cls=rng.normal(0.0, INIT_SCALE, size=(dim, n_classes)),
-            b_cls=np.zeros(n_classes),
-            w_reg=rng.normal(0.0, INIT_SCALE, size=(dim, slot_width * n_classes)),
-            b_reg=np.zeros(slot_width * n_classes),
-        )
+    @property
+    def n_classes(self) -> int:
+        return len(self.b_cls)
+
+    @property
+    def slot_width(self) -> int:
+        return len(self.b_reg) // self.n_classes
 
     def class_probs(self, x: np.ndarray) -> np.ndarray:
         logits = x @ self.w_cls
         logits += self.b_cls
         return softmax(logits)
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = x @ self.w_reg
-        v += self.b_reg
-        return self.class_probs(x), v
-
-
-@dataclass(eq=False)
-class ToyModel:
-    """Trained weights and the loss curve of the run. The head's arrays
-    give the model's shapes: w_cls is (D, C) and w_reg holds C slots of
-    5*J columns."""
-
-    head: _Head
-    loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.head.b_cls)
-
-    @property
-    def slot_width(self) -> int:
-        return len(self.head.b_reg) // self.n_classes
 
 
 def _check_features(x: np.ndarray) -> None:
@@ -108,8 +90,10 @@ def _check_features(x: np.ndarray) -> None:
         raise ValueError(f"feature row {row} is not finite")
 
 
-def _train_head(head, x, labels, targets, config, loss_history):
-    """Gradient descent on the mean head losses, one regression slot at a time.
+def _train_head(model, x, labels, targets, config):
+    """Gradient descent on the mean head losses, one regression slot at a
+    time, updating the model's four arrays in place and appending one row
+    per iteration to model.loss_history.
 
     A box's regression loss reaches only the (D, 5*J) slot of w_reg that
     belongs to its own label. So each non-background class that has rows
@@ -144,13 +128,12 @@ def _train_head(head, x, labels, targets, config, loss_history):
     results are bit-identical to that direct form.
     """
     n, d = x.shape
-    c = head.b_cls.shape[0]
-    w = head.b_reg.shape[0] // c
+    c, w = model.n_classes, model.slot_width
     switch = int(DECAY_FRACTION * config.iterations)
-    # views, as _Head.init makes both arrays contiguous: slot_major[k] is
+    # views, as train makes both arrays contiguous: slot_major[k] is
     # class k's (D, w) slot of w_reg, a strided view
-    slot_major = head.w_reg.reshape(d, c, w).transpose(1, 0, 2)
-    b_slots = head.b_reg.reshape(c, w)
+    slot_major = model.w_reg.reshape(d, c, w).transpose(1, 0, 2)
+    b_slots = model.b_reg.reshape(c, w)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(c + 1))
     fg = order[bounds[1]:]  # BACKGROUND is 0, the first class
@@ -168,7 +151,7 @@ def _train_head(head, x, labels, targets, config, loss_history):
     g_w = np.empty((d, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
-        probs = head.class_probs(x)
+        probs = model.class_probs(x)
         cls_loss, g_logits = _class_loss(probs, labels, out=probs)
         for w_k, b_k, x_k, _, p_k, _ in slots:
             np.matmul(x_k, w_k, out=p_k)
@@ -176,17 +159,16 @@ def _train_head(head, x, labels, targets, config, loss_history):
         err = np.subtract(t_fg, pred, out=pred)  # pred is not needed again
         reg_loss, _ = _regression_loss(err, n, in_input_order, loss, grad)  # into grad
 
-        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
+        model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
 
-        head.w_cls -= lr * (x.T @ g_logits)
-        head.b_cls -= lr * g_logits.sum(axis=0)
+        model.w_cls -= lr * (x.T @ g_logits)
+        model.b_cls -= lr * g_logits.sum(axis=0)
         for w_k, b_k, _, xt_k, _, g_k in slots:
             np.matmul(xt_k, g_k, out=g_w)
             g_w *= lr
             w_k -= g_w
             b_k -= lr * g_k.sum(axis=0)
     slot_major[ids] = block
-    return loss_history
 
 
 def train(
@@ -222,8 +204,12 @@ def train(
                 raise ValueError(f"target length {len(lab.target)} != {slot}")
             targets[i] = lab.target
 
-    model = ToyModel(_Head.init(np.random.default_rng(config.seed), x.shape[1], n_classes, slot))
-    _train_head(model.head, x, labels, targets, config, model.loss_history)
+    rng, d = np.random.default_rng(config.seed), x.shape[1]
+    # the draw order, w_cls then w_reg, fixes each seed's weights
+    model = ToyModel(rng.normal(0.0, INIT_SCALE, size=(d, n_classes)), np.zeros(n_classes),
+                     rng.normal(0.0, INIT_SCALE, size=(d, slot * n_classes)),
+                     np.zeros(slot * n_classes))
+    _train_head(model, x, labels, targets, config)
     return model
 
 
@@ -233,12 +219,13 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
     if x.ndim != 1:
         raise ValueError(f"feature must be one vector, got shape {x.shape}")
     x = x[None]
-    dim = model.head.w_cls.shape[0]
+    dim = model.w_cls.shape[0]
     if x.shape[1] != dim:
         raise ValueError(f"feature dim {x.shape[1]} != {dim}")
     _check_features(x)
-    probs, v = model.head.forward(x)
-    return probs[0], v[0]
+    v = x @ model.w_reg
+    v += model.b_reg
+    return model.class_probs(x)[0], v[0]
 
 
 # a non-finite weight gives outputs that the checks reject, so numpy's warnings

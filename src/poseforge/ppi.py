@@ -141,9 +141,19 @@ class Detection:
         return not self.score > 0.0
 
 
+def _stack(coords: list[np.ndarray]) -> np.ndarray:
+    """(N, J, d) stack of N (J, d) pose arrays, which must share J."""
+    try:
+        return np.array(coords)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        counts = list(dict.fromkeys(len(c) for c in coords))
+        raise ValueError(f"proposals must share one joint count, "
+                         f"got {counts[0]} and {counts[1]}") from None
+
+
 def _stack2d(proposals) -> np.ndarray:
     """(N, J, 2) stack of the proposals' 2D poses, required finite."""
-    c2d = np.array([p.pose2d.coords for p in proposals])
+    c2d = _stack([p.pose2d.coords for p in proposals])
     if not _all_finite(c2d):
         raise ValueError(
             "proposal 2D poses must be finite at every joint, occluded ones included"
@@ -153,7 +163,7 @@ def _stack2d(proposals) -> np.ndarray:
 
 def _stack3d(proposals) -> np.ndarray:
     """(N, J, 3) stack of the proposals' 3D poses."""
-    return np.array([p.pose3d.coords for p in proposals])
+    return _stack([p.pose3d.coords for p in proposals])
 
 
 def _stack_boxes(proposals) -> np.ndarray:

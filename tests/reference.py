@@ -3,10 +3,13 @@ random objects that the tests feed it.
 
 Each stage is written from the package's docstrings and works one item at
 a time: a pose pair, a box, a joint, a positive example, a cluster. It
-calls no poseforge math, only the value-type constructors, and the methods
-of the head that a test passes in place of learner._train_head. Most tests
-compare the package with these functions bit for bit, so where a docstring
-fixes the order of the floating-point operations, the reference keeps it.
+calls no poseforge math, only the value-type constructors. The trainers
+that a test passes in place of learner._train_head take the model, read
+its four arrays and compute its class probabilities and regression output
+with this module's own _class_probs and _forward, not a model method. Most
+tests compare the package with these functions bit for bit, so where a
+docstring fixes the order of the floating-point operations, the reference
+keeps it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from poseforge.anchors import DEFAULT_MAX_ITERS, DEFAULT_TOL, AnchorSet
 from poseforge.labeling import BACKGROUND, DEFAULT_IOU_THRESHOLD, LOG_EPS, LabeledBox
-from poseforge.learner import DECAY_FACTOR, DECAY_FRACTION
+from poseforge.learner import DECAY_FACTOR, DECAY_FRACTION, INIT_SCALE, ToyModel
 from poseforge.pose import (DEFAULT_BOX_MARGIN, H13, AnchorPose, BoundingBox, Pose2D, Pose3D,
                             PoseSpec)
 from poseforge.ppi import PoseProposal
@@ -378,17 +381,26 @@ def smooth_l1(x):
         return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
 
 
-def train_head_per_positive(head, x, labels, targets, config, loss_history):
+def initial_model(seed, dim, n_classes, slot_width):
+    """An untrained model: w_cls (D, C), then w_reg (D, 5*J*C), drawn from
+    N(0, INIT_SCALE) by the seed's generator, and zero biases."""
+    rng = np.random.default_rng(seed)
+    w_cls = rng.normal(0.0, INIT_SCALE, size=(dim, n_classes))
+    w_reg = rng.normal(0.0, INIT_SCALE, size=(dim, slot_width * n_classes))
+    return ToyModel(w_cls, np.zeros(n_classes), w_reg, np.zeros(slot_width * n_classes))
+
+
+def train_head_per_positive(model, x, labels, targets, config):
     """learner._train_head with the regression loss taken one positive at
-    a time, through the full x @ w_reg of head.forward."""
+    a time, through the full x @ w_reg of _forward."""
     n, _ = x.shape
-    c = head.b_cls.shape[0]
-    w = head.b_reg.shape[0] // c
+    c = model.b_cls.shape[0]
+    w = model.b_reg.shape[0] // c
     rows = np.arange(n)
     switch = int(DECAY_FRACTION * config.iterations)
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
-        probs, v = head.forward(x)
+        probs, v = _forward(model, x)
         cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
         g_logits = probs.copy()
         g_logits[rows, labels] -= 1.0
@@ -402,25 +414,24 @@ def train_head_per_positive(head, x, labels, targets, config, loss_history):
             g_v[i, sl] = -grad
         reg_loss /= n
         g_v /= n
-        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
-        head.w_cls -= lr * (x.T @ g_logits)
-        head.b_cls -= lr * g_logits.sum(axis=0)
-        head.w_reg -= lr * (x.T @ g_v)
-        head.b_reg -= lr * g_v.sum(axis=0)
-    return loss_history
+        model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
+        model.w_cls -= lr * (x.T @ g_logits)
+        model.b_cls -= lr * g_logits.sum(axis=0)
+        model.w_reg -= lr * (x.T @ g_v)
+        model.b_reg -= lr * g_v.sum(axis=0)
 
 
-def train_head_slots(head, x, labels, targets, config, loss_history):
+def train_head_slots(model, x, labels, targets, config):
     """learner._train_head one class slot at a time, on its strided view of
     w_reg, with fresh (n, 5*J) arrays in every iteration: slot products
     scattered into a zero-background pred, and the row sums of the loss
     added in a Python loop."""
     n, d = x.shape
-    c = head.b_cls.shape[0]
-    w = head.b_reg.shape[0] // c
+    c = model.b_cls.shape[0]
+    w = model.b_reg.shape[0] // c
     all_rows = np.arange(n)
     switch = int(DECAY_FRACTION * config.iterations)
-    w_slots, b_slots = head.w_reg.reshape(d, c, w), head.b_reg.reshape(c, w)
+    w_slots, b_slots = model.w_reg.reshape(d, c, w), model.b_reg.reshape(c, w)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(c + 1))
     slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
@@ -428,7 +439,7 @@ def train_head_slots(head, x, labels, targets, config, loss_history):
     pred = np.zeros((n, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
-        probs = head.class_probs(x)
+        probs = _class_probs(model, x)
         for k, rows, x_k in slots:
             pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
         cls_loss = float(-np.log(np.maximum(probs[all_rows, labels], LOG_EPS)).mean())
@@ -444,21 +455,24 @@ def train_head_slots(head, x, labels, targets, config, loss_history):
         reg_loss /= n
         g_pred /= -n
 
-        loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
+        model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
 
-        head.w_cls -= lr * (x.T @ g_logits)
-        head.b_cls -= lr * g_logits.sum(axis=0)
+        model.w_cls -= lr * (x.T @ g_logits)
+        model.b_cls -= lr * g_logits.sum(axis=0)
         for k, rows, x_k in slots:
             g_k = g_pred[rows]
             w_slots[:, k] -= lr * (x_k.T @ g_k)
             b_slots[k] -= lr * g_k.sum(axis=0)
-    return loss_history
 
 
-def _forward(head, x):
-    logits = x @ head.w_cls + head.b_cls
+def _class_probs(model, x):
+    logits = x @ model.w_cls + model.b_cls
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True), x @ head.w_reg + head.b_reg
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _forward(model, x):
+    return _class_probs(model, x), x @ model.w_reg + model.b_reg
 
 
 def predict(model, feature, box, anchors):
@@ -468,7 +482,7 @@ def predict(model, feature, box, anchors):
     The output's slot of class id + 1 is added to the anchor's unit-box
     layout, which is then placed in the box, and to its 3D pose."""
     x = np.asarray(feature, dtype=np.float64)[None]
-    probs, v = _forward(model.head, x)
+    probs, v = _forward(model, x)
     probs, v = probs[0], v[0]
     x0, y0, x1, y1 = box.as_tuple()
     out = []
@@ -604,7 +618,7 @@ def assert_detections(dets, expected):
 
 
 def assert_same_training(got, want, rtol=0.0):
-    """Two trained models' loss histories and head arrays are equal or, with
+    """Two trained models' loss histories and weight arrays are equal or, with
     rtol > 0, differ by at most rtol times want's largest magnitude."""
 
     def close(a, b):
@@ -618,4 +632,4 @@ def assert_same_training(got, want, rtol=0.0):
     assert [h[0] for h in got.loss_history] == [h[0] for h in want.loss_history]
     close([h[1:] for h in got.loss_history], [h[1:] for h in want.loss_history])
     for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
-        close(getattr(got.head, name), getattr(want.head, name))
+        close(getattr(got, name), getattr(want, name))

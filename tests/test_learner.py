@@ -11,7 +11,7 @@ import poseforge.learner as learner_module
 import reference as ref
 from poseforge.anchors import AnchorSet, add_upper_body_variants
 from poseforge.labeling import BACKGROUND, LabeledBox, apply_regression, regression_target
-from poseforge.learner import TrainConfig, _Head, model_outputs, predict, train
+from poseforge.learner import TrainConfig, model_outputs, predict, train
 from poseforge.ppi import PoseProposal
 from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 
@@ -144,10 +144,8 @@ class TestTrain:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         cfg = TrainConfig(iterations=0, seed=42)
         model = train(examples, anchors, cfg)
-        init = _Head.init(np.random.default_rng(42), 8, len(anchors) + 1, 65)
-        assert np.array_equal(model.head.w_cls, init.w_cls)
-        assert np.array_equal(model.head.w_reg, init.w_reg)
-        assert model.loss_history == []
+        # all four arrays, the zero biases included, and an empty loss history
+        ref.assert_same_training(model, ref.initial_model(42, 8, len(anchors) + 1, 65))
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(2)
@@ -162,8 +160,8 @@ class TestTrain:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=6)
         m1 = train(examples, anchors, TrainConfig(iterations=50, seed=5))
         m2 = train(examples, anchors, TrainConfig(iterations=50, seed=5))
-        assert np.array_equal(m1.head.w_cls, m2.head.w_cls)
-        assert np.array_equal(m1.head.w_reg, m2.head.w_reg)
+        assert np.array_equal(m1.w_cls, m2.w_cls)
+        assert np.array_equal(m1.w_reg, m2.w_reg)
         assert m1.loss_history == m2.loss_history
 
     def test_dimension_mismatch_rejected(self):
@@ -213,10 +211,10 @@ class TestTrain:
             train(examples, anchors, TrainConfig(iterations=5))
 
 
-def reg_slots(head, n_classes):
+def reg_slots(model, n_classes):
     """w_reg and b_reg as (D, C, 5*J) and (C, 5*J) per-class slots."""
-    return (head.w_reg.reshape(head.w_reg.shape[0], n_classes, -1),
-            head.b_reg.reshape(n_classes, -1))
+    return (model.w_reg.reshape(model.w_reg.shape[0], n_classes, -1),
+            model.b_reg.reshape(n_classes, -1))
 
 
 class TestSlotTrainer:
@@ -231,8 +229,8 @@ class TestSlotTrainer:
         config = TrainConfig(iterations=iterations, seed=4)
         model = train(examples, anchors, config)
         c = len(anchors) + 1
-        init = _Head.init(np.random.default_rng(config.seed), 8, c, 65)
-        (w_got, b_got), (w_init, b_init) = reg_slots(model.head, c), reg_slots(init, c)
+        init = ref.initial_model(config.seed, 8, c, 65)
+        (w_got, b_got), (w_init, b_init) = reg_slots(model, c), reg_slots(init, c)
         for k in range(c):
             untouched = k in (BACKGROUND, 2, 5)
             assert np.array_equal(w_got[:, k], w_init[:, k]) == untouched
@@ -249,11 +247,11 @@ class TestSlotTrainer:
         config = TrainConfig(iterations=15, seed=2)
         base, moved = train(examples, anchors, config), train(perturbed, anchors, config)
         c = len(anchors) + 1
-        (w_base, b_base), (w_moved, b_moved) = reg_slots(base.head, c), reg_slots(moved.head, c)
+        (w_base, b_base), (w_moved, b_moved) = reg_slots(base, c), reg_slots(moved, c)
         for k in range(c):
             assert np.array_equal(w_base[:, k], w_moved[:, k]) == (k != 3)
             assert np.array_equal(b_base[k], b_moved[k]) == (k != 3)
-        assert np.array_equal(base.head.w_cls, moved.head.w_cls)
+        assert np.array_equal(base.w_cls, moved.w_cls)
 
     def test_peak_memory_below_one_full_regression_buffer(self):
         # fit_heavy-sized head: 32 anchor classes, J = 13, D = 72
@@ -400,8 +398,7 @@ class TestPredict:
         model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
         probs, v = model_outputs(model, feature)
         w = model.slot_width
-        h = model.head
-        weights = [h.w_cls, h.b_cls, h.w_reg, h.b_reg]
+        weights = [model.w_cls, model.b_cls, model.w_reg, model.b_reg]
         for box in (BoundingBox(5, 10, 60, 140), BoundingBox(0, 0, 1e307, 1e307)):
             proposals = predict(model, feature, box, anchors)
             assert len(proposals) == 4
@@ -432,7 +429,7 @@ class TestPredict:
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
-        getattr(model.head, weight)[0, column] = np.inf
+        getattr(model, weight)[0, column] = np.inf
         with pytest.raises(ValueError, match=message):
             predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 

@@ -26,6 +26,7 @@ def test_removed_per_pose_helpers_are_gone():
     assert not hasattr(poseforge.pose.BoundingBox, "area")
     assert not hasattr(poseforge.pose.Pose3D, "joint_count")
     assert not hasattr(poseforge.labeling, "_unhashable")
+    assert not hasattr(poseforge.learner, "_Head")  # the model is its one head
     # fixed hyperparameters are module constants, not options or fields
     parameters = {
         poseforge.pose.d3d_matrix: ["a", "b"],
@@ -38,7 +39,7 @@ def test_removed_per_pose_helpers_are_gone():
         assert list(inspect.signature(fn).parameters) == names, fn
     # each fact is stored once: an anchor's id is its position in the set,
     # and the upper-body variants are the positions from K on; a model's
-    # shapes are its head's; a detection is unweighted when its score is 0
+    # shapes are its arrays'; a detection is unweighted when its score is 0
     fields = {
         poseforge.pose.PoseSpec: ["name", "joint_names", "torso_anchor_joints", "head_joints",
                                   "lower_body_joints"],
@@ -46,7 +47,7 @@ def test_removed_per_pose_helpers_are_gone():
         poseforge.anchors.AnchorSet: ["anchors", "K", "spec", "distortion_history"],
         poseforge.labeling.LabeledBox: ["class_label", "target"],
         poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed"],
-        poseforge.learner.ToyModel: ["head", "loss_history"],
+        poseforge.learner.ToyModel: ["w_cls", "b_cls", "w_reg", "b_reg", "loss_history"],
         poseforge.ppi.Detection: ["pose2d", "pose3d", "score", "member_count"],
     }
     for cls, names in fields.items():

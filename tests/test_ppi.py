@@ -398,6 +398,15 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=message):
             _overlap_boxes(_planes(np.stack([p.pose2d.coords for p in proposals])), joints)
 
+    @pytest.mark.parametrize("entry", [ppi, nms, group_by_overlap, extract_modes, average_mode])
+    def test_mixed_joint_counts_rejected(self, entry):
+        rng = np.random.default_rng(43)
+        pose2d = Pose2D(rng.normal(200.0, 40.0, (17, 2)))
+        p17 = PoseProposal(0, ref.overlap_box(pose2d), pose2d, ref.pose3d(rng, j=17), 0.5)
+        proposals = [rescore(ref.proposal(rng)), rescore(p17)]
+        with pytest.raises(ValueError, match="proposals must share one joint count, got 13 and 17"):
+            entry(proposals)
+
     @pytest.mark.parametrize("sigma_b", [0.0, -1.0, math.nan, 1e-200, 1e200, math.inf])
     def test_rescore_sigma_b_rejected(self, sigma_b):
         with pytest.raises(ValueError, match="sigma_b must be positive"):

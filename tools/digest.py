@@ -7,7 +7,7 @@ line with a hash of each stage's outputs:
 * anchors: every anchor's 2D layout and 3D pose, K and the distortion
   history;
 * labels: every training box's class label and regression target;
-* training: the loss history and the weights of the head;
+* training: the loss history and the model's four weight arrays;
 * proposals: every test image's proposals, in order: anchor id, box,
   poses, score and rescored score;
 * detections: every test image's detections, in order: poses, score,
@@ -16,7 +16,9 @@ line with a hash of each stage's outputs:
 Values are hashed by their bits, not by the objects that hold them, so
 two trees whose outputs are bit-identical print the same lines, whatever
 their classes look like. Compare two trees by running this on each and
-diffing the output.
+diffing the output. The digest reads the model's arrays by name, so where
+two trees' model layouts differ, run each tree's own copy of this tool
+(python TREE/tools/digest.py), not one copy with --root.
 
 Usage: python tools/digest.py [--root TREE] --workload W --seeds 1-10
 
@@ -102,7 +104,7 @@ def digest_seed(pipeline, w, seed: int) -> dict[str, str]:
         d["training"].integer(row[0])
         for x in row[1:]:
             d["training"].real(x)
-    for arr in (model.head.w_cls, model.head.b_cls, model.head.w_reg, model.head.b_reg):
+    for arr in (model.w_cls, model.b_cls, model.w_reg, model.b_reg):
         d["training"].array(arr)
 
     for img in inputs.test:
