@@ -19,14 +19,12 @@ and offset onto the anchor's other joints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 # d3d_matrix is not called here (the k-means++ draws give the first bounds);
 # perfbench/tracing.py counts calls through poseforge.anchors.d3d_matrix.
 from poseforge.pose import (  # noqa: F401
-    _D3D_BLOCK_ROWS,
     AnchorPose,
     Pose2D,
     Pose3D,
@@ -45,6 +43,10 @@ DEFAULT_TOL = 1e-6  # meters of centroid shift
 # of the bound updates, so a pruned (point, centroid) pair is strictly
 # farther apart than the point and its assigned centroid.
 PRUNE_SLACK = 1e-9
+# Candidate (point, centroid) pairs that _pair_d3d evaluates at a time, per
+# centroid: a chunk's temporaries are those of this many points against
+# every centroid.
+_PAIR_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +55,11 @@ class AnchorSet:
     produced them.
 
     Anchor id i is anchors[i]; the first K are full-body, and the rest
-    are upper-body variants (see add_upper_body_variants).
+    are upper-body variants (see add_upper_body_variants). Construction
+    rejects an anchor whose 2D or 3D joint count is not spec's, and
+    stacks the anchors into the read-only arrays coords2d (n, J, 2), the
+    unit-box layouts, and coords3d (n, J, 3), the 3D poses; row i holds
+    anchor id i, and an empty set has n = 0.
     """
 
     anchors: tuple[AnchorPose, ...]
@@ -65,35 +71,31 @@ class AnchorSet:
         _check_count("K", self.K, 0)
         if self.K > len(self.anchors):
             raise ValueError(f"K must be <= the {len(self.anchors)} anchors, got {self.K}")
+        j = self.spec.joint_count
+        for i, a in enumerate(self.anchors):
+            if len(a.pose2d.coords) != j or len(a.pose3d.coords) != j:
+                raise ValueError(f"anchor {i} has {len(a.pose2d.coords)} 2D and "
+                                 f"{len(a.pose3d.coords)} 3D joints, spec {self.spec.name} has {j}")
+        for name, width, attr in (("coords2d", 2, "pose2d"), ("coords3d", 3, "pose3d")):
+            stack = np.array([getattr(a, attr).coords for a in self.anchors]).reshape(-1, j, width)
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     def __len__(self) -> int:
         return len(self.anchors)
 
-    @cached_property
-    def coords2d(self) -> np.ndarray:
-        """Stacked (n, J, 2) anchor unit-box layouts (read-only, built once)."""
-        stack = np.stack([a.pose2d.coords for a in self.anchors])
-        stack.setflags(write=False)
-        return stack
 
-    @cached_property
-    def coords3d(self) -> np.ndarray:
-        """Stacked (n, J, 3) anchor 3D coordinates (read-only, built once)."""
-        stack = np.stack([a.pose3d.coords for a in self.anchors])
-        stack.setflags(write=False)
-        return stack
-
-
-def _kmeans_pp_init(coords: np.ndarray, k: int,
+def _kmeans_pp_init(planes: np.ndarray, k: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ init: next centroid drawn with prob ~ squared d3d.
 
+    planes (3, N, J) are the corpus's x, y and z planes (see d3d_kernel).
     Returns the (k, J, 3) centroids and the (N, k) d3d of every point to
-    each of them, d3d_matrix(coords, centroids) bit for bit: each column
-    is computed once, to draw the next centroid, and kept.
+    each of them, d3d_matrix of the untransposed corpus and centroids bit
+    for bit: each column is computed once, to draw the next centroid, and
+    kept.
     """
-    n = coords.shape[0]
-    planes = np.ascontiguousarray(coords.transpose(2, 0, 1))  # (3, N, J)
+    n = planes.shape[1]
     chosen = [int(rng.integers(n))]
     to_centroids = np.empty((n, k))
     to_centroids[:, 0] = dist = d3d_kernel(planes, planes[:, chosen])
@@ -108,13 +110,16 @@ def _kmeans_pp_init(coords: np.ndarray, k: int,
         chosen.append(idx)
         to_centroids[:, c] = column = d3d_kernel(planes, planes[:, [idx]])
         dist = np.minimum(dist, column)
-    return coords[chosen].copy(), to_centroids
+    return planes[:, chosen].transpose(1, 2, 0).copy(), to_centroids
 
 
 def _pair_d3d(planes: np.ndarray, cplanes: np.ndarray, rows: np.ndarray,
               cols: np.ndarray, chunk: int) -> np.ndarray:
     """d3d of point rows[i] (planes (3, N, J)) to centroid cols[i]
-    (cplanes (3, k, J)), chunk pairs at a time to bound the temporaries."""
+    (cplanes (3, k, J)), chunk pairs at a time to bound the temporaries:
+    one Lloyd iteration of a large corpus can keep thousands of pairs
+    whose bounds do not prune them (kmeans_anchors passes
+    _PAIR_CHUNK_ROWS * k)."""
     out = np.empty(len(rows))
     for start in range(0, len(rows), chunk):
         end = start + chunk
@@ -180,8 +185,8 @@ def kmeans_anchors(
     # Per point: a lower bound on its distance to each centroid, exact
     # from the k-means++ draws; then its centroid and the exact distance
     # u to it, after this first full assignment.
-    centroids, low = _kmeans_pp_init(coords3d, k, rng)
     planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))  # (3, N, J)
+    centroids, low = _kmeans_pp_init(planes, k, rng)
     rows = np.arange(len(poses))
     assign = low.argmin(axis=1)
     u = low[rows, assign]
@@ -219,7 +224,7 @@ def kmeans_anchors(
         candidate[rows, assign] = False
         pts, cols = np.divmod(np.flatnonzero(candidate), k)
         if len(pts):
-            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, _D3D_BLOCK_ROWS * k)
+            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, _PAIR_CHUNK_ROWS * k)
             # pts is sorted (flat indices, divided by k), so its first
             # occurrences are its distinct rows, in order
             moved = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
@@ -267,8 +272,6 @@ def add_upper_body_variants(anchor_set: AnchorSet) -> AnchorSet:
         raise ValueError("spec lacks an upper/lower body partition")
     if len(anchor_set) != anchor_set.K:
         raise ValueError("input anchor set already contains upper-body variants")
-    if not anchor_set.anchors:
-        return anchor_set
 
     layouts = anchor_set.coords2d  # (n, J, 2); row i holds anchor id i
     upper = layouts[:, list(spec.upper_body_joints)]

@@ -54,18 +54,20 @@ class LabeledBox:
     """A candidate box's ground-truth class and regression target."""
 
     class_label: int
-    target: np.ndarray | None = None  # finite (5*J,), present iff class_label >= 1
+    # finite (5*J,), a read-only copy; present iff class_label >= 1
+    target: np.ndarray | None = None
 
     def __post_init__(self):
         _check_count("class_label", self.class_label, 0)
         if (self.target is None) != (self.class_label == BACKGROUND):
             raise ValueError("target must be present iff class_label >= 1")
         if self.target is not None:
-            t = np.asarray(self.target, dtype=np.float64)
+            t = np.array(self.target, dtype=np.float64)
             if t.ndim != 1 or len(t) % 5 != 0:
                 raise ValueError("target must be a flat 5*J vector")
             if not _all_finite(t):
                 raise ValueError("target must be finite")
+            t.setflags(write=False)
             object.__setattr__(self, "target", t)
 
 
@@ -105,9 +107,8 @@ def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
     to that anchor. gts is a tuple of (Pose2D, Pose3D) tuples."""
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility)
-    anchors3d = anchors.coords3d
-    nearest = d3d_matrix(coords3d, anchors3d).argmin(axis=1)  # ties to the lowest id
-    res3d = (coords3d - anchors3d[nearest]).reshape(len(gts), -1)
+    nearest = d3d_matrix(coords3d, anchors.coords3d).argmin(axis=1)  # ties to the lowest id
+    res3d = (coords3d - anchors.coords3d[nearest]).reshape(len(gts), -1)
     hidden = ~np.isfinite(coords2d).all(axis=2)
     for arr in (boxes, coords2d, visibility, hidden, res3d):
         arr.setflags(write=False)
@@ -147,9 +148,8 @@ def assign_label(
     if overlaps[best] < DEFAULT_IOU_THRESHOLD:
         return LabeledBox(BACKGROUND)
 
-    anchor = anchors.anchors[nearest[best]]
-    target = _target(coords2d[best], visibility[best], hidden[best], anchor.pose2d.coords,
-                     res3d[best], box)
+    target = _target(coords2d[best], visibility[best], hidden[best],
+                     anchors.coords2d[nearest[best]], res3d[best], box)
     return LabeledBox(nearest[best] + 1, target)
 
 

@@ -22,9 +22,6 @@ import numpy as np
 # Margin used when deriving a bounding box from the joints of a pose,
 # as a fraction of the tight box extent (split evenly on both sides).
 DEFAULT_BOX_MARGIN = 0.10
-# Rows of the first stack that d3d_matrix takes at a time; kmeans_anchors
-# sizes its blocks of (point, centroid) pairs to match.
-_D3D_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -327,8 +324,10 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises ValueError on a stack of another shape, or on stacks whose
     joint counts differ.
 
-    Works on blocks of _D3D_BLOCK_ROWS rows of a, which keeps the
-    (rows, M, J) temporaries small enough to stay in cache.
+    Computes all N * M pairs in one broadcast, with (N, M, J)
+    temporaries: its callers pass small stacks, such as one image's
+    ground truth against a codebook (kmeans_anchors evaluates its own
+    pairs, in chunks).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -336,13 +335,8 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (N, J, 3) stacks, got shapes {a.shape} and {b.shape}")
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"pose spec mismatch: {a.shape} vs {b.shape}")
-    at = np.ascontiguousarray(a.transpose(2, 0, 1))[:, :, None, :]
-    bt = np.ascontiguousarray(b.transpose(2, 0, 1))[:, None, :, :]
-    out = np.empty((a.shape[0], b.shape[0]))
-    rows = _D3D_BLOCK_ROWS
-    for start in range(0, a.shape[0], rows):
-        out[start:start + rows] = d3d_kernel(at[:, start:start + rows], bt)
-    return out
+    return d3d_kernel(np.ascontiguousarray(a.transpose(2, 0, 1))[:, :, None, :],
+                      np.ascontiguousarray(b.transpose(2, 0, 1))[:, None, :, :])
 
 
 # a margin that overflows is rejected below, so numpy's warning would only

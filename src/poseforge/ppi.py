@@ -58,6 +58,9 @@ class PoseProposal:
     rescored: float | None = None
 
     def __post_init__(self):
+        if len(self.pose2d.coords) != len(self.pose3d.coords):
+            raise ValueError(f"pose2d has {len(self.pose2d.coords)} joints and pose3d "
+                             f"{len(self.pose3d.coords)}; they must be equal")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.rescored is not None:

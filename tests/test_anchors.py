@@ -13,7 +13,16 @@ from poseforge.anchors import (
     add_upper_body_variants,
     kmeans_anchors,
 )
-from poseforge.pose import H13, Pose2D, Pose3D, PoseSpec, d3d, d3d_matrix, fit_scale_offset
+from poseforge.pose import (
+    H13,
+    AnchorPose,
+    Pose2D,
+    Pose3D,
+    PoseSpec,
+    d3d,
+    d3d_matrix,
+    fit_scale_offset,
+)
 
 
 def assert_matches_oracle(poses, k, **kwargs):
@@ -145,7 +154,8 @@ class TestKmeansPlusPlusInit:
         poses = ref.clustered_corpus(rng, distinct, 3, 0.1)
         coords3d = np.stack([poses[i % distinct][1].coords for i in range(n)])
         k = 1 + int(k_frac * (n - 1))
-        centroids, low = _kmeans_pp_init(coords3d, k, np.random.default_rng(seed % 1000))
+        planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))
+        centroids, low = _kmeans_pp_init(planes, k, np.random.default_rng(seed % 1000))
         assert np.array_equal(centroids,
                               ref.kmeans_pp(coords3d, k, np.random.default_rng(seed % 1000)))
         assert low.shape == (n, k) and low.flags.c_contiguous
@@ -215,6 +225,19 @@ class TestAnchorSet:
             assert AnchorSet(anchors, K=k, spec=H13).K == k
         with pytest.raises(ValueError, match="K must be <= the 0 anchors, got 1"):
             AnchorSet((), K=1, spec=H13)
+
+    @pytest.mark.parametrize("joints2d, joints3d", [(17, 17), (13, 17), (17, 13)])
+    def test_joint_count_other_than_spec_rejected(self, joints2d, joints3d):
+        good = ref.anchor_set(np.random.default_rng(18), 1).anchors[0]
+        bad = AnchorPose(Pose2D(np.zeros((joints2d, 2))), Pose3D(np.zeros((joints3d, 3))))
+        with pytest.raises(ValueError, match=f"anchor 1 has {joints2d} 2D and {joints3d} 3D "
+                                             "joints, spec h13 has 13"):
+            AnchorSet((good, bad), K=2, spec=H13)
+
+    def test_empty_set_has_empty_stacks(self):
+        empty = AnchorSet((), K=0, spec=H13)
+        assert empty.coords2d.shape == (0, 13, 2) and empty.coords3d.shape == (0, 13, 3)
+        assert not empty.coords2d.flags.writeable and not empty.coords3d.flags.writeable
 
 
 class TestKmeans:

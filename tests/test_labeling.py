@@ -512,6 +512,12 @@ class TestLabeledBox:
         with pytest.raises(ValueError, match=message):
             LabeledBox(label, np.zeros(65))
 
+    def test_target_is_a_read_only_copy(self):
+        target = np.zeros(65)
+        lab = LabeledBox(1, target)
+        target[0] = 7.0
+        assert lab.target[0] == 0.0 and not lab.target.flags.writeable
+
     def test_numpy_integer_label_accepted(self):
         assert LabeledBox(np.int64(2), np.zeros(65)).class_label == 2
 

@@ -50,6 +50,11 @@ class TestPoseProposal:
         with pytest.raises(ValueError, match=message):
             PoseProposal(p.anchor_id, p.box, p.pose2d, p.pose3d, score, rescored)
 
+    def test_poses_of_different_joint_counts_rejected(self):
+        p = inside_box_proposal()
+        with pytest.raises(ValueError, match="pose2d has 13 joints and pose3d 17"):
+            PoseProposal(p.anchor_id, p.box, p.pose2d, Pose3D(np.zeros((17, 3))), p.score)
+
 
 class TestRescore:
     def test_all_joints_inside_keeps_score(self):

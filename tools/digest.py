@@ -15,27 +15,36 @@ line with a hash of each stage's outputs:
 
 Values are hashed by their bits, not by the objects that hold them, so
 two trees whose outputs are bit-identical print the same lines, whatever
-their classes look like. Compare two trees by running this on each and
-diffing the output. The digest reads the model's arrays by name, so where
-two trees' model layouts differ, run each tree's own copy of this tool
-(python TREE/tools/digest.py), not one copy with --root.
+their classes look like. The digest reads the model's arrays by name, so
+two trees whose model layouts differ are compared by running each tree's
+own copy of this tool, which --against does.
 
-Usage: python tools/digest.py [--root TREE] --workload W --seeds 1-10
+Usage: python tools/digest.py [--root TREE | --against REV] --workload W --seeds 1-10
 
 --root names the tree whose perfbench/ and src/ run (default: this
-repository), such as a `git archive` export of another commit. --seeds
-takes a list such as 1-10, 3 or 1,4,7-9. The BLAS thread count is pinned
-to 1 before NumPy loads, as perfbench/run.py pins it. Nothing is written:
-not even bytecode caches.
+repository). --against REV compares this tree with the commit REV (such
+as HEAD or a parent commit): it exports REV with `git archive` into a
+temporary directory and runs REV's own copy of this tool there, beside
+this tree's copy. It prints each pair of lines, once with "=" where they
+are equal, and as a "-" line (REV) and a "+" line (this tree) where they
+differ, then exits 1 if any line differs. --seeds takes a list such as
+1-10, 3 or 1,4,7-9. The BLAS thread count is pinned to 1 before NumPy
+loads, as perfbench/run.py pins it. Nothing is written outside the
+temporary directory: not even bytecode caches.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import itertools
 import os
 import struct
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -133,12 +142,53 @@ def digest_seed(pipeline, w, seed: int) -> dict[str, str]:
     return {stage: h.hexdigest() for stage, h in d.items()}
 
 
+def against(rev: str, workload: str, seeds: list[int]) -> int:
+    """Run REV's copy of this tool, from a `git archive` export of REV in a
+    temporary directory, beside this tree's copy, and print their lines
+    pair by pair. Returns 1 if any line differs, 2 if a run fails."""
+    here = Path(__file__).resolve()
+    archive = subprocess.run(["git", "-C", str(here.parents[1]), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode:
+        print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = Path(tmp) / "tools" / "digest.py"
+        if not theirs.is_file():
+            print(f"error: {rev} has no tools/digest.py", file=sys.stderr)
+            return 2
+        args = ["--workload", workload, "--seeds", ",".join(map(str, seeds))]
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        runs = [subprocess.Popen([sys.executable, str(tool), *args], stdout=subprocess.PIPE,
+                                 text=True, env=env, cwd=tmp) for tool in (theirs, here)]
+        (old, _), (new, _) = (run.communicate() for run in runs)
+    if any(run.returncode for run in runs):
+        print(f"error: a digest run failed (exit codes {[run.returncode for run in runs]})",
+              file=sys.stderr)
+        return 2
+    differ = 0
+    for a, b in itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue=""):
+        if a == b:
+            print(f"= {a}")
+        else:
+            differ += 1
+            print(f"- {a}\n+ {b}")
+    print(f"{differ} line(s) differ between {rev} (-) and this tree (+)")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    tree = ap.add_mutually_exclusive_group()
+    tree.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    tree.add_argument("--against", metavar="REV")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True)
     args = ap.parse_args(argv)
+    if args.against:
+        return against(args.against, args.workload, args.seeds)
     root = args.root.resolve()
     if not (root / "perfbench" / "pipeline.py").is_file():
         print(f"error: no perfbench/pipeline.py under {root}", file=sys.stderr)
