@@ -196,19 +196,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _smooth_l1(x: np.ndarray, loss: np.ndarray | None = None,
-               grad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smooth-L1 loss (0.5 x^2 for |x| < 1, |x| - 0.5 otherwise) and its
-    gradient (x for |x| < 1, sign(x) otherwise) of a float64 array,
-    written to the optional out buffers loss and grad, in five passes.
+    gradient (x for |x| < 1, sign(x) otherwise) of a float64 array, in
+    five passes.
 
     grad = clip(x, -1, 1) is where(|x| < 1, x, sign(x)) bit for bit, NaN
     and -0 included. loss = |grad * (x - grad/2)|: for |x| < 1, x - x/2 is
     exact (Sterbenz), so it is (0.5 * x) * x, and otherwise it is |x| - 0.5.
     The abs only turns the -0 that x = -0 gives into 0.5 * x * x's +0.
     """
-    grad = np.clip(x, -1.0, 1.0, out=np.empty_like(x) if grad is None else grad)
-    loss = np.multiply(grad, 0.5, out=np.empty_like(x) if loss is None else loss)
+    grad = np.clip(x, -1.0, 1.0, out=np.empty_like(x))
+    loss = np.multiply(grad, 0.5, out=np.empty_like(x))
     np.subtract(x, loss, out=loss)
     loss *= grad
     return np.abs(loss, out=loss), grad
@@ -231,24 +230,17 @@ def _class_loss(probs: np.ndarray, labels: np.ndarray,
     return cls_loss, g_logits
 
 
-def _regression_loss(err: np.ndarray, n: int, order: np.ndarray | None = None,
-                     loss: np.ndarray | None = None,
-                     grad: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _regression_loss(err: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Mean smooth-L1 loss of n boxes and its gradient w.r.t. their pred.
 
     err (m, 5*J) holds target - pred of m <= n rows; a box left out adds
     an exact 0 to the sum, as a background box does. The row sums add
-    left to right in input order: order, if given, lists err's rows in
-    that order. loss and grad are optional (m, 5*J) out buffers for the
-    elementwise loss and for the gradient, which is returned.
+    left to right.
     """
-    loss, grad = _smooth_l1(err, loss, grad)
-    sums = loss.sum(axis=1)
-    if order is not None:
-        sums = sums[order]
+    loss, grad = _smooth_l1(err)
     # cumsum adds left to right; loss >= +0, so starting from the first
     # row instead of 0.0 changes nothing
-    reg_loss = float(np.cumsum(sums)[-1]) if len(sums) else 0.0
+    reg_loss = float(np.cumsum(loss.sum(axis=1))[-1]) if len(err) else 0.0
     grad /= -n  # the same as -grad / n, bit for bit
     return reg_loss / n, grad
 
@@ -265,7 +257,7 @@ def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
     background row has zero regression loss and a zero g_pred row.
 
     The trainer calls the same two helpers, _class_loss and
-    _regression_loss, on its own buffers and its foreground rows alone.
+    _regression_loss.
     """
     cls_loss, g_logits = _class_loss(probs, labels)
     err = targets - pred

@@ -1,20 +1,22 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
-per-anchor linear regressors over externally supplied feature vectors,
-trained by plain gradient descent on the losses of labeling.head_losses,
-through the same two helpers. ToyModel is that one head: its four weight
-arrays and the loss curve. train draws the weights and hands the model to
-_train_head, which updates it in place; tests swap in a reference trainer
-of the same signature there.
+per-anchor linear regressors over externally supplied feature vectors.
+ToyModel is that one head: its four weight arrays and the loss curve.
+train draws the weights and hands the model to _train_head, which updates
+it in place; tests swap in a reference trainer of the same signature
+there.
 
-A box's regression loss reaches only its own class's regressor, so
-training computes and updates each class's (D, 5*J) slot of w_reg on that
-class's boxes alone; inference computes every slot for every box. The
-trainer gathers the foreground rows once, in slot order, copies the
-trained slots of w_reg into one contiguous slot-major working block for
-the length of the call, and makes its (m, 5*J) buffers once per call, so
-an iteration allocates nothing of that size and writes no strided slot
-(see _train_head). w_reg keeps its (D, 5*J*C) layout, which inference
-reads.
+A box's regression loss reaches only its own class's regressor, and the
+features are fixed, so each class's (D, 5*J) slot of w_reg is a separate
+linear least-squares problem over that class's boxes alone. The trainer
+solves each in closed form, as R-CNN fits its class-specific box
+regressors: a ridge regression with penalty RIDGE on the weights, the
+bias unpenalised (see _solve_slots). The classifier is trained by plain
+gradient descent on the mean log loss. Both losses come from the helpers
+that labeling.head_losses composes. Inference computes every slot for
+every box; w_reg keeps its (D, 5*J*C) layout, which inference reads.
+
+A run that does not stay finite, as features whose products overflow
+give, raises ValueError, and numpy warns of nothing on the way.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from poseforge.ppi import PoseProposal
 DECAY_FACTOR = 0.1
 DECAY_FRACTION = 0.6
 INIT_SCALE = 0.01  # standard deviation of the initial weights
+RIDGE = 0.1  # lambda, the penalty on each regression slot's squared weights
+# what a training run that does not stay finite most likely met
+HINT = " (features whose products overflow?)"
 
 
 @dataclass(frozen=True)
@@ -90,85 +95,68 @@ def _check_features(x: np.ndarray) -> None:
         raise ValueError(f"feature row {row} is not finite")
 
 
-def _train_head(model, x, labels, targets, config):
-    """Gradient descent on the mean head losses, one regression slot at a
-    time, updating the model's four arrays in place and appending one row
-    per iteration to model.loss_history.
+def _solve_slots(model, x, labels, targets):
+    """Fit each labeled regression slot by ridge regression, writing the
+    solutions into w_reg and b_reg, and return the mean smooth-L1
+    regression loss of the n boxes under the solved slots.
 
-    A box's regression loss reaches only the (D, 5*J) slot of w_reg that
-    belongs to its own label. So each non-background class that has rows
-    is predicted and updated on those rows alone: over all classes a
-    product costs m*D*5*J for the m foreground rows, not the n*D*5*J*C of
-    the full x @ w_reg. The slot of class 0, and of a class with no rows,
-    keeps its initial value.
-
-    The foreground rows are gathered once, in slot order (a stable sort
-    of the labels), so slot k is a contiguous slice holding its rows in
-    input order, and background rows never enter the regression path.
-    The S trained slots of w_reg are copied once per call into a
-    contiguous (S, D, 5*J) working block, slot-major, and written back
-    at the end. In w_reg a slot is a strided (D, 5*J) view whose rows lie
-    C*5*J apart, so every slot product would read, and every update
-    write, D short rows scattered over the whole array; in the block each
-    slot is one contiguous run. The per-slot products keep their shapes
-    and the updates are elementwise, so the results are those of the
-    strided form bit for bit. The block is S*D*5*J doubles: 0.75 MB on
-    the benchmark's crowd workload (S = 20, D = 72, J = 13).
-
-    The (m, 5*J) prediction, loss and gradient buffers and one (D, 5*J)
-    slot-gradient buffer are made once per call too, and every iteration
-    writes into them; each slot's views of them are made once as well.
-    Fresh (n, 5*J) temporaries in every iteration, as a direct form
-    makes them, come back from the kernel as new pages once they pass
-    glibc's mmap threshold: on the benchmark's sparse workload (n = 900,
-    J = 13, seed 1) the first train call in a process took about 8,000
-    minor faults that way, and takes about 1,000 with the buffers and
-    the block, the first touch of its per-call arrays. The losses come
-    from the two helpers that labeling.head_losses composes, and the
-    results are bit-identical to that direct form.
+    A box's regression loss reaches only the slot of its own label, so
+    class k's slot is fitted on its own rows X_k alone. With the
+    augmented rows X~ = [X_k, 1], their targets T_k and RIDGE as lambda,
+    the slot's weights and bias W are the solution of
+    (X~^T X~ + lambda diag(1, ..., 1, 0)) W = X~^T T_k: the least-squares
+    fit penalised by lambda ||w||^2, the bias unpenalised. The system is positive definite for lambda > 0 and any
+    row count of at least one, and all the slots go to one batched solve.
+    The slot of class 0, and of a class with no rows, keeps its value.
     """
     n, d = x.shape
     c, w = model.n_classes, model.slot_width
+    ids = np.unique(labels[labels != BACKGROUND])
+    if not len(ids):
+        return 0.0
+    rows = [np.flatnonzero(labels == k) for k in ids]
+    x_aug = np.hstack([x, np.ones((n, 1))])
+    blocks = [x_aug[r] for r in rows]  # each slot's augmented rows [X_k, 1]
+    gram = np.stack([b.T @ b for b in blocks])
+    gram[:, np.arange(d), np.arange(d)] += RIDGE
+    rhs = np.stack([b.T @ targets[r] for b, r in zip(blocks, rows)])
+    # solve turns an infinite pivot into a finite 0 without a word
+    if not (_all_finite(gram) and _all_finite(rhs)):
+        raise ValueError(f"training failed: the ridge systems are not finite{HINT}")
+    sol = np.linalg.solve(gram, rhs)  # (S, D + 1, 5*J): each slot's weights, then its bias
+    model.w_reg.reshape(d, c, w)[:, ids] = sol[:, :d].transpose(1, 0, 2)
+    model.b_reg.reshape(c, w)[ids] = sol[:, d]
+    err = np.concatenate([targets[r] - b @ s for b, r, s in zip(blocks, rows, sol)])
+    return _regression_loss(err, n)[0]
+
+
+def _train_head(model, x, labels, targets, config):
+    """Solve the regression slots (see _solve_slots), then run gradient
+    descent on the mean log loss of the classifier, updating the model's
+    arrays in place and appending one row (it, cls, reg, total) per
+    iteration to model.loss_history, where reg is the solved slots'
+    smooth-L1 loss. The losses come from the two helpers that
+    labeling.head_losses composes.
+    """
+    reg_loss = _solve_slots(model, x, labels, targets)
     switch = int(DECAY_FRACTION * config.iterations)
-    # views, as train makes both arrays contiguous: slot_major[k] is
-    # class k's (D, w) slot of w_reg, a strided view
-    slot_major = model.w_reg.reshape(d, c, w).transpose(1, 0, 2)
-    b_slots = model.b_reg.reshape(c, w)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(c + 1))
-    fg = order[bounds[1]:]  # BACKGROUND is 0, the first class
-    bounds -= bounds[1]  # slot k is fg[bounds[k]:bounds[k + 1]]
-    ids = [k for k in range(1, c) if bounds[k + 1] > bounds[k]]
-    spans = [slice(bounds[k], bounds[k + 1]) for k in ids]
-    block = np.ascontiguousarray(slot_major[ids])  # (S, D, w), the working block
-    x_fg, t_fg = x[fg], targets[fg]
-    in_input_order = np.argsort(fg)
-    pred, loss, grad = np.empty((3, len(fg), w))
-    # per slot, views made once: its weights in the block, its bias row,
-    # and its rows of x_fg (and their transpose), of pred and of grad
-    slots = [(w_k, b_slots[k], x_fg[s], x_fg[s].T, pred[s], grad[s])
-             for w_k, k, s in zip(block, ids, spans)]
-    g_w = np.empty((d, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
         probs = model.class_probs(x)
         cls_loss, g_logits = _class_loss(probs, labels, out=probs)
-        for w_k, b_k, x_k, _, p_k, _ in slots:
-            np.matmul(x_k, w_k, out=p_k)
-            p_k += b_k
-        err = np.subtract(t_fg, pred, out=pred)  # pred is not needed again
-        reg_loss, _ = _regression_loss(err, n, in_input_order, loss, grad)  # into grad
-
         model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
-
         model.w_cls -= lr * (x.T @ g_logits)
         model.b_cls -= lr * g_logits.sum(axis=0)
-        for w_k, b_k, _, xt_k, _, g_k in slots:
-            np.matmul(xt_k, g_k, out=g_w)
-            g_w *= lr
-            w_k -= g_w
-            b_k -= lr * g_k.sum(axis=0)
-    slot_major[ids] = block
+
+
+def _check_trained(model: ToyModel) -> None:
+    """Reject a trained model whose loss curve or weights hold a NaN or
+    an infinity."""
+    if not _all_finite(np.array(model.loss_history, dtype=np.float64)):
+        raise ValueError(f"training failed: the loss curve is not finite{HINT}")
+    for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+        if not _all_finite(getattr(model, name)):
+            raise ValueError(f"training failed: {name} is not finite{HINT}")
 
 
 def train(
@@ -180,8 +168,8 @@ def train(
 
     Deterministic given config.seed. Raises on an empty anchor set, on
     no examples, on features that are not vectors of one length, on
-    inconsistent target dimensions and on a feature row that is not
-    finite.
+    inconsistent target dimensions, on a feature row that is not finite
+    and on a run whose losses, ridge systems or weights are not finite.
     """
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
@@ -209,7 +197,10 @@ def train(
     model = ToyModel(rng.normal(0.0, INIT_SCALE, size=(d, n_classes)), np.zeros(n_classes),
                      rng.normal(0.0, INIT_SCALE, size=(d, slot * n_classes)),
                      np.zeros(slot * n_classes))
-    _train_head(model, x, labels, targets, config)
+    # a result that is not finite raises, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        _train_head(model, x, labels, targets, config)
+    _check_trained(model)
     return model
 
 

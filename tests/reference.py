@@ -3,9 +3,9 @@ random objects that the tests feed it.
 
 Each stage is written from the package's docstrings and works one item at
 a time: a pose pair, a box, a joint, a positive example, a cluster. It
-calls no poseforge math, only the value-type constructors. The trainers
-that a test passes in place of learner._train_head take the model, read
-its four arrays and compute its class probabilities and regression output
+calls no poseforge math, only the value-type constructors. The trainer
+that a test passes in place of learner._train_head takes the model, reads
+its four arrays and computes its class probabilities and regression output
 with this module's own _class_probs and _forward, not a model method. Most
 tests compare the package with these functions bit for bit, so where a
 docstring fixes the order of the floating-point operations, the reference
@@ -21,7 +21,7 @@ import numpy as np
 
 from poseforge.anchors import DEFAULT_MAX_ITERS, DEFAULT_TOL, AnchorSet
 from poseforge.labeling import BACKGROUND, DEFAULT_IOU_THRESHOLD, LOG_EPS, LabeledBox
-from poseforge.learner import DECAY_FACTOR, DECAY_FRACTION, INIT_SCALE, ToyModel
+from poseforge.learner import DECAY_FACTOR, DECAY_FRACTION, INIT_SCALE, RIDGE, ToyModel
 from poseforge.pose import (DEFAULT_BOX_MARGIN, H13, AnchorPose, BoundingBox, Pose2D, Pose3D,
                             PoseSpec)
 from poseforge.ppi import PoseProposal
@@ -390,79 +390,67 @@ def initial_model(seed, dim, n_classes, slot_width):
     return ToyModel(w_cls, np.zeros(n_classes), w_reg, np.zeros(slot_width * n_classes))
 
 
-def train_head_per_positive(model, x, labels, targets, config):
-    """learner._train_head with the regression loss taken one positive at
-    a time, through the full x @ w_reg of _forward."""
-    n, _ = x.shape
+def regression_loss_per_positive(model, x, labels, targets):
+    """The mean smooth-L1 regression loss of the n boxes, taken one positive
+    at a time from the full regression output x @ w_reg + b_reg of
+    _forward, at the box's own class slot."""
     c = model.b_cls.shape[0]
     w = model.b_reg.shape[0] // c
-    rows = np.arange(n)
-    switch = int(DECAY_FRACTION * config.iterations)
-    for it in range(config.iterations):
-        lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
-        probs, v = _forward(model, x)
-        cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
-        g_logits = probs.copy()
-        g_logits[rows, labels] -= 1.0
-        g_logits /= n
-        reg_loss = 0.0
-        g_v = np.zeros_like(v)
-        for i in np.flatnonzero(labels != BACKGROUND):
-            sl = slice(labels[i] * w, (labels[i] + 1) * w)
-            loss, grad = smooth_l1(targets[i] - v[i, sl])
-            reg_loss += float(loss.sum())
-            g_v[i, sl] = -grad
-        reg_loss /= n
-        g_v /= n
-        model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
-        model.w_cls -= lr * (x.T @ g_logits)
-        model.b_cls -= lr * g_logits.sum(axis=0)
-        model.w_reg -= lr * (x.T @ g_v)
-        model.b_reg -= lr * g_v.sum(axis=0)
+    _, v = _forward(model, x)
+    total = 0.0
+    for i in np.flatnonzero(labels != BACKGROUND):
+        total += float(smooth_l1(targets[i] - v[i, labels[i] * w:(labels[i] + 1) * w])[0].sum())
+    return total / len(labels)
 
 
-def train_head_slots(model, x, labels, targets, config):
-    """learner._train_head one class slot at a time, on its strided view of
-    w_reg, with fresh (n, 5*J) arrays in every iteration: slot products
-    scattered into a zero-background pred, and the row sums of the loss
-    added in a Python loop."""
+def train_head_ridge(model, x, labels, targets, config):
+    """learner._train_head. Each labeled class's slot of w_reg and b_reg is
+    the least-squares solution, by np.linalg.lstsq, of the stacked system
+    [X~; sqrt(RIDGE) I'] W = [T; 0]: X~ = [x, 1] over the class's rows, T
+    their targets, and I' the identity on the weights, with a zero column
+    for the bias. Then the classifier's gradient descent, one loss-history
+    row per iteration, with the regression loss of the solved model."""
     n, d = x.shape
     c = model.b_cls.shape[0]
     w = model.b_reg.shape[0] // c
+    w_slots, b_slots = model.w_reg.reshape(d, c, w), model.b_reg.reshape(c, w)
+    penalty = math.sqrt(RIDGE) * np.eye(d, d + 1)
+    for k in range(1, c):
+        rows = np.flatnonzero(labels == k)
+        if len(rows):
+            a = np.vstack([np.hstack([x[rows], np.ones((len(rows), 1))]), penalty])
+            b = np.vstack([targets[rows], np.zeros((d, w))])
+            solution = np.linalg.lstsq(a, b, rcond=None)[0]
+            w_slots[:, k], b_slots[k] = solution[:d], solution[d]
+    reg_loss = regression_loss_per_positive(model, x, labels, targets)
     all_rows = np.arange(n)
     switch = int(DECAY_FRACTION * config.iterations)
-    w_slots, b_slots = model.w_reg.reshape(d, c, w), model.b_reg.reshape(c, w)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(c + 1))
-    slots = [(k, rows, x[rows]) for k, rows in enumerate(np.split(order, bounds[1:-1]))
-             if k != BACKGROUND and len(rows)]
-    pred = np.zeros((n, w))
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
         probs = _class_probs(model, x)
-        for k, rows, x_k in slots:
-            pred[rows] = x_k @ w_slots[:, k] + b_slots[k]
         cls_loss = float(-np.log(np.maximum(probs[all_rows, labels], LOG_EPS)).mean())
         g_logits = probs.copy()
         g_logits[all_rows, labels] -= 1.0
         g_logits /= n
-        err = targets - pred
-        err[labels == BACKGROUND] = 0.0
-        loss, g_pred = smooth_l1(err)
-        reg_loss = 0.0
-        for row_loss in loss.sum(axis=1).tolist():
-            reg_loss += row_loss
-        reg_loss /= n
-        g_pred /= -n
-
         model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
-
         model.w_cls -= lr * (x.T @ g_logits)
         model.b_cls -= lr * g_logits.sum(axis=0)
-        for k, rows, x_k in slots:
-            g_k = g_pred[rows]
-            w_slots[:, k] -= lr * (x_k.T @ g_k)
-            b_slots[k] -= lr * g_k.sum(axis=0)
+
+
+def ridge_gradient(model, x, labels, targets, k):
+    """The gradient of class k's ridge objective, ||X~ W - T||^2 / 2 +
+    RIDGE ||w||^2 / 2 over its rows, at the model's slot W = [w; b], and a
+    scale for it: the same sum taken over the magnitudes of its terms."""
+    d = x.shape[1]
+    c = model.b_cls.shape[0]
+    w = model.b_reg.shape[0] // c
+    rows = labels == k
+    xa = np.hstack([x[rows], np.ones((rows.sum(), 1))])
+    slot = np.vstack([model.w_reg.reshape(d, c, w)[:, k], model.b_reg.reshape(c, w)[k]])
+    penalty = RIDGE * np.vstack([slot[:d], np.zeros((1, w))])
+    grad = xa.T @ (xa @ slot - targets[rows]) + penalty
+    scale = np.abs(xa).T @ (np.abs(xa) @ np.abs(slot) + np.abs(targets[rows])) + np.abs(penalty)
+    return grad, scale
 
 
 def _class_probs(model, x):
@@ -618,8 +606,10 @@ def assert_detections(dets, expected):
 
 
 def assert_same_training(got, want, rtol=0.0):
-    """Two trained models' loss histories and weight arrays are equal or, with
-    rtol > 0, differ by at most rtol times want's largest magnitude."""
+    """Two trained models are equal: the classifier half (the loss history's
+    iterations and cls column, w_cls and b_cls) bit for bit, and the
+    regression half (the reg and total columns, w_reg and b_reg) bit for bit
+    or, with rtol > 0, within rtol times want's largest magnitude."""
 
     def close(a, b):
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -629,7 +619,11 @@ def assert_same_training(got, want, rtol=0.0):
         else:
             assert np.abs(a - b).max() <= rtol * np.abs(b).max()
 
-    assert [h[0] for h in got.loss_history] == [h[0] for h in want.loss_history]
-    close([h[1:] for h in got.loss_history], [h[1:] for h in want.loss_history])
-    for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+    got_rows, want_rows = (np.array(m.loss_history, dtype=np.float64).reshape(-1, 4)
+                           for m in (got, want))
+    assert np.array_equal(got_rows[:, :2], want_rows[:, :2])
+    close(got_rows[:, 2:], want_rows[:, 2:])
+    for name in ("w_cls", "b_cls"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("w_reg", "b_reg"):
         close(getattr(got, name), getattr(want, name))

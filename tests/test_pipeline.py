@@ -52,9 +52,9 @@ def test_every_stage_matches_the_reference(people, n_boxes, k, iterations, param
     examples = list(zip(features, labels))
     config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=seed % 1000)
     model = train(examples, anchors, config)
-    for trainer, rtol in [(ref.train_head_slots, 0.0), (ref.train_head_per_positive, 1e-12)]:
-        with mock.patch.object(learner_module, "_train_head", trainer):
-            ref.assert_same_training(model, train(examples, anchors, config), rtol)
+    # np.linalg.solve against the reference's np.linalg.lstsq (see test_learner.RIDGE_RTOL)
+    with mock.patch.object(learner_module, "_train_head", ref.train_head_ridge):
+        ref.assert_same_training(model, train(examples, anchors, config), rtol=1e-8)
 
     proposals = []
     for feature, box in zip(features, boxes):

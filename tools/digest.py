@@ -142,19 +142,30 @@ def digest_seed(pipeline, w, seed: int) -> dict[str, str]:
     return {stage: h.hexdigest() for stage, h in d.items()}
 
 
+def export(rev: str, dest: str) -> str | None:
+    """Extract the tree of the commit rev into the directory dest, through
+    `git archive` of this repository. Returns git's error message if that
+    fails, else None."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode:
+        return archive.stderr.decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return None
+
+
 def against(rev: str, workload: str, seeds: list[int]) -> int:
     """Run REV's copy of this tool, from a `git archive` export of REV in a
     temporary directory, beside this tree's copy, and print their lines
     pair by pair. Returns 1 if any line differs, 2 if a run fails."""
     here = Path(__file__).resolve()
-    archive = subprocess.run(["git", "-C", str(here.parents[1]), "archive", "--format=tar", rev],
-                             capture_output=True)
-    if archive.returncode:
-        print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
+        error = export(rev, tmp)
+        if error:
+            print(f"error: git archive {rev}: {error}", file=sys.stderr)
+            return 2
         theirs = Path(tmp) / "tools" / "digest.py"
         if not theirs.is_file():
             print(f"error: {rev} has no tools/digest.py", file=sys.stderr)
