@@ -35,7 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from digest import export
+from digest import exit_on_sigterm, export
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_GAIN_PAIRS = 10
@@ -88,6 +88,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     specs = bench["end_to_end"]
+    exit_on_sigterm()  # subprocess.run kills the running benchmark as it unwinds
 
     results = {"base": [], "new": []}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:

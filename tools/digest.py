@@ -40,6 +40,7 @@ import hashlib
 import io
 import itertools
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -156,6 +157,12 @@ def export(rev: str, dest: str) -> str | None:
     return None
 
 
+def exit_on_sigterm() -> None:
+    """Make a SIGTERM unwind as Ctrl-C does, so that the runs started are
+    stopped and the temporary directory is removed."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def against(rev: str, workload: str, seeds: list[int]) -> int:
     """Run REV's copy of this tool, from a `git archive` export of REV in a
     temporary directory, beside this tree's copy, and print their lines
@@ -174,7 +181,11 @@ def against(rev: str, workload: str, seeds: list[int]) -> int:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         runs = [subprocess.Popen([sys.executable, str(tool), *args], stdout=subprocess.PIPE,
                                  text=True, env=env, cwd=tmp) for tool in (theirs, here)]
-        (old, _), (new, _) = (run.communicate() for run in runs)
+        try:
+            (old, _), (new, _) = (run.communicate() for run in runs)
+        finally:
+            for run in runs:  # a no-op for a run that has exited
+                run.kill()
     if any(run.returncode for run in runs):
         print(f"error: a digest run failed (exit codes {[run.returncode for run in runs]})",
               file=sys.stderr)
@@ -199,6 +210,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True)
     args = ap.parse_args(argv)
     if args.against:
+        exit_on_sigterm()
         return against(args.against, args.workload, args.seeds)
     root = args.root.resolve()
     if not (root / "perfbench" / "pipeline.py").is_file():
