@@ -12,8 +12,11 @@ solves each in closed form, as R-CNN fits its class-specific box
 regressors: a ridge regression with penalty RIDGE on the weights, the
 bias unpenalised (see _solve_slots). The classifier is trained by plain
 gradient descent on the mean log loss. Both losses come from the helpers
-that labeling.head_losses composes. Inference computes every slot for
-every box; w_reg keeps its (D, 5*J*C) layout, which inference reads.
+that labeling.head_losses composes. train records in ToyModel.fitted the
+anchor ids whose slot it solved, those with a foreground training box;
+the other slots keep their random initial weights. Inference computes
+every slot for every box, in one product over w_reg's (D, 5*J*C) layout,
+and builds proposals from the fitted slots only.
 
 A run that does not stay finite, as features whose products overflow
 give, raises ValueError, and numpy warns of nothing on the way.
@@ -64,15 +67,32 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ToyModel:
-    """One linear classification + regression head: its trained weights
-    and the loss curve of the run. The arrays give the model's shapes:
-    w_cls is (D, C) and w_reg holds C slots of 5*J columns."""
+    """One linear classification + regression head: its trained weights,
+    the anchor ids of its fitted regression slots and the loss curve of
+    the run. The arrays give the model's shapes: w_cls is (D, C) and w_reg
+    holds C slots of 5*J columns. fitted is kept as a read-only copy;
+    ids out of [0, C - 1), unsorted or repeated raise ValueError."""
 
     w_cls: np.ndarray  # (D, C)
     b_cls: np.ndarray  # (C,)
     w_reg: np.ndarray  # (D, 5*J*C): class c's slot is columns c*5*J to (c+1)*5*J
     b_reg: np.ndarray  # (5*J*C,)
+    fitted: np.ndarray  # ascending anchor ids; anchor id i is class i + 1
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        ids = np.asarray(self.fitted)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError(f"fitted must be a vector of integer anchor ids, "
+                             f"got {ids.dtype} of shape {ids.shape}")
+        ids = ids.astype(np.intp)
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.n_classes - 1:
+            raise ValueError(f"fitted anchor ids must lie in [0, {self.n_classes - 1}), "
+                             f"got {ids.min()} to {ids.max()}")
+        if (np.diff(ids) <= 0).any():
+            raise ValueError("fitted anchor ids must be ascending, without repeats")
+        ids.setflags(write=False)
+        self.fitted = ids
 
     @property
     def n_classes(self) -> int:
@@ -105,13 +125,16 @@ def _solve_slots(model, x, labels, targets):
     augmented rows X~ = [X_k, 1], their targets T_k and RIDGE as lambda,
     the slot's weights and bias W are the solution of
     (X~^T X~ + lambda diag(1, ..., 1, 0)) W = X~^T T_k: the least-squares
-    fit penalised by lambda ||w||^2, the bias unpenalised. The system is positive definite for lambda > 0 and any
-    row count of at least one, and all the slots go to one batched solve.
-    The slot of class 0, and of a class with no rows, keeps its value.
+    fit penalised by lambda ||w||^2, the bias unpenalised. The system is
+    positive definite for lambda > 0 and any row count of at least one,
+    and all the slots go to one batched solve. The slots solved are those
+    of model.fitted, the classes with rows. The slot of class 0, and of a
+    class with no rows, keeps its value and is never read: predict
+    proposes from the fitted slots only.
     """
     n, d = x.shape
     c, w = model.n_classes, model.slot_width
-    ids = np.unique(labels[labels != BACKGROUND])
+    ids = model.fitted + 1
     if not len(ids):
         return 0.0
     rows = [np.flatnonzero(labels == k) for k in ids]
@@ -196,7 +219,7 @@ def train(
     # the draw order, w_cls then w_reg, fixes each seed's weights
     model = ToyModel(rng.normal(0.0, INIT_SCALE, size=(d, n_classes)), np.zeros(n_classes),
                      rng.normal(0.0, INIT_SCALE, size=(d, slot * n_classes)),
-                     np.zeros(slot * n_classes))
+                     np.zeros(slot * n_classes), np.unique(labels[labels != BACKGROUND]) - 1)
     # a result that is not finite raises, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         _train_head(model, x, labels, targets, config)
@@ -224,20 +247,22 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
 @np.errstate(over="ignore", invalid="ignore")
 def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             anchors: AnchorSet) -> list[PoseProposal]:
-    """One scored PoseProposal per non-background class.
+    """One scored PoseProposal per fitted class, in ascending anchor id.
 
-    Proposal k carries anchor id k, score u(k+1) and the pose
-    reconstructed from anchor k's slice of the regression output; scores
-    plus the background probability sum to 1, and each proposal equals
-    what model_outputs and apply_regression give. All anchors' poses are
-    built in one regress_anchors call. The (K, J, 2) and (K, J, 3)
-    stacks it returns must be finite, each tested by one sum (see
-    pose._all_finite), and the K scores must lie in [0, 1]; these checks
-    raise with the messages of Pose2D, Pose3D and PoseProposal, so a
-    model with a non-finite weight raises ValueError. The stacks are
-    then made read-only, and each proposal's poses are row views of
-    them, sharing no memory with the model or the anchors. The K
-    proposals hold the one box object.
+    Proposal for anchor id i of model.fitted carries i, score u(i+1) and
+    the pose reconstructed from anchor i's slice of the regression output;
+    a class that no training box labeled has a slot at its random initial
+    weights, and gets no proposal. The returned scores plus the background
+    probability are at most 1, and each proposal equals what model_outputs
+    and apply_regression give. The fitted anchors' poses are built in one
+    regress_anchors call. The (F, J, 2) and (F, J, 3) stacks it returns
+    must be finite, each tested by one sum (see pose._all_finite), and the
+    F scores must lie in [0, 1]; these checks raise with the messages of
+    Pose2D, Pose3D and PoseProposal, so a model with a non-finite weight
+    in a fitted slot raises ValueError. The stacks are then made
+    read-only, and each proposal's poses are row views of them, sharing no
+    memory with the model or the anchors. The F proposals hold the one box
+    object.
     """
     k, j, w = len(anchors), anchors.spec.joint_count, model.slot_width
     if k + 1 != model.n_classes or 5 * j != w:
@@ -245,12 +270,13 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             f"{k} anchors of {j} joints do not fit a model "
             f"with {model.n_classes - 1} anchor classes of {w // 5} joints"
         )
+    ids = model.fitted
     probs, v = model_outputs(model, feature)
-    coords2d, coords3d = regress_anchors(anchors.coords2d, anchors.coords3d, box,
-                                         v[w:(k + 1) * w].reshape(k, w))
+    coords2d, coords3d = regress_anchors(anchors.coords2d[ids], anchors.coords3d[ids], box,
+                                         v.reshape(k + 1, w)[ids + 1])
     _check_finite(coords2d)
     _check_finite(coords3d)
-    scores = probs[1:k + 1].tolist()
+    scores = probs[ids + 1].tolist()
     for s in scores:
         if not 0.0 <= s <= 1.0:  # NaN included
             raise ValueError(f"score must be in [0, 1], got {s}")
@@ -259,4 +285,4 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     vis = _all_visible(j)
     proposal, pose2d, pose3d = _frozen(PoseProposal), _frozen(Pose2D), _frozen(Pose3D)
     return [proposal(i, box, pose2d(c2, vis), pose3d(c3), s, None)
-            for i, (c2, c3, s) in enumerate(zip(coords2d, coords3d, scores))]
+            for i, c2, c3, s in zip(ids.tolist(), coords2d, coords3d, scores)]

@@ -8,7 +8,7 @@ rescored score are broken by lower proposal position for determinism.
 Every step runs on stacked arrays: boxes (N, 4), 2D poses (N, J, 2), 3D
 poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
 proposals once, and read a box once per run of consecutive proposals
-that hold the same box object, as the K proposals of one learner.predict
+that hold the same box object, as the proposals of one learner.predict
 call do. The public per-list functions stack their input and call the
 same private helpers, so each piece of math has one implementation.
 
@@ -173,7 +173,7 @@ def _stack_boxes(proposals) -> np.ndarray:
     """(N, 4) stack of the proposals' boxes (x_min, y_min, x_max, y_max).
 
     Each box is read once per run of consecutive proposals that hold the
-    same box object, as the K proposals of one learner.predict call do,
+    same box object, as the proposals of one learner.predict call do,
     and its row is repeated over the run.
     """
     rows, runs, last = [], [], None

@@ -383,11 +383,13 @@ def smooth_l1(x):
 
 def initial_model(seed, dim, n_classes, slot_width):
     """An untrained model: w_cls (D, C), then w_reg (D, 5*J*C), drawn from
-    N(0, INIT_SCALE) by the seed's generator, and zero biases."""
+    N(0, INIT_SCALE) by the seed's generator, zero biases, and every anchor
+    id, 0 to C - 2, as fitted."""
     rng = np.random.default_rng(seed)
     w_cls = rng.normal(0.0, INIT_SCALE, size=(dim, n_classes))
     w_reg = rng.normal(0.0, INIT_SCALE, size=(dim, slot_width * n_classes))
-    return ToyModel(w_cls, np.zeros(n_classes), w_reg, np.zeros(slot_width * n_classes))
+    return ToyModel(w_cls, np.zeros(n_classes), w_reg, np.zeros(slot_width * n_classes),
+                    np.arange(n_classes - 1))
 
 
 def regression_loss_per_positive(model, x, labels, targets):
@@ -464,8 +466,9 @@ def _forward(model, x):
 
 
 def predict(model, feature, box, anchors):
-    """Per anchor, one at a time: (anchor id, score u(id + 1), (J, 2) pixel
-    pose, (J, 3) pose). A head gives the class probabilities u =
+    """Per anchor of the model's fitted ids, one at a time: (anchor id,
+    score u(id + 1), (J, 2) pixel pose, (J, 3) pose). An anchor whose id is
+    not fitted gives nothing. A head gives the class probabilities u =
     softmax(x @ w_cls + b_cls) and the regression output x @ w_reg + b_reg.
     The output's slot of class id + 1 is added to the anchor's unit-box
     layout, which is then placed in the box, and to its 3D pose."""
@@ -475,6 +478,8 @@ def predict(model, feature, box, anchors):
     x0, y0, x1, y1 = box.as_tuple()
     out = []
     for i, a in enumerate(anchors.anchors):
+        if i not in model.fitted:
+            continue
         j = len(a.pose2d.coords)
         res = v[(i + 1) * 5 * j:(i + 2) * 5 * j]
         coords2d = (a.pose2d.coords + res[:2 * j].reshape(j, 2)) * (x1 - x0, y1 - y0) + (x0, y0)

@@ -11,8 +11,8 @@ import poseforge.learner as learner_module
 import reference as ref
 from poseforge.anchors import AnchorSet, add_upper_body_variants
 from poseforge.labeling import BACKGROUND, LabeledBox, apply_regression, regression_target
-from poseforge.learner import TrainConfig, model_outputs, predict, train
-from poseforge.ppi import PoseProposal
+from poseforge.learner import ToyModel, TrainConfig, model_outputs, predict, train
+from poseforge.ppi import PoseProposal, ppi
 from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 
 
@@ -160,6 +160,42 @@ class TestTrainMatchesSlotOracleProperty:
         for k in set(labels) - {BACKGROUND}:
             grad, scale = ref.ridge_gradient(model, *stacked(examples), k)
             assert np.abs(grad).max() <= 1e-12 * scale.max()
+
+
+class TestFittedAnchors:
+    @settings(max_examples=40, deadline=None)
+    @given(layout=label_layouts(), seed=st.integers(0, 2**32 - 1))
+    def test_train_records_the_labeled_anchor_ids(self, layout, seed):
+        n_anchors, labels = layout
+        rng = np.random.default_rng(seed)
+        anchors = ref.anchor_set(rng, n_anchors)
+        examples = [(rng.normal(0, 1, 4),
+                     LabeledBox(k, None if k == BACKGROUND else rng.normal(0, 1, 65)))
+                    for k in labels]
+        model = train(examples, anchors, TrainConfig(iterations=1, seed=seed % 1000))
+        assert model.fitted.tolist() == sorted({k - 1 for k in labels if k != BACKGROUND})
+        assert model.fitted.dtype.kind == "i" and not model.fitted.flags.writeable
+
+    def test_kept_as_a_read_only_copy(self):
+        init = ref.initial_model(0, 4, 5, 65)
+        ids = np.array([0, 2, 3])
+        model = ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, ids)
+        ids[0] = 1
+        assert model.fitted.tolist() == [0, 2, 3] and not model.fitted.flags.writeable
+        assert ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, []).fitted.size == 0
+
+    @pytest.mark.parametrize("fitted, message", [
+        ([0, 4], r"fitted anchor ids must lie in \[0, 4\), got 0 to 4"),  # C = 5: ids 0 to 3
+        ([-1, 2], r"fitted anchor ids must lie in \[0, 4\), got -1 to 2"),
+        ([2, 1], "fitted anchor ids must be ascending, without repeats"),
+        ([1, 1, 3], "fitted anchor ids must be ascending, without repeats"),
+        ([0.0, 1.0], "fitted must be a vector of integer anchor ids, got float64 of shape"),
+        ([[0, 1]], r"fitted must be a vector of integer anchor ids, got int64 of shape \(1, 2\)"),
+    ], ids=["above", "below", "unsorted", "repeated", "float", "matrix"])
+    def test_bad_ids_rejected(self, fitted, message):
+        init = ref.initial_model(0, 4, 5, 65)
+        with pytest.raises(ValueError, match=message):
+            ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, fitted)
 
 
 class TestTrain:
@@ -364,10 +400,41 @@ class TestPredict:
         rng = np.random.default_rng(6)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=10)
+        # every class has training boxes, so every anchor is fitted
         model = train(examples, anchors, TrainConfig(iterations=100, seed=7))
         proposals = predict(model, examples[0][0], BoundingBox(10, 10, 200, 300), anchors)
         assert len(proposals) == len(anchors)
         assert [p.anchor_id for p in proposals] == [0, 1, 2]
+
+    def test_unlabeled_class_gets_no_proposal(self):
+        # classes 2 and 5 (anchor ids 1 and 4) get no rows, class 4 a single one
+        anchors, examples = slot_oracle_examples("sparse_classes")
+        model = train(examples, anchors, TrainConfig(iterations=25, learning_rate=0.7, seed=3))
+        assert model.fitted.tolist() == [0, 2, 3]
+        rng = np.random.default_rng(41)
+        w = model.slot_width
+        for _ in range(5):
+            feature = rng.normal(0, 2.0, 8)
+            box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
+            probs, v = model_outputs(model, feature)
+            proposals = predict(model, feature, box, anchors)
+            assert [p.anchor_id for p in proposals] == [0, 2, 3]
+            assert sum(p.score for p in proposals) + probs[BACKGROUND] <= 1.0
+            for p in proposals:
+                c = p.anchor_id + 1
+                pose2d, pose3d = apply_regression(anchors.anchors[p.anchor_id], box,
+                                                  v[c * w:(c + 1) * w])
+                ref.assert_same(p, PoseProposal(p.anchor_id, box, Pose2D(pose2d.coords),
+                                                Pose3D(pose3d.coords), float(probs[c])))
+
+    def test_background_only_training_proposes_nothing(self):
+        rng = np.random.default_rng(22)
+        anchors = ref.anchor_set(rng, 3)
+        examples = [(rng.normal(0, 1, 8), LabeledBox(BACKGROUND)) for _ in range(12)]
+        model = train(examples, anchors, TrainConfig(iterations=10, seed=1))
+        assert model.fitted.size == 0
+        proposals = predict(model, rng.normal(0, 1, 8), BoundingBox(0, 0, 100, 100), anchors)
+        assert proposals == [] and ppi(proposals) == []
 
     def test_scores_form_subdistribution(self):
         rng = np.random.default_rng(7)
@@ -508,8 +575,8 @@ class TestPredict:
             predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), ref.anchor_set(rng, 3))
 
     def test_anchor_set_smaller_than_model_rejected(self):
-        # the full-body half of a doubled set: its scores and the background
-        # probability would not sum to 1
+        # the full-body half of a doubled set: the model's classes are the
+        # doubled set's, and its fitted ids 3 to 5 name anchors this set lacks
         rng = np.random.default_rng(12)
         anchors = add_upper_body_variants(ref.anchor_set(rng, 3))
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)

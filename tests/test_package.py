@@ -49,7 +49,8 @@ def test_removed_per_pose_helpers_are_gone():
         poseforge.anchors.AnchorSet: ["anchors", "K", "spec", "distortion_history"],
         poseforge.labeling.LabeledBox: ["class_label", "target"],
         poseforge.learner.TrainConfig: ["iterations", "learning_rate", "seed"],
-        poseforge.learner.ToyModel: ["w_cls", "b_cls", "w_reg", "b_reg", "loss_history"],
+        poseforge.learner.ToyModel: ["w_cls", "b_cls", "w_reg", "b_reg", "fitted",
+                                    "loss_history"],
         poseforge.ppi.Detection: ["pose2d", "pose3d", "score", "member_count"],
     }
     for cls, names in fields.items():

@@ -1,16 +1,17 @@
 """A/B comparison of the benchmark's end-to-end metrics: this tree against a
 commit, in alternating pairs of runs.
 
-Usage: python tools/ab.py --base REV --workload W --seed S --pairs N [--seconds X]
+Usage: python tools/ab.py --base REV --workload W --seeds LIST --pairs N [--seconds X]
 
+LIST is a seed list such as "1", "1,4" or "1-3" (digest.parse_seeds).
 Exports REV with `git archive` into a temporary directory (digest.export),
-then runs `perfbench/run.py --trace 0` N times from there and N times from
-this tree, in pairs: odd pairs run REV first, even pairs this tree first.
-Each run lasts BENCHMARK.json's run_seconds unless --seconds is given. For
-each end-to-end metric of BENCHMARK.json it prints REV's median, this
-tree's median, the change in percent, the pairs this tree won (was better
-in), the IQR of REV's runs (the distance between their quartiles), and
-whether two rules hold:
+then, seed by seed, runs `perfbench/run.py --trace 0` N times from there
+and N times from this tree, in pairs: odd pairs run REV first, even pairs
+this tree first. Each run lasts BENCHMARK.json's run_seconds unless
+--seconds is given. For each seed, one table gives for each end-to-end
+metric of BENCHMARK.json REV's median, this tree's median, the change in
+percent, the pairs this tree won (was better in), the IQR of REV's runs
+(the distance between their quartiles), and whether two rules hold:
 
 * gain: this tree is better in at least 9 of 10 pairs, and its median is
   better than REV's by more than REV's IQR. A gain needs at least 10 pairs,
@@ -18,10 +19,12 @@ whether two rules hold:
 * bound: this tree's median is not worse than REV's by more than the
   metric's bound, a fraction of REV's median.
 
-The last line names the metrics that pass the gain rule, or reads
-"gains: none". Exits 0 when every run ran and read "correct": true, 1 when
-a run read false, and 2 when the export or a run failed. Nothing is
-written outside the temporary directory: not even bytecode caches.
+The last line names each metric that passes the gain rule on some seed,
+with the seeds on which it held, as "gains: infer_images_per_s (seeds 1,
+4)", or reads "gains: none". Exits 0 when every run ran and read
+"correct": true, 1 when a run read false, and 2 when the export or a run
+failed. Nothing is written outside the temporary directory: not even
+bytecode caches.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from digest import exit_on_sigterm, export
+from digest import exit_on_sigterm, export, parse_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_GAIN_PAIRS = 10
@@ -79,7 +82,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, metavar="REV")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True, metavar="LIST")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
@@ -90,41 +93,45 @@ def main(argv=None) -> int:
     specs = bench["end_to_end"]
     exit_on_sigterm()  # subprocess.run kills the running benchmark as it unwinds
 
-    results = {"base": [], "new": []}
+    results = {seed: {"base": [], "new": []} for seed in args.seeds}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         error = export(args.base, tmp)
         if error:
             print(f"error: git archive {args.base}: {error}", file=sys.stderr)
             return 2
         trees = {"base": Path(tmp), "new": ROOT}
-        for pair in range(1, args.pairs + 1):
-            for side in ("base", "new") if pair % 2 else ("new", "base"):
-                result = run(trees[side], args.workload, args.seed, seconds)
-                if result is None:
-                    return 2
-                results[side].append(result)
-            print(f"pair {pair}/{args.pairs}: " + ", ".join(
-                f"{side} fit_s={results[side][-1]['metrics']['fit_s']['value']:.4g}"
-                for side in ("base", "new")), flush=True)
+        for seed, runs in results.items():
+            for pair in range(1, args.pairs + 1):
+                for side in ("base", "new") if pair % 2 else ("new", "base"):
+                    result = run(trees[side], args.workload, seed, seconds)
+                    if result is None:
+                        return 2
+                    runs[side].append(result)
+                print(f"seed {seed} pair {pair}/{args.pairs}: " + ", ".join(
+                    f"{side} fit_s={runs[side][-1]['metrics']['fit_s']['value']:.4g}"
+                    for side in ("base", "new")), flush=True)
 
-    print(f"\nworkload={args.workload} seed={args.seed} pairs={args.pairs} seconds={seconds} "
-          f"base={args.base} (REV) new=this tree")
-    print(f"{'metric':<22} {'base':>11} {'new':>11} {'change':>8} {'won':>6} "
-          f"{'base IQR':>10} {'gain':>5} {'bound':>5}")
-    gains = []
-    for spec in specs:
-        name = spec["name"]
-        c = compare(spec, *([r["metrics"][name]["value"] for r in results[side]]
-                            for side in ("base", "new")))
-        print(f"{name:<22} {c['base']:>11.5g} {c['new']:>11.5g} {c['change_pct']:>+7.2f}% "
-              f"{c['won']:>2}/{args.pairs:<3} {c['iqr']:>10.3g} "
-              f"{'yes' if c['gain'] else 'no':>5} {'ok' if c['bound'] else 'FAIL':>5}")
-        if c["gain"]:
-            gains.append(name)
-    failed = [side for side in results for r in results[side] if r["correct"] is not True]
+    gains, failed = {}, []
+    for seed, runs in results.items():
+        print(f"\nworkload={args.workload} seed={seed} pairs={args.pairs} seconds={seconds} "
+              f"base={args.base} (REV) new=this tree")
+        print(f"{'metric':<22} {'base':>11} {'new':>11} {'change':>8} {'won':>6} "
+              f"{'base IQR':>10} {'gain':>5} {'bound':>5}")
+        for spec in specs:
+            name = spec["name"]
+            c = compare(spec, *([r["metrics"][name]["value"] for r in runs[side]]
+                                for side in ("base", "new")))
+            print(f"{name:<22} {c['base']:>11.5g} {c['new']:>11.5g} {c['change_pct']:>+7.2f}% "
+                  f"{c['won']:>2}/{args.pairs:<3} {c['iqr']:>10.3g} "
+                  f"{'yes' if c['gain'] else 'no':>5} {'ok' if c['bound'] else 'FAIL':>5}")
+            if c["gain"]:
+                gains.setdefault(name, []).append(seed)
+        failed += [f"{side} (seed {seed})" for side in runs for r in runs[side]
+                   if r["correct"] is not True]
     if failed:
         print(f"runs that did not read correct: true: {', '.join(failed)}")
-    print(f"gains: {', '.join(gains) or 'none'}")
+    print("gains: " + ("; ".join(f"{name} (seeds {', '.join(map(str, held))})"
+                                 for name, held in gains.items()) or "none"))
     return 1 if failed else 0
 
 
