@@ -1,22 +1,22 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
 per-anchor linear regressors over externally supplied feature vectors.
-ToyModel is that one head: its four weight arrays and the loss curve.
-train draws the weights and hands the model to _train_head, which updates
-it in place; tests swap in a reference trainer of the same signature
-there.
+ToyModel is that one head: its four weight arrays, the anchor ids that
+its regressors fit and the loss curve. train draws the classifier's
+weights and hands the model to _train_head, which updates it in place;
+tests swap in a reference trainer of the same signature there.
 
 A box's regression loss reaches only its own class's regressor, and the
-features are fixed, so each class's (D, 5*J) slot of w_reg is a separate
-linear least-squares problem over that class's boxes alone. The trainer
-solves each in closed form, as R-CNN fits its class-specific box
-regressors: a ridge regression with penalty RIDGE on the weights, the
-bias unpenalised (see _solve_slots). The classifier is trained by plain
-gradient descent on the mean log loss. Both losses come from the helpers
-that labeling.head_losses composes. train records in ToyModel.fitted the
-anchor ids whose slot it solved, those with a foreground training box;
-the other slots keep their random initial weights. Inference computes
-every slot for every box, in one product over w_reg's (D, 5*J*C) layout,
-and builds proposals from the fitted slots only.
+features are fixed, so each class's regressor is a separate linear
+least-squares problem over that class's boxes alone. The trainer solves
+each in closed form, as R-CNN fits its class-specific box regressors: a
+ridge regression with penalty RIDGE on the weights, the bias unpenalised
+(see _solve_slots). The classifier is trained by plain gradient descent
+on the mean log loss. Both losses come from the helpers that
+labeling.head_losses composes. train records in ToyModel.fitted the
+anchor ids that a foreground training box labels, and w_reg holds one
+(D, 5*J) slot for each of them, in that order: a class that no box
+labels has no regressor. Inference computes every slot for a box in one
+product over w_reg's (D, 5*J*F) layout, and builds one proposal per slot.
 
 A run that does not stay finite, as features whose products overflow
 give, raises ValueError, and numpy warns of nothing on the way.
@@ -46,7 +46,7 @@ from poseforge.ppi import PoseProposal
 # first DECAY_FRACTION of the iterations.
 DECAY_FACTOR = 0.1
 DECAY_FRACTION = 0.6
-INIT_SCALE = 0.01  # standard deviation of the initial weights
+INIT_SCALE = 0.01  # standard deviation of the classifier's initial weights
 RIDGE = 0.1  # lambda, the penalty on each regression slot's squared weights
 # what a training run that does not stay finite most likely met
 HINT = " (features whose products overflow?)"
@@ -68,15 +68,16 @@ class TrainConfig:
 @dataclass(eq=False)
 class ToyModel:
     """One linear classification + regression head: its trained weights,
-    the anchor ids of its fitted regression slots and the loss curve of
-    the run. The arrays give the model's shapes: w_cls is (D, C) and w_reg
-    holds C slots of 5*J columns. fitted is kept as a read-only copy;
-    ids out of [0, C - 1), unsorted or repeated raise ValueError."""
+    the anchor ids of its regression slots and the loss curve of the run.
+    The arrays give the model's shapes: w_cls is (D, C), and w_reg holds
+    one slot of 5*J columns for each of the F ids of fitted, slot s
+    regressing anchor fitted[s]. fitted is kept as a read-only copy; ids
+    out of [0, C - 1), unsorted or repeated raise ValueError."""
 
     w_cls: np.ndarray  # (D, C)
     b_cls: np.ndarray  # (C,)
-    w_reg: np.ndarray  # (D, 5*J*C): class c's slot is columns c*5*J to (c+1)*5*J
-    b_reg: np.ndarray  # (5*J*C,)
+    w_reg: np.ndarray  # (D, 5*J*F): slot s is columns s*5*J to (s+1)*5*J
+    b_reg: np.ndarray  # (5*J*F,)
     fitted: np.ndarray  # ascending anchor ids; anchor id i is class i + 1
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
@@ -98,10 +99,6 @@ class ToyModel:
     def n_classes(self) -> int:
         return len(self.b_cls)
 
-    @property
-    def slot_width(self) -> int:
-        return len(self.b_reg) // self.n_classes
-
     def class_probs(self, x: np.ndarray) -> np.ndarray:
         logits = x @ self.w_cls
         logits += self.b_cls
@@ -116,9 +113,9 @@ def _check_features(x: np.ndarray) -> None:
 
 
 def _solve_slots(model, x, labels, targets):
-    """Fit each labeled regression slot by ridge regression, writing the
-    solutions into w_reg and b_reg, and return the mean smooth-L1
-    regression loss of the n boxes under the solved slots.
+    """Fit each regression slot by ridge regression, writing the solutions
+    into w_reg and b_reg, and return the mean smooth-L1 regression loss of
+    the n boxes under the solved slots.
 
     A box's regression loss reaches only the slot of its own label, so
     class k's slot is fitted on its own rows X_k alone. With the
@@ -127,13 +124,11 @@ def _solve_slots(model, x, labels, targets):
     (X~^T X~ + lambda diag(1, ..., 1, 0)) W = X~^T T_k: the least-squares
     fit penalised by lambda ||w||^2, the bias unpenalised. The system is
     positive definite for lambda > 0 and any row count of at least one,
-    and all the slots go to one batched solve. The slots solved are those
-    of model.fitted, the classes with rows. The slot of class 0, and of a
-    class with no rows, keeps its value and is never read: predict
-    proposes from the fitted slots only.
+    and all the slots go to one batched solve. Slot s is fitted on the rows
+    of class model.fitted[s] + 1, so every slot has rows; w_reg and b_reg
+    take the solutions in that order.
     """
     n, d = x.shape
-    c, w = model.n_classes, model.slot_width
     ids = model.fitted + 1
     if not len(ids):
         return 0.0
@@ -146,9 +141,9 @@ def _solve_slots(model, x, labels, targets):
     # solve turns an infinite pivot into a finite 0 without a word
     if not (_all_finite(gram) and _all_finite(rhs)):
         raise ValueError(f"training failed: the ridge systems are not finite{HINT}")
-    sol = np.linalg.solve(gram, rhs)  # (S, D + 1, 5*J): each slot's weights, then its bias
-    model.w_reg.reshape(d, c, w)[:, ids] = sol[:, :d].transpose(1, 0, 2)
-    model.b_reg.reshape(c, w)[ids] = sol[:, d]
+    sol = np.linalg.solve(gram, rhs)  # (F, D + 1, 5*J): each slot's weights, then its bias
+    model.w_reg[:] = sol[:, :d].transpose(1, 0, 2).reshape(d, -1)
+    model.b_reg[:] = sol[:, d].ravel()
     err = np.concatenate([targets[r] - b @ s for b, r, s in zip(blocks, rows, sol)])
     return _regression_loss(err, n)[0]
 
@@ -215,11 +210,10 @@ def train(
                 raise ValueError(f"target length {len(lab.target)} != {slot}")
             targets[i] = lab.target
 
-    rng, d = np.random.default_rng(config.seed), x.shape[1]
-    # the draw order, w_cls then w_reg, fixes each seed's weights
-    model = ToyModel(rng.normal(0.0, INIT_SCALE, size=(d, n_classes)), np.zeros(n_classes),
-                     rng.normal(0.0, INIT_SCALE, size=(d, slot * n_classes)),
-                     np.zeros(slot * n_classes), np.unique(labels[labels != BACKGROUND]) - 1)
+    d, fitted = x.shape[1], np.unique(labels[labels != BACKGROUND]) - 1
+    w_cls = np.random.default_rng(config.seed).normal(0.0, INIT_SCALE, size=(d, n_classes))
+    model = ToyModel(w_cls, np.zeros(n_classes), np.zeros((d, slot * len(fitted))),
+                     np.zeros(slot * len(fitted)), fitted)
     # a result that is not finite raises, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         _train_head(model, x, labels, targets, config)
@@ -228,7 +222,9 @@ def train(
 
 
 def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities and regression vector for one finite feature vector."""
+    """Class probabilities and regression vector for one finite feature
+    vector: the C probabilities, and the F slots of 5*J, slot s for anchor
+    model.fitted[s], end to end."""
     x = np.asarray(feature, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"feature must be one vector, got shape {x.shape}")
@@ -249,31 +245,32 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             anchors: AnchorSet) -> list[PoseProposal]:
     """One scored PoseProposal per fitted class, in ascending anchor id.
 
-    Proposal for anchor id i of model.fitted carries i, score u(i+1) and
-    the pose reconstructed from anchor i's slice of the regression output;
-    a class that no training box labeled has a slot at its random initial
-    weights, and gets no proposal. The returned scores plus the background
-    probability are at most 1, and each proposal equals what model_outputs
-    and apply_regression give. The fitted anchors' poses are built in one
-    regress_anchors call. The (F, J, 2) and (F, J, 3) stacks it returns
+    Proposal for anchor id i = model.fitted[s] carries i, score u(i+1) and
+    the pose reconstructed from anchor i's slot s of the regression output;
+    a class that no training box labeled has no slot, and gets no proposal.
+    The returned scores plus the background probability are at most 1, and
+    each proposal equals what model_outputs and apply_regression give. A
+    model whose w_reg and b_reg do not hold one slot of 5*J columns per
+    fitted anchor raises ValueError. The fitted anchors' poses are built in
+    one regress_anchors call. The (F, J, 2) and (F, J, 3) stacks it returns
     must be finite, each tested by one sum (see pose._all_finite), and the
     F scores must lie in [0, 1]; these checks raise with the messages of
     Pose2D, Pose3D and PoseProposal, so a model with a non-finite weight
-    in a fitted slot raises ValueError. The stacks are then made
-    read-only, and each proposal's poses are row views of them, sharing no
-    memory with the model or the anchors. The F proposals hold the one box
-    object.
+    in a slot raises ValueError. The stacks are then made read-only, and
+    each proposal's poses are row views of them, sharing no memory with
+    the model or the anchors. The F proposals hold the one box object.
     """
-    k, j, w = len(anchors), anchors.spec.joint_count, model.slot_width
-    if k + 1 != model.n_classes or 5 * j != w:
-        raise ValueError(
-            f"{k} anchors of {j} joints do not fit a model "
-            f"with {model.n_classes - 1} anchor classes of {w // 5} joints"
-        )
-    ids = model.fitted
+    k, j, ids = len(anchors), anchors.spec.joint_count, model.fitted
+    if k + 1 != model.n_classes:
+        raise ValueError(f"{k} anchors of {j} joints do not fit a model "
+                         f"with {model.n_classes - 1} anchor classes")
+    width = 5 * j * len(ids)
+    if model.w_reg.shape != (model.w_cls.shape[0], width) or model.b_reg.shape != (width,):
+        raise ValueError(f"w_reg {model.w_reg.shape} and b_reg {model.b_reg.shape} do not "
+                         f"hold one slot of 5*{j} columns for each of {len(ids)} fitted anchors")
     probs, v = model_outputs(model, feature)
     coords2d, coords3d = regress_anchors(anchors.coords2d[ids], anchors.coords3d[ids], box,
-                                         v.reshape(k + 1, w)[ids + 1])
+                                         v.reshape(len(ids), 5 * j))
     _check_finite(coords2d)
     _check_finite(coords3d)
     scores = probs[ids + 1].tolist()

@@ -382,48 +382,59 @@ def smooth_l1(x):
 
 
 def initial_model(seed, dim, n_classes, slot_width):
-    """An untrained model: w_cls (D, C), then w_reg (D, 5*J*C), drawn from
-    N(0, INIT_SCALE) by the seed's generator, zero biases, and every anchor
-    id, 0 to C - 2, as fitted."""
-    rng = np.random.default_rng(seed)
-    w_cls = rng.normal(0.0, INIT_SCALE, size=(dim, n_classes))
-    w_reg = rng.normal(0.0, INIT_SCALE, size=(dim, slot_width * n_classes))
-    return ToyModel(w_cls, np.zeros(n_classes), w_reg, np.zeros(slot_width * n_classes),
+    """An untrained model with every anchor id, 0 to C - 2, as fitted: w_cls
+    (D, C) drawn from N(0, INIT_SCALE) by the seed's generator, zero w_reg
+    (D, 5*J*F) and zero biases."""
+    w_cls = np.random.default_rng(seed).normal(0.0, INIT_SCALE, size=(dim, n_classes))
+    width = slot_width * (n_classes - 1)
+    return ToyModel(w_cls, np.zeros(n_classes), np.zeros((dim, width)), np.zeros(width),
                     np.arange(n_classes - 1))
+
+
+def slot(model, k):
+    """The regression slot of class k: the position of anchor id k - 1 in
+    the model's fitted ids."""
+    return int(np.searchsorted(model.fitted, k - 1))
 
 
 def regression_loss_per_positive(model, x, labels, targets):
     """The mean smooth-L1 regression loss of the n boxes, taken one positive
     at a time from the full regression output x @ w_reg + b_reg of
     _forward, at the box's own class slot."""
-    c = model.b_cls.shape[0]
-    w = model.b_reg.shape[0] // c
+    w = targets.shape[1]
     _, v = _forward(model, x)
     total = 0.0
     for i in np.flatnonzero(labels != BACKGROUND):
-        total += float(smooth_l1(targets[i] - v[i, labels[i] * w:(labels[i] + 1) * w])[0].sum())
+        cols = slot(model, labels[i]) * w + np.arange(w)
+        total += float(smooth_l1(targets[i] - v[i, cols])[0].sum())
     return total / len(labels)
+
+
+def ridge_solution(x, labels, targets, k):
+    """Class k's ridge solution W = [w; b], (D + 1, 5*J): the least-squares
+    solution, by np.linalg.lstsq, of the stacked system [X~; sqrt(RIDGE) I']
+    W = [T; 0], where X~ = [x, 1] over the class's rows, T their targets,
+    and I' the identity on the weights, with a zero column for the bias."""
+    d, w = x.shape[1], targets.shape[1]
+    rows = np.flatnonzero(labels == k)
+    a = np.vstack([np.hstack([x[rows], np.ones((len(rows), 1))]),
+                   math.sqrt(RIDGE) * np.eye(d, d + 1)])
+    b = np.vstack([targets[rows], np.zeros((d, w))])
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def train_head_ridge(model, x, labels, targets, config):
     """learner._train_head. Each labeled class's slot of w_reg and b_reg is
-    the least-squares solution, by np.linalg.lstsq, of the stacked system
-    [X~; sqrt(RIDGE) I'] W = [T; 0]: X~ = [x, 1] over the class's rows, T
-    their targets, and I' the identity on the weights, with a zero column
-    for the bias. Then the classifier's gradient descent, one loss-history
-    row per iteration, with the regression loss of the solved model."""
+    its ridge_solution. Then the classifier's gradient descent, one
+    loss-history row per iteration, with the regression loss of the solved
+    model."""
     n, d = x.shape
-    c = model.b_cls.shape[0]
-    w = model.b_reg.shape[0] // c
-    w_slots, b_slots = model.w_reg.reshape(d, c, w), model.b_reg.reshape(c, w)
-    penalty = math.sqrt(RIDGE) * np.eye(d, d + 1)
-    for k in range(1, c):
-        rows = np.flatnonzero(labels == k)
-        if len(rows):
-            a = np.vstack([np.hstack([x[rows], np.ones((len(rows), 1))]), penalty])
-            b = np.vstack([targets[rows], np.zeros((d, w))])
-            solution = np.linalg.lstsq(a, b, rcond=None)[0]
-            w_slots[:, k], b_slots[k] = solution[:d], solution[d]
+    w = targets.shape[1]
+    for k in range(1, model.b_cls.shape[0]):
+        if (labels == k).any():
+            solution = ridge_solution(x, labels, targets, k)
+            cols = slot(model, k) * w + np.arange(w)
+            model.w_reg[:, cols], model.b_reg[cols] = solution[:d], solution[d]
     reg_loss = regression_loss_per_positive(model, x, labels, targets)
     all_rows = np.arange(n)
     switch = int(DECAY_FRACTION * config.iterations)
@@ -443,15 +454,15 @@ def ridge_gradient(model, x, labels, targets, k):
     """The gradient of class k's ridge objective, ||X~ W - T||^2 / 2 +
     RIDGE ||w||^2 / 2 over its rows, at the model's slot W = [w; b], and a
     scale for it: the same sum taken over the magnitudes of its terms."""
-    d = x.shape[1]
-    c = model.b_cls.shape[0]
-    w = model.b_reg.shape[0] // c
+    d, w = x.shape[1], targets.shape[1]
     rows = labels == k
     xa = np.hstack([x[rows], np.ones((rows.sum(), 1))])
-    slot = np.vstack([model.w_reg.reshape(d, c, w)[:, k], model.b_reg.reshape(c, w)[k]])
-    penalty = RIDGE * np.vstack([slot[:d], np.zeros((1, w))])
-    grad = xa.T @ (xa @ slot - targets[rows]) + penalty
-    scale = np.abs(xa).T @ (np.abs(xa) @ np.abs(slot) + np.abs(targets[rows])) + np.abs(penalty)
+    cols = slot(model, k) * w + np.arange(w)
+    weights = np.vstack([model.w_reg[:, cols], model.b_reg[cols]])
+    penalty = RIDGE * np.vstack([weights[:d], np.zeros((1, w))])
+    grad = xa.T @ (xa @ weights - targets[rows]) + penalty
+    scale = (np.abs(xa).T @ (np.abs(xa) @ np.abs(weights) + np.abs(targets[rows]))
+             + np.abs(penalty))
     return grad, scale
 
 
@@ -470,8 +481,9 @@ def predict(model, feature, box, anchors):
     score u(id + 1), (J, 2) pixel pose, (J, 3) pose). An anchor whose id is
     not fitted gives nothing. A head gives the class probabilities u =
     softmax(x @ w_cls + b_cls) and the regression output x @ w_reg + b_reg.
-    The output's slot of class id + 1 is added to the anchor's unit-box
-    layout, which is then placed in the box, and to its 3D pose."""
+    The output's slot of the id, its position in the fitted ids, is added
+    to the anchor's unit-box layout, which is then placed in the box, and
+    to its 3D pose."""
     x = np.asarray(feature, dtype=np.float64)[None]
     probs, v = _forward(model, x)
     probs, v = probs[0], v[0]
@@ -480,8 +492,8 @@ def predict(model, feature, box, anchors):
     for i, a in enumerate(anchors.anchors):
         if i not in model.fitted:
             continue
-        j = len(a.pose2d.coords)
-        res = v[(i + 1) * 5 * j:(i + 2) * 5 * j]
+        j, s = len(a.pose2d.coords), slot(model, i + 1)
+        res = v[s * 5 * j:(s + 1) * 5 * j]
         coords2d = (a.pose2d.coords + res[:2 * j].reshape(j, 2)) * (x1 - x0, y1 - y0) + (x0, y0)
         out.append((i, float(probs[i + 1]), coords2d,
                     a.pose3d.coords + res[2 * j:].reshape(j, 3)))
@@ -613,8 +625,9 @@ def assert_detections(dets, expected):
 def assert_same_training(got, want, rtol=0.0):
     """Two trained models are equal: the classifier half (the loss history's
     iterations and cls column, w_cls and b_cls) bit for bit, and the
-    regression half (the reg and total columns, w_reg and b_reg) bit for bit
-    or, with rtol > 0, within rtol times want's largest magnitude."""
+    regression half (the reg and total columns, and w_reg and b_reg stacked
+    as [w_reg; b_reg]) bit for bit or, with rtol > 0, within rtol times
+    want's largest magnitude."""
 
     def close(a, b):
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -630,5 +643,6 @@ def assert_same_training(got, want, rtol=0.0):
     close(got_rows[:, 2:], want_rows[:, 2:])
     for name in ("w_cls", "b_cls"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    for name in ("w_reg", "b_reg"):
-        close(getattr(got, name), getattr(want, name))
+    # a slot's weights and bias are one solution [w; b], so a solver's rounding
+    # scales with the whole of it; the weights alone can be 0, as one row gives
+    close(*(np.vstack([m.w_reg, m.b_reg]) for m in (got, want)))

@@ -197,6 +197,20 @@ class TestFittedAnchors:
         with pytest.raises(ValueError, match=message):
             ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, fitted)
 
+    @pytest.mark.parametrize("case", ["sparse_classes", "mixed", "background_only"])
+    def test_w_reg_holds_one_slot_per_fitted_anchor(self, case):
+        # slot s of w_reg and b_reg is the ridge solution of anchor fitted[s]
+        anchors, examples = slot_oracle_examples(case)
+        model = train(examples, anchors, TrainConfig(iterations=2, seed=3))
+        x, labels, targets = stacked(examples)
+        f = len(model.fitted)
+        assert f == {"sparse_classes": 3, "mixed": 5, "background_only": 0}[case]
+        assert model.w_reg.shape == (8, 65 * f) and model.b_reg.shape == (65 * f,)
+        for s, i in enumerate(model.fitted):
+            got = np.vstack([model.w_reg[:, s * 65:(s + 1) * 65], model.b_reg[s * 65:(s + 1) * 65]])
+            want = ref.ridge_solution(x, labels, targets, i + 1)
+            assert np.abs(got - want).max() <= RIDGE_RTOL * np.abs(want).max()
+
 
 class TestTrain:
     def test_separable_classes_accuracy(self):
@@ -234,7 +248,7 @@ class TestTrain:
         config = TrainConfig(iterations=200, seed=3)
         model = train(examples, anchors, config)
         assert model.loss_history[-1][1] <= model.loss_history[0][1]
-        # the solved slots fit the targets better than the initial weights do
+        # the solved slots fit the targets better than zero slots do
         init = ref.initial_model(config.seed, 8, len(anchors) + 1, 65)
         stack = stacked(examples)
         reg = model.loss_history[0][2]
@@ -313,31 +327,13 @@ class TestTrain:
             train(examples, anchors, TrainConfig(iterations=5))
 
 
-def reg_slots(model, n_classes):
-    """w_reg and b_reg as (D, C, 5*J) and (C, 5*J) per-class slots."""
-    return (model.w_reg.reshape(model.w_reg.shape[0], n_classes, -1),
-            model.b_reg.reshape(n_classes, -1))
+def reg_slots(model):
+    """w_reg and b_reg as (D, F, 5*J) and (F, 5*J) slots, one per fitted id."""
+    f = len(model.fitted)
+    return model.w_reg.reshape(model.w_reg.shape[0], f, -1), model.b_reg.reshape(f, -1)
 
 
 class TestSlotTrainer:
-    @pytest.mark.parametrize("iterations", [20], ids=["False"])  # ids: see SLOT_ORACLE_CASES
-    def test_untrained_slots_keep_initial_values(self, iterations):
-        rng = np.random.default_rng(30)
-        anchors = ref.anchor_set(rng, 5)
-        examples, labels, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
-        # classes 2 and 5 get no rows, class 4 a single one
-        keep = (labels != 2) & (labels != 5) & ((labels != 4) | (np.cumsum(labels == 4) == 1))
-        examples = [e for e, kept in zip(examples, keep) if kept]
-        config = TrainConfig(iterations=iterations, seed=4)
-        model = train(examples, anchors, config)
-        c = len(anchors) + 1
-        init = ref.initial_model(config.seed, 8, c, 65)
-        (w_got, b_got), (w_init, b_init) = reg_slots(model, c), reg_slots(init, c)
-        for k in range(c):
-            untouched = k in (BACKGROUND, 2, 5)
-            assert np.array_equal(w_got[:, k], w_init[:, k]) == untouched
-            assert np.array_equal(b_got[k], b_init[k]) == untouched
-
     def test_target_reaches_only_its_own_slot(self):
         rng = np.random.default_rng(31)
         anchors = ref.anchor_set(rng, 4)
@@ -348,11 +344,11 @@ class TestSlotTrainer:
         perturbed[i] = (f, LabeledBox(lab.class_label, lab.target + 0.25))
         config = TrainConfig(iterations=15, seed=2)
         base, moved = train(examples, anchors, config), train(perturbed, anchors, config)
-        c = len(anchors) + 1
-        (w_base, b_base), (w_moved, b_moved) = reg_slots(base, c), reg_slots(moved, c)
-        for k in range(c):
-            assert np.array_equal(w_base[:, k], w_moved[:, k]) == (k != 3)
-            assert np.array_equal(b_base[k], b_moved[k]) == (k != 3)
+        assert base.fitted.tolist() == moved.fitted.tolist() == [0, 1, 2, 3]
+        (w_base, b_base), (w_moved, b_moved) = reg_slots(base), reg_slots(moved)
+        for s, i in enumerate(base.fitted):  # class 3 is anchor id 2
+            assert np.array_equal(w_base[:, s], w_moved[:, s]) == (i != 2)
+            assert np.array_equal(b_base[s], b_moved[s]) == (i != 2)
         assert np.array_equal(base.w_cls, moved.w_cls)
 
     def test_peak_memory_below_one_full_regression_buffer(self):
@@ -412,7 +408,7 @@ class TestPredict:
         model = train(examples, anchors, TrainConfig(iterations=25, learning_rate=0.7, seed=3))
         assert model.fitted.tolist() == [0, 2, 3]
         rng = np.random.default_rng(41)
-        w = model.slot_width
+        w = 65
         for _ in range(5):
             feature = rng.normal(0, 2.0, 8)
             box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
@@ -420,10 +416,10 @@ class TestPredict:
             proposals = predict(model, feature, box, anchors)
             assert [p.anchor_id for p in proposals] == [0, 2, 3]
             assert sum(p.score for p in proposals) + probs[BACKGROUND] <= 1.0
-            for p in proposals:
+            for s, p in enumerate(proposals):  # slot s regresses anchor fitted[s]
                 c = p.anchor_id + 1
                 pose2d, pose3d = apply_regression(anchors.anchors[p.anchor_id], box,
-                                                  v[c * w:(c + 1) * w])
+                                                  v[s * w:(s + 1) * w])
                 ref.assert_same(p, PoseProposal(p.anchor_id, box, Pose2D(pose2d.coords),
                                                 Pose3D(pose3d.coords), float(probs[c])))
 
@@ -478,7 +474,8 @@ class TestPredict:
         anchors = ref.anchor_set(rng, 5)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=6)
         model = train(examples, anchors, TrainConfig(iterations=30, seed=11))
-        w = model.slot_width
+        assert model.fitted.tolist() == [0, 1, 2, 3, 4]  # so anchor i's slot is slot i
+        w = 65
         for _ in range(5):
             feature = rng.normal(0, 2.0, 8)
             box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
@@ -488,7 +485,7 @@ class TestPredict:
             for i, (a, p, (aid, score, placed, moved)) in enumerate(
                     zip(anchors.anchors, proposals, expected)):
                 c = i + 1
-                pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
+                pose2d, pose3d = apply_regression(a, box, v[i * w:(i + 1) * w])
                 assert p.anchor_id == i == aid and p.box == box
                 assert p.score == probs[c] == score
                 assert np.array_equal(p.pose2d.coords, pose2d.coords)
@@ -530,14 +527,14 @@ class TestPredict:
         # the huge box gives finite coordinates whose sum overflows
         model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
         probs, v = model_outputs(model, feature)
-        w = model.slot_width
+        w = 65
         weights = [model.w_cls, model.b_cls, model.w_reg, model.b_reg]
         for box in (BoundingBox(5, 10, 60, 140), BoundingBox(0, 0, 1e307, 1e307)):
             proposals = predict(model, feature, box, anchors)
-            assert len(proposals) == 4
+            assert len(proposals) == 4  # every anchor is fitted: anchor i's slot is slot i
             for i, (a, p) in enumerate(zip(anchors.anchors, proposals)):
                 c = i + 1
-                pose2d, pose3d = apply_regression(a, box, v[c * w:(c + 1) * w])
+                pose2d, pose3d = apply_regression(a, box, v[i * w:(i + 1) * w])
                 ref.assert_same(p, PoseProposal(i, box, Pose2D(pose2d.coords),
                                             Pose3D(pose3d.coords), float(probs[c])))
                 with pytest.raises(FrozenInstanceError):
@@ -554,17 +551,38 @@ class TestPredict:
 
     @pytest.mark.parametrize("weight, column, message", [
         ("w_cls", 1, r"score must be in \[0, 1\], got nan"),  # an inf logit: NaN probabilities
-        ("w_reg", 65, "visible joints must have finite coordinates"),  # anchor 0's 2D x0
-        ("w_reg", 65 + 26, "3D coordinates must be finite"),  # anchor 0's 3D x0
+        ("w_reg", 65, "visible joints must have finite coordinates"),  # anchor 1's 2D x0
+        ("w_reg", 65 + 26, "3D coordinates must be finite"),  # anchor 1's 3D x0
     ])
     def test_non_finite_weight_rejected(self, weight, column, message):
         rng = np.random.default_rng(18)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=19))
+        assert model.fitted.tolist() == [0, 1, 2]  # slot 1, columns 65 to 129, is anchor 1's
         getattr(model, weight)[0, column] = np.inf
         with pytest.raises(ValueError, match=message):
             predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((8, 4 * 65), (4 * 65,)),  # the per-class layout: a slot for every class
+        ((8, 3 * 65), (2 * 65,)),
+        ((8, 3 * 65 + 1), (3 * 65,)),
+        ((9, 3 * 65), (3 * 65,)),
+        ((8, 3 * 85), (3 * 85,)),  # slots of 17 joints
+    ], ids=["per_class", "b_reg_short", "w_reg_wide", "w_reg_rows", "17_joint_slots"])
+    def test_regression_layout_other_than_fitted_slots_rejected(self, w_shape, b_shape):
+        rng = np.random.default_rng(23)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=24))
+        assert model.fitted.tolist() == [0, 1, 2]
+        bad = ToyModel(model.w_cls, model.b_cls, np.zeros(w_shape), np.zeros(b_shape),
+                       model.fitted)
+        message = (rf"w_reg \({w_shape[0]}, {w_shape[1]}\) and b_reg \({b_shape[0]},\) do not "
+                   r"hold one slot of 5\*13 columns for each of 3 fitted anchors")
+        with pytest.raises(ValueError, match=message):
+            predict(bad, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
     def test_anchor_set_larger_than_model_rejected(self):
         rng = np.random.default_rng(11)

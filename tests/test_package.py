@@ -56,5 +56,5 @@ def test_removed_per_pose_helpers_are_gone():
     for cls, names in fields.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls
     model, detection = poseforge.learner.ToyModel, poseforge.ppi.Detection
-    for derived in (model.n_classes, model.slot_width, detection.unweighted):
+    for derived in (model.n_classes, detection.unweighted):
         assert isinstance(derived, property) and derived.fset is None

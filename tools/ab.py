@@ -19,12 +19,15 @@ percent, the pairs this tree won (was better in), the IQR of REV's runs
 * bound: this tree's median is not worse than REV's by more than the
   metric's bound, a fraction of REV's median.
 
-The last line names each metric that passes the gain rule on some seed,
-with the seeds on which it held, as "gains: infer_images_per_s (seeds 1,
-4)", or reads "gains: none". Exits 0 when every run ran and read
-"correct": true, 1 when a run read false, and 2 when the export or a run
-failed. Nothing is written outside the temporary directory: not even
-bytecode caches.
+The line before the last says whether the accuracy metrics (ACCURACY)
+read the same in every run of a seed, on both sides: it reads "accuracy:
+equal", or names each metric that differs with the seeds on which it
+did, as "accuracy: differs: mpjpe_mm (seeds 1, 4)". The last line names
+each metric that passes the gain rule on some seed, with the seeds on
+which it held, as "gains: infer_images_per_s (seeds 1, 4)", or reads
+"gains: none". Exits 0 when every run ran and read "correct": true, 1
+when a run read false, and 2 when the export or a run failed. Nothing is
+written outside the temporary directory: not even bytecode caches.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from digest import exit_on_sigterm, export, parse_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_GAIN_PAIRS = 10
+ACCURACY = ("mpjpe_mm", "pckh", "det_ap", "ok_op_share")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -78,6 +82,13 @@ def compare(spec: dict, base: list[float], new: list[float]) -> dict:
     }
 
 
+def by_seed(held: dict[str, list[int]]) -> str:
+    """Each metric with the seeds on which it held, as "a (seeds 1, 4); b
+    (seeds 2)"."""
+    return "; ".join(f"{name} (seeds {', '.join(map(str, seeds))})"
+                     for name, seeds in held.items())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, metavar="REV")
@@ -111,7 +122,7 @@ def main(argv=None) -> int:
                     f"{side} fit_s={runs[side][-1]['metrics']['fit_s']['value']:.4g}"
                     for side in ("base", "new")), flush=True)
 
-    gains, failed = {}, []
+    gains, differ, failed = {}, {}, []
     for seed, runs in results.items():
         print(f"\nworkload={args.workload} seed={seed} pairs={args.pairs} seconds={seconds} "
               f"base={args.base} (REV) new=this tree")
@@ -126,12 +137,15 @@ def main(argv=None) -> int:
                   f"{'yes' if c['gain'] else 'no':>5} {'ok' if c['bound'] else 'FAIL':>5}")
             if c["gain"]:
                 gains.setdefault(name, []).append(seed)
+        for name in ACCURACY:
+            if len({r["metrics"][name]["value"] for side in runs for r in runs[side]}) > 1:
+                differ.setdefault(name, []).append(seed)
         failed += [f"{side} (seed {seed})" for side in runs for r in runs[side]
                    if r["correct"] is not True]
     if failed:
         print(f"runs that did not read correct: true: {', '.join(failed)}")
-    print("gains: " + ("; ".join(f"{name} (seeds {', '.join(map(str, held))})"
-                                 for name, held in gains.items()) or "none"))
+    print("accuracy: " + (f"differs: {by_seed(differ)}" if differ else "equal"))
+    print("gains: " + (by_seed(gains) or "none"))
     return 1 if failed else 0
 
 

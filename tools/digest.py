@@ -7,7 +7,8 @@ line with a hash of each stage's outputs:
 * anchors: every anchor's 2D layout and 3D pose, K and the distortion
   history;
 * labels: every training box's class label and regression target;
-* training: the loss history and the model's four weight arrays;
+* training: the loss history, the model's four weight arrays and its
+  fitted anchor ids;
 * proposals: every test image's proposals, in order: anchor id, box,
   poses, score and rescored score;
 * detections: every test image's detections, in order: poses, score,
@@ -114,7 +115,7 @@ def digest_seed(pipeline, w, seed: int) -> dict[str, str]:
         d["training"].integer(row[0])
         for x in row[1:]:
             d["training"].real(x)
-    for arr in (model.w_cls, model.b_cls, model.w_reg, model.b_reg):
+    for arr in (model.w_cls, model.b_cls, model.w_reg, model.b_reg, model.fitted):
         d["training"].array(arr)
 
     for img in inputs.test:
