@@ -1,9 +1,17 @@
 """Desk-scale stand-in for the CNN head: linear softmax classifier plus
 per-anchor linear regressors over externally supplied feature vectors.
-ToyModel is that one head: its four weight arrays, the anchor ids that
-its regressors fit and the loss curve. train draws the classifier's
-weights and hands the model to _train_head, which updates it in place;
-tests swap in a reference trainer of the same signature there.
+ToyModel is that one head: its four weight arrays, the anchor ids of its
+classes and the loss curve. train draws the classifier's weights and
+hands the model to _train_head, which updates it in place; tests swap in
+a reference trainer of the same signature there.
+
+The head's classes are the background and the anchors that a foreground
+training box labels. ToyModel.fitted lists those anchor ids, ascending,
+and is the head's one class map: classifier column 0 is the background,
+and column s + 1 and regression slot s, the (D, 5*J) block s of w_reg,
+are anchor fitted[s]. An anchor that no box labels has neither. train
+maps the boxes' class labels to columns once, and the trainer works in
+columns from then on.
 
 A box's regression loss reaches only its own class's regressor, and the
 features are fixed, so each class's regressor is a separate linear
@@ -12,11 +20,9 @@ each in closed form, as R-CNN fits its class-specific box regressors: a
 ridge regression with penalty RIDGE on the weights, the bias unpenalised
 (see _solve_slots). The classifier is trained by plain gradient descent
 on the mean log loss. Both losses come from the helpers that
-labeling.head_losses composes. train records in ToyModel.fitted the
-anchor ids that a foreground training box labels, and w_reg holds one
-(D, 5*J) slot for each of them, in that order: a class that no box
-labels has no regressor. Inference computes every slot for a box in one
-product over w_reg's (D, 5*J*F) layout, and builds one proposal per slot.
+labeling.head_losses composes. Inference computes every slot for a box
+in one product over w_reg's (D, 5*J*F) layout, and builds one proposal
+per slot.
 
 A run that does not stay finite, as features whose products overflow
 give, raises ValueError, and numpy warns of nothing on the way.
@@ -68,17 +74,19 @@ class TrainConfig:
 @dataclass(eq=False)
 class ToyModel:
     """One linear classification + regression head: its trained weights,
-    the anchor ids of its regression slots and the loss curve of the run.
-    The arrays give the model's shapes: w_cls is (D, C), and w_reg holds
-    one slot of 5*J columns for each of the F ids of fitted, slot s
-    regressing anchor fitted[s]. fitted is kept as a read-only copy; ids
-    out of [0, C - 1), unsorted or repeated raise ValueError."""
+    the anchor ids of its classes and the loss curve of the run. For the
+    F ids of fitted, w_cls is (D, F + 1) and b_cls (F + 1,), column 0
+    the background's and column s + 1 anchor fitted[s]'s; w_reg is
+    (D, W) and b_reg (W,), W a multiple of 5*F, one slot of 5*J = W/F
+    columns per id, slot s regressing anchor fitted[s]. fitted is kept as
+    a read-only copy; ids that are not integers, ascending, unique and at
+    least 0, and arrays of any other layout, raise ValueError."""
 
-    w_cls: np.ndarray  # (D, C)
-    b_cls: np.ndarray  # (C,)
+    w_cls: np.ndarray  # (D, F + 1)
+    b_cls: np.ndarray  # (F + 1,)
     w_reg: np.ndarray  # (D, 5*J*F): slot s is columns s*5*J to (s+1)*5*J
     b_reg: np.ndarray  # (5*J*F,)
-    fitted: np.ndarray  # ascending anchor ids; anchor id i is class i + 1
+    fitted: np.ndarray  # ascending anchor ids; fitted[s] is column s + 1 and slot s
     loss_history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -87,16 +95,21 @@ class ToyModel:
             raise ValueError(f"fitted must be a vector of integer anchor ids, "
                              f"got {ids.dtype} of shape {ids.shape}")
         ids = ids.astype(np.intp)
-        if ids.size and not 0 <= ids.min() <= ids.max() < self.n_classes - 1:
-            raise ValueError(f"fitted anchor ids must lie in [0, {self.n_classes - 1}), "
-                             f"got {ids.min()} to {ids.max()}")
-        if (np.diff(ids) <= 0).any():
-            raise ValueError("fitted anchor ids must be ascending, without repeats")
+        if (ids.size and ids[0] < 0) or (np.diff(ids) <= 0).any():
+            raise ValueError(f"fitted anchor ids must be ascending, unique and at least 0, "
+                             f"got {ids.tolist()}")
+        f, d, w = len(ids), self.w_cls.shape[0], self.w_reg.shape[-1]
+        shapes = tuple(a.shape for a in (self.w_cls, self.b_cls, self.w_reg, self.b_reg))
+        if shapes != ((d, f + 1), (f + 1,), (d, w), (w,)) or (w % (5 * f) if f else w):
+            raise ValueError(f"w_cls {shapes[0]}, b_cls {shapes[1]}, w_reg {shapes[2]} and b_reg "
+                             f"{shapes[3]} are not the layout of a head of {f} fitted anchors: "
+                             f"(D, {f + 1}), ({f + 1},), (D, W) and (W,), W a multiple of 5*{f}")
         ids.setflags(write=False)
         self.fitted = ids
 
     @property
     def n_classes(self) -> int:
+        """Classifier columns: the background and the fitted anchors."""
         return len(self.b_cls)
 
     def class_probs(self, x: np.ndarray) -> np.ndarray:
@@ -115,24 +128,24 @@ def _check_features(x: np.ndarray) -> None:
 def _solve_slots(model, x, labels, targets):
     """Fit each regression slot by ridge regression, writing the solutions
     into w_reg and b_reg, and return the mean smooth-L1 regression loss of
-    the n boxes under the solved slots.
+    the n boxes under the solved slots. labels holds each box's classifier
+    column.
 
-    A box's regression loss reaches only the slot of its own label, so
-    class k's slot is fitted on its own rows X_k alone. With the
+    A box's regression loss reaches only the slot of its own column, so
+    column k's slot is fitted on its own rows X_k alone. With the
     augmented rows X~ = [X_k, 1], their targets T_k and RIDGE as lambda,
     the slot's weights and bias W are the solution of
     (X~^T X~ + lambda diag(1, ..., 1, 0)) W = X~^T T_k: the least-squares
     fit penalised by lambda ||w||^2, the bias unpenalised. The system is
     positive definite for lambda > 0 and any row count of at least one,
     and all the slots go to one batched solve. Slot s is fitted on the rows
-    of class model.fitted[s] + 1, so every slot has rows; w_reg and b_reg
-    take the solutions in that order.
+    of column s + 1, which every fitted anchor's column has; w_reg and
+    b_reg take the solutions in that order.
     """
     n, d = x.shape
-    ids = model.fitted + 1
-    if not len(ids):
+    if not len(model.fitted):
         return 0.0
-    rows = [np.flatnonzero(labels == k) for k in ids]
+    rows = [np.flatnonzero(labels == k) for k in range(1, model.n_classes)]
     x_aug = np.hstack([x, np.ones((n, 1))])
     blocks = [x_aug[r] for r in rows]  # each slot's augmented rows [X_k, 1]
     gram = np.stack([b.T @ b for b in blocks])
@@ -153,8 +166,8 @@ def _train_head(model, x, labels, targets, config):
     descent on the mean log loss of the classifier, updating the model's
     arrays in place and appending one row (it, cls, reg, total) per
     iteration to model.loss_history, where reg is the solved slots'
-    smooth-L1 loss. The losses come from the two helpers that
-    labeling.head_losses composes.
+    smooth-L1 loss. labels holds each box's classifier column. The losses
+    come from the two helpers that labeling.head_losses composes.
     """
     reg_loss = _solve_slots(model, x, labels, targets)
     switch = int(DECAY_FRACTION * config.iterations)
@@ -184,6 +197,9 @@ def train(
 ) -> ToyModel:
     """Fit the toy model on (feature, labeled box) pairs.
 
+    The fitted anchors are those that a foreground box labels; w_cls
+    (D, F + 1) is drawn from N(0, INIT_SCALE) by config.seed's generator,
+    and each box's class label is mapped once to its classifier column.
     Deterministic given config.seed. Raises on an empty anchor set, on
     no examples, on features that are not vectors of one length, on
     inconsistent target dimensions, on a feature row that is not finite
@@ -198,10 +214,9 @@ def train(
         raise ValueError("features must be fixed-dimension vectors")
     x = np.stack(features)
     _check_features(x)
-    n_classes = len(anchors) + 1
     slot = 5 * anchors.spec.joint_count
     labels = np.array([lab.class_label for _, lab in examples], dtype=int)
-    if labels.max() >= n_classes:
+    if labels.max() > len(anchors):
         raise ValueError("class label exceeds anchor count")
     targets = np.zeros((len(examples), slot))
     for i, (_, lab) in enumerate(examples):
@@ -210,21 +225,22 @@ def train(
                 raise ValueError(f"target length {len(lab.target)} != {slot}")
             targets[i] = lab.target
 
-    d, fitted = x.shape[1], np.unique(labels[labels != BACKGROUND]) - 1
-    w_cls = np.random.default_rng(config.seed).normal(0.0, INIT_SCALE, size=(d, n_classes))
-    model = ToyModel(w_cls, np.zeros(n_classes), np.zeros((d, slot * len(fitted))),
-                     np.zeros(slot * len(fitted)), fitted)
+    classes = np.union1d(BACKGROUND, labels)  # column c's class label, background first
+    d, c, w = x.shape[1], len(classes), slot * (len(classes) - 1)
+    w_cls = np.random.default_rng(config.seed).normal(0.0, INIT_SCALE, size=(d, c))
+    model = ToyModel(w_cls, np.zeros(c), np.zeros((d, w)), np.zeros(w), classes[1:] - 1)
     # a result that is not finite raises, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        _train_head(model, x, labels, targets, config)
+        _train_head(model, x, np.searchsorted(classes, labels), targets, config)
     _check_trained(model)
     return model
 
 
 def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities and regression vector for one finite feature
-    vector: the C probabilities, and the F slots of 5*J, slot s for anchor
-    model.fitted[s], end to end."""
+    vector: the F + 1 column probabilities, the background's and then
+    anchor model.fitted[s]'s in column s + 1, and the F slots of 5*J,
+    slot s for anchor model.fitted[s], end to end."""
     x = np.asarray(feature, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"feature must be one vector, got shape {x.shape}")
@@ -245,27 +261,28 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
             anchors: AnchorSet) -> list[PoseProposal]:
     """One scored PoseProposal per fitted class, in ascending anchor id.
 
-    Proposal for anchor id i = model.fitted[s] carries i, score u(i+1) and
-    the pose reconstructed from anchor i's slot s of the regression output;
-    a class that no training box labeled has no slot, and gets no proposal.
-    The returned scores plus the background probability are at most 1, and
-    each proposal equals what model_outputs and apply_regression give. A
-    model whose w_reg and b_reg do not hold one slot of 5*J columns per
-    fitted anchor raises ValueError. The fitted anchors' poses are built in
-    one regress_anchors call. The (F, J, 2) and (F, J, 3) stacks it returns
-    must be finite, each tested by one sum (see pose._all_finite), and the
-    F scores must lie in [0, 1]; these checks raise with the messages of
-    Pose2D, Pose3D and PoseProposal, so a model with a non-finite weight
-    in a slot raises ValueError. The stacks are then made read-only, and
-    each proposal's poses are row views of them, sharing no memory with
-    the model or the anchors. The F proposals hold the one box object.
+    Proposal s carries anchor id i = model.fitted[s], the probability of
+    classifier column s + 1 as its score, and the pose reconstructed from
+    anchor i and slot s of the regression output; an anchor that no
+    training box labeled has no column or slot, and gets no proposal. The
+    returned scores and the background probability are model_outputs'
+    probabilities, so they sum to 1, and each proposal equals what
+    model_outputs and apply_regression give. A model with a fitted id
+    that is not an index of anchors, or whose w_reg does not hold one slot
+    of 5*J columns per fitted anchor, raises ValueError. The fitted
+    anchors' poses are built in one regress_anchors call. The (F, J, 2)
+    and (F, J, 3) stacks it returns must be finite, each tested by one sum
+    (see pose._all_finite), and the F scores must lie in [0, 1]; these
+    checks raise with the messages of Pose2D, Pose3D and PoseProposal, so
+    a model with a non-finite weight in a slot raises ValueError. The
+    stacks are then made read-only, and each proposal's poses are row
+    views of them, sharing no memory with the model or the anchors. The F
+    proposals hold the one box object.
     """
     k, j, ids = len(anchors), anchors.spec.joint_count, model.fitted
-    if k + 1 != model.n_classes:
-        raise ValueError(f"{k} anchors of {j} joints do not fit a model "
-                         f"with {model.n_classes - 1} anchor classes")
-    width = 5 * j * len(ids)
-    if model.w_reg.shape != (model.w_cls.shape[0], width) or model.b_reg.shape != (width,):
+    if len(ids) and ids[-1] >= k:  # ToyModel keeps them ascending and at least 0
+        raise ValueError(f"fitted anchor id {ids[-1]} is not an index of the {k} anchors")
+    if model.w_reg.shape[1] != 5 * j * len(ids):
         raise ValueError(f"w_reg {model.w_reg.shape} and b_reg {model.b_reg.shape} do not "
                          f"hold one slot of 5*{j} columns for each of {len(ids)} fitted anchors")
     probs, v = model_outputs(model, feature)
@@ -273,7 +290,7 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
                                          v.reshape(len(ids), 5 * j))
     _check_finite(coords2d)
     _check_finite(coords3d)
-    scores = probs[ids + 1].tolist()
+    scores = probs[1:].tolist()
     for s in scores:
         if not 0.0 <= s <= 1.0:  # NaN included
             raise ValueError(f"score must be in [0, 1], got {s}")

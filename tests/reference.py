@@ -381,40 +381,42 @@ def smooth_l1(x):
         return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
 
 
-def initial_model(seed, dim, n_classes, slot_width):
-    """An untrained model with every anchor id, 0 to C - 2, as fitted: w_cls
-    (D, C) drawn from N(0, INIT_SCALE) by the seed's generator, zero w_reg
+def initial_model(seed, dim, fitted, slot_width):
+    """An untrained model of the F anchor ids of fitted: w_cls (D, F + 1)
+    drawn from N(0, INIT_SCALE) by the seed's generator, zero w_reg
     (D, 5*J*F) and zero biases."""
-    w_cls = np.random.default_rng(seed).normal(0.0, INIT_SCALE, size=(dim, n_classes))
-    width = slot_width * (n_classes - 1)
-    return ToyModel(w_cls, np.zeros(n_classes), np.zeros((dim, width)), np.zeros(width),
-                    np.arange(n_classes - 1))
+    f = len(fitted)
+    w_cls = np.random.default_rng(seed).normal(0.0, INIT_SCALE, size=(dim, f + 1))
+    return ToyModel(w_cls, np.zeros(f + 1), np.zeros((dim, slot_width * f)),
+                    np.zeros(slot_width * f), fitted)
 
 
-def slot(model, k):
-    """The regression slot of class k: the position of anchor id k - 1 in
-    the model's fitted ids."""
-    return int(np.searchsorted(model.fitted, k - 1))
+def column(model, k):
+    """The classifier column of class label k: 0 for the background, and
+    s + 1 for anchor id k - 1 = model.fitted[s], whose regression slot is
+    s. Raises ValueError for an anchor that the model does not fit."""
+    return 0 if k == BACKGROUND else model.fitted.tolist().index(k - 1) + 1
 
 
 def regression_loss_per_positive(model, x, labels, targets):
     """The mean smooth-L1 regression loss of the n boxes, taken one positive
     at a time from the full regression output x @ w_reg + b_reg of
-    _forward, at the box's own class slot."""
+    _forward, at the slot of the box's classifier column in labels."""
     w = targets.shape[1]
     _, v = _forward(model, x)
     total = 0.0
     for i in np.flatnonzero(labels != BACKGROUND):
-        cols = slot(model, labels[i]) * w + np.arange(w)
+        cols = (labels[i] - 1) * w + np.arange(w)
         total += float(smooth_l1(targets[i] - v[i, cols])[0].sum())
     return total / len(labels)
 
 
 def ridge_solution(x, labels, targets, k):
-    """Class k's ridge solution W = [w; b], (D + 1, 5*J): the least-squares
-    solution, by np.linalg.lstsq, of the stacked system [X~; sqrt(RIDGE) I']
-    W = [T; 0], where X~ = [x, 1] over the class's rows, T their targets,
-    and I' the identity on the weights, with a zero column for the bias."""
+    """The ridge solution W = [w; b], (D + 1, 5*J), of the rows labeled k:
+    the least-squares solution, by np.linalg.lstsq, of the stacked system
+    [X~; sqrt(RIDGE) I'] W = [T; 0], where X~ = [x, 1] over those rows, T
+    their targets, and I' the identity on the weights, with a zero column
+    for the bias."""
     d, w = x.shape[1], targets.shape[1]
     rows = np.flatnonzero(labels == k)
     a = np.vstack([np.hstack([x[rows], np.ones((len(rows), 1))]),
@@ -424,17 +426,17 @@ def ridge_solution(x, labels, targets, k):
 
 
 def train_head_ridge(model, x, labels, targets, config):
-    """learner._train_head. Each labeled class's slot of w_reg and b_reg is
-    its ridge_solution. Then the classifier's gradient descent, one
-    loss-history row per iteration, with the regression loss of the solved
-    model."""
+    """learner._train_head, labels holding each box's classifier column.
+    Slot c - 1 of w_reg and b_reg is the ridge_solution of the rows of
+    column c, for each column c from 1. Then the classifier's gradient
+    descent, one loss-history row per iteration, with the regression loss
+    of the solved model."""
     n, d = x.shape
     w = targets.shape[1]
-    for k in range(1, model.b_cls.shape[0]):
-        if (labels == k).any():
-            solution = ridge_solution(x, labels, targets, k)
-            cols = slot(model, k) * w + np.arange(w)
-            model.w_reg[:, cols], model.b_reg[cols] = solution[:d], solution[d]
+    for c in range(1, model.b_cls.shape[0]):
+        solution = ridge_solution(x, labels, targets, c)
+        cols = (c - 1) * w + np.arange(w)
+        model.w_reg[:, cols], model.b_reg[cols] = solution[:d], solution[d]
     reg_loss = regression_loss_per_positive(model, x, labels, targets)
     all_rows = np.arange(n)
     switch = int(DECAY_FRACTION * config.iterations)
@@ -451,13 +453,14 @@ def train_head_ridge(model, x, labels, targets, config):
 
 
 def ridge_gradient(model, x, labels, targets, k):
-    """The gradient of class k's ridge objective, ||X~ W - T||^2 / 2 +
-    RIDGE ||w||^2 / 2 over its rows, at the model's slot W = [w; b], and a
-    scale for it: the same sum taken over the magnitudes of its terms."""
+    """The gradient of classifier column k's ridge objective, ||X~ W - T||^2
+    / 2 + RIDGE ||w||^2 / 2 over the rows that labels puts in column k, at
+    the model's slot k - 1, W = [w; b], and a scale for it: the same sum
+    taken over the magnitudes of its terms."""
     d, w = x.shape[1], targets.shape[1]
     rows = labels == k
     xa = np.hstack([x[rows], np.ones((rows.sum(), 1))])
-    cols = slot(model, k) * w + np.arange(w)
+    cols = (k - 1) * w + np.arange(w)
     weights = np.vstack([model.w_reg[:, cols], model.b_reg[cols]])
     penalty = RIDGE * np.vstack([weights[:d], np.zeros((1, w))])
     grad = xa.T @ (xa @ weights - targets[rows]) + penalty
@@ -478,12 +481,12 @@ def _forward(model, x):
 
 def predict(model, feature, box, anchors):
     """Per anchor of the model's fitted ids, one at a time: (anchor id,
-    score u(id + 1), (J, 2) pixel pose, (J, 3) pose). An anchor whose id is
-    not fitted gives nothing. A head gives the class probabilities u =
-    softmax(x @ w_cls + b_cls) and the regression output x @ w_reg + b_reg.
-    The output's slot of the id, its position in the fitted ids, is added
-    to the anchor's unit-box layout, which is then placed in the box, and
-    to its 3D pose."""
+    score u(c), (J, 2) pixel pose, (J, 3) pose), c being the anchor's
+    classifier column. An anchor whose id is not fitted gives nothing. A
+    head gives the class probabilities u = softmax(x @ w_cls + b_cls) and
+    the regression output x @ w_reg + b_reg. The output's slot c - 1 is
+    added to the anchor's unit-box layout, which is then placed in the
+    box, and to its 3D pose."""
     x = np.asarray(feature, dtype=np.float64)[None]
     probs, v = _forward(model, x)
     probs, v = probs[0], v[0]
@@ -492,10 +495,10 @@ def predict(model, feature, box, anchors):
     for i, a in enumerate(anchors.anchors):
         if i not in model.fitted:
             continue
-        j, s = len(a.pose2d.coords), slot(model, i + 1)
-        res = v[s * 5 * j:(s + 1) * 5 * j]
+        j, c = len(a.pose2d.coords), column(model, i + 1)
+        res = v[(c - 1) * 5 * j:c * 5 * j]
         coords2d = (a.pose2d.coords + res[:2 * j].reshape(j, 2)) * (x1 - x0, y1 - y0) + (x0, y0)
-        out.append((i, float(probs[i + 1]), coords2d,
+        out.append((i, float(probs[c]), coords2d,
                     a.pose3d.coords + res[2 * j:].reshape(j, 3)))
     return out
 

@@ -24,11 +24,12 @@ from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 RIDGE_RTOL = 1e-8
 
 
-def stacked(examples):
-    """The (n, D) features, (n,) labels and (n, 5*J) targets, 0 on the
-    background rows, that train builds from (feature, labeled box) pairs."""
+def stacked(examples, model):
+    """The (n, D) features, (n,) classifier columns of the model and
+    (n, 5*J) targets, 0 on the background rows, that train builds from
+    (feature, labeled box) pairs; the columns come from reference.column."""
     x = np.stack([f for f, _ in examples])
-    labels = np.array([lab.class_label for _, lab in examples])
+    labels = np.array([ref.column(model, lab.class_label) for _, lab in examples])
     targets = np.zeros((len(examples), 65))
     for i, (_, lab) in enumerate(examples):
         if lab.target is not None:
@@ -52,7 +53,7 @@ class TestTrainMatchesPerPositiveOracle:
         rng.shuffle(examples)
         config = TrainConfig(iterations=25, learning_rate=0.7, seed=3)
         model = train(examples, anchors, config)
-        reg = ref.regression_loss_per_positive(model, *stacked(examples))
+        reg = ref.regression_loss_per_positive(model, *stacked(examples, model))
         for it, cls, reg_it, total in model.loss_history:
             assert reg_it == pytest.approx(reg, rel=1e-12, abs=0.0) and total == cls + reg_it
         monkeypatch.setattr(learner_module, "_train_head", ref.train_head_ridge)
@@ -115,6 +116,18 @@ class TestTrainMatchesSlotOracle:
         assert [row[0] for row in model.loss_history] == list(range(iterations))
         ref.assert_same_training(model, train(examples, anchors, config), rtol=RIDGE_RTOL)
 
+    def test_gaps_in_the_labeled_ids(self):
+        # only anchors 1 and 4 of 5 are labeled; the reference model takes its
+        # columns from the expected ids, not from train's map of the labels
+        anchors, examples = slot_oracle_examples("mixed")
+        examples = [e for e in examples if e[1].class_label in (BACKGROUND, 2, 5)]
+        config = TrainConfig(iterations=25, learning_rate=0.7, seed=3)
+        model = train(examples, anchors, config)
+        want = ref.initial_model(config.seed, 8, [1, 4], 65)
+        ref.train_head_ridge(want, *stacked(examples, want), config)
+        assert model.fitted.tolist() == [1, 4]
+        ref.assert_same_training(model, want, rtol=RIDGE_RTOL)
+
 
 @st.composite
 def label_layouts(draw):
@@ -157,8 +170,9 @@ class TestTrainMatchesSlotOracleProperty:
                      LabeledBox(k, None if k == BACKGROUND else rng.normal(0, target_scale, 65)))
                     for k in labels]
         model = train(examples, anchors, TrainConfig(iterations=0, seed=seed % 1000))
-        for k in set(labels) - {BACKGROUND}:
-            grad, scale = ref.ridge_gradient(model, *stacked(examples), k)
+        x, columns, targets = stacked(examples, model)
+        for k in set(columns.tolist()) - {BACKGROUND}:
+            grad, scale = ref.ridge_gradient(model, x, columns, targets, k)
             assert np.abs(grad).max() <= 1e-12 * scale.max()
 
 
@@ -175,34 +189,40 @@ class TestFittedAnchors:
         model = train(examples, anchors, TrainConfig(iterations=1, seed=seed % 1000))
         assert model.fitted.tolist() == sorted({k - 1 for k in labels if k != BACKGROUND})
         assert model.fitted.dtype.kind == "i" and not model.fitted.flags.writeable
+        # one classifier column for the background and one per fitted anchor
+        assert model.w_cls.shape == (4, len(model.fitted) + 1)
 
     def test_kept_as_a_read_only_copy(self):
-        init = ref.initial_model(0, 4, 5, 65)
+        init = ref.initial_model(0, 4, [0, 2, 3], 65)
         ids = np.array([0, 2, 3])
         model = ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, ids)
         ids[0] = 1
         assert model.fitted.tolist() == [0, 2, 3] and not model.fitted.flags.writeable
-        assert ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, []).fitted.size == 0
+        assert ref.initial_model(0, 4, [], 65).fitted.size == 0
 
     @pytest.mark.parametrize("fitted, message", [
-        ([0, 4], r"fitted anchor ids must lie in \[0, 4\), got 0 to 4"),  # C = 5: ids 0 to 3
-        ([-1, 2], r"fitted anchor ids must lie in \[0, 4\), got -1 to 2"),
-        ([2, 1], "fitted anchor ids must be ascending, without repeats"),
-        ([1, 1, 3], "fitted anchor ids must be ascending, without repeats"),
+        # a model does not know its anchor set: ids 0 to 3 index these 4 anchors
+        ([0, 4], "fitted anchor id 4 is not an index of the 4 anchors"),
+        ([-1, 2], r"fitted anchor ids must be ascending, unique and at least 0, got \[-1, 2\]"),
+        ([2, 1], r"fitted anchor ids must be ascending, unique and at least 0, got \[2, 1\]"),
+        ([1, 1, 3], r"must be ascending, unique and at least 0, got \[1, 1, 3\]"),
         ([0.0, 1.0], "fitted must be a vector of integer anchor ids, got float64 of shape"),
         ([[0, 1]], r"fitted must be a vector of integer anchor ids, got int64 of shape \(1, 2\)"),
     ], ids=["above", "below", "unsorted", "repeated", "float", "matrix"])
     def test_bad_ids_rejected(self, fitted, message):
-        init = ref.initial_model(0, 4, 5, 65)
+        # each case but "above" raises in ToyModel, before predict is reached
+        anchors = ref.anchor_set(np.random.default_rng(0), 4)
         with pytest.raises(ValueError, match=message):
-            ToyModel(init.w_cls, init.b_cls, init.w_reg, init.b_reg, fitted)
+            model = ref.initial_model(0, 4, fitted, 65)
+            predict(model, np.zeros(4), BoundingBox(0, 0, 10, 10), anchors)
 
     @pytest.mark.parametrize("case", ["sparse_classes", "mixed", "background_only"])
     def test_w_reg_holds_one_slot_per_fitted_anchor(self, case):
         # slot s of w_reg and b_reg is the ridge solution of anchor fitted[s]
         anchors, examples = slot_oracle_examples(case)
         model = train(examples, anchors, TrainConfig(iterations=2, seed=3))
-        x, labels, targets = stacked(examples)
+        x, _, targets = stacked(examples, model)
+        labels = np.array([lab.class_label for _, lab in examples])
         f = len(model.fitted)
         assert f == {"sparse_classes": 3, "mixed": 5, "background_only": 0}[case]
         assert model.w_reg.shape == (8, 65 * f) and model.b_reg.shape == (65 * f,)
@@ -235,10 +255,10 @@ class TestTrain:
         cfg = TrainConfig(iterations=0, seed=42)
         model = train(examples, anchors, cfg)
         # the classifier and an empty loss history; the slots are solved all the same
-        init = ref.initial_model(42, 8, len(anchors) + 1, 65)
+        init = ref.initial_model(42, 8, range(len(anchors)), 65)
         assert model.loss_history == []
         assert np.array_equal(model.w_cls, init.w_cls) and np.array_equal(model.b_cls, init.b_cls)
-        ref.train_head_ridge(init, *stacked(examples), cfg)
+        ref.train_head_ridge(init, *stacked(examples, init), cfg)
         ref.assert_same_training(model, init, rtol=RIDGE_RTOL)
 
     def test_loss_decreases(self):
@@ -249,8 +269,8 @@ class TestTrain:
         model = train(examples, anchors, config)
         assert model.loss_history[-1][1] <= model.loss_history[0][1]
         # the solved slots fit the targets better than zero slots do
-        init = ref.initial_model(config.seed, 8, len(anchors) + 1, 65)
-        stack = stacked(examples)
+        init = ref.initial_model(config.seed, 8, range(len(anchors)), 65)
+        stack = stacked(examples, init)
         reg = model.loss_history[0][2]
         assert reg == pytest.approx(ref.regression_loss_per_positive(model, *stack), rel=1e-12)
         assert reg < ref.regression_loss_per_positive(init, *stack)
@@ -311,9 +331,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="feature row 3 is not finite"):
             train(examples, anchors, TrainConfig(iterations=5))
 
+    # one case, whose id keeps its parameters (as SLOT_ORACLE_CASES' ids do);
+    # the background-only features are the next test's
     @pytest.mark.parametrize("background_only, message", [
         (False, "the ridge systems are not finite"),  # X~^T X~ overflows first
-        (True, "the loss curve is not finite"),  # then the classifier's logits
     ])
     def test_overflowing_features_rejected(self, background_only, message):
         # finite features whose products overflow: one ValueError and, as the
@@ -325,6 +346,26 @@ class TestTrain:
                      else lab) for _, lab in examples]
         with pytest.raises(ValueError, match=f"training failed: {message}"):
             train(examples, anchors, TrainConfig(iterations=5))
+
+    def test_overflowing_background_only_features_train_one_column(self):
+        # The same features, all background: the one column's probability is
+        # 1 and its gradient 0 whatever the logits, so nothing overflows.
+        rng = np.random.default_rng(19)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
+        examples = [(1e200 * rng.normal(0, 1, 8), LabeledBox(BACKGROUND)) for _ in examples]
+        model = train(examples, anchors, TrainConfig(iterations=5))
+        assert model.w_cls.shape == (8, 1) and model.w_reg.shape == (8, 0)
+        assert [row[1:] for row in model.loss_history] == [(0.0, 0.0, 0.0)] * 5
+        assert predict(model, examples[0][0], BoundingBox(0, 0, 10, 10), anchors) == []
+
+    def test_diverging_classifier_rejected(self):
+        # steps near the largest float overflow the classifier's weights
+        rng = np.random.default_rng(19)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
+        with pytest.raises(ValueError, match="training failed: the loss curve is not finite"):
+            train(examples, anchors, TrainConfig(iterations=5, learning_rate=1e308))
 
 
 def reg_slots(model):
@@ -415,13 +456,12 @@ class TestPredict:
             probs, v = model_outputs(model, feature)
             proposals = predict(model, feature, box, anchors)
             assert [p.anchor_id for p in proposals] == [0, 2, 3]
-            assert sum(p.score for p in proposals) + probs[BACKGROUND] <= 1.0
-            for s, p in enumerate(proposals):  # slot s regresses anchor fitted[s]
-                c = p.anchor_id + 1
+            assert abs(sum(p.score for p in proposals) + probs[BACKGROUND] - 1.0) <= 1e-12
+            for s, p in enumerate(proposals):  # column s + 1 and slot s are anchor fitted[s]
                 pose2d, pose3d = apply_regression(anchors.anchors[p.anchor_id], box,
                                                   v[s * w:(s + 1) * w])
                 ref.assert_same(p, PoseProposal(p.anchor_id, box, Pose2D(pose2d.coords),
-                                                Pose3D(pose3d.coords), float(probs[c])))
+                                                Pose3D(pose3d.coords), float(probs[s + 1])))
 
     def test_background_only_training_proposes_nothing(self):
         rng = np.random.default_rng(22)
@@ -431,6 +471,24 @@ class TestPredict:
         assert model.fitted.size == 0
         proposals = predict(model, rng.normal(0, 1, 8), BoundingBox(0, 0, 100, 100), anchors)
         assert proposals == [] and ppi(proposals) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=label_layouts(), seed=st.integers(0, 2**32 - 1))
+    def test_scores_and_background_sum_to_one(self, layout, seed):
+        n_anchors, labels = layout
+        rng = np.random.default_rng(seed)
+        anchors = ref.anchor_set(rng, n_anchors)
+        examples = [(rng.normal(0, 1, 4),
+                     LabeledBox(k, None if k == BACKGROUND else rng.normal(0, 1, 65)))
+                    for k in labels]
+        model = train(examples, anchors, TrainConfig(iterations=3, seed=seed % 1000))
+        feature = rng.normal(0, 2.0, 4)
+        probs, _ = model_outputs(model, feature)
+        proposals = predict(model, feature, BoundingBox(0, 0, 100, 100), anchors)
+        # proposal s is anchor fitted[s] and carries column s + 1's probability
+        assert [p.anchor_id for p in proposals] == model.fitted.tolist()
+        assert [p.score for p in proposals] == probs[1:].tolist()
+        assert abs(sum(p.score for p in proposals) + probs[BACKGROUND] - 1.0) <= 1e-12
 
     def test_scores_form_subdistribution(self):
         rng = np.random.default_rng(7)
@@ -564,44 +622,58 @@ class TestPredict:
         with pytest.raises(ValueError, match=message):
             predict(model, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
-    @pytest.mark.parametrize("w_shape, b_shape", [
-        ((8, 4 * 65), (4 * 65,)),  # the per-class layout: a slot for every class
-        ((8, 3 * 65), (2 * 65,)),
-        ((8, 3 * 65 + 1), (3 * 65,)),
-        ((9, 3 * 65), (3 * 65,)),
-        ((8, 3 * 85), (3 * 85,)),  # slots of 17 joints
-    ], ids=["per_class", "b_reg_short", "w_reg_wide", "w_reg_rows", "17_joint_slots"])
-    def test_regression_layout_other_than_fitted_slots_rejected(self, w_shape, b_shape):
+    @pytest.mark.parametrize("w_shape, b_shape, b_cls", [
+        ((8, 4 * 65), (4 * 65,), 4),  # the per-class layout: W not a multiple of 5*3
+        ((8, 3 * 65), (2 * 65,), 4),
+        ((8, 3 * 65 + 1), (3 * 65,), 4),
+        ((9, 3 * 65), (3 * 65,), 4),
+        ((8, 3 * 65), (3 * 65,), 3),
+        ((8, 3 * 85), (3 * 85,), 4),  # slots of 17 joints: only predict knows J
+    ], ids=["per_class", "b_reg_short", "w_reg_wide", "w_reg_rows", "b_cls_short",
+            "17_joint_slots"])
+    def test_regression_layout_other_than_fitted_slots_rejected(self, w_shape, b_shape, b_cls):
         rng = np.random.default_rng(23)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=24))
-        assert model.fitted.tolist() == [0, 1, 2]
-        bad = ToyModel(model.w_cls, model.b_cls, np.zeros(w_shape), np.zeros(b_shape),
-                       model.fitted)
-        message = (rf"w_reg \({w_shape[0]}, {w_shape[1]}\) and b_reg \({b_shape[0]},\) do not "
-                   r"hold one slot of 5\*13 columns for each of 3 fitted anchors")
+        assert model.fitted.tolist() == [0, 1, 2] and model.w_cls.shape == (8, 4)
+        shapes = rf"\({w_shape[0]}, {w_shape[1]}\) and b_reg \({b_shape[0]},\)"
+        if w_shape[1] == 3 * 85:
+            message = rf"w_reg {shapes} do not hold one slot of 5\*13 columns for each of 3 fitted"
+        else:
+            message = (rf"w_cls \(8, 4\), b_cls \({b_cls},\), w_reg {shapes} are not the layout "
+                       r"of a head of 3 fitted anchors: \(D, 4\), \(4,\), \(D, W\) and \(W,\)")
+        # each layout but the 17-joint one raises in ToyModel, before predict
         with pytest.raises(ValueError, match=message):
+            bad = ToyModel(model.w_cls, np.zeros(b_cls), np.zeros(w_shape), np.zeros(b_shape),
+                           model.fitted)
             predict(bad, np.ones(8), BoundingBox(0, 0, 10, 10), anchors)
 
-    def test_anchor_set_larger_than_model_rejected(self):
+    def test_full_body_half_of_a_doubled_set_accepted(self):
+        # No box takes an upper-body label, as on every benchmark workload, so
+        # no variant is fitted: the full-body half holds every fitted anchor,
+        # and proposes what the doubled set does.
         rng = np.random.default_rng(11)
-        anchors = ref.anchor_set(rng, 2)
-        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        anchors = add_upper_body_variants(ref.anchor_set(rng, 3))
+        full_body = AnchorSet(anchors.anchors[:3], K=3, spec=H13)
+        examples, _, _ = ref.separable_dataset(rng, full_body, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=12))
-        with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit"):
-            predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), ref.anchor_set(rng, 3))
+        assert model.fitted.tolist() == [0, 1, 2]
+        feature, box = rng.normal(0, 1, 8), BoundingBox(0, 0, 10, 10)
+        got, want = (predict(model, feature, box, a) for a in (full_body, anchors))
+        assert len(got) == len(want) == 3
+        for p, q in zip(got, want):
+            ref.assert_same(p, q)
 
     def test_anchor_set_smaller_than_model_rejected(self):
-        # the full-body half of a doubled set: the model's classes are the
-        # doubled set's, and its fitted ids 3 to 5 name anchors this set lacks
+        # the full-body half of a doubled set: every class of the doubled set
+        # is labeled, and the fitted ids 3 to 5 name anchors this set lacks
         rng = np.random.default_rng(12)
         anchors = add_upper_body_variants(ref.anchor_set(rng, 3))
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5, seed=13))
         full_body = AnchorSet(anchors.anchors[:3], K=3, spec=H13)
-        with pytest.raises(ValueError, match="3 anchors of 13 joints do not fit a model "
-                                             "with 6 anchor classes"):
+        with pytest.raises(ValueError, match="fitted anchor id 5 is not an index of the 3 anchors"):
             predict(model, np.zeros(8), BoundingBox(0, 0, 10, 10), full_body)
 
     @pytest.mark.parametrize("dim", [7, 9])

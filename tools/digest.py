@@ -54,13 +54,20 @@ STAGES = ("anchors", "labels", "training", "proposals", "detections")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seeds from a list such as "1-10", "3" or "1,4,7-9"."""
+    """Seeds from a list such as "1-10", "3" or "1,4,7-9". A part that is
+    empty, not a number, or a range that runs backwards raises
+    argparse.ArgumentTypeError naming the part, which argparse prints."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            first, last = 1, 0  # an empty range, rejected below
+        if last < first:
+            raise argparse.ArgumentTypeError(
+                f"seed list {text!r}: part {part!r} is not N or LO-HI with LO <= HI")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
