@@ -1,19 +1,22 @@
 """Anchor-pose codebook: K-means over 3D poses plus upper-body doubling.
 
-Clustering assigns points to centroids under the mean-per-joint distance
-(d3d) and updates centroids with the coordinate-wise mean, seeded
-k-means++ style, so results are deterministic given (poses, K, seed).
-d3d is a metric, so each point keeps a lower bound on its distance to
-every centroid (Elkan's bounds), and the Lloyd iterations evaluate only
-the point-centroid pairs whose bound does not prove them farther than
-the point's own centroid; the assignments, centroids and distortions
-are those of plain Lloyd iterations. Each anchor's canonical 2D layout
-is the per-joint mean of its members' finite 2D coordinates after
-normalization into their own margin boxes; it lives in unit-box
-coordinates and is placed into candidate boxes at use time. A joint that
-no member shows (every member codes it as NaN) takes its place from the
-anchor's 3D pose: the (x, y) projection of the centroid, fitted by scale
-and offset onto the anchor's other joints.
+Clustering is K-means in R^{3J}: each 3D pose is one point of its 3J
+coordinates, a point goes to the centroid at the least Euclidean distance
+over all of them, and each centroid is updated to its members' coordinate
+mean, which minimises the sum of squared distances that the assignment
+measures. Seeding is k-means++, so results are deterministic given
+(poses, K, seed). The Euclidean distance is a metric, so each point keeps
+a lower bound on its distance to every centroid (Elkan's bounds), and the
+Lloyd iterations evaluate only the point-centroid pairs whose bound does
+not prove them farther than the point's own centroid; the assignments,
+centroids and distortions are those of plain Lloyd iterations, so the
+distortion never rises. Each anchor's canonical 2D layout is the per-joint
+mean of its members' finite 2D coordinates after normalization into their
+own margin boxes; it lives in unit-box coordinates and is placed into
+candidate boxes at use time. A joint that no member shows (every member
+codes it as NaN) takes its place from the anchor's 3D pose: the (x, y)
+projection of the centroid, fitted by scale and offset onto the anchor's
+other joints.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# d3d_matrix is not called here (the k-means++ draws give the first bounds);
-# perfbench/tracing.py counts calls through poseforge.anchors.d3d_matrix.
+# d3d_matrix is not called here (the codebook's distance is the Euclidean
+# one in R^{3J}, not d3d); perfbench/tracing.py counts calls through
+# poseforge.anchors.d3d_matrix.
 from poseforge.pose import (  # noqa: F401
     AnchorPose,
     Pose2D,
@@ -31,19 +35,19 @@ from poseforge.pose import (  # noqa: F401
     PoseSpec,
     _check_count,
     _stack_pairs,
-    d3d_kernel,
     d3d_matrix,
     fit_scale_offset,
     margin_boxes,
 )
 
 DEFAULT_MAX_ITERS = 100
-DEFAULT_TOL = 1e-6  # meters of centroid shift
-# Relative slack on the pruning test, far above the rounding of d3d and
-# of the bound updates, so a pruned (point, centroid) pair is strictly
-# farther apart than the point and its assigned centroid.
+# meters: the Euclidean norm of a centroid's shift over all 3J coordinates
+DEFAULT_TOL = 1e-6
+# Relative slack on the pruning test, far above the rounding of the
+# distances and of the bound updates, so a pruned (point, centroid) pair is
+# strictly farther apart than the point and its assigned centroid.
 PRUNE_SLACK = 1e-9
-# Candidate (point, centroid) pairs that _pair_d3d evaluates at a time, per
+# Candidate (point, centroid) pairs that _pair_dist evaluates at a time, per
 # centroid: a chunk's temporaries are those of this many points against
 # every centroid.
 _PAIR_CHUNK_ROWS = 256
@@ -85,20 +89,30 @@ class AnchorSet:
         return len(self.anchors)
 
 
-def _kmeans_pp_init(planes: np.ndarray, k: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ init: next centroid drawn with prob ~ squared d3d.
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between the rows of a and b, (..., 3J) stacks that
+    broadcast against each other; the last axis is dropped. The squared
+    differences are summed by np.add.reduce along each row, so the result
+    equals np.linalg.norm(a - b, axis=-1) bit for bit."""
+    diff = np.subtract(a, b)
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
-    planes (3, N, J) are the corpus's x, y and z planes (see d3d_kernel).
-    Returns the (k, J, 3) centroids and the (N, k) d3d of every point to
-    each of them, d3d_matrix of the untransposed corpus and centroids bit
-    for bit: each column is computed once, to draw the next centroid, and
-    kept.
+
+def _kmeans_pp_init(points: np.ndarray, k: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ init: the first centroid uniform, each next one
+    drawn with probability proportional to its squared Euclidean distance
+    to the nearest centroid so far, uniform once every weight is 0.
+
+    points (N, 3J) are the flat corpus. Returns the (k, 3J) centroids and
+    the (N, k) distance of every point to each of them (see _dist): each
+    column is computed once, to draw the next centroid, and kept.
     """
-    n = planes.shape[1]
+    n = len(points)
     chosen = [int(rng.integers(n))]
     to_centroids = np.empty((n, k))
-    to_centroids[:, 0] = dist = d3d_kernel(planes, planes[:, chosen])
+    to_centroids[:, 0] = dist = _dist(points, points[chosen[0]])
     for c in range(1, k):
         weights = dist ** 2
         total = weights.sum()
@@ -108,23 +122,22 @@ def _kmeans_pp_init(planes: np.ndarray, k: int,
         else:  # all remaining points coincide with a centroid
             idx = int(rng.choice(n))
         chosen.append(idx)
-        to_centroids[:, c] = column = d3d_kernel(planes, planes[:, [idx]])
+        to_centroids[:, c] = column = _dist(points, points[idx])
         dist = np.minimum(dist, column)
-    return planes[:, chosen].transpose(1, 2, 0).copy(), to_centroids
+    return points[chosen], to_centroids
 
 
-def _pair_d3d(planes: np.ndarray, cplanes: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray, chunk: int) -> np.ndarray:
-    """d3d of point rows[i] (planes (3, N, J)) to centroid cols[i]
-    (cplanes (3, k, J)), chunk pairs at a time to bound the temporaries:
-    one Lloyd iteration of a large corpus can keep thousands of pairs
-    whose bounds do not prune them (kmeans_anchors passes
-    _PAIR_CHUNK_ROWS * k)."""
+def _pair_dist(points: np.ndarray, centroids: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray, chunk: int) -> np.ndarray:
+    """Euclidean distance (see _dist) of point rows[i] (points (N, 3J)) to
+    centroid cols[i] (centroids (k, 3J)), chunk pairs at a time to bound
+    the temporaries: one Lloyd iteration of a large corpus can keep
+    thousands of pairs whose bounds do not prune them (kmeans_anchors
+    passes _PAIR_CHUNK_ROWS * k)."""
     out = np.empty(len(rows))
     for start in range(0, len(rows), chunk):
         end = start + chunk
-        out[start:end] = d3d_kernel(np.take(planes, rows[start:end], axis=1),
-                                    np.take(cplanes, cols[start:end], axis=1))
+        out[start:end] = _dist(points[rows[start:end]], centroids[cols[start:end]])
     return out
 
 
@@ -152,11 +165,14 @@ def kmeans_anchors(
         spec: joint layout of the poses.
         seed: RNG seed for the k-means++ initialization, an int >= 0.
         max_iters: stop after max_iters updates (an int >= 0) or when
-            the largest centroid shift (in d3d) falls below DEFAULT_TOL.
+            the largest centroid shift (the Euclidean norm over all 3J
+            coordinates) falls below DEFAULT_TOL.
 
     Returns:
         AnchorSet of k full-body anchors; distortion_history records the
-        sum of squared d3d to assigned centroids after each assignment.
+        sum of squared Euclidean distances in R^{3J} (m^2) of the points to
+        their assigned centroids after each assignment, the objective that
+        the Lloyd iterations never raise.
         Each layout joint is the mean of the members' finite unit-box
         coordinates. A joint with no finite coordinate in any member of
         its anchor is filled from the centroid's (x, y) projection,
@@ -185,14 +201,14 @@ def kmeans_anchors(
     # Per point: a lower bound on its distance to each centroid, exact
     # from the k-means++ draws; then its centroid and the exact distance
     # u to it, after this first full assignment.
-    planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))  # (3, N, J)
-    centroids, low = _kmeans_pp_init(planes, k, rng)
+    points = coords3d.reshape(len(poses), -1)  # (N, 3J)
+    centroids, low = _kmeans_pp_init(points, k, rng)
     rows = np.arange(len(poses))
     assign = low.argmin(axis=1)
     u = low[rows, assign]
     history = [float((u ** 2).sum())]
     for _ in range(max_iters):
-        clusters = _clusters(coords3d, assign, k)
+        clusters = _clusters(points, assign, k)
         new_centroids = centroids.copy()
         for c, members in enumerate(clusters):
             if len(members):
@@ -200,21 +216,19 @@ def kmeans_anchors(
         # reseed empty clusters from the point farthest from its centroid
         empty = [c for c, members in enumerate(clusters) if not len(members)]
         if empty:
-            point_dist = d3d_kernel(planes, np.take(new_centroids.transpose(2, 0, 1),
-                                                    assign, axis=1))
+            point_dist = _dist(points, new_centroids[assign])
             for c in empty:
                 far = int(point_dist.argmax())
-                new_centroids[c] = coords3d[far]
+                new_centroids[c] = points[far]
                 point_dist[far] = -1.0
 
-        shifts = d3d_kernel(new_centroids.transpose(2, 0, 1), centroids.transpose(2, 0, 1))
+        shifts = _dist(new_centroids, centroids)
         centroids = new_centroids
-        cplanes = np.ascontiguousarray(centroids.transpose(2, 0, 1))  # (3, k, J)
 
         # assignment step: u is exact again and each bound drops by its
         # centroid's shift; only the pairs whose bound does not clear u
         # are evaluated, and only their rows can change centroid
-        u = d3d_kernel(planes, np.take(cplanes, assign, axis=1))
+        u = _dist(points, centroids[assign])
         low -= shifts
         # not u < low - PRUNE_SLACK * (|low| + u + 1), rearranged; both
         # forms keep every pair whose bound is negative
@@ -224,7 +238,7 @@ def kmeans_anchors(
         candidate[rows, assign] = False
         pts, cols = np.divmod(np.flatnonzero(candidate), k)
         if len(pts):
-            low[pts, cols] = _pair_d3d(planes, cplanes, pts, cols, _PAIR_CHUNK_ROWS * k)
+            low[pts, cols] = _pair_dist(points, centroids, pts, cols, _PAIR_CHUNK_ROWS * k)
             # pts is sorted (flat indices, divided by k), so its first
             # occurrences are its distinct rows, in order
             moved = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
@@ -234,6 +248,7 @@ def kmeans_anchors(
         if shifts.max() < DEFAULT_TOL:
             break
 
+    centroids = centroids.reshape(k, -1, 3)
     anchors = []
     for c, layouts in enumerate(_clusters(unit_layouts, assign, k)):
         finite = np.isfinite(layouts)

@@ -54,8 +54,11 @@ DECAY_FACTOR = 0.1
 DECAY_FRACTION = 0.6
 INIT_SCALE = 0.01  # standard deviation of the classifier's initial weights
 RIDGE = 0.1  # lambda, the penalty on each regression slot's squared weights
-# what a training run that does not stay finite most likely met
-HINT = " (features whose products overflow?)"
+# What a training run that does not stay finite most likely met. The ridge
+# systems take the features and targets alone; the classifier's descent and
+# the loss curve take the learning rate too.
+FEATURE_HINT = " (features whose products overflow; no learning rate enters the ridge solve)"
+DESCENT_HINT = " (features whose products overflow, or too large a learning rate?)"
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def _solve_slots(model, x, labels, targets):
     rhs = np.stack([b.T @ targets[r] for b, r in zip(blocks, rows)])
     # solve turns an infinite pivot into a finite 0 without a word
     if not (_all_finite(gram) and _all_finite(rhs)):
-        raise ValueError(f"training failed: the ridge systems are not finite{HINT}")
+        raise ValueError(f"training failed: the ridge systems are not finite{FEATURE_HINT}")
     sol = np.linalg.solve(gram, rhs)  # (F, D + 1, 5*J): each slot's weights, then its bias
     model.w_reg[:] = sol[:, :d].transpose(1, 0, 2).reshape(d, -1)
     model.b_reg[:] = sol[:, d].ravel()
@@ -182,12 +185,13 @@ def _train_head(model, x, labels, targets, config):
 
 def _check_trained(model: ToyModel) -> None:
     """Reject a trained model whose loss curve or weights hold a NaN or
-    an infinity."""
+    an infinity. Its ridge systems were finite (_solve_slots checks them),
+    so the hint names the learning rate too."""
     if not _all_finite(np.array(model.loss_history, dtype=np.float64)):
-        raise ValueError(f"training failed: the loss curve is not finite{HINT}")
+        raise ValueError(f"training failed: the loss curve is not finite{DESCENT_HINT}")
     for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
         if not _all_finite(getattr(model, name)):
-            raise ValueError(f"training failed: {name} is not finite{HINT}")
+            raise ValueError(f"training failed: {name} is not finite{DESCENT_HINT}")
 
 
 def train(

@@ -326,8 +326,7 @@ def d3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Computes all N * M pairs in one broadcast, with (N, M, J)
     temporaries: its callers pass small stacks, such as one image's
-    ground truth against a codebook (kmeans_anchors evaluates its own
-    pairs, in chunks).
+    ground truth against a codebook.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -183,6 +183,20 @@ def d3d(p, q):
     return float(np.linalg.norm(p - q, axis=1).mean())
 
 
+def flat_matrix(a, b):
+    """Pairwise Euclidean distances in R^{3J} of stacks a (N, J, 3) and
+    b (M, J, 3): np.linalg.norm of each pair's 3J coordinate differences,
+    flattened joint by joint."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return np.linalg.norm(a[:, None] - b[None], axis=2)
+
+
+def flat_dist(p, q):
+    """Euclidean distance in R^{3J} of two (J, 3) poses, as flat_matrix
+    computes it."""
+    return float(np.linalg.norm((p - q).ravel(), axis=-1))
+
+
 def visible_box(pose2d):
     """The tight box over a Pose2D's visible joints, widened by
     DEFAULT_BOX_MARGIN of its extent per axis, half on each side."""
@@ -231,12 +245,12 @@ def unit_layout(pose2d):
 
 def kmeans_pp(coords3d, k, rng):
     """Seeded k-means++ centroids: the first point uniform, each next one
-    with probability proportional to its squared d3d to the nearest
-    centroid so far, uniform once every weight is 0."""
+    with probability proportional to its squared Euclidean distance in
+    R^{3J} to the nearest centroid so far, uniform once every weight is 0."""
     n = len(coords3d)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
-        weights = d3d_matrix(coords3d, coords3d[chosen]).min(axis=1) ** 2
+        weights = flat_matrix(coords3d, coords3d[chosen]).min(axis=1) ** 2
         total = weights.sum()
         chosen.append(int(rng.choice(n, p=weights / total)) if total > 0.0
                       else int(rng.choice(n)))
@@ -244,15 +258,16 @@ def kmeans_pp(coords3d, k, rng):
 
 
 def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS):
-    """Plain Lloyd iterations under d3d from kmeans_pp's centroids, with a
-    full distance matrix per assignment. An update keeps the centroid of an
-    emptied cluster; then each empty cluster in turn takes the point
-    farthest from its own centroid. Stops after max_iters updates or once
-    every centroid moves less than DEFAULT_TOL.
+    """Plain Lloyd iterations in R^{3J} (see flat_matrix) from kmeans_pp's
+    centroids, with a full distance matrix per assignment. An update keeps
+    the centroid of an emptied cluster; then each empty cluster in turn
+    takes the point farthest from its own centroid. Stops after max_iters
+    updates or once every centroid moves less than DEFAULT_TOL, in
+    Euclidean norm over its 3J coordinates.
 
     Returns the (k, J, 3) centroids, the (k, J, 2) unit-box layouts of the
     final clusters (see anchor_layout) and the distortion history, the sum of
-    squared d3d to the assigned centroids after each assignment.
+    squared distances to the assigned centroids after each assignment.
     """
     coords3d = np.stack([p3.coords for _, p3 in poses])
     centroids = kmeans_pp(coords3d, k, np.random.default_rng(seed))
@@ -260,7 +275,7 @@ def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS):
     history = []
 
     def assignment():
-        dist = d3d_matrix(coords3d, centroids)
+        dist = flat_matrix(coords3d, centroids)
         assign = dist.argmin(axis=1)
         history.append(float((dist[rows, assign] ** 2).sum()))
         return assign
@@ -275,12 +290,13 @@ def kmeans(poses, k, seed=0, max_iters=DEFAULT_MAX_ITERS):
             else:
                 empty.append(c)
         if empty:
-            point_dist = np.array([d3d(p, new_centroids[c]) for p, c in zip(coords3d, assign)])
+            point_dist = np.array([flat_dist(p, new_centroids[c])
+                                   for p, c in zip(coords3d, assign)])
             for c in empty:
                 far = int(point_dist.argmax())
                 new_centroids[c] = coords3d[far]
                 point_dist[far] = -1.0
-        shift = max(d3d(new, old) for new, old in zip(new_centroids, centroids))
+        shift = max(flat_dist(new, old) for new, old in zip(new_centroids, centroids))
         centroids = new_centroids
         if shift < DEFAULT_TOL:
             break

@@ -20,7 +20,6 @@ from poseforge.pose import (
     Pose3D,
     PoseSpec,
     d3d,
-    d3d_matrix,
     fit_scale_offset,
 )
 
@@ -99,32 +98,32 @@ class TestKmeansMatchesLloydOracle:
         assert len(out.distortion_history) == max_iters + 1
 
     def test_continuum_corpus_at_benchmark_scale(self):
-        # no modes to settle into: the bounds decay the most, over 63 iterations
-        rng = np.random.default_rng(20)
-        out = assert_matches_oracle(ref.corpus(rng, 2000), 16, seed=6)
+        # no modes to settle into: the bounds decay the most, over 75 iterations
+        rng = np.random.default_rng(26)
+        out = assert_matches_oracle(ref.corpus(rng, 2000), 16, seed=4)
         assert len(out.distortion_history) > 50
 
     def test_pruning_skips_most_pairs(self, monkeypatch):
         # the first bounds are the k-means++ distance columns, so no full
         # matrix is computed; after the first assignment, every (point,
         # centroid) distance besides each point's own goes through the
-        # module-level _pair_d3d
-        rng = np.random.default_rng(12)
+        # module-level _pair_dist
+        rng = np.random.default_rng(20)
         poses = ref.clustered_corpus(rng, 600, 30, 0.2)
         pairs, full = [], []
-        pair_d3d, d3d_matrix = anchors_module._pair_d3d, anchors_module.d3d_matrix
+        pair_dist, d3d_matrix = anchors_module._pair_dist, anchors_module.d3d_matrix
 
-        def counting_pairs(planes, cplanes, rows, cols, chunk):
+        def counting_pairs(points, centroids, rows, cols, chunk):
             pairs.append(len(rows))
-            return pair_d3d(planes, cplanes, rows, cols, chunk)
+            return pair_dist(points, centroids, rows, cols, chunk)
 
         def counting_full(a, b, *rest):
             full.append(len(a) * len(b))
             return d3d_matrix(a, b, *rest)
 
-        monkeypatch.setattr(anchors_module, "_pair_d3d", counting_pairs)
+        monkeypatch.setattr(anchors_module, "_pair_dist", counting_pairs)
         monkeypatch.setattr(anchors_module, "d3d_matrix", counting_full)
-        out = kmeans_anchors(poses, 8, H13, seed=3)
+        out = kmeans_anchors(poses, 8, H13, seed=3)  # 24 iterations
         iterations = len(out.distortion_history) - 1
         assert iterations > 10
         assert full == []
@@ -132,7 +131,7 @@ class TestKmeansMatchesLloydOracle:
 
     def test_candidate_pairs_are_chunked(self):
         # a fit_heavy-sized call: on this corpus, evaluating all candidate
-        # pairs at once peaks near 76 MB, and in chunks near 13.4 MB
+        # pairs at once peaks near 88 MB, and in chunks near 13.4 MB
         poses = ref.corpus(np.random.default_rng(30), 6000)
         tracemalloc.start()
         try:
@@ -147,19 +146,20 @@ class TestKmeansPlusPlusInit:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 60), k_frac=st.floats(0.0, 1.0), distinct=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1))
-    def test_bounds_are_d3d_matrix_of_the_draws(self, n, k_frac, distinct, seed):
+    def test_bounds_are_distances_of_the_draws(self, n, k_frac, distinct, seed):
         # `distinct` poses repeated to n rows: small values exhaust the
         # distinct poses before k, so the equal-weight draws run too
         rng = np.random.default_rng(seed)
         poses = ref.clustered_corpus(rng, distinct, 3, 0.1)
         coords3d = np.stack([poses[i % distinct][1].coords for i in range(n)])
         k = 1 + int(k_frac * (n - 1))
-        planes = np.ascontiguousarray(coords3d.transpose(2, 0, 1))
-        centroids, low = _kmeans_pp_init(planes, k, np.random.default_rng(seed % 1000))
+        centroids, low = _kmeans_pp_init(coords3d.reshape(n, -1), k,
+                                         np.random.default_rng(seed % 1000))
+        centroids = centroids.reshape(k, 13, 3)
         assert np.array_equal(centroids,
                               ref.kmeans_pp(coords3d, k, np.random.default_rng(seed % 1000)))
         assert low.shape == (n, k) and low.flags.c_contiguous
-        assert np.array_equal(low, d3d_matrix(coords3d, centroids))
+        assert np.array_equal(low, ref.flat_matrix(coords3d, centroids))
 
 
 class TestKmeansOccludedLayouts:
@@ -172,8 +172,8 @@ class TestKmeansOccludedLayouts:
         assert np.array_equal(out.coords3d, centroids)
         assert out.distortion_history == history
         # each layout joint is the mean of the finite member coordinates
-        assign = np.array([np.argmin([d3d(a.pose3d, p3) for a in out.anchors])
-                           for _, p3 in poses])
+        assign = ref.flat_matrix(np.stack([p3.coords for _, p3 in poses]),
+                                 out.coords3d).argmin(axis=1)
         for i, a in enumerate(out.anchors):
             for j in range(13):
                 xs = [ref.unit_layout(p2)[j]
@@ -288,6 +288,21 @@ class TestKmeans:
         assert len(hist) >= 2
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(500, 2000), k=st.integers(1, 16), modes=st.integers(0, 8),
+           spread=st.sampled_from([0.05, 0.2, 0.4]), seed=st.integers(0, 2**32 - 1))
+    def test_distortion_never_rises(self, n, k, modes, spread, seed):
+        # modes = 0 draws a continuum corpus, which has no modes to settle into.
+        # Corpora start at 500 poses: an assignment by d3d under the same mean
+        # update raised the history on about half of the continuum corpora of
+        # 2,000 poses, and on almost none below 500.
+        rng = np.random.default_rng(seed)
+        poses = (ref.corpus(rng, n, spread) if modes == 0
+                 else ref.clustered_corpus(rng, n, modes, spread))
+        hist = kmeans_anchors(poses, min(k, n), H13, seed=seed % 1000).distortion_history
+        for a, b in zip(hist, hist[1:]):
+            assert b <= a + 1e-12 * a
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

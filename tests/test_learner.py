@@ -359,6 +359,28 @@ class TestTrain:
         assert [row[1:] for row in model.loss_history] == [(0.0, 0.0, 0.0)] * 5
         assert predict(model, examples[0][0], BoundingBox(0, 0, 10, 10), anchors) == []
 
+    def test_overflowing_ridge_systems_blame_the_features_alone(self):
+        # the ridge solve takes no learning rate, so its hint names none
+        rng = np.random.default_rng(19)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
+        examples = [(1e200 * rng.normal(0, 1, 8), lab) for _, lab in examples]
+        with pytest.raises(ValueError) as raised:
+            train(examples, anchors, TrainConfig(iterations=5))
+        assert str(raised.value) == ("training failed: the ridge systems are not finite (features "
+                                     "whose products overflow; no learning rate enters the ridge "
+                                     "solve)")
+
+    def test_diverging_classifier_blames_the_features_or_the_learning_rate(self):
+        # unit-scale features, finite ridge systems: only the step overflows
+        rng = np.random.default_rng(19)
+        anchors = ref.anchor_set(rng, 3)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=2)
+        with pytest.raises(ValueError) as raised:
+            train(examples, anchors, TrainConfig(iterations=5, learning_rate=1e308))
+        assert str(raised.value) == ("training failed: the loss curve is not finite (features "
+                                     "whose products overflow, or too large a learning rate?)")
+
     def test_diverging_classifier_rejected(self):
         # steps near the largest float overflow the classifier's weights
         rng = np.random.default_rng(19)

@@ -1,12 +1,15 @@
 import argparse
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 # tools/ is not a package: load digest.py by its path
-_spec = importlib.util.spec_from_file_location(
-    "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+_spec = importlib.util.spec_from_file_location("digest", TOOLS / "digest.py")
 digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digest)
 
@@ -36,3 +39,17 @@ def test_bad_seeds_message_reaches_the_command_line(capsys):
         digest.main(["--workload", "crowd", "--seeds", "1,10-1"])
     assert exit_info.value.code == 2
     assert "part '10-1' is not N or LO-HI with LO <= HI" in capsys.readouterr().err
+
+
+def test_loc_exits_quietly_when_the_reader_closes_early():
+    # the reader takes the first line and closes the pipe, as `head -1` does;
+    # unbuffered, each later line is a write into the closed pipe
+    proc = subprocess.Popen([sys.executable, str(TOOLS / "loc.py")], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline().startswith("src/")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""

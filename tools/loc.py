@@ -6,12 +6,16 @@ a module, class or function docstring. Then prints the same two figures
 for each module of the package, src/poseforge/*.py.
 
 Usage: python tools/loc.py [ROOT]   (ROOT defaults to the repository root)
+
+A reader that closes the pipe early, such as `head -1`, ends it quietly,
+with exit status 0.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -56,4 +60,9 @@ def main(root: Path) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+    try:
+        main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early, as `| head -1` does
+        # point stdout at devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
