@@ -213,18 +213,15 @@ def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(loss, out=loss), grad
 
 
-def _class_loss(probs: np.ndarray, labels: np.ndarray,
-                out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _class_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean log loss of n boxes and its gradient w.r.t. the logits.
 
     probs (n, C) are class probabilities; u(c) is clamped at LOG_EPS.
-    The gradient overwrites out, which must hold the probabilities (the
-    trainer passes probs itself), or goes to a new array.
     """
     n = len(labels)
     rows = np.arange(n)
     cls_loss = float(-np.log(np.maximum(probs[rows, labels], LOG_EPS)).mean())
-    g_logits = probs.copy() if out is None else out
+    g_logits = probs.copy()
     g_logits[rows, labels] -= 1.0
     g_logits /= n
     return cls_loss, g_logits

@@ -176,8 +176,7 @@ def _train_head(model, x, labels, targets, config):
     switch = int(DECAY_FRACTION * config.iterations)
     for it in range(config.iterations):
         lr = config.learning_rate * (1.0 if it < switch else DECAY_FACTOR)
-        probs = model.class_probs(x)
-        cls_loss, g_logits = _class_loss(probs, labels, out=probs)
+        cls_loss, g_logits = _class_loss(model.class_probs(x), labels)
         model.loss_history.append((it, cls_loss, reg_loss, cls_loss + reg_loss))
         model.w_cls -= lr * (x.T @ g_logits)
         model.b_cls -= lr * g_logits.sum(axis=0)

@@ -7,10 +7,8 @@ rescored score are broken by lower proposal position for determinism.
 
 Every step runs on stacked arrays: boxes (N, 4), 2D poses (N, J, 2), 3D
 poses (N, J, 3) and scores (N,). ppi() and nms() stack an image's
-proposals once, and read a box once per run of consecutive proposals
-that hold the same box object, as the proposals of one learner.predict
-call do. The public per-list functions stack their input and call the
-same private helpers, so each piece of math has one implementation.
+proposals once. The public per-list functions stack their input and call
+the same private helpers, so each piece of math has one implementation.
 
 Grouping and mode extraction apply one greedy rule, _seed_rounds: the
 best free proposal seeds a cluster and takes every free proposal close
@@ -19,8 +17,8 @@ modes. It runs in lock-step rounds over parts that cannot share a
 cluster: the groups for modes, and for grouping blocks along x. Sorted
 by x_min, a box opens a new block where its x_min reaches the largest
 x_max before it, so boxes of different blocks have IoU 0; at
-iou_threshold 0 the input is one block. Detections are checked once per
-stack and built without a per-object copy or check.
+iou_threshold 0 the input is one block. ppi() checks its detections once
+per stack and builds them without a per-object copy or check.
 """
 
 from __future__ import annotations
@@ -128,8 +126,8 @@ def _check_overlap_joints(joints: tuple[int, ...], joint_count: float = np.inf) 
 class Detection:
     """Aggregated 2D-3D pose with the accumulated score of its mode.
 
-    ppi() and nms() build detections with pose._frozen from poses they
-    have already checked.
+    ppi() builds detections with pose._frozen from poses it has already
+    checked.
     """
 
     pose2d: Pose2D
@@ -167,24 +165,6 @@ def _stack2d(proposals) -> np.ndarray:
 def _stack3d(proposals) -> np.ndarray:
     """(N, J, 3) stack of the proposals' 3D poses."""
     return _stack([p.pose3d.coords for p in proposals])
-
-
-def _stack_boxes(proposals) -> np.ndarray:
-    """(N, 4) stack of the proposals' boxes (x_min, y_min, x_max, y_max).
-
-    Each box is read once per run of consecutive proposals that hold the
-    same box object, as the proposals of one learner.predict call do,
-    and its row is repeated over the run.
-    """
-    rows, runs, last = [], [], None
-    for p in proposals:
-        if p.box is last:
-            runs[-1] += 1
-        else:
-            last = p.box
-            rows.append(last.as_tuple())
-            runs.append(1)
-    return np.repeat(np.array(rows, dtype=np.float64), runs, axis=0)
 
 
 def _planes(c2d: np.ndarray) -> np.ndarray:
@@ -437,7 +417,8 @@ def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
     c2d = _stack2d(proposals)
     planes = _planes(c2d)
     scores = np.array([p.score for p in proposals], dtype=np.float64)
-    rescored = _rescore(_stack_boxes(proposals), planes, scores, params.sigma_b)
+    boxes = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
+    rescored = _rescore(boxes, planes, scores, params.sigma_b)
     if (rescored > scores + 1e-12).any():
         raise ValueError("rescored score cannot exceed the raw score")
     gid, seeds = _group(_overlap_boxes(planes, params.overlap_joints), rescored,
@@ -449,9 +430,7 @@ def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
     """Full integration: rescore, group, extract modes, average, filter.
 
     Returns detections sorted by descending score; every input proposal
-    contributes to exactly one mode. The proposals are stacked once, and
-    the boxes of consecutive proposals that share one box object are
-    read once (see _stack_boxes).
+    contributes to exactly one mode. The proposals are stacked once.
     """
     if not proposals:
         return []
@@ -470,7 +449,6 @@ def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[
     if not proposals:
         return []
     _, rescored, _, seeds = _rescored_groups(proposals, params)
-    detection = _frozen(Detection)
-    return _finalize([detection(proposals[i].pose2d, proposals[i].pose3d, s, 1)
+    return _finalize([Detection(proposals[i].pose2d, proposals[i].pose3d, s, 1)
                       for i, s in zip(seeds.tolist(), rescored[seeds].tolist())],
                      params.min_score)

@@ -142,12 +142,13 @@ def proposal(rng, center=(200.0, 200.0), spread=40.0, score=None, p3=None):
                         pose2d=pose2d, pose3d=p3, score=s)
 
 
-def crowd_proposals(rng, people, per_person):
+def crowd_proposals(rng, people, per_person, ties=True):
     """Jittered proposals around a few people, each with three 3D modes.
 
-    Half of the proposals score 0.5 in a box wide enough to hold every
-    joint, so their rescored scores tie exactly and the tie-breaks on
-    the lower index are exercised.
+    With ties, half of the proposals score 0.5 in a box wide enough to
+    hold every joint, so their rescored scores tie exactly and the
+    tie-breaks on the lower index are exercised. Without, every proposal
+    takes its person's tight joint box and a uniform score.
     """
     proposals = []
     for _ in range(people):
@@ -158,7 +159,7 @@ def crowd_proposals(rng, people, per_person):
         bases3d = rng.normal(0, 0.3, (3, 13, 3))
         for _ in range(per_person):
             c3d = bases3d[rng.integers(3)] + rng.normal(0, 0.03, (13, 3))
-            tie = rng.random() < 0.5
+            tie = ties and rng.random() < 0.5
             proposals.append(PoseProposal(
                 int(rng.integers(0, 5)), wide if tie else tight,
                 Pose2D(base2d + rng.normal(0, 8.0, (13, 2))), center_3d(c3d),

@@ -40,8 +40,7 @@ def stacked(examples, model):
 class TestTrainMatchesPerPositiveOracle:
     # The loss history's reg column is the smooth-L1 loss of the trained
     # model's full x @ w_reg, taken one positive at a time.
-    @pytest.mark.parametrize("n_per_class,target_scale", [(6, 1.0), (15, 4.0)],
-                             ids=["6-1.0-False", "15-4.0-False"])  # ids: see SLOT_ORACLE_CASES
+    @pytest.mark.parametrize("n_per_class,target_scale", [(6, 1.0), (15, 4.0)])
     def test_loss_history_and_weights_match(self, monkeypatch, n_per_class, target_scale):
         rng = np.random.default_rng(20)
         anchors = ref.anchor_set(rng, 4)
@@ -70,9 +69,6 @@ class TestTrainMatchesPerPositiveOracle:
         assert all(reg == 0.0 for _, _, reg, _ in model.loss_history)
 
 
-# Before the learner kept one head only, these cases also ran with a second,
-# refine pass. Their ids keep the one-pass "False", so that each case can be
-# followed across versions, and so do the file's other such cases.
 SLOT_ORACLE_CASES = [("mixed", 25), ("mixed", 0), ("sparse_classes", 25),
                      ("background_only", 25), ("foreground_only", 25),
                      ("linear_branch", 25), ("large", 25)]
@@ -106,8 +102,7 @@ def slot_oracle_examples(case):
 
 class TestTrainMatchesSlotOracle:
     # The classifier agrees bit for bit, the solved slots within RIDGE_RTOL.
-    @pytest.mark.parametrize("case,iterations", SLOT_ORACLE_CASES,
-                             ids=[f"{case}-False-{it}" for case, it in SLOT_ORACLE_CASES])
+    @pytest.mark.parametrize("case,iterations", SLOT_ORACLE_CASES)
     def test_loss_history_and_weights_equal(self, monkeypatch, case, iterations):
         anchors, examples = slot_oracle_examples(case)
         config = TrainConfig(iterations=iterations, learning_rate=0.7, seed=3)
@@ -573,12 +568,11 @@ class TestPredict:
                 assert np.array_equal(p.pose3d.coords, pose3d.coords)
                 assert np.array_equal(p.pose3d.coords, moved)
 
-    @pytest.mark.parametrize("iterations", [5], ids=["False"])  # ids: see SLOT_ORACLE_CASES
-    def test_non_finite_feature_rejected(self, iterations):
+    def test_non_finite_feature_rejected(self):
         rng = np.random.default_rng(14)
         anchors = ref.anchor_set(rng, 3)
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
-        model = train(examples, anchors, TrainConfig(iterations=iterations))
+        model = train(examples, anchors, TrainConfig(iterations=5))
         feature = np.zeros(8)
         feature[2] = np.nan
         with pytest.raises(ValueError, match="feature row 0 is not finite"):

@@ -219,17 +219,17 @@ ALL_13 = np.ones((1, 13), dtype=bool)
 
 
 class TestBoxes:
-    def test_box_around_no_margin(self):
+    def test_margin_boxes_no_margin(self):
         # the tight box, with the margin constant set to 0
         coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
         with mock.patch.object(pose_module, "DEFAULT_BOX_MARGIN", 0.0):
             assert tuple(margin_boxes(coords, ALL_13)[0]) == (0, 0, 100, 100)
 
-    def test_box_around_ten_percent(self):
+    def test_margin_boxes_ten_percent(self):
         coords = np.array([[[0, 0], [100, 100]] + [[50, 50]] * 11], dtype=float)
         assert tuple(margin_boxes(coords, ALL_13)[0]) == pytest.approx((-5, -5, 105, 105))
 
-    def test_box_around_uses_visible_only(self):
+    def test_margin_boxes_use_visible_only(self):
         coords = np.array([[[0, 0], [10, 10], [1000, 1000]]], dtype=float)
         vis = np.array([[True, True, False]])
         assert tuple(margin_boxes(coords, vis)[0]) == pytest.approx((-0.5, -0.5, 10.5, 10.5))
@@ -259,7 +259,7 @@ class TestBoxes:
             one = margin_boxes(coords[i:i + 1], vis[i:i + 1])[0]
             assert tuple(one) == expected.as_tuple()
 
-    def test_margin_boxes_reject_like_box_around(self):
+    def test_margin_boxes_reject_bad_poses_in_a_stack(self):
         coords = np.tile(np.arange(26.0).reshape(13, 2), (3, 1, 1))
         vis = np.ones((3, 13), dtype=bool)
         vis[1] = False

@@ -19,7 +19,6 @@ from poseforge.ppi import (
     _modes,
     _overlap_boxes,
     _planes,
-    _stack_boxes,
     average_mode,
     extract_modes,
     group_by_overlap,
@@ -854,40 +853,3 @@ class TestOverlapBoxes:
         assert _overlap_boxes(_planes(far[None]), None).tolist() == [[0.0, 0.0, 500.0, 500.0]]
         assert group_by_overlap([a, b], 0.12) == [[a], [b]]
 
-
-class TestBoxReading:
-    """ppi and nms read a box once per run of proposals that share the box
-    object; the boxes and detections must be those of reading each."""
-
-    @staticmethod
-    def proposals(rng, boxes):
-        return [PoseProposal(int(rng.integers(5)), box,
-                             Pose2D(rng.uniform((box.x_min, box.y_min), (box.x_max, box.y_max),
-                                                (13, 2)) + rng.normal(0, 4.0, (13, 2))),
-                             ref.pose3d(rng),
-                             float(rng.choice([0.2, 0.5, 0.9])))
-                for box in boxes]
-
-    @pytest.mark.parametrize("case", ["shared", "equal_copies", "recurring"])
-    def test_boxes_and_detections_equal_per_proposal_reading(self, case):
-        rng = np.random.default_rng(43)
-        a, b = BoundingBox(0, 0, 100, 120), BoundingBox(60, 20, 170, 150)
-        boxes = {
-            "shared": [a] * 4 + [b] * 3,  # runs of one object each, as predict gives
-            "equal_copies": [BoundingBox(*a.as_tuple()) for _ in range(4)] + [b, b],
-            "recurring": [a, a, b, a, b, b, a],  # A, B, A: not one run per object
-        }[case]
-        proposals = self.proposals(rng, boxes)
-        assert np.array_equal(_stack_boxes(proposals),
-                              np.array([p.box.as_tuple() for p in proposals]))
-        # every proposal with a box object of its own: each box is read
-        apart = [replace(p, box=BoundingBox(*p.box.as_tuple())) for p in proposals]
-        params = PpiParams(iou_threshold=0.3, t3d=0.2)
-        for integrate in (ppi, nms):
-            got, want = integrate(proposals, params), integrate(apart, params)
-            assert len(got) == len(want) > 0
-            for g, w in zip(got, want):
-                ref.assert_same(g, w)
-        rescored = [rescore(p, params.sigma_b) for p in proposals]
-        ref.assert_detections(ppi(proposals, params), ref.ppi(rescored, params))
-        ref.assert_detections(nms(proposals, params), ref.nms(rescored, params))

@@ -20,18 +20,18 @@ their classes look like. The digest reads the model's arrays by name, so
 two trees whose model layouts differ are compared by running each tree's
 own copy of this tool, which --against does.
 
-Usage: python tools/digest.py [--root TREE | --against REV] --workload W --seeds 1-10
+Usage: python tools/digest.py [--against REV] --workload W --seeds 1-10
 
---root names the tree whose perfbench/ and src/ run (default: this
-repository). --against REV compares this tree with the commit REV (such
-as HEAD or a parent commit): it exports REV with `git archive` into a
-temporary directory and runs REV's own copy of this tool there, beside
-this tree's copy. It prints each pair of lines, once with "=" where they
-are equal, and as a "-" line (REV) and a "+" line (this tree) where they
-differ, then exits 1 if any line differs. --seeds takes a list such as
-1-10, 3 or 1,4,7-9. The BLAS thread count is pinned to 1 before NumPy
-loads, as perfbench/run.py pins it. Nothing is written outside the
-temporary directory: not even bytecode caches.
+The perfbench/ and src/ of this tool's own tree run. --against REV
+compares this tree with the commit REV (such as HEAD or a parent
+commit): it exports REV with `git archive` into a temporary directory
+and runs REV's own copy of this tool there, beside this tree's copy. It
+prints each pair of lines, once with "=" where they are equal, and as a
+"-" line (REV) and a "+" line (this tree) where they differ, then exits
+1 if any line differs. --seeds takes a list such as 1-10, 3 or
+1,4,7-9. The BLAS thread count is pinned to 1 before NumPy loads, as
+perfbench/run.py pins it. Nothing is written outside the temporary
+directory: not even bytecode caches.
 """
 
 from __future__ import annotations
@@ -211,20 +211,14 @@ def against(rev: str, workload: str, seeds: list[int]) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    tree = ap.add_mutually_exclusive_group()
-    tree.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    tree.add_argument("--against", metavar="REV")
+    ap.add_argument("--against", metavar="REV")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True)
     args = ap.parse_args(argv)
     if args.against:
         exit_on_sigterm()
         return against(args.against, args.workload, args.seeds)
-    root = args.root.resolve()
-    if not (root / "perfbench" / "pipeline.py").is_file():
-        print(f"error: no perfbench/pipeline.py under {root}", file=sys.stderr)
-        return 2
-
+    root = Path(__file__).resolve().parents[1]
     for var in BLAS_ENV:
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
