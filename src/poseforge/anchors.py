@@ -61,9 +61,11 @@ class AnchorSet:
     Anchor id i is anchors[i]; the first K are full-body, and the rest
     are upper-body variants (see add_upper_body_variants). Construction
     rejects an anchor whose 2D or 3D joint count is not spec's, and
-    stacks the anchors into the read-only arrays coords2d (n, J, 2), the
-    unit-box layouts, and coords3d (n, J, 3), the 3D poses; row i holds
-    anchor id i, and an empty set has n = 0.
+    stacks the anchors into one read-only (n, 5*J) array, stack, in
+    labeling.regression_target's layout: the unit-box layout (x0, y0, x1,
+    y1, ...), then the 3D pose (x0, y0, z0, ...). coords2d (n, J, 2) and
+    coords3d (n, J, 3) are views of its two halves. Row i holds anchor
+    id i, and an empty set has n = 0.
     """
 
     anchors: tuple[AnchorPose, ...]
@@ -80,10 +82,12 @@ class AnchorSet:
             if len(a.pose2d.coords) != j or len(a.pose3d.coords) != j:
                 raise ValueError(f"anchor {i} has {len(a.pose2d.coords)} 2D and "
                                  f"{len(a.pose3d.coords)} 3D joints, spec {self.spec.name} has {j}")
-        for name, width, attr in (("coords2d", 2, "pose2d"), ("coords3d", 3, "pose3d")):
-            stack = np.array([getattr(a, attr).coords for a in self.anchors]).reshape(-1, j, width)
-            stack.setflags(write=False)
-            object.__setattr__(self, name, stack)
+        stack = np.array([np.concatenate((a.pose2d.coords, a.pose3d.coords), axis=None)
+                          for a in self.anchors]).reshape(-1, 5 * j)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "coords2d", stack[:, :2 * j].reshape(-1, j, 2))
+        object.__setattr__(self, "coords3d", stack[:, 2 * j:].reshape(-1, j, 3))
 
     def __len__(self) -> int:
         return len(self.anchors)

@@ -153,25 +153,6 @@ def assign_label(
     return LabeledBox(nearest[best] + 1, target)
 
 
-def regress_anchors(layouts: np.ndarray, anchors3d: np.ndarray, box: BoundingBox,
-                    residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Poses of K anchors refined by their 5*J residuals and placed in box.
-
-    Stacked form of apply_regression: layouts (K, J, 2) in unit-box
-    coordinates, anchors3d (K, J, 3) and residuals (K, 5*J) give the 2D
-    pixel coordinates (K, J, 2) and the 3D coordinates (K, J, 3).
-    """
-    k, j = layouts.shape[:2]
-    res2d = residuals[:, :2 * j].reshape(k, j, 2)
-    res3d = residuals[:, 2 * j:].reshape(k, j, 3)
-    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
-    # (layouts + res2d) * (width, height) + (x0, y0), in place: the same bits
-    coords2d = layouts + res2d
-    coords2d *= (x1 - x0, y1 - y0)
-    coords2d += (x0, y0)
-    return coords2d, anchors3d + res3d
-
-
 def apply_regression(anchor: AnchorPose, box: BoundingBox,
                      residual: np.ndarray) -> tuple[Pose2D, Pose3D]:
     """Reconstruct a 2D-3D pose from an anchor, a box, and a 5*J residual.
@@ -183,16 +164,19 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
     j = anchor.pose2d.joint_count
     if residual.shape != (5 * j,):
         raise ValueError(f"residual must have length {5 * j}, got {residual.shape}")
-    coords2d, coords3d = regress_anchors(anchor.pose2d.coords[None], anchor.pose3d.coords[None],
-                                         box, residual[None])
-    return Pose2D(coords2d[0]), Pose3D(coords3d[0])
+    # (layout + res2d) * (width, height) + (x_min, y_min), in place: the same bits
+    coords2d = anchor.pose2d.coords + residual[:2 * j].reshape(j, 2)
+    coords2d *= (box.width, box.height)
+    coords2d += (box.x_min, box.y_min)
+    return Pose2D(coords2d), Pose3D(anchor.pose3d.coords + residual[2 * j:].reshape(j, 3))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of logits (n, C): class probabilities (n, C)."""
-    e = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis of logits (..., C): class probabilities
+    (..., C)."""
+    e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

@@ -40,7 +40,6 @@ from poseforge.labeling import (
     LabeledBox,
     _class_loss,
     _regression_loss,
-    regress_anchors,
     softmax,
 )
 from poseforge.pose import (BoundingBox, Pose2D, Pose3D, _all_finite, _all_visible,
@@ -122,9 +121,10 @@ class ToyModel:
 
 
 def _check_features(x: np.ndarray) -> None:
-    """Reject feature rows holding a NaN or an infinity, naming the first."""
+    """Reject feature rows (n, D), or one feature vector (D,) as row 0,
+    holding a NaN or an infinity, naming the first."""
     if not _all_finite(x):
-        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        row = int(np.argmin(np.isfinite(x).all(axis=-1)))
         raise ValueError(f"feature row {row} is not finite")
 
 
@@ -247,14 +247,13 @@ def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.
     x = np.asarray(feature, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"feature must be one vector, got shape {x.shape}")
-    x = x[None]
     dim = model.w_cls.shape[0]
-    if x.shape[1] != dim:
-        raise ValueError(f"feature dim {x.shape[1]} != {dim}")
+    if len(x) != dim:
+        raise ValueError(f"feature dim {len(x)} != {dim}")
     _check_features(x)
     v = x @ model.w_reg
     v += model.b_reg
-    return model.class_probs(x)[0], v[0]
+    return model.class_probs(x), v
 
 
 # a non-finite weight gives outputs that the checks reject, so numpy's warnings
@@ -272,15 +271,18 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     probabilities, so they sum to 1, and each proposal equals what
     model_outputs and apply_regression give. A model with a fitted id
     that is not an index of anchors, or whose w_reg does not hold one slot
-    of 5*J columns per fitted anchor, raises ValueError. The fitted
-    anchors' poses are built in one regress_anchors call. The (F, J, 2)
-    and (F, J, 3) stacks it returns must be finite, each tested by one sum
-    (see pose._all_finite), and the F scores must lie in [0, 1]; these
-    checks raise with the messages of Pose2D, Pose3D and PoseProposal, so
-    a model with a non-finite weight in a slot raises ValueError. The
-    stacks are then made read-only, and each proposal's poses are row
-    views of them, sharing no memory with the model or the anchors. The F
-    proposals hold the one box object.
+    of 5*J columns per fitted anchor, raises ValueError.
+
+    The F fitted rows of anchors.stack are taken into one (F, 5*J) buffer,
+    the regression output is added to it in place, and its 2D half is
+    scaled by the box's (width, height) and offset by its (x_min, y_min),
+    each repeated into a flat (2*J,) vector. The buffer must be finite,
+    tested by one sum (see pose._all_finite), and the F scores must lie
+    in [0, 1]; these checks raise with the messages of Pose2D, Pose3D and
+    PoseProposal, so a model with a non-finite weight in a slot raises
+    ValueError. The buffer is then made read-only, and each proposal's
+    poses are row views of it, sharing no memory with the model or the
+    anchors. The F proposals hold the one box object.
     """
     k, j, ids = len(anchors), anchors.spec.joint_count, model.fitted
     if len(ids) and ids[-1] >= k:  # ToyModel keeps them ascending and at least 0
@@ -289,16 +291,22 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
         raise ValueError(f"w_reg {model.w_reg.shape} and b_reg {model.b_reg.shape} do not "
                          f"hold one slot of 5*{j} columns for each of {len(ids)} fitted anchors")
     probs, v = model_outputs(model, feature)
-    coords2d, coords3d = regress_anchors(anchors.coords2d[ids], anchors.coords3d[ids], box,
-                                         v.reshape(len(ids), 5 * j))
-    _check_finite(coords2d)
-    _check_finite(coords3d)
+    poses = np.take(anchors.stack, ids, axis=0)
+    poses += v.reshape(len(ids), 5 * j)
+    x0, y0 = box.x_min, box.y_min
+    placed = poses[:, :2 * j]
+    placed *= np.array((box.x_max - x0, box.y_max - y0) * j)
+    placed += np.array((x0, y0) * j)
+    poses.setflags(write=False)
+    coords2d = poses[:, :2 * j].reshape(-1, j, 2)
+    coords3d = poses[:, 2 * j:].reshape(-1, j, 3)
+    if not _all_finite(poses):
+        _check_finite(coords2d)
+        _check_finite(coords3d)
     scores = probs[1:].tolist()
     for s in scores:
         if not 0.0 <= s <= 1.0:  # NaN included
             raise ValueError(f"score must be in [0, 1], got {s}")
-    coords2d.setflags(write=False)
-    coords3d.setflags(write=False)
     vis = _all_visible(j)
     proposal, pose2d, pose3d = _frozen(PoseProposal), _frozen(Pose2D), _frozen(Pose3D)
     return [proposal(i, box, pose2d(c2, vis), pose3d(c3), s, None)

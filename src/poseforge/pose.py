@@ -262,7 +262,7 @@ class BoundingBox:
 class AnchorPose:
     """Canonical paired 2D-3D pose used as a classification target.
 
-    The 2D layout lives in unit-box coordinates (labeling.regress_anchors
+    The 2D layout lives in unit-box coordinates (labeling.apply_regression
     places it, refined by a residual, into a candidate box); the 3D pose
     is torso-centered. An anchor's id is its position in its AnchorSet,
     which also tells whether it is full-body or an upper-body variant.
@@ -292,7 +292,8 @@ def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq *= sq
     acc += sq
     np.sqrt(acc, out=acc)
-    return acc.mean(axis=-1)
+    # what .mean(axis=-1) computes, without its Python wrapper
+    return np.add.reduce(acc, axis=-1) / acc.shape[-1]
 
 
 def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

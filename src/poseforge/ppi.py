@@ -14,11 +14,13 @@ Grouping and mode extraction apply one greedy rule, _seed_rounds: the
 best free proposal seeds a cluster and takes every free proposal close
 to it, by joint-box IoU >= iou_threshold for groups and d3d < t3d for
 modes. It runs in lock-step rounds over parts that cannot share a
-cluster: the groups for modes, and for grouping blocks along x. Sorted
-by x_min, a box opens a new block where its x_min reaches the largest
-x_max before it, so boxes of different blocks have IoU 0; at
-iou_threshold 0 the input is one block. ppi() checks its detections once
-per stack and builds them without a per-object copy or check.
+cluster: the groups for modes, and for grouping blocks along x, then y.
+Sorted by x_min, a box opens a new x-block where its x_min reaches the
+largest x_max before it; each x-block is then split along y by the same
+rule on y_min and y_max. Boxes of different blocks share no area, so
+their IoU is 0; at iou_threshold 0 the input is one block. ppi() checks
+its detections once per stack and builds them without a per-object copy
+or check.
 """
 
 from __future__ import annotations
@@ -225,10 +227,9 @@ def _seed_rounds(part: np.ndarray, rescored: np.ndarray, close) -> np.ndarray:
     while len(order):
         if part[order[0]] == part[order[-1]]:
             seed = order[0]
-        else:
+        else:  # p is sorted, so each part's seed is at the first position of its number
             p = part[order]
-            first = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
-            seed = np.repeat(order[first], np.diff(np.append(first, len(order))))
+            seed = order[np.searchsorted(p, p)]
         taken = close(seed, order) | (seed == order)
         seed_of[order[taken]] = seed if np.ndim(seed) == 0 else seed[taken]
         order = order[~taken]
@@ -249,13 +250,27 @@ def _group(boxes: np.ndarray, rescored: np.ndarray,
            iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy overlap groups of boxes (N, 4) from _overlap_boxes: each
     box's group number (N,) and each group's seed (G,), in seed order.
-    The parts of _seed_rounds are blocks along x (see the module
-    docstring), and close is pose.iou_kernel >= iou_threshold."""
-    block = np.zeros(len(rescored), dtype=np.intp)
+    The parts of _seed_rounds are blocks along x, each split into blocks
+    along y (see the module docstring), and close is pose.iou_kernel >=
+    iou_threshold.
+
+    Each split sorts the boxes by block, then by their low edge, and a box
+    opens a new block where its low edge reaches the largest high edge
+    before it in its block. That running max is taken over integer keys,
+    block * N + the rank of the high edge, so that it never reads across
+    blocks and no float is computed."""
+    n = len(rescored)
+    block = np.zeros(n, dtype=np.intp)
     if iou_threshold > 0.0:
-        xs = np.argsort(boxes[:, 0], kind="stable")
-        reach = np.maximum.accumulate(boxes[xs, 2])
-        block[xs[1:]] = np.cumsum(boxes[xs[1:], 0] >= reach[:-1])
+        for lo, hi in ((0, 2), (1, 3)):  # x, then y
+            order = np.lexsort((boxes[:, lo], block))
+            by_high = np.argsort(boxes[:, hi])
+            rank = np.empty(n, dtype=np.intp)
+            rank[by_high] = np.arange(n)
+            b = block[order]
+            reach = boxes[by_high, hi][np.maximum.accumulate(b * n + rank[order])[:-1] % n]
+            block[order] = np.cumsum(np.concatenate(
+                ([False], (b[1:] != b[:-1]) | (boxes[order[1:], lo] >= reach))))
     seed_of = _seed_rounds(
         block, rescored, lambda seed, free: iou_kernel(boxes[seed], boxes[free]) >= iou_threshold)
     return _numbered(seed_of, -rescored)

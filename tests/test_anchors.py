@@ -238,6 +238,21 @@ class TestAnchorSet:
         empty = AnchorSet((), K=0, spec=H13)
         assert empty.coords2d.shape == (0, 13, 2) and empty.coords3d.shape == (0, 13, 3)
         assert not empty.coords2d.flags.writeable and not empty.coords3d.flags.writeable
+        assert empty.stack.shape == (0, 65) and not empty.stack.flags.writeable
+
+    def test_stack_holds_layout_then_3d_pose_per_row(self):
+        anchors = add_upper_body_variants(ref.anchor_set(np.random.default_rng(19), 4))
+        stack = anchors.stack
+        assert stack.shape == (8, 65) and not stack.flags.writeable
+        for i, a in enumerate(anchors.anchors):
+            assert np.array_equal(stack[i], np.concatenate([a.pose2d.coords.ravel(),
+                                                            a.pose3d.coords.ravel()]))
+        assert np.array_equal(stack, np.hstack([anchors.coords2d.reshape(8, -1),
+                                                anchors.coords3d.reshape(8, -1)]))
+        # the coordinate stacks are read-only views of the one stack
+        for view in (anchors.coords2d, anchors.coords3d):
+            assert np.shares_memory(view, stack) and not view.flags.writeable
+        assert not np.shares_memory(anchors.coords2d, anchors.coords3d)
 
 
 class TestKmeans:

@@ -623,6 +623,20 @@ class TestPredict:
                 for obj in (p, p.pose2d, p.pose3d):
                     assert not hasattr(obj, "__dict__")
 
+    def test_proposals_share_no_memory_with_the_anchor_stack(self):
+        rng = np.random.default_rng(25)
+        anchors = ref.anchor_set(rng, 4)
+        examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
+        model = train(examples, anchors, TrainConfig(iterations=5, seed=26))
+        stack = anchors.stack.copy()
+        for _ in range(3):
+            proposals = predict(model, rng.normal(0, 1, 8), BoundingBox(5, 10, 60, 140), anchors)
+            assert len(proposals) == 4
+            for p in proposals:
+                for arr in (p.pose2d.coords, p.pose3d.coords):
+                    assert not np.shares_memory(arr, anchors.stack)
+        assert np.array_equal(anchors.stack, stack)
+
     @pytest.mark.parametrize("weight, column, message", [
         ("w_cls", 1, r"score must be in \[0, 1\], got nan"),  # an inf logit: NaN probabilities
         ("w_reg", 65, "visible joints must have finite coordinates"),  # anchor 1's 2D x0

@@ -17,8 +17,15 @@ are.
    descending score, and the draws keep neighbouring ppi scores more than
    SCORE_GAP apart, relative (assumed), so the k-th detections of the two
    runs are the same mode.
+3. Permutation before predict. Reordering an image's (feature, box) pairs
+   before learner.predict reorders its proposals in blocks, one block per
+   box, and each block is the same bit for bit, so relation 2 holds for
+   the detections, compared in the same way. The draws are tie-free in
+   the same two senses (assumed): no two rescored scores are equal, and
+   neighbouring ppi scores are more than SCORE_GAP apart.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from poseforge.learner import TrainConfig, predict, train
 from poseforge.pose import H13, BoundingBox, Pose2D
 from poseforge.ppi import PoseProposal, PpiParams, nms, ppi, rescore
 
@@ -81,6 +89,26 @@ def close(got, want):
     assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
 
+def assert_permutation_invariant(proposals, permuted, params):
+    """Relation 2 between an image's proposals and a reordering of them,
+    assuming the draw tie-free (see the module docstring)."""
+    rescored = [rescore(p, params.sigma_b).rescored for p in proposals]
+    assume(len(set(rescored)) == len(rescored))
+    want = ppi(proposals, params)
+    scores = np.array([d.score for d in want])
+    assume((scores[:-1] - scores[1:] > SCORE_GAP * scores[:-1]).all())
+    got = ppi(permuted, params)
+    assert [d.member_count for d in got] == [d.member_count for d in want]
+    for g, w in zip(got, want):
+        close(g.score, w.score)
+        close(g.pose2d.coords, w.pose2d.coords)
+        close(g.pose3d.coords, w.pose3d.coords)
+    got, want = nms(permuted, params), nms(proposals, params)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        ref.assert_same(g, w)
+
+
 class TestPermutation:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), people=st.integers(1, 4),
@@ -88,19 +116,34 @@ class TestPermutation:
     def test_detections_unchanged(self, seed, people, per_person, params):
         rng = np.random.default_rng(seed)
         proposals = ref.crowd_proposals(rng, people, per_person, ties=False)
-        rescored = [rescore(p, params.sigma_b).rescored for p in proposals]
-        assume(len(set(rescored)) == len(rescored))
-        want = ppi(proposals, params)
-        scores = np.array([d.score for d in want])
-        assume((scores[:-1] - scores[1:] > SCORE_GAP * scores[:-1]).all())
         permuted = [proposals[i] for i in rng.permutation(len(proposals)).tolist()]
-        got = ppi(permuted, params)
-        assert [d.member_count for d in got] == [d.member_count for d in want]
-        for g, w in zip(got, want):
-            close(g.score, w.score)
-            close(g.pose2d.coords, w.pose2d.coords)
-            close(g.pose3d.coords, w.pose3d.coords)
-        got, want = nms(permuted, params), nms(proposals, params)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            ref.assert_same(g, w)
+        assert_permutation_invariant(proposals, permuted, params)
+
+
+@functools.cache
+def trained_head():
+    """Three anchors, a head trained on the reference's separable dataset
+    over them, and the dataset's class means."""
+    rng = np.random.default_rng(31)
+    anchors = ref.anchor_set(rng, 3)
+    examples, _, means = ref.separable_dataset(rng, anchors, n_per_class=8)
+    return anchors, train(examples, anchors, TrainConfig(iterations=30, seed=32)), means
+
+
+class TestPermutationBeforePredict:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), people=st.integers(1, 4),
+           boxes=st.integers(1, 16), params=st.sampled_from(PARAMS))
+    def test_detections_unchanged(self, seed, people, boxes, params):
+        anchors, model, means = trained_head()
+        rng = np.random.default_rng(seed)
+        gts = [ref.ground_truth(rng, offset=rng.uniform(0, 400, 2)) for _ in range(people)]
+        # features near the class means, so that every anchor's score varies
+        pairs = [(means[rng.integers(len(means))] + rng.normal(0, 0.5, means.shape[1]),
+                  ref.box_near(rng, gts)) for _ in range(boxes)]
+        permuted = [pairs[i] for i in rng.permutation(boxes).tolist()]
+        proposals, reordered = ([p for feature, box in image
+                                 for p in predict(model, feature, box, anchors)]
+                                for image in (pairs, permuted))
+        assert len(proposals) == 3 * boxes
+        assert_permutation_invariant(proposals, reordered, params)

@@ -27,6 +27,8 @@ def test_removed_per_pose_helpers_are_gone():
     assert not hasattr(poseforge.pose.Pose3D, "joint_count")
     assert not hasattr(poseforge.labeling, "_unhashable")
     assert not hasattr(poseforge.learner, "_Head")  # the model is its one head
+    # apply_regression places one pose; predict places the anchor stack's rows
+    assert not hasattr(poseforge.labeling, "regress_anchors")
     # d3d_matrix takes its pairs in one broadcast; k-means chunks its own
     assert not hasattr(poseforge.pose, "_D3D_BLOCK_ROWS")
     # fixed hyperparameters are module constants, not options or fields

@@ -19,6 +19,7 @@ from poseforge.ppi import (
     _modes,
     _overlap_boxes,
     _planes,
+    _seed_rounds,
     average_mode,
     extract_modes,
     group_by_overlap,
@@ -608,6 +609,28 @@ def grouping_images(draw):
     return [proposals[i] for i in draw(st.permutations(range(len(proposals))))]
 
 
+@st.composite
+def grid_images(draw):
+    """Proposals whose joint boxes cover cells of a grid of 10 px squares,
+    rows x columns, one cell or two along each axis from a random cell, so
+    that their edges touch exactly. Every joint lies inside its candidate
+    box, so each rescored score is its score, from a set of three: ties are
+    common."""
+    rows, columns = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proposals = []
+    for _ in range(draw(st.integers(1, 3 * rows * columns))):
+        r, c = rng.integers(rows), rng.integers(columns)
+        x0, y0 = 10.0 * c, 10.0 * r
+        x1, y1 = x0 + 10.0 * rng.choice([1, 1, 2]), y0 + 10.0 * rng.choice([1, 1, 2])
+        c2d = rng.uniform((x0, y0), (x1, y1), (13, 2))
+        c2d[0], c2d[1] = (x0, y0), (x1, y1)  # the joint box is exactly (x0, y0, x1, y1)
+        proposals.append(PoseProposal(0, BoundingBox(x0, y0, x1, y1), Pose2D(c2d),
+                                      Pose3D(np.zeros((13, 3))),
+                                      float(rng.choice([0.2, 0.5, 0.9]))))
+    return proposals
+
+
 GROUPING_CASES = dict(
     proposals=grouping_images(),
     threshold=st.sampled_from([0.0, 1e-9, 0.12, 1.0]),
@@ -649,6 +672,26 @@ class TestLockStepGrouping:
         assert group_by_overlap([a, b], 1e-9) == [[a], [b]]
         assert group_by_overlap([b, a], 1e-9) == [[b], [a]]  # ties: lower position first
         assert group_by_overlap([a, b], 0.0) == [[a, b]]
+
+    def test_touching_edges_split_along_y_above_threshold_zero(self):
+        c3d = np.zeros((13, 3))
+        a, b = (PoseProposal(0, BoundingBox(0, y, 10, y + 10),
+                             Pose2D(np.linspace([0, y], [10, y + 10], 13)), Pose3D(c3d), 0.5)
+                for y in (0.0, 10.0))
+        a, b = rescore(a), rescore(b)
+        assert group_by_overlap([a, b], 1e-9) == [[a], [b]]
+        assert group_by_overlap([b, a], 1e-9) == [[b], [a]]  # ties: lower position first
+        assert group_by_overlap([a, b], 0.0) == [[a, b]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(image=grid_images(), threshold=st.sampled_from([1e-9, 0.12, 0.5, 1.0]))
+    def test_grid_of_touching_boxes_matches_reference(self, image, threshold):
+        proposals = [rescore(p) for p in image]
+        got = group_by_overlap(proposals, threshold)
+        assert [ids(proposals, g) for g in got] == ref.groups(proposals, threshold)
+        # at threshold 0 every IoU passes, so the first seed takes every box
+        assert group_by_overlap(proposals, 0.0) == [proposals]
+        assert ref.groups(proposals, 0.0) == [list(range(len(proposals)))]
 
 
 @st.composite
@@ -741,6 +784,68 @@ class TestLockStepModes:
         gid = np.array([1, 0, 1, 0])
         members, sizes = _modes(c3d, np.array([0.5, 0.5, 0.9, 0.9]), gid, 0.125)
         assert split_modes(members, sizes) == [[3, 1], [2], [0]]
+
+
+# part sizes: up to 50 parts of 1 to 4 items
+SMALL_PARTS = st.lists(st.integers(1, 4), min_size=1, max_size=50)
+
+
+class TestManySmallParts:
+    """_seed_rounds, _group and _modes over up to 50 parts of 1 to 4 items,
+    with tied scores, against the reference greedy run part by part."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=SMALL_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_seed_rounds_match_greedy_per_part(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        # part numbers that are neither dense nor in input order
+        part = np.repeat(3 * rng.permutation(len(sizes)), sizes)[rng.permutation(sum(sizes))]
+        scores = rng.choice([0.2, 0.5, 0.5, 0.9], size=len(part))
+        close = rng.random((len(part), len(part))) < 0.5  # any relation, not even symmetric
+        expected = np.empty(len(part), dtype=np.intp)
+        for p in np.unique(part):
+            index = np.flatnonzero(part == p)
+            for cluster in ref.greedy(scores[index], lambda s, i: close[index[s], index[i]]):
+                expected[index[cluster]] = index[cluster[0]]
+        got = _seed_rounds(part, scores, lambda seed, free: close[seed, free])
+        assert got.tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=SMALL_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_group_matches_reference(self, sizes, seed):
+        # each part is a cluster of jittered boxes in its own 100 px cell of
+        # an 8-column grid, so parts of one column differ only along y
+        rng = np.random.default_rng(seed)
+        proposals = []
+        for cell, size in enumerate(sizes):
+            x, y = 100.0 * (cell % 8), 100.0 * (cell // 8)
+            for _ in range(size):
+                x0, y0 = x + rng.integers(0, 20), y + rng.integers(0, 20)
+                c2d = rng.uniform((x0, y0), (x0 + 20, y0 + 20), (13, 2))
+                c2d[0], c2d[1] = (x0, y0), (x0 + 20, y0 + 20)
+                proposals.append(rescore(PoseProposal(
+                    0, BoundingBox(x0, y0, x0 + 20, y0 + 20), Pose2D(c2d),
+                    Pose3D(np.zeros((13, 3))), float(rng.choice([0.2, 0.5, 0.9])))))
+        proposals = [proposals[i] for i in rng.permutation(len(proposals)).tolist()]
+        for threshold in (1e-9, 0.12, 0.5):
+            got = group_by_overlap(proposals, threshold)
+            assert [ids(proposals, g) for g in got] == ref.groups(proposals, threshold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=SMALL_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_modes_match_reference_group_by_group(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        gid = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(sum(sizes))]
+        # 3D poses one 1/16 m step apart along x, so d3d ties with t3d = 0.125
+        c3d = np.zeros((len(gid), 13, 3))
+        c3d[:, :, 0] = rng.integers(0, 4, size=(len(gid), 1)) / 16
+        scores = rng.choice([0.2, 0.5, 0.5, 0.9], size=len(gid))
+        expected = []
+        for g in range(len(sizes)):
+            index = np.flatnonzero(gid == g)
+            expected += [index[mode].tolist()
+                         for mode in ref.modes(c3d[index], scores[index], 0.125)]
+        assert split_modes(*_modes(c3d, scores, gid, 0.125)) == expected
 
 
 class TestBucketedAverage:
