@@ -1,6 +1,7 @@
 """Training-side math: class/target assignment (assign_label) and the
-head's joint loss with its gradients (head_losses: log loss over the
-classes plus smooth-L1 on the labeled class's regression output).
+head's joint loss (head_losses: log loss over the classes, with its
+gradient w.r.t. the logits, plus smooth-L1 on the labeled class's
+regression output, which the trainer solves in closed form).
 
 Class labels run 0..n_anchors with 0 = background; label c maps to
 anchor id c - 1, anchors.anchors[c - 1]. Regression targets stack the 2D
@@ -180,21 +181,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth-L1 loss (0.5 x^2 for |x| < 1, |x| - 0.5 otherwise) and its
-    gradient (x for |x| < 1, sign(x) otherwise) of a float64 array, in
-    five passes.
+def _smooth_l1(x: np.ndarray) -> np.ndarray:
+    """Smooth-L1 loss (0.5 x^2 for |x| < 1, |x| - 0.5 otherwise) of a
+    float64 array, in five passes.
 
-    grad = clip(x, -1, 1) is where(|x| < 1, x, sign(x)) bit for bit, NaN
-    and -0 included. loss = |grad * (x - grad/2)|: for |x| < 1, x - x/2 is
-    exact (Sterbenz), so it is (0.5 * x) * x, and otherwise it is |x| - 0.5.
-    The abs only turns the -0 that x = -0 gives into 0.5 * x * x's +0.
+    With c = clip(x, -1, 1), loss = |c * (x - c/2)|, which never
+    overflows: for |x| < 1, x - x/2 is exact (Sterbenz), so it is
+    (0.5 * x) * x, and otherwise it is |x| - 0.5. The abs only turns the
+    -0 that x = -0 gives into 0.5 * x * x's +0.
     """
-    grad = np.clip(x, -1.0, 1.0, out=np.empty_like(x))
-    loss = np.multiply(grad, 0.5, out=np.empty_like(x))
+    clipped = np.clip(x, -1.0, 1.0, out=np.empty_like(x))
+    loss = np.multiply(clipped, 0.5, out=np.empty_like(x))
     np.subtract(x, loss, out=loss)
-    loss *= grad
-    return np.abs(loss, out=loss), grad
+    loss *= clipped
+    return np.abs(loss, out=loss)
 
 
 def _class_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -211,31 +211,31 @@ def _class_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     return cls_loss, g_logits
 
 
-def _regression_loss(err: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Mean smooth-L1 loss of n boxes and its gradient w.r.t. their pred.
+def _regression_loss(err: np.ndarray, n: int) -> float:
+    """Mean smooth-L1 loss of n boxes.
 
     err (m, 5*J) holds target - pred of m <= n rows; a box left out adds
     an exact 0 to the sum, as a background box does. The row sums add
     left to right.
     """
-    loss, grad = _smooth_l1(err)
-    # cumsum adds left to right; loss >= +0, so starting from the first
-    # row instead of 0.0 changes nothing
-    reg_loss = float(np.cumsum(loss.sum(axis=1))[-1]) if len(err) else 0.0
-    grad /= -n  # the same as -grad / n, bit for bit
-    return reg_loss / n, grad
+    # cumsum adds left to right; the loss is >= +0, so starting from the
+    # first row instead of 0.0 changes nothing
+    reg_loss = float(np.cumsum(_smooth_l1(err).sum(axis=1))[-1]) if len(err) else 0.0
+    return reg_loss / n
 
 
 def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
-                targets: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Mean log loss and smooth-L1 loss of n boxes, and their gradients.
+                targets: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Mean log loss and smooth-L1 loss of n boxes, and the log loss's
+    gradient.
 
     probs (n, C) are class probabilities, pred (n, 5*J) each box's
     regression output for its own label and targets (n, 5*J) the
-    targets. Returns (cls_loss, reg_loss, g_logits, g_pred), the
-    gradients being those of the means w.r.t. the logits and pred. u(c)
-    is clamped at LOG_EPS; the smooth-L1 row sums add in row order. A
-    background row has zero regression loss and a zero g_pred row.
+    targets. Returns (cls_loss, reg_loss, g_logits), g_logits being the
+    gradient of the mean log loss w.r.t. the logits; the regressors are
+    solved in closed form, so no gradient of the smooth-L1 loss is
+    needed. u(c) is clamped at LOG_EPS; the smooth-L1 row sums add in row
+    order. A background row has zero regression loss.
 
     The trainer calls the same two helpers, _class_loss and
     _regression_loss.
@@ -243,5 +243,4 @@ def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
     cls_loss, g_logits = _class_loss(probs, labels)
     err = targets - pred
     err[labels == BACKGROUND] = 0.0
-    reg_loss, g_pred = _regression_loss(err, len(labels))
-    return cls_loss, reg_loss, g_logits, g_pred
+    return cls_loss, _regression_loss(err, len(labels)), g_logits

@@ -20,9 +20,9 @@ each in closed form, as R-CNN fits its class-specific box regressors: a
 ridge regression with penalty RIDGE on the weights, the bias unpenalised
 (see _solve_slots). The classifier is trained by plain gradient descent
 on the mean log loss. Both losses come from the helpers that
-labeling.head_losses composes. Inference computes every slot for a box
-in one product over w_reg's (D, 5*J*F) layout, and builds one proposal
-per slot.
+labeling.head_losses composes. Inference, predict, is the one source of
+the head's scores: it computes every slot for a box in one product over
+w_reg's (D, 5*J*F) layout, and builds one proposal per slot.
 
 A run that does not stay finite, as features whose products overflow
 give, raises ValueError, and numpy warns of nothing on the way.
@@ -161,7 +161,7 @@ def _solve_slots(model, x, labels, targets):
     model.w_reg[:] = sol[:, :d].transpose(1, 0, 2).reshape(d, -1)
     model.b_reg[:] = sol[:, d].ravel()
     err = np.concatenate([targets[r] - b @ s for b, r, s in zip(blocks, rows, sol)])
-    return _regression_loss(err, n)[0]
+    return _regression_loss(err, n)
 
 
 def _train_head(model, x, labels, targets, config):
@@ -239,23 +239,6 @@ def train(
     return model
 
 
-def model_outputs(model: ToyModel, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities and regression vector for one finite feature
-    vector: the F + 1 column probabilities, the background's and then
-    anchor model.fitted[s]'s in column s + 1, and the F slots of 5*J,
-    slot s for anchor model.fitted[s], end to end."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"feature must be one vector, got shape {x.shape}")
-    dim = model.w_cls.shape[0]
-    if len(x) != dim:
-        raise ValueError(f"feature dim {len(x)} != {dim}")
-    _check_features(x)
-    v = x @ model.w_reg
-    v += model.b_reg
-    return model.class_probs(x), v
-
-
 # a non-finite weight gives outputs that the checks reject, so numpy's warnings
 # would only repeat the ValueError (a decorator costs half what a with-block does)
 @np.errstate(over="ignore", invalid="ignore")
@@ -267,11 +250,14 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     classifier column s + 1 as its score, and the pose reconstructed from
     anchor i and slot s of the regression output; an anchor that no
     training box labeled has no column or slot, and gets no proposal. The
-    returned scores and the background probability are model_outputs'
-    probabilities, so they sum to 1, and each proposal equals what
-    model_outputs and apply_regression give. A model with a fitted id
-    that is not an index of anchors, or whose w_reg does not hold one slot
-    of 5*J columns per fitted anchor, raises ValueError.
+    returned scores and the background probability are
+    model.class_probs(feature), so they sum to 1; predict is the one
+    source of the head's scores. Slot s of the regression output
+    feature @ w_reg + b_reg, given to apply_regression with anchor i and
+    the box, gives proposal s's poses. A model with a fitted id that is
+    not an index of anchors, or whose w_reg does not hold one slot of 5*J
+    columns per fitted anchor, raises ValueError, as does a feature that
+    is not one finite vector of the model's dimension D.
 
     The F fitted rows of anchors.stack are taken into one (F, 5*J) buffer,
     the regression output is added to it in place, and its 2D half is
@@ -290,7 +276,15 @@ def predict(model: ToyModel, feature: np.ndarray, box: BoundingBox,
     if model.w_reg.shape[1] != 5 * j * len(ids):
         raise ValueError(f"w_reg {model.w_reg.shape} and b_reg {model.b_reg.shape} do not "
                          f"hold one slot of 5*{j} columns for each of {len(ids)} fitted anchors")
-    probs, v = model_outputs(model, feature)
+    x = np.asarray(feature, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"feature must be one vector, got shape {x.shape}")
+    if len(x) != model.w_cls.shape[0]:
+        raise ValueError(f"feature dim {len(x)} != {model.w_cls.shape[0]}")
+    _check_features(x)
+    v = x @ model.w_reg
+    v += model.b_reg
+    probs = model.class_probs(x)
     poses = np.take(anchors.stack, ids, axis=0)
     poses += v.reshape(len(ids), 5 * j)
     x0, y0 = box.x_min, box.y_min

@@ -76,21 +76,20 @@ class PpiParams:
 
     t3d is in meters (default 0.125, i.e. 125 mm); sigma_b in pixels.
     overlap_joints optionally restricts the grouping box to a joint
-    subset (e.g. head + torso) to avoid unwanted merges.
+    subset (e.g. head + torso) to avoid unwanted merges. No field drops
+    a detection: under any params, ppi returns every detection, and
+    their scores sum to the rescored total.
     """
 
     iou_threshold: float = DEFAULT_IOU
     t3d: float = DEFAULT_T3D
     sigma_b: float = DEFAULT_SIGMA_B
-    min_score: float | None = None
     overlap_joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
         _check_iou_threshold(self.iou_threshold)
         _check_positive("t3d", self.t3d)
         _check_sigma_b(self.sigma_b)
-        if self.min_score is not None and not self.min_score >= 0.0:
-            raise ValueError(f"min_score must be None or >= 0, got {self.min_score}")
         if self.overlap_joints is not None:
             _check_overlap_joints(self.overlap_joints)
 
@@ -415,10 +414,8 @@ def average_mode(mode: list[PoseProposal]) -> Detection:
     return detection
 
 
-def _finalize(detections: list[Detection], min_score: float | None) -> list[Detection]:
-    """Detections of score >= min_score, by descending score, then position."""
-    if min_score is not None:
-        detections = [d for d in detections if d.score >= min_score]
+def _finalize(detections: list[Detection]) -> list[Detection]:
+    """Every detection, by descending score, then position."""
     scores = np.array([d.score for d in detections], dtype=np.float64)
     return [detections[i] for i in np.lexsort((np.arange(len(scores)), -scores)).tolist()]
 
@@ -442,28 +439,31 @@ def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
 
 
 def ppi(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
-    """Full integration: rescore, group, extract modes, average, filter.
+    """Full integration: rescore, group, extract modes, average.
 
-    Returns detections sorted by descending score; every input proposal
-    contributes to exactly one mode. The proposals are stacked once.
+    Returns every detection, sorted by descending score, then position;
+    every input proposal contributes to exactly one mode, so the
+    detection scores sum to the proposals' rescored total. The proposals
+    are stacked once.
     """
     if not proposals:
         return []
     c2d, rescored, gid, _ = _rescored_groups(proposals, params)
     c3d = _stack3d(proposals)
     members, sizes = _modes(c3d, rescored, gid, params.t3d)
-    return _finalize(_average(c2d, c3d, rescored, members, sizes), params.min_score)
+    return _finalize(_average(c2d, c3d, rescored, members, sizes))
 
 
 def nms(proposals: list[PoseProposal], params: PpiParams = PpiParams()) -> list[Detection]:
     """Baseline: keep only the top-rescored proposal of each overlap group.
 
     That is the group's seed: the seed rule picks it before every other
-    member, by descending rescored score, then lower position.
+    member, by descending rescored score, then lower position. Returns
+    one detection per group, scored by its seed's rescored score and
+    sorted as by ppi; the other members and their scores are dropped.
     """
     if not proposals:
         return []
     _, rescored, _, seeds = _rescored_groups(proposals, params)
     return _finalize([Detection(proposals[i].pose2d, proposals[i].pose3d, s, 1)
-                      for i, s in zip(seeds.tolist(), rescored[seeds].tolist())],
-                     params.min_score)
+                      for i, s in zip(seeds.tolist(), rescored[seeds].tolist())])

@@ -391,11 +391,10 @@ def assign_label(box, gts, anchors):
 # Head
 
 def smooth_l1(x):
-    """The smooth-L1 loss and its gradient of an array, from the definition,
-    branch by branch."""
+    """The smooth-L1 loss of an array, from the definition, branch by
+    branch."""
     with np.errstate(over="ignore"):  # 0.5 * x * x of a large x, not selected
-        small = np.abs(x) < 1.0
-        return np.where(small, 0.5 * x * x, np.abs(x) - 0.5), np.where(small, x, np.sign(x))
+        return np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5)
 
 
 def initial_model(seed, dim, fitted, slot_width):
@@ -424,7 +423,7 @@ def regression_loss_per_positive(model, x, labels, targets):
     total = 0.0
     for i in np.flatnonzero(labels != BACKGROUND):
         cols = (labels[i] - 1) * w + np.arange(w)
-        total += float(smooth_l1(targets[i] - v[i, cols])[0].sum())
+        total += float(smooth_l1(targets[i] - v[i, cols]).sum())
     return total / len(labels)
 
 
@@ -581,31 +580,29 @@ def average(c2d, c3d, weights):
     return total, c2d.mean(axis=0), c3d.mean(axis=0), len(weights)
 
 
-def _finalize(detections, min_score):
-    kept = [d for d in detections if min_score is None or d[0] >= min_score]
-    return [kept[i] for i in sorted(range(len(kept)), key=lambda i: (-kept[i][0], i))]
+def _finalize(detections):
+    return sorted(detections, key=lambda d: -d[0])
 
 
 def ppi(rescored, params):
     """ppi's detections of rescored proposals, as average's tuples: each
-    group's modes in order, averaged, then those of score >= min_score by
-    descending score, then position."""
+    group's modes in order, averaged, then all of them by descending
+    score, then position."""
     dets = []
     for g in groups(rescored, params.iou_threshold, params.overlap_joints):
         c2d = np.array([rescored[i].pose2d.coords for i in g])
         c3d = np.array([rescored[i].pose3d.coords for i in g])
         scores = np.array([rescored[i].rescored for i in g])
         dets += [average(c2d[m], c3d[m], scores[m]) for m in modes(c3d, scores, params.t3d)]
-    return _finalize(dets, params.min_score)
+    return _finalize(dets)
 
 
 def nms(rescored, params):
     """nms's detections of rescored proposals, as average's tuples: each
-    group's first top-rescored member, filtered and ordered as by ppi."""
+    group's first top-rescored member, ordered as by ppi."""
     tops = [rescored[max(g, key=lambda i: rescored[i].rescored)]
             for g in groups(rescored, params.iou_threshold, params.overlap_joints)]
-    return _finalize([(p.rescored, p.pose2d.coords, p.pose3d.coords, 1) for p in tops],
-                     params.min_score)
+    return _finalize([(p.rescored, p.pose2d.coords, p.pose3d.coords, 1) for p in tops])
 
 
 # Assertions

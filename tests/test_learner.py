@@ -11,7 +11,7 @@ import poseforge.learner as learner_module
 import reference as ref
 from poseforge.anchors import AnchorSet, add_upper_body_variants
 from poseforge.labeling import BACKGROUND, LabeledBox, apply_regression, regression_target
-from poseforge.learner import ToyModel, TrainConfig, model_outputs, predict, train
+from poseforge.learner import ToyModel, TrainConfig, predict, train
 from poseforge.ppi import PoseProposal, ppi
 from poseforge.pose import H13, BoundingBox, Pose2D, Pose3D
 
@@ -239,8 +239,7 @@ class TestTrain:
         for _ in range(total):
             c = int(rng.integers(0, len(means)))
             f = means[c] + rng.normal(0, 0.05, size=8)
-            probs, _ = model_outputs(model, f)
-            correct += int(np.argmax(probs)) == c
+            correct += int(np.argmax(model.class_probs(f))) == c
         assert correct / total >= 0.9
 
     def test_zero_iterations_leave_the_classifier_at_initialization(self):
@@ -449,6 +448,13 @@ class TestTrainConfig:
         TrainConfig(learning_rate=5e-324)
 
 
+def outputs(model, feature):
+    """reference._forward of one feature vector: its class probabilities
+    and regression output."""
+    probs, v = ref._forward(model, np.asarray(feature, dtype=np.float64)[None])
+    return probs[0], v[0]
+
+
 class TestPredict:
     def test_one_proposal_per_anchor(self):
         rng = np.random.default_rng(6)
@@ -470,7 +476,7 @@ class TestPredict:
         for _ in range(5):
             feature = rng.normal(0, 2.0, 8)
             box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
-            probs, v = model_outputs(model, feature)
+            probs, v = outputs(model, feature)
             proposals = predict(model, feature, box, anchors)
             assert [p.anchor_id for p in proposals] == [0, 2, 3]
             assert abs(sum(p.score for p in proposals) + probs[BACKGROUND] - 1.0) <= 1e-12
@@ -500,7 +506,7 @@ class TestPredict:
                     for k in labels]
         model = train(examples, anchors, TrainConfig(iterations=3, seed=seed % 1000))
         feature = rng.normal(0, 2.0, 4)
-        probs, _ = model_outputs(model, feature)
+        probs = model.class_probs(feature)
         proposals = predict(model, feature, BoundingBox(0, 0, 100, 100), anchors)
         # proposal s is anchor fitted[s] and carries column s + 1's probability
         assert [p.anchor_id for p in proposals] == model.fitted.tolist()
@@ -554,7 +560,7 @@ class TestPredict:
         for _ in range(5):
             feature = rng.normal(0, 2.0, 8)
             box = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(150, 300, 2))
-            probs, v = model_outputs(model, feature)
+            probs, v = outputs(model, feature)
             proposals = predict(model, feature, box, anchors)
             expected = ref.predict(model, feature, box, anchors)
             for i, (a, p, (aid, score, placed, moved)) in enumerate(
@@ -575,8 +581,6 @@ class TestPredict:
         model = train(examples, anchors, TrainConfig(iterations=5))
         feature = np.zeros(8)
         feature[2] = np.nan
-        with pytest.raises(ValueError, match="feature row 0 is not finite"):
-            model_outputs(model, feature)
         with pytest.raises(ValueError, match="feature row 0 is not finite"):
             predict(model, feature, BoundingBox(0, 0, 10, 10), anchors)
 
@@ -600,7 +604,7 @@ class TestPredict:
         feature = rng.normal(0, 1, 8)
         # the huge box gives finite coordinates whose sum overflows
         model = train(examples, anchors, TrainConfig(iterations=5, seed=17))
-        probs, v = model_outputs(model, feature)
+        probs, v = outputs(model, feature)
         w = 65
         weights = [model.w_cls, model.b_cls, model.w_reg, model.b_reg]
         for box in (BoundingBox(5, 10, 60, 140), BoundingBox(0, 0, 1e307, 1e307)):
@@ -713,7 +717,7 @@ class TestPredict:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5))
         with pytest.raises(ValueError, match=f"feature dim {dim} != 8"):
-            model_outputs(model, np.zeros(dim))
+            predict(model, np.zeros(dim), BoundingBox(0, 0, 10, 10), anchors)
 
     @pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
     def test_feature_not_one_vector_rejected(self, shape):
@@ -722,7 +726,5 @@ class TestPredict:
         examples, _, _ = ref.separable_dataset(rng, anchors, n_per_class=4)
         model = train(examples, anchors, TrainConfig(iterations=5))
         message = rf"feature must be one vector, got shape \({', '.join(map(str, shape))}"
-        with pytest.raises(ValueError, match=message):
-            model_outputs(model, np.zeros(shape))
         with pytest.raises(ValueError, match=message):
             predict(model, np.zeros(shape), BoundingBox(0, 0, 10, 10), anchors)

@@ -31,6 +31,8 @@ def test_removed_per_pose_helpers_are_gone():
     assert not hasattr(poseforge.labeling, "regress_anchors")
     # d3d_matrix takes its pairs in one broadcast; k-means chunks its own
     assert not hasattr(poseforge.pose, "_D3D_BLOCK_ROWS")
+    # predict is the one source of the head's scores
+    assert not hasattr(poseforge.learner, "model_outputs")
     # fixed hyperparameters are module constants, not options or fields
     parameters = {
         poseforge.pose.d3d_matrix: ["a", "b"],
@@ -54,6 +56,8 @@ def test_removed_per_pose_helpers_are_gone():
         poseforge.learner.ToyModel: ["w_cls", "b_cls", "w_reg", "b_reg", "fitted",
                                     "loss_history"],
         poseforge.ppi.Detection: ["pose2d", "pose3d", "score", "member_count"],
+        # no field drops detections by score
+        poseforge.ppi.PpiParams: ["iou_threshold", "t3d", "sigma_b", "overlap_joints"],
     }
     for cls, names in fields.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls

@@ -18,7 +18,7 @@ from poseforge.learner import TrainConfig, predict, train
 from poseforge.pose import H13
 from poseforge.ppi import PpiParams, nms, ppi, rescore
 
-PARAMS = [PpiParams(), PpiParams(iou_threshold=0.3, t3d=0.2, sigma_b=10.0, min_score=0.05),
+PARAMS = [PpiParams(), PpiParams(iou_threshold=0.3, t3d=0.2, sigma_b=10.0),
           PpiParams(iou_threshold=0.05, overlap_joints=H13.head_torso_joints)]
 
 

@@ -372,17 +372,15 @@ class TestParameterValidation:
         ("t3d", math.nan, "t3d must be positive"),
         ("sigma_b", math.nan, "sigma_b must be positive"),
         ("iou_threshold", math.nan, r"iou_threshold must be in \[0, 1\]"),
-        ("min_score", math.nan, "min_score must be None or >= 0"),
-        ("min_score", -0.1, "min_score must be None or >= 0"),
+        # squares that underflow to 0 or overflow, which give 0 / 0 or inf / inf
+        ("sigma_b", 1e-200, "sigma_b must be positive"),
+        ("sigma_b", 1e200, "sigma_b must be positive"),
         ("overlap_joints", (), r"overlap_joints \(\) must be non-empty joint indices"),
         ("overlap_joints", (-1,), r"overlap_joints \(-1,\) must be non-empty joint "
                                   r"indices in \[0, inf\)"),
         ("overlap_joints", (1.5,), r"overlap_joints \(1.5,\) must hold int joint indices"),
         ("overlap_joints", (True,), r"overlap_joints \(True,\) must hold int joint indices"),
         ("overlap_joints", 3, "overlap_joints 3 must be a sequence of joint indices"),
-        # squares that underflow to 0 or overflow, which give 0 / 0 or inf / inf
-        ("sigma_b", 1e-200, "sigma_b must be positive"),
-        ("sigma_b", 1e200, "sigma_b must be positive"),
         ("sigma_b", math.inf, "sigma_b must be positive"),
     ])
     def test_params_rejected(self, field, value, message):
@@ -484,14 +482,6 @@ class TestPpiEndToEnd:
             expected = sum(rescore(p).rescored for p in proposals)
             assert total == pytest.approx(expected, abs=1e-9)
             assert all(dets[i].score >= dets[i + 1].score for i in range(len(dets) - 1))
-
-    def test_min_score_filters(self):
-        rng = np.random.default_rng(16)
-        proposals = [ref.proposal(rng) for _ in range(10)]
-        dets_all = ppi(proposals, PpiParams())
-        cut = dets_all[len(dets_all) // 2].score if len(dets_all) > 1 else 0.0
-        dets_cut = ppi(proposals, PpiParams(min_score=cut + 1e-9))
-        assert all(d.score > cut for d in dets_cut)
 
 
 class TestNms:
@@ -714,12 +704,16 @@ def proposal_lists(draw):
 
 
 class TestPpiProperties:
+    # every field of PpiParams is drawn: none of them drops a detection
     @settings(max_examples=150, deadline=None)
-    @given(proposal_lists(), st.floats(0.0, 1.0), st.floats(0.01, 2.0))
-    def test_partition_and_score_conservation(self, proposals, threshold, t3d):
-        dets = ppi(proposals, PpiParams(iou_threshold=threshold, t3d=t3d))
+    @given(proposal_lists(), st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.floats(1.0, 100.0),
+           st.none() | st.lists(st.integers(0, 12), min_size=1, unique=True).map(tuple))
+    def test_partition_and_score_conservation(self, proposals, threshold, t3d, sigma_b, joints):
+        params = PpiParams(iou_threshold=threshold, t3d=t3d, sigma_b=sigma_b,
+                           overlap_joints=joints)
+        dets = ppi(proposals, params)
         assert sum(d.member_count for d in dets) == len(proposals)
-        total = math.fsum(rescore(p).rescored for p in proposals)
+        total = math.fsum(rescore(p, sigma_b).rescored for p in proposals)
         assert math.fsum(d.score for d in dets) == pytest.approx(total, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=150, deadline=None)
