@@ -36,7 +36,6 @@ from poseforge.pose import (  # noqa: F401
     _check_count,
     _stack_pairs,
     d3d_matrix,
-    fit_scale_offset,
     margin_boxes,
 )
 
@@ -153,6 +152,28 @@ def _clusters(x: np.ndarray, assign: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(np.take(x, order, axis=0), np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
+# an s or t that is not finite is rejected below, so numpy's warnings would
+# only repeat the ValueError
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least-squares uniform scale s and 2D offset t mapping the points src
+    onto dst, finite (n, 2) arrays: the s and t that minimize
+    sum ||s * src_i + t - dst_i||^2. Raises ValueError on fewer than 2
+    points, or when s or t is not finite: the squared spread of src is 0
+    (s is 0 / 0), underflows to 0 or overflows.
+    """
+    if len(src) < 2:
+        raise ValueError(f"need at least 2 points, got {len(src)}")
+    src_c, dst_c = src.mean(axis=0), dst.mean(axis=0)
+    src0 = src - src_c
+    s = float((src0 * (dst - dst_c)).sum() / (src0 ** 2).sum())
+    t = dst_c - s * src_c
+    if not np.isfinite(t).all():  # an s that is not finite makes t NaN or infinite
+        raise ValueError(f"no finite scale and offset for a squared spread of 0 or out of "
+                         f"range, got {s} and {t}")
+    return s, t
+
+
 def kmeans_anchors(
     poses: list[tuple[Pose2D, Pose3D]],
     k: int,
@@ -180,7 +201,8 @@ def kmeans_anchors(
         Each layout joint is the mean of the members' finite unit-box
         coordinates. A joint with no finite coordinate in any member of
         its anchor is filled from the centroid's (x, y) projection,
-        placed by pose.fit_scale_offset onto the anchor's other joints.
+        placed by its least-squares scale and offset onto the anchor's
+        other joints.
 
     Raises:
         ValueError: besides bad k, seed, max_iters or a 2D or 3D joint
@@ -261,7 +283,7 @@ def kmeans_anchors(
         orphan = ~count.all(axis=1)
         if orphan.any():
             try:
-                s, t = fit_scale_offset(centroids[c, ~orphan, :2], layout[~orphan])
+                s, t = _fit_scale_offset(centroids[c, ~orphan, :2], layout[~orphan])
             except ValueError:  # fewer than 2 finite joints, or no spread
                 raise ValueError(
                     f"anchor {c}: joint {int(np.argmax(orphan))} has no finite 2D "

@@ -35,7 +35,6 @@ from poseforge.pose import (  # noqa: F401
     Pose3D,
     _all_finite,
     _check_count,
-    _check_finite,
     _stack_pairs,
     d3d_matrix,
     iou,
@@ -72,20 +71,27 @@ class LabeledBox:
             object.__setattr__(self, "target", t)
 
 
-def _target(coords2d: np.ndarray, visibility: np.ndarray, hidden: np.ndarray,
-            layout: np.ndarray, res3d: np.ndarray, box: BoundingBox) -> np.ndarray:
-    """regression_target from one ground truth's (J, 2) coordinates, (J,)
-    visibility and non-finite-joint mask, an anchor's (J, 2) layout and
-    the flat (3J,) 3D residual to that anchor."""
-    scale = np.array([box.width, box.height])
-    offset = np.array([box.x_min, box.y_min])
-    res2d = (coords2d - offset) / scale
-    _check_finite(res2d, visibility)  # as the normalized Pose2D would
-    res2d -= layout
+def _target(coords2d: np.ndarray, hidden: np.ndarray, layout: np.ndarray,
+            res3d: np.ndarray, box: BoundingBox) -> np.ndarray:
+    """regression_target from one ground truth's (J, 2) coordinates and
+    non-finite-joint mask, an anchor's (J, 2) layout and the flat (3J,) 3D
+    residual to that anchor. Raises ValueError when the target is not
+    finite, as for a joint, visible or not, so far outside a small box
+    that its normalized coordinate overflows. numpy warns of that overflow
+    first unless the caller silences it; assign_label does not, as
+    np.errstate would cost each of its calls about 2 us."""
+    res2d = (coords2d - (box.x_min, box.y_min)) / (box.width, box.height) - layout
     res2d[hidden] = 0.0
-    return np.concatenate([res2d.ravel(), res3d])
+    target = np.concatenate([res2d.ravel(), res3d])
+    if not _all_finite(target):
+        raise ValueError(f"regression target must be finite: the ground truth lies too far "
+                         f"from box {box.as_tuple()} or from the anchor")
+    return target
 
 
+# a residual that overflows, 2D or 3D, is rejected by _target, so numpy's
+# warnings would only repeat the ValueError
+@np.errstate(over="ignore", invalid="ignore")
 def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
                       box: BoundingBox) -> np.ndarray:
     """5*J target: (normalized 2D pose - anchor layout, 3D pose - anchor 3D).
@@ -93,27 +99,28 @@ def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
     An invisible joint whose 2D coordinate is not finite (an occlusion
     coded as NaN) gets a zero 2D residual, so the anchor's layout stands
     in for it, as LCR-Net++ hallucinates occluded joints. Pose2D keeps
-    visible joints finite.
+    visible joints finite. Raises ValueError when a residual overflows,
+    2D or 3D, so the target is not finite.
     """
-    return _target(gt2d.coords, gt2d.visibility, ~np.isfinite(gt2d.coords).all(axis=1),
-                   anchor.pose2d.coords, (gt3d.coords - anchor.pose3d.coords).ravel(), box)
+    return _target(gt2d.coords, ~np.isfinite(gt2d.coords).all(axis=1), anchor.pose2d.coords,
+                   (gt3d.coords - anchor.pose3d.coords).ravel(), box)
 
 
 @functools.lru_cache(maxsize=1)
 def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
     """One image's ground truth as assign_label reads it, all read-only:
-    the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) visibility,
-    (P, J) mask of joints with a non-finite 2D coordinate, the tuple of
-    each ground truth's 3D-closest anchor id and the (P, 3J) 3D residual
-    to that anchor. gts is a tuple of (Pose2D, Pose3D) tuples."""
+    the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) mask of joints
+    with a non-finite 2D coordinate, the tuple of each ground truth's
+    3D-closest anchor id and the (P, 3J) 3D residual to that anchor. gts
+    is a tuple of (Pose2D, Pose3D) tuples."""
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility)
     nearest = d3d_matrix(coords3d, anchors.coords3d).argmin(axis=1)  # ties to the lowest id
     res3d = (coords3d - anchors.coords3d[nearest]).reshape(len(gts), -1)
     hidden = ~np.isfinite(coords2d).all(axis=2)
-    for arr in (boxes, coords2d, visibility, hidden, res3d):
+    for arr in (boxes, coords2d, hidden, res3d):
         arr.setflags(write=False)
-    return boxes, coords2d, visibility, hidden, tuple(nearest.tolist()), res3d
+    return boxes, coords2d, hidden, tuple(nearest.tolist()), res3d
 
 
 def assign_label(
@@ -128,8 +135,9 @@ def assign_label(
     below DEFAULT_IOU_THRESHOLD. Otherwise the ground truth with the
     highest IoU defines the label as 1 + the id of the 3D-closest anchor
     (ties to the lowest id) and the regression target. Raises on an empty
-    anchor set and on a ground truth whose joint count is not the
-    anchors' spec's.
+    anchor set, on a ground truth whose joint count is not the anchors'
+    spec's, and on a regression target that is not finite, after numpy's
+    overflow warning (see regression_target).
 
     Labeling an image's boxes one after another builds its ground-truth
     boxes, 2D stacks and nearest anchors once: they are cached on the
@@ -142,15 +150,14 @@ def assign_label(
     if not gts:
         return LabeledBox(BACKGROUND)
 
-    boxes, coords2d, visibility, hidden, nearest, res3d = _image_truth(
-        tuple(map(tuple, gts)), anchors)
+    boxes, coords2d, hidden, nearest, res3d = _image_truth(tuple(map(tuple, gts)), anchors)
     overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
     best = int(np.argmax(overlaps))
     if overlaps[best] < DEFAULT_IOU_THRESHOLD:
         return LabeledBox(BACKGROUND)
 
-    target = _target(coords2d[best], visibility[best], hidden[best],
-                     anchors.coords2d[nearest[best]], res3d[best], box)
+    target = _target(coords2d[best], hidden[best], anchors.coords2d[nearest[best]],
+                     res3d[best], box)
     return LabeledBox(nearest[best] + 1, target)
 
 
@@ -162,7 +169,7 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
     target of a ground truth, the ground-truth pose is reproduced.
     """
     residual = np.asarray(residual, dtype=np.float64)
-    j = anchor.pose2d.joint_count
+    j = len(anchor.pose2d.coords)
     if residual.shape != (5 * j,):
         raise ValueError(f"residual must have length {5 * j}, got {residual.shape}")
     # (layout + res2d) * (width, height) + (x_min, y_min), in place: the same bits
@@ -175,21 +182,21 @@ def apply_regression(anchor: AnchorPose, box: BoundingBox,
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of logits (..., C): class probabilities
     (..., C)."""
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _smooth_l1(x: np.ndarray) -> np.ndarray:
     """Smooth-L1 loss (0.5 x^2 for |x| < 1, |x| - 0.5 otherwise) of a
-    float64 array, in five passes.
+    float64 array, in five passes over two buffers.
 
     With c = clip(x, -1, 1), loss = |c * (x - c/2)|, which never
     overflows: for |x| < 1, x - x/2 is exact (Sterbenz), so it is
     (0.5 * x) * x, and otherwise it is |x| - 0.5. The abs only turns the
     -0 that x = -0 gives into 0.5 * x * x's +0.
     """
+    # the plain expression's third buffer raised the benchmark's peak RSS
+    # by 0.5 MB on sparse, whose training rows make an (800, 65) x
     clipped = np.clip(x, -1.0, 1.0, out=np.empty_like(x))
     loss = np.multiply(clipped, 0.5, out=np.empty_like(x))
     np.subtract(x, loss, out=loss)
@@ -214,14 +221,14 @@ def _class_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
 def _regression_loss(err: np.ndarray, n: int) -> float:
     """Mean smooth-L1 loss of n boxes.
 
-    err (m, 5*J) holds target - pred of m <= n rows; a box left out adds
-    an exact 0 to the sum, as a background box does. The row sums add
-    left to right.
+    err (m, 5*J) holds target - pred of 1 <= m <= n rows; a box left out
+    adds an exact 0 to the sum, as a background box does. The row sums
+    add left to right, as cumsum adds them; Python's sum would not from
+    Python 3.12 on, where it compensates float rounding.
     """
-    # cumsum adds left to right; the loss is >= +0, so starting from the
-    # first row instead of 0.0 changes nothing
-    reg_loss = float(np.cumsum(_smooth_l1(err).sum(axis=1))[-1]) if len(err) else 0.0
-    return reg_loss / n
+    # the loss is >= +0, so starting from the first row instead of 0.0
+    # changes nothing
+    return float(np.cumsum(_smooth_l1(err).sum(axis=1))[-1]) / n
 
 
 def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
@@ -235,11 +242,14 @@ def head_losses(probs: np.ndarray, labels: np.ndarray, pred: np.ndarray,
     gradient of the mean log loss w.r.t. the logits; the regressors are
     solved in closed form, so no gradient of the smooth-L1 loss is
     needed. u(c) is clamped at LOG_EPS; the smooth-L1 row sums add in row
-    order. A background row has zero regression loss.
+    order. A background row has zero regression loss. Raises ValueError
+    on n = 0.
 
     The trainer calls the same two helpers, _class_loss and
     _regression_loss.
     """
+    if not len(labels):
+        raise ValueError("head_losses needs at least one box")
     cls_loss, g_logits = _class_loss(probs, labels)
     err = targets - pred
     err[labels == BACKGROUND] = 0.0

@@ -115,9 +115,9 @@ class ToyModel:
         return len(self.b_cls)
 
     def class_probs(self, x: np.ndarray) -> np.ndarray:
-        logits = x @ self.w_cls
-        logits += self.b_cls
-        return softmax(logits)
+        """Class probabilities (..., F + 1) of features x (..., D): rows
+        (n, D) or one vector (D,)."""
+        return softmax(x @ self.w_cls + self.b_cls)
 
 
 def _check_features(x: np.ndarray) -> None:

@@ -123,10 +123,6 @@ class Pose2D:
         object.__setattr__(self, "visibility", vis)
         _check_finite(coords, vis)
 
-    @property
-    def joint_count(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Pose3D:
@@ -276,13 +272,16 @@ def d3d_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d3d between transposed coordinate stacks a and b.
 
     a and b are (3, ..., J) stacks (x, y and z planes first, joints last)
-    that broadcast against each other; the result has their broadcast
-    shape without the first and last axes. The squared x, y and z
-    differences are added in that order before the square root, as
-    np.linalg.norm adds them over a length-3 axis, so the result equals
+    whose planes broadcast against each other, as a (3, J) seed against
+    (3, M, J) free poses; the result has the planes' broadcast shape
+    without the joint axis. The squared x, y and z differences are added
+    in that order before the square root, as np.linalg.norm adds them over
+    a length-3 axis, so the result equals
     np.linalg.norm(p - q, axis=-1).mean(axis=-1) on the untransposed
     (..., J, 3) stacks p and q bit for bit.
     """
+    # in place, in two buffers: the plain expression, with seven more
+    # temporaries, measured 2% slower on the benchmark's crowd infer
     acc = np.subtract(a[0], b[0])
     acc *= acc
     sq = np.subtract(a[1], b[1])
@@ -302,6 +301,10 @@ def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The union adds a's area to b's, then subtracts the intersection.
     Disjoint boxes get 0, and so do boxes whose two areas underflow to 0.
+    Areas past the float range are not guarded: boxes whose two areas
+    sum past it (about 1.8e308 px^2, so two equal squares from about
+    9.5e153 px a side) get IoU 0 however much they overlap, with numpy's
+    overflow or invalid-value warnings.
     """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
@@ -369,39 +372,9 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; see iou_kernel."""
+    """Intersection over union of two boxes; see iou_kernel, whose overflow
+    limit it shares."""
     return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
-
-
-# an s or t that is not finite is rejected below, so numpy's warnings would
-# only repeat the ValueError
-@np.errstate(over="ignore", invalid="ignore")
-def fit_scale_offset(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least-squares uniform scale + translation mapping src onto dst.
-
-    Minimizes sum ||s * src_i + t - dst_i||^2 over scalar s and 2D/any-D
-    offset t. Raises ValueError on fewer than 2 points, on a NaN or an
-    infinity in either point set, on zero spread in src, or when s or t
-    is not finite, as for finite points so far apart that their squared
-    spread overflows.
-    """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or len(src) < 2:
-        raise ValueError("need matching point sets with at least 2 points")
-    if not (_all_finite(src) and _all_finite(dst)):
-        raise ValueError("points must be finite")
-    src_c = src.mean(axis=0)
-    dst_c = dst.mean(axis=0)
-    src0 = src - src_c
-    denom = float((src0 ** 2).sum())
-    if denom <= 0.0:
-        raise ValueError("source points are coincident; scale is undetermined")
-    s = float((src0 * (dst - dst_c)).sum() / denom)
-    t = dst_c - s * src_c
-    if not (math.isfinite(s) and _all_finite(t)):
-        raise ValueError(f"scale and offset must be finite, got {s} and {t}")
-    return s, t
 
 
 def extrapolate_head_top(spec: PoseSpec, pose: Pose2D) -> np.ndarray:

@@ -182,9 +182,13 @@ def _rescore(boxes: np.ndarray, planes: np.ndarray, scores: np.ndarray,
     A joint's squared distance to its box is D^2 = gx * gx + gy * gy, from
     its gaps gx, gy >= 0 past the box along x and y, 0 inside or on it,
     where exp(-D^2 / sigma_b^2) is exactly 1. Scaling s by the mean of
-    these factors, which is at most 1, gives s' <= s, and s' = s exactly
-    when every joint is inside. Each pose's mean adds its J factors along
-    one contiguous row, as numpy adds an (N, J) array's rows.
+    these factors gives s' <= s, and s' = s exactly when every joint is
+    inside, so no caller re-checks it. Each factor is exp of a number
+    <= 0, never NaN (the poses and bounds are finite, and sigma_b^2 is a
+    positive finite float), so it lies in [0, 1]; a float sum of J such
+    values never exceeds J, rounding being monotone, so the mean is at
+    most 1. Each pose's mean adds its J factors along one contiguous row,
+    as numpy adds an (N, J) array's rows.
     """
     b = boxes.T[:, None]
     # a gap or a D^2 of inf gives the factor exp(-inf) = 0
@@ -431,8 +435,6 @@ def _rescored_groups(proposals: list[PoseProposal], params: PpiParams):
     scores = np.array([p.score for p in proposals], dtype=np.float64)
     boxes = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
     rescored = _rescore(boxes, planes, scores, params.sigma_b)
-    if (rescored > scores + 1e-12).any():
-        raise ValueError("rescored score cannot exceed the raw score")
     gid, seeds = _group(_overlap_boxes(planes, params.overlap_joints), rescored,
                         params.iou_threshold)
     return c2d, rescored, gid, seeds

@@ -20,7 +20,6 @@ from poseforge.pose import (
     Pose3D,
     PoseSpec,
     d3d,
-    fit_scale_offset,
 )
 
 
@@ -195,7 +194,8 @@ class TestKmeansOccludedLayouts:
         out = assert_matches_oracle(poses, 3, seed=0)
         for a in out.anchors:
             others = np.arange(13) != 5
-            s, t = fit_scale_offset(a.pose3d.coords[others, :2], a.pose2d.coords[others])
+            s, t = anchors_module._fit_scale_offset(a.pose3d.coords[others, :2],
+                                                    a.pose2d.coords[others])
             assert np.array_equal(a.pose2d.coords[5], s * a.pose3d.coords[5, :2] + t)
 
     def test_fill_without_spread_raises(self):

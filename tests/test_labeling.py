@@ -18,7 +18,7 @@ from poseforge.labeling import (
     regression_target,
     softmax,
 )
-from poseforge.pose import H13, AnchorPose, BoundingBox, Pose2D
+from poseforge.pose import H13, AnchorPose, BoundingBox, Pose2D, Pose3D
 
 
 class TestAssignLabel:
@@ -289,6 +289,36 @@ class TestOccludedRegressionTarget:
         assert (lab.target[zeroed] == 0.0).all()
 
 
+class TestNonFiniteTargetRejected:
+    """A finite ground truth whose residual overflows raises ValueError
+    instead of returning a target that is not finite; regression_target
+    silences numpy's overflow warning, and assign_label keeps it."""
+
+    def test_far_invisible_joint_in_a_tiny_box(self):
+        rng = np.random.default_rng(41)
+        anchors = ref.anchor_set(rng)
+        coords = rng.uniform(0.0, 1e-10, (13, 2))
+        coords[4] = 1e300  # invisible but finite: only the target reads it
+        vis = np.arange(13) != 4
+        gt2d, gt3d = Pose2D(coords, vis), ref.pose3d(rng)
+        box = BoundingBox(0.0, 0.0, 1e-10, 1e-10)
+        with pytest.raises(ValueError, match="regression target must be finite"):
+            regression_target(gt2d, gt3d, anchors.anchors[0], box)
+        # the box overlaps the visible joints' margin box, so it is foreground
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="regression target must be finite"):
+                assign_label(box, [(gt2d, gt3d)], anchors)
+
+    def test_overflowing_3d_residual(self):
+        rng = np.random.default_rng(42)
+        gt2d, _ = ref.ground_truth(rng)
+        coords3d = np.zeros((13, 3))
+        coords3d[0, 0] = 1e308
+        anchor = AnchorPose(Pose2D(rng.uniform(0.1, 0.9, (13, 2))), Pose3D(-coords3d))
+        with pytest.raises(ValueError, match="regression target must be finite"):
+            regression_target(gt2d, Pose3D(coords3d), anchor, ref.visible_box(gt2d))
+
+
 class TestApplyRegression:
     def test_zero_residual_places_anchor(self):
         rng = np.random.default_rng(4)
@@ -490,6 +520,13 @@ class TestRegressionLoss:
     def test_exact_prediction_zero(self):
         target = np.random.default_rng(10).normal(0, 0.5, (1, 65))
         assert reg_loss([2], target.copy(), target) == 0.0
+
+    def test_no_boxes_rejected(self):
+        # no mean of zero losses: a clear message, not numpy's empty-mean
+        # warning and an index or division error
+        with pytest.raises(ValueError, match="head_losses needs at least one box"):
+            head_losses(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((0, 65)),
+                        np.zeros((0, 65)))
 
 
 class TestLabeledBox:

@@ -25,6 +25,9 @@ def test_removed_per_pose_helpers_are_gone():
         assert not hasattr(poseforge, name) and not hasattr(poseforge.pose, name), name
     assert not hasattr(poseforge.pose.BoundingBox, "area")
     assert not hasattr(poseforge.pose.Pose3D, "joint_count")
+    assert not hasattr(poseforge.pose.Pose2D, "joint_count")
+    # the orphan fill's 2D scale and offset is private to anchors, its one caller
+    assert not hasattr(poseforge.pose, "fit_scale_offset")
     assert not hasattr(poseforge.labeling, "_unhashable")
     assert not hasattr(poseforge.learner, "_Head")  # the model is its one head
     # apply_regression places one pose; predict places the anchor stack's rows

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import poseforge.pose as pose_module
 import reference as ref
+from poseforge.anchors import _fit_scale_offset
 from poseforge.pose import (
     H13,
     BoundingBox,
@@ -19,7 +20,6 @@ from poseforge.pose import (
     d3d_kernel,
     d3d_matrix,
     extrapolate_head_top,
-    fit_scale_offset,
     iou,
     iou_kernel,
     margin_boxes,
@@ -203,6 +203,16 @@ class TestD3dKernel:
         rows = d3d_kernel(a.transpose(2, 0, 1), b.transpose(2, 0, 1))
         assert np.array_equal(rows, np.diag(d3d_matrix(a, b)))
 
+    @pytest.mark.parametrize("m", [1, 3, 7])  # 3: as many free poses as planes
+    def test_seed_against_free_poses_equals_d3d_per_row(self, m):
+        # the single-part round of ppi._modes: one seed's (3, J) planes
+        # against (3, M, J) free poses, each plane broadcast on its own
+        rng = np.random.default_rng(31)
+        seed, free = rng.normal(0, 0.4, (13, 3)), rng.normal(0, 0.4, (m, 13, 3))
+        got = d3d_kernel(seed.T, free.transpose(2, 0, 1))
+        assert got.shape == (m,)
+        assert got.tolist() == [ref.d3d(seed, q) for q in free]
+
     def test_spec_mismatch(self):
         with pytest.raises(ValueError, match="pose spec mismatch"):
             d3d_matrix(np.zeros((2, 13, 3)), np.zeros((2, 17, 3)))
@@ -340,31 +350,37 @@ class TestIouKernel:
 
 
 class TestFitScaleOffset:
+    """The least-squares scale and offset that k-means' orphan fill places a
+    joint by; its callers pass finite (n, 2) points of one shape."""
+
     def test_exact_recovery(self):
         rng = np.random.default_rng(15)
         src = rng.normal(0, 1, (10, 2))
         s, t = 2.5, np.array([3.0, -7.0])
         dst = s * src + t
-        s_hat, t_hat = fit_scale_offset(src, dst)
+        s_hat, t_hat = _fit_scale_offset(src, dst)
         assert s_hat == pytest.approx(s, abs=1e-12)
         assert np.allclose(t_hat, t, atol=1e-12)
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_scale_offset(np.ones((5, 2)), np.ones((5, 2)))
-
-    @pytest.mark.parametrize("side, bad", [(0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf)])
-    def test_non_finite_point_rejected(self, side, bad):
-        points = [np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]) for _ in range(2)]
-        points[side][1, 0] = bad
-        with pytest.raises(ValueError, match="points must be finite"):
-            fit_scale_offset(*points)
+        with pytest.raises(ValueError, match="no finite scale and offset"):
+            _fit_scale_offset(np.ones((5, 2)), np.ones((5, 2)))
+        for n in (0, 1):  # an anchor without members, or with one finite joint
+            with pytest.raises(ValueError, match=f"need at least 2 points, got {n}"):
+                _fit_scale_offset(np.ones((n, 2)), np.ones((n, 2)))
 
     def test_overflowing_spread_rejected(self):
         # finite points whose squared spread overflows, so s is inf / inf
         points = np.array([[0.0, 0.0], [1e160, 1e160]])
-        with pytest.raises(ValueError, match="scale and offset must be finite"):
-            fit_scale_offset(points, points)
+        with pytest.raises(ValueError, match="no finite scale and offset"):
+            _fit_scale_offset(points, points)
+
+    def test_underflowing_spread_rejected(self):
+        # a squared spread that underflows to 0 under a finite cross term:
+        # s is a number over 0, rejected without numpy's divide warning
+        src = np.array([[0.0, 0.0], [1e-170, 0.0]])
+        with pytest.raises(ValueError, match="no finite scale and offset"):
+            _fit_scale_offset(src, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 class TestHeadTop:
