@@ -11,22 +11,26 @@ x0, y0, z0, ...).
 
 assign_label is called once per candidate box, and all of an image's
 boxes are labeled against the same ground truth. _image_truth builds what
-depends on the ground truth alone (its margin boxes, 2D stacks and
-nearest anchors), and a functools.lru_cache of one entry keeps it for the
-last image. Its key is the ground truth as a tuple of (Pose2D, Pose3D)
-tuples and the AnchorSet; the poses and the AnchorSet compare by
-identity, and the cache holds them, so a hit is always current.
+depends on the ground truth alone (its margin boxes, indexed along x,
+and each person's nearest anchor and residuals), and a
+functools.lru_cache of one entry keeps it for the last image. Its key is
+the ground truth as a tuple of (Pose2D, Pose3D) tuples and the AnchorSet;
+the poses and the AnchorSet compare by identity, and the cache holds
+them, so a hit is always current. Per box, assign_label then computes in
+Python floats the IoU with the few people that its x-range can overlap,
+and one target.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from poseforge.anchors import AnchorSet
-# iou is not called here (assign_label calls its kernel); perfbench/tracing.py
+# iou is not called here (assign_label calls _pair_iou); perfbench/tracing.py
 # counts calls through poseforge.labeling.iou.
 from poseforge.pose import (  # noqa: F401
     AnchorPose,
@@ -35,10 +39,11 @@ from poseforge.pose import (  # noqa: F401
     Pose3D,
     _all_finite,
     _check_count,
+    _frozen,
+    _pair_iou,
     _stack_pairs,
     d3d_matrix,
     iou,
-    iou_kernel,
     margin_boxes,
 )
 
@@ -49,12 +54,17 @@ DEFAULT_IOU_THRESHOLD = 0.5
 LOG_EPS = 1e-12  # clamp for -log u(c) when u(c) underflows to 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledBox:
-    """A candidate box's ground-truth class and regression target."""
+    """A candidate box's ground-truth class and regression target.
+
+    The constructor checks and copies the target. assign_label builds its
+    boxes with pose._frozen instead, from a fresh read-only target that
+    _target has just checked finite.
+    """
 
     class_label: int
-    # finite (5*J,), a read-only copy; present iff class_label >= 1
+    # finite (5*J,) and read-only; present iff class_label >= 1
     target: np.ndarray | None = None
 
     def __post_init__(self):
@@ -71,22 +81,28 @@ class LabeledBox:
             object.__setattr__(self, "target", t)
 
 
-def _target(coords2d: np.ndarray, hidden: np.ndarray, layout: np.ndarray,
+def _target(coords2d: np.ndarray, hidden: np.ndarray | None, layout: np.ndarray,
             res3d: np.ndarray, box: BoundingBox) -> np.ndarray:
     """regression_target from one ground truth's (J, 2) coordinates and
-    non-finite-joint mask, an anchor's (J, 2) layout and the flat (3J,) 3D
-    residual to that anchor. Raises ValueError when the target is not
-    finite, as for a joint, visible or not, so far outside a small box
-    that its normalized coordinate overflows. numpy warns of that overflow
-    first unless the caller silences it; assign_label does not, as
-    np.errstate would cost each of its calls about 2 us."""
+    non-finite-joint mask (None when every joint is finite), an anchor's
+    (J, 2) layout and the flat (3J,) 3D residual to that anchor. Raises
+    ValueError when the target is not finite, as for a joint, visible or
+    not, so far outside a small box that its normalized coordinate
+    overflows. numpy warns of that overflow first unless the caller
+    silences it (_quiet_target)."""
     res2d = (coords2d - (box.x_min, box.y_min)) / (box.width, box.height) - layout
-    res2d[hidden] = 0.0
+    if hidden is not None:
+        res2d[hidden] = 0.0
     target = np.concatenate([res2d.ravel(), res3d])
     if not _all_finite(target):
         raise ValueError(f"regression target must be finite: the ground truth lies too far "
                          f"from box {box.as_tuple()} or from the anchor")
     return target
+
+
+# np.errstate costs each call about 2 us, so assign_label takes this form
+# only for a box whose target its bound cannot prove finite
+_quiet_target = np.errstate(over="ignore", invalid="ignore")(_target)
 
 
 # a residual that overflows, 2D or 3D, is rejected by _target, so numpy's
@@ -108,19 +124,44 @@ def regression_target(gt2d: Pose2D, gt3d: Pose3D, anchor: AnchorPose,
 
 @functools.lru_cache(maxsize=1)
 def _image_truth(gts: tuple, anchors: AnchorSet) -> tuple:
-    """One image's ground truth as assign_label reads it, all read-only:
-    the (P, 4) margin boxes, (P, J, 2) coordinates, (P, J) mask of joints
-    with a non-finite 2D coordinate, the tuple of each ground truth's
-    3D-closest anchor id and the (P, 3J) 3D residual to that anchor. gts
-    is a tuple of (Pose2D, Pose3D) tuples."""
+    """One image's ground truth as assign_label reads it, a tuple of:
+
+    - x_mins: the margin boxes' x_min in ascending order (a stable sort),
+      as a list of Python floats;
+    - reach: the running maximum of x_max over that order;
+    - boxes: in that order, each box as (person index, x_min, y_min,
+      x_max, y_max), Python floats;
+    - people: per person, (class label, (J, 2) coordinates, mask of the
+      joints with a non-finite 2D coordinate or None when there is none,
+      the nearest anchor's (J, 2) layout, the flat (3J,) 3D residual to
+      that anchor);
+    - bound: the largest |2D coordinate| of any person, NaN ignored (inf
+      if a hidden joint is coded as an infinity);
+    - lay_bound: the largest |layout coordinate| of any anchor (NaN if
+      one is NaN).
+
+    gts is a tuple of (Pose2D, Pose3D) tuples.
+
+    A box (x0, y0, x1, y1) has a positive IoU only with a person whose
+    x_max > x0 and whose x_min < x1. The people before sorted position
+    bisect_right(reach, x0) all end at or before x0, and those from
+    bisect_left(x_mins, x1) on all start at or after x1, so every person
+    outside that window has IoU exactly 0: the window needs no slack.
+    The two bounds let assign_label prove a box's 2D residuals finite in
+    Python floats (see there).
+    """
     coords2d, visibility, coords3d = _stack_pairs(gts, anchors.spec)
     boxes = margin_boxes(coords2d, visibility)
-    nearest = d3d_matrix(coords3d, anchors.coords3d).argmin(axis=1)  # ties to the lowest id
-    res3d = (coords3d - anchors.coords3d[nearest]).reshape(len(gts), -1)
-    hidden = ~np.isfinite(coords2d).all(axis=2)
-    for arr in (boxes, coords2d, hidden, res3d):
-        arr.setflags(write=False)
-    return boxes, coords2d, hidden, tuple(nearest.tolist()), res3d
+    nearest = d3d_matrix(coords3d, anchors.coords3d).argmin(axis=1).tolist()  # ties to lowest id
+    with np.errstate(over="ignore", invalid="ignore"):  # _target rejects an overflowing residual
+        res3d = (coords3d - anchors.coords3d[nearest]).reshape(len(gts), -1)
+    people = [(k + 1, c, h if h.any() else None, anchors.coords2d[k], r)
+              for k, c, h, r in zip(nearest, coords2d, ~np.isfinite(coords2d).all(axis=2), res3d)]
+    order = np.argsort(boxes[:, 0], kind="stable")
+    boxes = boxes[order]
+    return (boxes[:, 0].tolist(), np.maximum.accumulate(boxes[:, 2]).tolist(),
+            list(zip(order.tolist(), *boxes.T.tolist())), people,
+            float(np.nanmax(np.abs(coords2d))), float(np.abs(anchors.coords2d).max()))
 
 
 def assign_label(
@@ -133,32 +174,42 @@ def assign_label(
     Background (label 0, no target) when the box's IoU with every
     ground-truth box (pose.margin_boxes around the visible joints) falls
     below DEFAULT_IOU_THRESHOLD. Otherwise the ground truth with the
-    highest IoU defines the label as 1 + the id of the 3D-closest anchor
-    (ties to the lowest id) and the regression target. Raises on an empty
-    anchor set, on a ground truth whose joint count is not the anchors'
-    spec's, and on a regression target that is not finite, after numpy's
-    overflow warning (see regression_target).
+    highest IoU (ties to the lowest index, as np.argmax breaks them)
+    defines the label as 1 + the id of the 3D-closest anchor (ties to the
+    lowest id) and the regression target. Raises on an empty anchor set,
+    on a ground truth whose joint count is not the anchors' spec's, and on
+    a regression target that is not finite, without numpy's warnings.
 
     Labeling an image's boxes one after another builds its ground-truth
-    boxes, 2D stacks and nearest anchors once: they are cached on the
-    entries of gts, each as a tuple, and anchors (see the module
-    docstring). So an entry may be any (Pose2D, Pose3D) pair, a list
-    included; one that is not iterable raises TypeError.
+    index once: it is cached on the entries of gts, each as a tuple, and
+    anchors (see the module docstring and _image_truth). So an entry may
+    be any (Pose2D, Pose3D) pair, a list included; one that is not
+    iterable raises TypeError. Per box, the IoU is pose._pair_iou with the
+    people of the box's x-window, and the target is built without
+    numpy's error state unless the image's bounds cannot prove it finite.
     """
     if len(anchors) == 0:
         raise ValueError("empty anchor set")
     if not gts:
-        return LabeledBox(BACKGROUND)
+        return _frozen(LabeledBox)(BACKGROUND, None)
 
-    boxes, coords2d, hidden, nearest, res3d = _image_truth(tuple(map(tuple, gts)), anchors)
-    overlaps = iou_kernel(np.array(box.as_tuple()), boxes)
-    best = int(np.argmax(overlaps))
-    if overlaps[best] < DEFAULT_IOU_THRESHOLD:
-        return LabeledBox(BACKGROUND)
+    x_mins, reach, boxes, people, bound, lay_bound = _image_truth(tuple(map(tuple, gts)), anchors)
+    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+    best, hit = 0.0, len(people)
+    for p, bx0, by0, bx1, by1 in boxes[bisect_right(reach, x0):bisect_left(x_mins, x1)]:
+        overlap = _pair_iou(x0, y0, x1, y1, bx0, by0, bx1, by1)
+        if overlap > best or overlap == best and p < hit:
+            best, hit = overlap, p
+    if best < DEFAULT_IOU_THRESHOLD:
+        return _frozen(LabeledBox)(BACKGROUND, None)
 
-    target = _target(coords2d[best], hidden[best], anchors.coords2d[nearest[best]],
-                     res3d[best], box)
-    return LabeledBox(nearest[best] + 1, target)
+    label, coords2d, hidden, layout, res3d = people[hit]
+    # |each 2D residual| <= (bound + max(|x0|, |y0|)) / min(width, height) + lay_bound,
+    # and rounding is monotone, so if this is finite (not inf or NaN), none overflows
+    safe = (bound + max(abs(x0), abs(y0))) / min(x1 - x0, y1 - y0) + lay_bound < np.inf
+    target = (_target if safe else _quiet_target)(coords2d, hidden, layout, res3d, box)
+    target.setflags(write=False)
+    return _frozen(LabeledBox)(label, target)
 
 
 def apply_regression(anchor: AnchorPose, box: BoundingBox,

@@ -304,7 +304,8 @@ def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Areas past the float range are not guarded: boxes whose two areas
     sum past it (about 1.8e308 px^2, so two equal squares from about
     9.5e153 px a side) get IoU 0 however much they overlap, with numpy's
-    overflow or invalid-value warnings.
+    overflow or invalid-value warnings. _pair_iou is the same computation
+    on one pair of boxes in Python floats.
     """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
@@ -313,6 +314,22 @@ def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     return np.divide(inter, union, out=np.zeros(hit.shape), where=union > 0.0)
+
+
+def _pair_iou(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> float:
+    """iou_kernel of one pair of boxes a and b, each given as its four
+    bounds (x_min, y_min, x_max, y_max) in Python floats.
+
+    The operations and their order are iou_kernel's, so the result is its
+    bits. It shares iou_kernel's overflow limit and gives the same 0
+    there, without a warning: Python float arithmetic overflows to inf
+    and NaN silently, and a NaN union fails the union > 0 test.
+    """
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    inter = iw * ih if min(iw, ih) > 0.0 else 0.0
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union if union > 0.0 else 0.0
 
 
 def d3d(p: Pose3D, q: Pose3D) -> float:
@@ -372,9 +389,9 @@ def margin_boxes(coords: np.ndarray, visibility: np.ndarray) -> np.ndarray:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; see iou_kernel, whose overflow
-    limit it shares."""
-    return float(iou_kernel(np.array(a.as_tuple()), np.array(b.as_tuple())))
+    """Intersection over union of two boxes, through _pair_iou: the bits
+    of iou_kernel, whose overflow limit it shares, without its warnings."""
+    return _pair_iou(*a.as_tuple(), *b.as_tuple())
 
 
 def extrapolate_head_top(spec: PoseSpec, pose: Pose2D) -> np.ndarray:

@@ -106,6 +106,95 @@ class TestAssignLabelMatchesOracle:
                          ref.anchor_set(rng))
 
 
+def spanning(rng, x0, y0, x1, y1, pose3d=None):
+    """A ground truth whose visible joints span exactly [x0, x1] x [y0, y1]."""
+    coords = np.column_stack([rng.uniform(x0, x1, 13), rng.uniform(y0, y1, 13)])
+    coords[0], coords[1] = (x0, y0), (x1, y1)
+    return Pose2D(coords), ref.pose3d(rng) if pose3d is None else pose3d
+
+
+def window_scene(name, rng, anchors):
+    """The ground truth of a scene that tests assign_label's x-window."""
+    if name == "row":  # neighbours' margin boxes overlap by 6 px
+        return [spanning(rng, 60.0 * i, 0.0, 60.0 * i + 60.0, 120.0) for i in range(8)]
+    if name == "wide":  # the last person spans the row of narrow ones
+        row = [spanning(rng, 100.0 * i + 30.0, 20.0, 100.0 * i + 80.0, 180.0) for i in range(8)]
+        return row + [spanning(rng, 0.0, 0.0, 800.0, 200.0)]
+    if name == "shared_x_min":  # one x range, stacked along y, then a wider one
+        return ([spanning(rng, 100.0, 130.0 * i, 200.0, 130.0 * i + 120.0) for i in (2, 0, 1)]
+                + [spanning(rng, 100.0, 0.0, 400.0, 400.0)])
+    if name == "equal_boxes":  # one box twice; the tie picks anchor 2's 3D pose or anchor 0's
+        p2, _ = spanning(rng, 50.0, 50.0, 150.0, 250.0)
+        return [(p2, anchors.anchors[2].pose3d), (p2, anchors.anchors[0].pose3d)]
+    if name == "mirrored":  # equal IoU with a box centred on x = 0; person 1 lies left
+        p2, _ = spanning(rng, -40.0, 0.0, 60.0, 100.0)
+        mirror = Pose2D(p2.coords * (-1.0, 1.0))
+        return [(p2, anchors.anchors[2].pose3d), (mirror, anchors.anchors[0].pose3d)]
+    assert name == "far"  # at 1e15 px a float is a multiple of 0.125
+    return [spanning(rng, 1e15 + 60.0 * i, 1e15, 1e15 + 60.0 * i + 60.0, 1e15 + 120.0)
+            for i in range(6)]
+
+
+def window_boxes(rng, gts):
+    """Candidate boxes for a window scene: each margin box, with its x_min
+    moved in, and moved to touch its own right edge or the next box's
+    left one; a box over all of them; the centred box of "mirrored"; and
+    jittered boxes."""
+    margins = [ref.visible_box(p2).as_tuple() for p2, _ in gts]
+    boxes = [BoundingBox(-50.0, 0.0, 50.0, 100.0)] + [ref.box_near(rng, gts) for _ in range(40)]
+    for i, (x0, y0, x1, y1) in enumerate(margins):
+        nxt = margins[(i + 1) % len(margins)]
+        boxes += [BoundingBox(x0, y0, x1, y1), BoundingBox(x0 + 0.05 * (x1 - x0), y0, x1, y1),
+                  BoundingBox(x1, y0, x1 + (x1 - x0), y1)]
+        if nxt[0] > x0:
+            boxes.append(BoundingBox(x0, y0, nxt[0], y1))
+    lo, hi = np.min(margins, axis=0), np.max(margins, axis=0)
+    return boxes + [BoundingBox(lo[0], lo[1], hi[2], hi[3])]
+
+
+class TestAssignLabelWindow:
+    """assign_label only computes the IoU with the people of the box's
+    x-window; its labels and targets must still be the oracle's, which
+    computes every IoU."""
+
+    @pytest.mark.parametrize("name", ["row", "wide", "shared_x_min", "equal_boxes",
+                                      "mirrored", "far"])
+    def test_scene_matches_oracle(self, name):
+        rng = np.random.default_rng(60)
+        anchors = ref.anchor_set(rng)
+        gts = window_scene(name, rng, anchors)
+        foreground = 0
+        for box in window_boxes(rng, gts):
+            assert_matches_oracle(box, gts, anchors)
+            foreground += ref.assign_label(box, gts, anchors)[0] != BACKGROUND
+        assert foreground >= 3
+
+    @pytest.mark.parametrize("name", ["equal_boxes", "mirrored"])
+    def test_tie_goes_to_the_lower_index(self, name):
+        rng = np.random.default_rng(61)
+        anchors = ref.anchor_set(rng)
+        gts = window_scene(name, rng, anchors)
+        box = ref.visible_box(gts[0][0]) if name == "equal_boxes" else BoundingBox(-50, 0, 50, 100)
+        ious = [ref.iou(box, ref.visible_box(p2)) for p2, _ in gts]
+        assert ious[0] == ious[1] >= 0.5
+        lab = assign_label(box, gts, anchors)
+        assert lab.class_label == 3  # person 0's 3D pose is anchor 2's
+        assert np.array_equal(lab.target, regression_target(*gts[0], anchors.anchors[2], box))
+
+    def test_wide_person_left_of_the_box_is_found(self):
+        rng = np.random.default_rng(62)
+        anchors = ref.anchor_set(rng)
+        gts = window_scene("wide", rng, anchors)
+        x0, y0, x1, y1 = ref.visible_box(gts[-1][0]).as_tuple()
+        # starts right of every narrow person's x_min but the first
+        box = BoundingBox(x0 + 0.2 * (x1 - x0), y0, x1, y1)
+        lab = assign_label(box, gts, anchors)
+        ref.assert_label(lab, *ref.assign_label(box, gts, anchors))
+        nearest = int(np.argmin([ref.d3d(a.pose3d.coords, gts[-1][1].coords)
+                                 for a in anchors.anchors]))
+        assert lab.class_label == nearest + 1
+
+
 def counting_margin_boxes(monkeypatch):
     """Count assign_label's margin_boxes calls: one per memo build."""
     calls = []
@@ -291,8 +380,9 @@ class TestOccludedRegressionTarget:
 
 class TestNonFiniteTargetRejected:
     """A finite ground truth whose residual overflows raises ValueError
-    instead of returning a target that is not finite; regression_target
-    silences numpy's overflow warning, and assign_label keeps it."""
+    instead of returning a target that is not finite, and numpy's
+    overflow warning is silenced (pytest turns warnings into
+    errors)."""
 
     def test_far_invisible_joint_in_a_tiny_box(self):
         rng = np.random.default_rng(41)
@@ -305,9 +395,34 @@ class TestNonFiniteTargetRejected:
         with pytest.raises(ValueError, match="regression target must be finite"):
             regression_target(gt2d, gt3d, anchors.anchors[0], box)
         # the box overlaps the visible joints' margin box, so it is foreground
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="regression target must be finite"):
-                assign_label(box, [(gt2d, gt3d)], anchors)
+        with pytest.raises(ValueError, match="regression target must be finite"):
+            assign_label(box, [(gt2d, gt3d)], anchors)
+
+    def test_hidden_joint_with_one_far_coordinate(self):
+        # (1e300, NaN) is hidden, so its residual is zeroed and the target is
+        # finite; computing it first overflows, silently
+        rng = np.random.default_rng(43)
+        anchors = ref.anchor_set(rng)
+        coords = rng.uniform(0.0, 1e-10, (13, 2))
+        coords[4] = (1e300, np.nan)
+        gt2d, gt3d = Pose2D(coords, np.arange(13) != 4), ref.pose3d(rng)
+        box = BoundingBox(0.0, 0.0, 1e-10, 1e-10)
+        with np.errstate(over="ignore"):  # the oracle's own overflow
+            want = ref.assign_label(box, [(gt2d, gt3d)], anchors)
+        assert want[0] != BACKGROUND and np.isfinite(want[1]).all()
+        ref.assert_label(assign_label(box, [(gt2d, gt3d)], anchors), *want)
+
+    def test_far_anchor_layout(self):
+        # each residual alone is finite; subtracting the layout overflows
+        rng = np.random.default_rng(44)
+        layout = rng.uniform(0.1, 0.9, (13, 2))
+        layout[4] = 1.5e308
+        anchors = ref.anchor_set(rng, layouts=[layout])
+        coords = rng.uniform(0.0, 1e-10, (13, 2))
+        coords[4] = -1e298  # invisible but finite: (-1e298 - 0) / 1e-10 is -1e308
+        gt2d, gt3d = Pose2D(coords, np.arange(13) != 4), ref.pose3d(rng)
+        with pytest.raises(ValueError, match="regression target must be finite"):
+            assign_label(BoundingBox(0.0, 0.0, 1e-10, 1e-10), [(gt2d, gt3d)], anchors)
 
     def test_overflowing_3d_residual(self):
         rng = np.random.default_rng(42)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from poseforge.pose import (
     Pose2D,
     Pose3D,
     PoseSpec,
+    _pair_iou,
     d3d,
     d3d_kernel,
     d3d_matrix,
@@ -340,13 +341,78 @@ class TestIouKernel:
         same(iou_kernel(a[0], b), [ref.iou(ba[0], q) for q in bb])
         same(iou_kernel(a[:, None], b), [[ref.iou(p, q) for q in bb] for p in ba])
         same(iou_kernel(a[0], b[0]), ref.iou(ba[0], bb[0]))
-        assert iou(ba[0], bb[0]) == ref.iou(ba[0], bb[0])
+        same(np.array([iou(p, q) for p, q in zip(ba, bb)]), [ref.iou(p, q) for p, q in zip(ba, bb)])
 
     def test_underflowing_areas_give_zero(self):
         box = BoundingBox(0.0, 0.0, 1e-200, 1e-200)  # area 1e-400 underflows to 0
         assert box.width * box.height == 0.0  # so the union is 0, and inter/union is 0/0
         assert iou(box, box) == 0.0
         assert ref.iou(box, box) == 0.0
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes (x_min, y_min, x_max, y_max) of Python floats: the second
+    drawn at random, touching the first, nested in it, equal to it or
+    shifted against it. Coordinates reach +-1e300 and sides go down to
+    1e-300, where an area underflows, and up to 1e300, where two areas
+    sum past the float range."""
+    coord = st.one_of(st.floats(-1e300, 1e300), st.integers(-50, 50).map(float))
+    side = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e-160, 1.0, 1e150, 1e154]))
+
+    def box():
+        x0, y0 = draw(coord), draw(coord)
+        return [x0, y0, x0 + draw(side), y0 + draw(side)]
+
+    a = box()
+    w, h = a[2] - a[0], a[3] - a[1]
+    kind = draw(st.sampled_from(["random", "touching", "nested", "equal", "shifted"]))
+    if kind == "random":
+        b = box()
+    elif kind == "touching":
+        b = [a[2], a[1], a[2] + w, a[3]] if draw(st.booleans()) else [a[0], a[3], a[2], a[3] + h]
+    elif kind == "nested":
+        b = [a[0] + w / 4, a[1] + h / 4, a[2] - w / 4, a[3]]
+    elif kind == "equal":
+        b = list(a)
+    else:
+        t = draw(st.floats(-1.0, 1.0))
+        b = [a[0] + t * w, a[1] - t * h, a[2] + t * w, a[3] - t * h]
+    assume(all(map(np.isfinite, a + b)) and a[2] > a[0] and a[3] > a[1]
+           and b[2] > b[0] and b[3] > b[1])
+    return a, b
+
+
+class TestPairIou:
+    """The scalar IoU that assign_label and iou run is iou_kernel's
+    computation on one pair of Python floats, so it must give its bits."""
+
+    @staticmethod
+    def same_as_kernel(a, b):
+        got = _pair_iou(*a, *b)
+        with np.errstate(over="ignore", invalid="ignore"):  # the kernel's documented limit
+            want = iou_kernel(np.array(a), np.array(b))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert np.float64(iou(BoundingBox(*a), BoundingBox(*b))).tobytes() == want.tobytes()
+        return got
+
+    @settings(max_examples=400, deadline=None)
+    @given(box_pairs())
+    def test_equals_kernel_bit_for_bit(self, pair):
+        a, b = pair
+        self.same_as_kernel(a, b)
+        self.same_as_kernel(b, a)
+
+    def test_overflow_limit_is_the_kernels(self):
+        # areas that sum past the float range: both forms give 0, the scalar
+        # form without a warning (pytest turns warnings into errors)
+        for a, b in [((-1e200, -1e200, 1e200, 1e200), (-1e199, -1e199, 1e200, 1e200)),
+                     ((0.0, 0.0, 9.5e153, 9.5e153), (0.0, 0.0, 9.5e153, 9.5e153))]:
+            assert self.same_as_kernel(a, b) == 0.0
+        # just below the limit, two equal squares overlap fully
+        side = 9.4e153
+        assert self.same_as_kernel((0.0, 0.0, side, side), (0.0, 0.0, side, side)) == 1.0
 
 
 class TestFitScaleOffset:
